@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, DimensionMismatchError
-from .gstrand import QuadraticLagrangian, StrandGrid, d_s
+from .gstrand import History, QuadraticLagrangian, StrandGrid, d_s, integrate, rk4_advance
 from .liealg import LieAlgebraSpec, ad_star, bracket, hat_so_n, vee_so_n
 
 PINV_RCOND = 1e-10
@@ -114,31 +114,22 @@ def recover_velocities(rep, lag, state):
     return xi, gam
 
 
-def _linear_stage(rep, lag, v, m, grid):
+def _linear_rhs(rep, lag, grid, v, m):
     n = solve_linear_n(rep, lag, v, d_s(v, grid))
     xi = diamond(rep, v, m) @ lag.a_t_inv.T
     gam = diamond(rep, v, n) @ lag.a_s_inv.T
     dv = act(rep, xi, v)
     dm = -d_s(n, grid) + act_dual(rep, xi, m) + act_dual(rep, gam, n)
-    return dv, dm, n
+    return dv, dm
 
 
 def linear_strand_step(rep: LinearRepSpec, lag: QuadraticLagrangian,
                        state: LinearStrandState, grid: StrandGrid,
                        step_index: int | None = None) -> LinearStrandState:
     """RK4 step of dv/dt = rho(xi) v, dm/dt = -d_s n + rho*(xi) m + rho*(gamma) n."""
-    dt = grid.dt
-    v0, m0 = state.v, state.m
-    k1v, k1m, _ = _linear_stage(rep, lag, v0, m0, grid)
-    k2v, k2m, _ = _linear_stage(rep, lag, v0 + 0.5 * dt * k1v, m0 + 0.5 * dt * k1m, grid)
-    k3v, k3m, _ = _linear_stage(rep, lag, v0 + 0.5 * dt * k2v, m0 + 0.5 * dt * k2m, grid)
-    k4v, k4m, _ = _linear_stage(rep, lag, v0 + dt * k3v, m0 + dt * k3m, grid)
-    v1 = v0 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(m1))):
-        raise BlowUpError("linear-rep strand blew up", step_index=step_index)
-    n1 = solve_linear_n(rep, lag, v1, d_s(v1, grid))
-    return LinearStrandState(v1, m1, n1)
+    v1, m1 = rk4_advance(lambda v, m: _linear_rhs(rep, lag, grid, v, m), (state.v, state.m),
+                         grid, step_index, "linear-rep strand")
+    return LinearStrandState(v1, m1, solve_linear_n(rep, lag, v1, d_s(v1, grid)))
 
 
 def linear_constraint_drift(rep, lag, state, grid) -> float:
@@ -147,30 +138,11 @@ def linear_constraint_drift(rep, lag, state, grid) -> float:
     return float(np.max(np.abs(d_s(state.v, grid) - act(rep, gam, state.v))))
 
 
-@dataclass
-class LinearStrandHistory:
-    times: np.ndarray
-    v: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-
-    @property
-    def dt_stored(self):
-        return float(self.times[1] - self.times[0])
-
-
-def linear_strand_simulate(rep, lag, state, grid) -> LinearStrandHistory:
+def linear_strand_simulate(rep, lag, state, grid) -> History:
     state = LinearStrandState(state.v, state.m,
                               solve_linear_n(rep, lag, state.v, d_s(state.v, grid)))
-    times, vs, ms, ns = [0.0], [state.v.copy()], [state.m.copy()], [state.n.copy()]
-    for k in range(grid.n_steps):
-        state = linear_strand_step(rep, lag, state, grid, step_index=k)
-        if (k + 1) % grid.store_every == 0:
-            times.append((k + 1) * grid.dt)
-            vs.append(state.v.copy())
-            ms.append(state.m.copy())
-            ns.append(state.n.copy())
-    return LinearStrandHistory(np.array(times), np.array(vs), np.array(ms), np.array(ns))
+    return integrate(lambda st, k: linear_strand_step(rep, lag, st, grid, step_index=k),
+                     state, grid)
 
 
 def classical_ep_trajectory(alg: LieAlgebraSpec, a_t, mu0, dt, t_end):
@@ -233,13 +205,13 @@ def solve_cdb_ws(alg, m, dsm):
     return np.einsum("...ij,...j->...i", np.linalg.pinv(a, rcond=PINV_RCOND), dsm)
 
 
-def _cdb_stage(alg, m, w_t, grid):
+def _cdb_rhs(alg, grid, m, w_t):
     w_s = solve_cdb_ws(alg, m, d_s(m, grid))
     s_t = bracket(alg, m, w_t)
     s_s = bracket(alg, m, w_s)
     dm = bracket(alg, s_t, m)
     dwt = -d_s(w_s, grid) + bracket(alg, s_t, w_t) + bracket(alg, s_s, w_s)
-    return dm, dwt, w_s
+    return dm, dwt
 
 
 def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid,
@@ -251,18 +223,9 @@ def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid,
     every stage (the same closure the peakon module uses for its
     s-momenta), which keeps the monitored constraint exact at gridpoints.
     """
-    dt = grid.dt
-    m0, t0 = state.m, state.w_t
-    k1m, k1t, _ = _cdb_stage(alg, m0, t0, grid)
-    k2m, k2t, _ = _cdb_stage(alg, m0 + 0.5 * dt * k1m, t0 + 0.5 * dt * k1t, grid)
-    k3m, k3t, _ = _cdb_stage(alg, m0 + 0.5 * dt * k2m, t0 + 0.5 * dt * k2t, grid)
-    k4m, k4t, _ = _cdb_stage(alg, m0 + dt * k3m, t0 + dt * k3t, grid)
-    m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    t1 = t0 + dt / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(t1))):
-        raise BlowUpError("double-bracket strand blew up", step_index=step_index)
-    w_s1 = solve_cdb_ws(alg, m1, d_s(m1, grid))
-    return CDBState(m1, t1, w_s1)
+    m1, t1 = rk4_advance(lambda m, w_t: _cdb_rhs(alg, grid, m, w_t), (state.m, state.w_t),
+                         grid, step_index, "double-bracket strand")
+    return CDBState(m1, t1, solve_cdb_ws(alg, m1, d_s(m1, grid)))
 
 
 def cdb_constraint_residual(alg, state, grid) -> float:
@@ -271,32 +234,12 @@ def cdb_constraint_residual(alg, state, grid) -> float:
     return float(np.max(np.abs(d_s(state.m, grid) - bracket(alg, s_s, state.m))))
 
 
-@dataclass
-class CDBHistory:
-    times: np.ndarray
-    m: np.ndarray
-    w_t: np.ndarray
-    w_s: np.ndarray
-
-    @property
-    def dt_stored(self):
-        return float(self.times[1] - self.times[0])
-
-
-def cdb_simulate(alg, state, grid) -> CDBHistory:
+def cdb_simulate(alg, state, grid) -> History:
     state = CDBState(state.m, state.w_t, solve_cdb_ws(alg, state.m, d_s(state.m, grid)))
-    times, ms, wts, wss = [0.0], [state.m.copy()], [state.w_t.copy()], [state.w_s.copy()]
-    for k in range(grid.n_steps):
-        state = cdb_step(alg, state, grid, step_index=k)
-        if (k + 1) % grid.store_every == 0:
-            times.append((k + 1) * grid.dt)
-            ms.append(state.m.copy())
-            wts.append(state.w_t.copy())
-            wss.append(state.w_s.copy())
-    return CDBHistory(np.array(times), np.array(ms), np.array(wts), np.array(wss))
+    return integrate(lambda st, k: cdb_step(alg, st, grid, step_index=k), state, grid)
 
 
-def cdb_div_sigma_residual(alg, hist: CDBHistory, grid) -> float:
+def cdb_div_sigma_residual(alg, hist: History, grid) -> float:
     """Max-norm of d_t sigma_t + d_s sigma_s over interior stored slices.
 
     With the Euclidean base metric and l = |sigma|^2/2, solutions of the
@@ -304,13 +247,25 @@ def cdb_div_sigma_residual(alg, hist: CDBHistory, grid) -> float:
     """
     if len(hist.times) < 3:
         raise DimensionMismatchError("residuals need at least 3 stored slices")
-    s_t = bracket(alg, hist.m, hist.w_t)
-    s_s = bracket(alg, hist.m, hist.w_s)
+    s_t, s_s = cdb_sigma(alg, hist)
     dt = hist.dt_stored
     res = (s_t[2:] - s_t[:-2]) / (2.0 * dt)
     for i in range(res.shape[0]):
         res[i] += d_s(s_s[i + 1], grid)
     return float(np.max(np.abs(res)))
+
+
+def rotation_about_e3(angles):
+    """Stacked rotation matrices about e3 by the given angles, shape (..., 3, 3)."""
+    angles = np.asarray(angles, dtype=float)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rot = np.zeros(angles.shape + (3, 3))
+    rot[..., 0, 0] = cos
+    rot[..., 0, 1] = -sin
+    rot[..., 1, 0] = sin
+    rot[..., 1, 1] = cos
+    rot[..., 2, 2] = 1.0
+    return rot
 
 
 def cdb_rotating_state(alg: LieAlgebraSpec, grid: StrandGrid, m0, wt0, winds: int = 1) -> CDBState:
@@ -327,15 +282,7 @@ def cdb_rotating_state(alg: LieAlgebraSpec, grid: StrandGrid, m0, wt0, winds: in
     if abs(m0[2]) > 1e-12:
         raise DimensionMismatchError("m0 must be orthogonal to the rotation axis e3")
     zeta = np.array([0.0, 0.0, 2.0 * np.pi * winds / grid.s_extent])
-    s = grid.s_nodes
-    ang = zeta[2] * s
-    cos, sin = np.cos(ang), np.sin(ang)
-    rot = np.zeros((grid.n_s, 3, 3))
-    rot[:, 0, 0] = cos
-    rot[:, 0, 1] = -sin
-    rot[:, 1, 0] = sin
-    rot[:, 1, 1] = cos
-    rot[:, 2, 2] = 1.0
+    rot = rotation_about_e3(zeta[2] * grid.s_nodes)
     m = np.einsum("sab,b->sa", rot, m0)
     w_t = np.einsum("sab,b->sa", rot, wt0)
     w_s = np.cross(np.broadcast_to(zeta, m.shape), m) / float(m0 @ m0)
@@ -376,11 +323,11 @@ def symm_rigid_velocities(n_mat, lag, q, mw, dsq):
     return u_hat, v_hat, nw
 
 
-def _symm_stage(n_mat, lag, q, mw, grid):
+def _symm_rhs(n_mat, lag, grid, q, mw):
     u_hat, v_hat, nw = symm_rigid_velocities(n_mat, lag, q, mw, d_s(q, grid))
     dq = q @ u_hat
     dm = -d_s(nw, grid) + mw @ u_hat + nw @ v_hat
-    return dq, dm, nw
+    return dq, dm
 
 
 def symm_rigid_step(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
@@ -388,45 +335,21 @@ def symm_rigid_step(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
                     step_index: int | None = None) -> SymmRigidState:
     """RK4 step of dQ/dt = QU, dMw/dt = -d_s Nw + Mw U + Nw V on so(N) strands."""
     n_mat = state.q.shape[-1]
-    dt = grid.dt
-    q0, m0 = state.q, state.mw
-    k1q, k1m, _ = _symm_stage(n_mat, lag, q0, m0, grid)
-    k2q, k2m, _ = _symm_stage(n_mat, lag, q0 + 0.5 * dt * k1q, m0 + 0.5 * dt * k1m, grid)
-    k3q, k3m, _ = _symm_stage(n_mat, lag, q0 + 0.5 * dt * k2q, m0 + 0.5 * dt * k2m, grid)
-    k4q, k4m, _ = _symm_stage(n_mat, lag, q0 + dt * k3q, m0 + dt * k3m, grid)
-    q1 = q0 + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(m1))):
-        raise BlowUpError("symmetric rigid-body strand blew up", step_index=step_index)
+    q1, m1 = rk4_advance(lambda q, mw: _symm_rhs(n_mat, lag, grid, q, mw), (state.q, state.mw),
+                         grid, step_index, "symmetric rigid-body strand")
     _, _, n1 = symm_rigid_velocities(n_mat, lag, q1, m1, d_s(q1, grid))
     return SymmRigidState(q1, m1, n1)
 
 
-@dataclass
-class SymmRigidHistory:
-    times: np.ndarray
-    q: np.ndarray
-    mw: np.ndarray
-    nw: np.ndarray
-
-    @property
-    def dt_stored(self):
-        return float(self.times[1] - self.times[0])
+def symm_rigid_simulate(alg, lag, state, grid) -> History:
+    _, _, nw = symm_rigid_velocities(state.q.shape[-1], lag, state.q, state.mw,
+                                     d_s(state.q, grid))
+    state = SymmRigidState(state.q, state.mw, nw)
+    return integrate(lambda st, k: symm_rigid_step(alg, lag, st, grid, step_index=k),
+                     state, grid)
 
 
-def symm_rigid_simulate(alg, lag, state, grid) -> SymmRigidHistory:
-    times, qs, ms, ns = [0.0], [state.q.copy()], [state.mw.copy()], [state.nw.copy()]
-    for k in range(grid.n_steps):
-        state = symm_rigid_step(alg, lag, state, grid, step_index=k)
-        if (k + 1) % grid.store_every == 0:
-            times.append((k + 1) * grid.dt)
-            qs.append(state.q.copy())
-            ms.append(state.mw.copy())
-            ns.append(state.nw.copy())
-    return SymmRigidHistory(np.array(times), np.array(qs), np.array(ms), np.array(ns))
-
-
-def symm_rigid_strand_residual(alg, lag, hist: SymmRigidHistory, grid) -> float:
+def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:
     """Max-norm of d_t W_t + d_s W_s + [U, W_t] + [V, W_s] over interior slices,
     the so(N)-strand field equations implied by the symmetric representation."""
     if len(hist.times) < 3:

@@ -9,7 +9,7 @@ centered differences in both t and s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -58,11 +58,6 @@ class StrandGrid:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    def refined(self, factor: int) -> "StrandGrid":
-        """Jointly refined grid: ds and dt both divided by ``factor``."""
-        return StrandGrid(self.n_s * factor, self.s_extent, self.dt / factor,
-                          self.t_end, self.bc, self.store_every * factor)
 
 
 def d_s(arr, grid: StrandGrid):
@@ -129,57 +124,71 @@ def zcc_rhs(alg: LieAlgebraSpec, f: StrandField, grid: StrandGrid):
     return d_s(f.nu, grid) + bracket(alg, f.nu, f.gamma)
 
 
-def _stage(alg, lag, m, gamma, grid):
-    nu = m @ lag.a_t_inv.T
-    f = StrandField(nu, gamma)
-    return ep_rhs(alg, lag, f, grid), zcc_rhs(alg, f, grid)
+def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str) -> tuple:
+    """One classical RK4 step of dy/dt = rhs(*y) over the tuple of arrays y.
 
-
-def step(alg: LieAlgebraSpec, lag: QuadraticLagrangian, f: StrandField,
-         grid: StrandGrid, step_index: int | None = None) -> StrandField:
-    """One classical RK4 step of the coupled (momentum, gamma) system."""
+    Under fixed bc the endpoint values of every array are frozen.  A
+    non-finite result raises BlowUpError("<what> blew up").
+    """
     dt = grid.dt
-    m0 = f.nu @ lag.a_t.T
-    g0 = f.gamma
-    k1m, k1g = _stage(alg, lag, m0, g0, grid)
-    k2m, k2g = _stage(alg, lag, m0 + 0.5 * dt * k1m, g0 + 0.5 * dt * k1g, grid)
-    k3m, k3g = _stage(alg, lag, m0 + 0.5 * dt * k2m, g0 + 0.5 * dt * k2g, grid)
-    k4m, k4g = _stage(alg, lag, m0 + dt * k3m, g0 + dt * k3g, grid)
-    m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    g1 = g0 + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+    k1 = rhs(*y)
+    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
+    y1 = tuple(a + dt / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+               for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4))
     if grid.bc == "fixed" and grid.n_s > 1:
-        # frozen endpoint values
-        m1[[0, -1]] = m0[[0, -1]]
-        g1[[0, -1]] = g0[[0, -1]]
-    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(g1))):
-        raise BlowUpError("strand field blew up", step_index=step_index)
-    return StrandField(m1 @ lag.a_t_inv.T, g1)
+        for a0, a1 in zip(y, y1):
+            a1[[0, -1]] = a0[[0, -1]]
+    if not all(np.all(np.isfinite(a)) for a in y1):
+        raise BlowUpError(f"{what} blew up", step_index=step_index)
+    return y1
 
 
-@dataclass
-class StrandHistory:
-    times: np.ndarray      # stored times, uniformly spaced
-    nu: np.ndarray         # (n_stored, n_s, dim)
-    gamma: np.ndarray
+class History:
+    """Stored slices of a run: ``times`` and one stacked array per state
+    field, readable as attributes (``hist.nu``, ``hist.q``, ...)."""
+
+    def __init__(self, times, **fields):
+        self.times = np.asarray(times)
+        self.__dict__.update(fields)
 
     @property
     def dt_stored(self) -> float:
         return float(self.times[1] - self.times[0])
 
 
-def simulate(alg, lag, f0: StrandField, grid: StrandGrid) -> StrandHistory:
-    """Integrate to t_end, storing every ``grid.store_every``-th slice."""
+def integrate(step_fn, state, grid: StrandGrid) -> History:
+    """Advance ``state`` (a dataclass of arrays) by ``step_fn(state, k)`` for
+    grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step."""
+    names = [f.name for f in fields(state)]
     times = [0.0]
-    nus = [f0.nu.copy()]
-    gammas = [f0.gamma.copy()]
-    f = f0
+    stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):
-        f = step(alg, lag, f, grid, step_index=k)
+        state = step_fn(state, k)
         if (k + 1) % grid.store_every == 0:
             times.append((k + 1) * grid.dt)
-            nus.append(f.nu.copy())
-            gammas.append(f.gamma.copy())
-    return StrandHistory(np.array(times), np.array(nus), np.array(gammas))
+            for name in names:
+                stored[name].append(getattr(state, name).copy())
+    return History(np.array(times), **{name: np.array(v) for name, v in stored.items()})
+
+
+def _rhs(alg, lag, grid, m, gamma):
+    f = StrandField(m @ lag.a_t_inv.T, gamma)
+    return ep_rhs(alg, lag, f, grid), zcc_rhs(alg, f, grid)
+
+
+def step(alg: LieAlgebraSpec, lag: QuadraticLagrangian, f: StrandField,
+         grid: StrandGrid, step_index: int | None = None) -> StrandField:
+    """One classical RK4 step of the coupled (momentum, gamma) system."""
+    m1, g1 = rk4_advance(lambda m, g: _rhs(alg, lag, grid, m, g),
+                         (f.nu @ lag.a_t.T, f.gamma), grid, step_index, "strand field")
+    return StrandField(m1 @ lag.a_t_inv.T, g1)
+
+
+def simulate(alg, lag, f0: StrandField, grid: StrandGrid) -> History:
+    """Integrate to t_end, storing every ``grid.store_every``-th slice."""
+    return integrate(lambda f, k: step(alg, lag, f, grid, step_index=k), f0, grid)
 
 
 def hamiltonian_energy(alg, lag, f: StrandField, grid: StrandGrid) -> float:
@@ -196,7 +205,7 @@ def _centered_dt(series, dt):
     return (series[2:] - series[:-2]) / (2.0 * dt)
 
 
-def ep_residual(alg, lag, hist: StrandHistory, grid: StrandGrid) -> float:
+def ep_residual(alg, lag, hist: History, grid: StrandGrid) -> float:
     """Max-norm residual of the field equations over interior stored slices."""
     if len(hist.times) < 3:
         raise DimensionMismatchError("residuals need at least 3 stored slices")
@@ -213,7 +222,7 @@ def ep_residual(alg, lag, hist: StrandHistory, grid: StrandGrid) -> float:
     return float(np.max(np.abs(res)))
 
 
-def zcc_residual(alg, hist: StrandHistory, grid: StrandGrid) -> float:
+def zcc_residual(alg, hist: History, grid: StrandGrid) -> float:
     """Max-norm of d_t gamma - d_s nu - [nu, gamma] over interior slices."""
     if len(hist.times) < 3:
         raise DimensionMismatchError("residuals need at least 3 stored slices")
@@ -226,7 +235,7 @@ def zcc_residual(alg, hist: StrandHistory, grid: StrandGrid) -> float:
     return float(np.max(np.abs(res)))
 
 
-def residual_report(alg, lag, hist: StrandHistory, grid: StrandGrid) -> dict:
+def residual_report(alg, lag, hist: History, grid: StrandGrid) -> dict:
     return {
         "ep_residual": ep_residual(alg, lag, hist, grid),
         "zcc_residual": zcc_residual(alg, hist, grid),
@@ -240,7 +249,7 @@ class ReconstructionResult:
     zcc_residual: float
 
 
-def reconstruct(alg: LieAlgebraSpec, g0, hist: StrandHistory, grid: StrandGrid,
+def reconstruct(alg: LieAlgebraSpec, g0, hist: History, grid: StrandGrid,
                 tol: float = ZCC_RECONSTRUCT_TOL) -> ReconstructionResult:
     """Exponential-Euler reconstruction g <- exp(dt nu) g from stored history.
 

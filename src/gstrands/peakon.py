@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DimensionMismatchError, NearCollisionError
-from .gstrand import StrandGrid, d_s
-from .kernels import COND_LIMIT, HelmholtzKernel, chol_solve_batched, eval as kernel_eval, grad_q
+from .errors import DimensionMismatchError, NearCollisionError
+from .gstrand import History, StrandGrid, d_s, integrate, rk4_advance
+from .kernels import (COND_LIMIT, HelmholtzKernel, _cond_1, chol_solve_batched,
+                      eval as kernel_eval, grad_q)
 
 COLLISION_GAP = 1e-8
 
@@ -86,40 +87,30 @@ def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
 def _solve_n(q, kernel, grid):
     _check_gaps(q)
     gram = _gram_all(kernel, q)
-    cond = np.abs(gram).sum(axis=-2).max(axis=-1) * \
-        np.abs(np.linalg.inv(gram)).sum(axis=-2).max(axis=-1)
+    cond = _cond_1(gram)
     if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
         raise NearCollisionError(
             f"per-s Gram conditioning {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
     return chol_solve_batched(gram, -d_s(q, grid))
 
 
-def _stage(q, mw, kernel, grid):
+def _rhs(kernel, grid, q, mw):
     nw = _solve_n(q, kernel, grid)
     gram = _gram_all(kernel, q)
     grad = _grad_all(kernel, q)
     dq = np.einsum("sab,sb->sa", gram, mw)
     coupling = np.einsum("sa,sb->sab", nw, nw) + np.einsum("sa,sb->sab", mw, mw)
     dm = -d_s(nw, grid) - np.einsum("sab,sab->sa", coupling, grad)
-    return dq, dm, nw
+    return dq, dm
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
          step_index: int | None = None) -> PeakonState:
     """One RK4 step of the canonical (Q, M) system; N re-solved every stage
     and once more on the accepted state."""
-    dt = grid.dt
-    q0, m0 = state.q, state.mw
-    k1q, k1m, _ = _stage(q0, m0, kernel, grid)
-    k2q, k2m, _ = _stage(q0 + 0.5 * dt * k1q, m0 + 0.5 * dt * k1m, kernel, grid)
-    k3q, k3m, _ = _stage(q0 + 0.5 * dt * k2q, m0 + 0.5 * dt * k2m, kernel, grid)
-    k4q, k4m, _ = _stage(q0 + dt * k3q, m0 + dt * k3m, kernel, grid)
-    q1 = q0 + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(m1))):
-        raise BlowUpError("peakon state blew up", step_index=step_index)
-    n1 = _solve_n(q1, kernel, grid)
-    return PeakonState(q1, m1, n1)
+    q1, m1 = rk4_advance(lambda q, mw: _rhs(kernel, grid, q, mw), (state.q, state.mw),
+                         grid, step_index, "peakon state")
+    return PeakonState(q1, m1, _solve_n(q1, kernel, grid))
 
 
 def s_constraint_residual(state: PeakonState, kernel, grid) -> float:
@@ -150,32 +141,12 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
     return nu, gamma
 
 
-@dataclass
-class PeakonHistory:
-    times: np.ndarray
-    q: np.ndarray   # (n_t, n_s, n_p)
-    mw: np.ndarray
-    nw: np.ndarray
-
-    @property
-    def dt_stored(self):
-        return float(self.times[1] - self.times[0])
-
-
-def simulate(state: PeakonState, kernel, grid: StrandGrid) -> PeakonHistory:
+def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
     state = PeakonState(state.q, state.mw, _solve_n(state.q, kernel, grid))
-    times, qs, ms, ns = [0.0], [state.q.copy()], [state.mw.copy()], [state.nw.copy()]
-    for k in range(grid.n_steps):
-        state = step(state, kernel, grid, step_index=k)
-        if (k + 1) % grid.store_every == 0:
-            times.append((k + 1) * grid.dt)
-            qs.append(state.q.copy())
-            ms.append(state.mw.copy())
-            ns.append(state.nw.copy())
-    return PeakonHistory(np.array(times), np.array(qs), np.array(ms), np.array(ns))
+    return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid)
 
 
-def cross_derivative_residual(hist: PeakonHistory, kernel, grid) -> float:
+def cross_derivative_residual(hist: History, kernel, grid) -> float:
     """Max-norm of d_t[gamma(Q_a)] - d_s[nu(Q_a)] over interior stored slices.
 
     Equality of the mixed partials of Q is the scalar form of the
@@ -193,7 +164,7 @@ def cross_derivative_residual(hist: PeakonHistory, kernel, grid) -> float:
     return float(np.max(np.abs(res)))
 
 
-def compatibility_residual(hist: PeakonHistory, kernel, grid) -> float:
+def compatibility_residual(hist: History, kernel, grid) -> float:
     """Max-norm of the kernel-expanded compatibility sum over interior slices:
 
         sum_b (d_t N_b + d_s M_b) G(Q_a, Q_b)

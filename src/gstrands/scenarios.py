@@ -126,19 +126,10 @@ def linear_rep_setup(cfg, grid):
     init = cfg.initial
     v0 = np.asarray(init["v0"], dtype=float)
     m0 = np.asarray(init["m0"], dtype=float)
-    s = grid.s_nodes
-    ang = 2.0 * np.pi * init["winds"] * s / grid.s_extent
-    cos, sin = np.cos(ang), np.sin(ang)
-    rot = np.zeros((grid.n_s, 3, 3))
-    rot[:, 0, 0] = cos
-    rot[:, 0, 1] = -sin
-    rot[:, 1, 0] = sin
-    rot[:, 1, 1] = cos
-    rot[:, 2, 2] = 1.0
+    rot = clebsch.rotation_about_e3(2.0 * np.pi * init["winds"] * grid.s_nodes / grid.s_extent)
     v = np.einsum("sab,b->sa", rot, v0)
     m = np.einsum("sab,b->sa", rot, m0)
-    n = clebsch.solve_linear_n(rep, lag, v, gstrand.d_s(v, grid))
-    return rep, lag, clebsch.LinearStrandState(v, m, n)
+    return rep, lag, clebsch.LinearStrandState(v, m, np.zeros_like(v))
 
 
 def peakon_setup(cfg, grid):
@@ -288,10 +279,9 @@ def run_linear_rep(cfg: ScenarioConfig):
 
 
 def _linear_sigma_history(rep, lag, hist):
-    """Velocity fields recovered through the momentum map, as a StrandHistory."""
-    xi = clebsch.diamond(rep, hist.v, hist.m) @ lag.a_t_inv.T
-    gam = clebsch.diamond(rep, hist.v, hist.n) @ lag.a_s_inv.T
-    return gstrand.StrandHistory(hist.times, xi, gam)
+    """Velocity fields recovered through the momentum map, as a strand History."""
+    xi, gam = clebsch.recover_velocities(rep, lag, hist)
+    return gstrand.History(hist.times, nu=xi, gamma=gam)
 
 
 def run_peakon_strand(cfg: ScenarioConfig):
@@ -430,15 +420,7 @@ def _verify_chiral_clebsch_state(grid):
     alg = builtin("so3")
     rep = clebsch.defining_rep_so3(alg)
     lag = chiral_lagrangian(3)
-    s = grid.s_nodes
-    ang = 2.0 * np.pi * s / grid.s_extent
-    cos, sin = np.cos(ang), np.sin(ang)
-    rot = np.zeros((grid.n_s, 3, 3))
-    rot[:, 0, 0] = cos
-    rot[:, 0, 1] = -sin
-    rot[:, 1, 0] = sin
-    rot[:, 1, 1] = cos
-    rot[:, 2, 2] = 1.0
+    rot = clebsch.rotation_about_e3(2.0 * np.pi * grid.s_nodes / grid.s_extent)
     v = np.einsum("sab,b->sa", rot, np.array([1.0, 0.0, 0.5]))
     m = np.einsum("sab,b->sa", rot, np.array([0.2, 0.9, 0.1]))
     state = clebsch.LinearStrandState(v, m, np.zeros_like(v))

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .gstrand import QuadraticLagrangian, StrandGrid, StrandHistory, d_s
+from .gstrand import History, QuadraticLagrangian, StrandGrid, ep_residual
+from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
 from .liealg import LieAlgebraSpec, ad_star
 
 FD_SCALE = 1e-6
@@ -370,7 +371,7 @@ def legendre_pair(lag: QuadraticLagrangian, kappa=None) -> CovariantHamiltonian:
 
 
 def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
-              hist: StrandHistory, grid: StrandGrid) -> float:
+              hist: History, grid: StrandGrid) -> float:
     """Pointwise gap between the field-equation residual written with the
     Lagrangian velocities and with velocities recovered through the
     Hamiltonian; zero up to roundoff by construction of the Legendre pair."""
@@ -387,17 +388,9 @@ def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
 
 
 def ep_action_gradient(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
-                       hist: StrandHistory, grid: StrandGrid) -> float:
+                       hist: History, grid: StrandGrid) -> float:
     """Weak-form stationarity of the reduced action under constrained
     variations delta sigma = d zeta + ad_zeta sigma: the gradient with
     respect to the generator field zeta is the integrated field-equation
     residual, reported as an interior max-norm per unit cell area."""
-    m = hist.nu @ lag.a_t.T
-    n = hist.gamma @ lag.a_s.T
-    dt = hist.dt_stored
-    res = (m[2:] - m[:-2]) / (2.0 * dt)
-    for i in range(res.shape[0]):
-        k = i + 1
-        res[i] += (d_s(n[k], grid) + ad_star(alg, hist.nu[k], m[k])
-                   + ad_star(alg, hist.gamma[k], n[k]))
-    return float(np.max(np.abs(res)))
+    return ep_residual(alg, lag, hist, grid)

@@ -1,5 +1,7 @@
 import numpy as np
 
+from gstrands import clebsch
+
 
 def fit_order(residuals):
     """Least-squares slope of log2(residual) against refinement level."""
@@ -9,13 +11,5 @@ def fit_order(residuals):
     return -slope
 
 
-def rotation_field_z(angles):
-    """Stacked rotations about e3 by the given angles."""
-    angles = np.asarray(angles, dtype=float)
-    rot = np.zeros(angles.shape + (3, 3))
-    rot[..., 0, 0] = np.cos(angles)
-    rot[..., 0, 1] = -np.sin(angles)
-    rot[..., 1, 0] = np.sin(angles)
-    rot[..., 1, 1] = np.cos(angles)
-    rot[..., 2, 2] = 1.0
-    return rot
+# stacked rotations about e3 by the given angles
+rotation_field_z = clebsch.rotation_about_e3

@@ -133,7 +133,7 @@ def test_linear_strand_sigma_solves_field_equations():
         hist = clebsch.linear_strand_simulate(REP3, lag, st, grid)
         xi = clebsch.diamond(REP3, hist.v, hist.m) @ lag.a_t_inv.T
         gam = clebsch.diamond(REP3, hist.v, hist.n) @ lag.a_s_inv.T
-        sig = gstrand.StrandHistory(hist.times, xi, gam)
+        sig = gstrand.History(hist.times, nu=xi, gamma=gam)
         return gstrand.ep_residual(SO3, lag, sig, grid)
 
     errs = [level(i) for i in range(3)]
@@ -263,6 +263,15 @@ def test_symm_rigid_strand_residual_orders():
 
     errs = [level(i) for i in range(3)]
     assert fit_order(errs) >= 1.9
+
+
+def test_symm_rigid_simulate_slaves_initial_nw():
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1)
+    st = symm_strand_state(grid)
+    hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, st, grid)
+    _, _, nw0 = clebsch.symm_rigid_velocities(3, RIGID_LAG, st.q, st.mw, gstrand.d_s(st.q, grid))
+    assert np.max(np.abs(nw0)) > 0.1
+    assert np.array_equal(hist.nw[0], nw0)
 
 
 def test_symm_rigid_momentum_relation_exact():

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 from conftest import fit_order
 
-from gstrands import gstrand, liealg
+from gstrands import clebsch, gstrand, liealg, peakon
 from gstrands.errors import (BlowUpError, DimensionMismatchError,
                              ReconstructionRefusedError)
 from gstrands.gstrand import (QuadraticLagrangian, StrandField, StrandGrid,
                               chiral_lagrangian)
+from gstrands.kernels import HelmholtzKernel
 
 SO3 = liealg.builtin("so3")
 CHIRAL = chiral_lagrangian(3)
@@ -164,7 +165,7 @@ def test_residual_report_orders():
 def test_residual_report_flags_corruption():
     grid = StrandGrid(32, 2 * np.pi, 5e-3, 0.2, store_every=1)
     hist = gstrand.simulate(SO3, CHIRAL, generic_chiral_field(grid), grid)
-    bad = gstrand.StrandHistory(hist.times, hist.nu, hist.gamma * 1.1)
+    bad = gstrand.History(hist.times, nu=hist.nu, gamma=hist.gamma * 1.1)
     assert gstrand.zcc_residual(SO3, bad, grid) > 1e-2
 
 
@@ -192,10 +193,10 @@ def test_reconstruct_constant_generator():
     xi = np.array([0.3, -0.2, 0.9])
     grid = StrandGrid(8, 2 * np.pi, 1e-2, 0.5, store_every=1)
     f = StrandField(np.tile(xi, (8, 1)), np.zeros((8, 3)))
-    hist = gstrand.StrandHistory(
+    hist = gstrand.History(
         np.arange(51) * 1e-2,
-        np.tile(xi, (51, 8, 1)),
-        np.zeros((51, 8, 3)))
+        nu=np.tile(xi, (51, 8, 1)),
+        gamma=np.zeros((51, 8, 3)))
     rec = gstrand.reconstruct(SO3, np.eye(3), hist, grid)
     expected = scipy.linalg.expm(0.5 * liealg.to_matrix(SO3, xi))
     assert np.max(np.abs(rec.g[-1] - expected)) < 1e-12
@@ -229,7 +230,7 @@ def test_reconstruct_pure_gauge_closed_form():
 def test_reconstruct_refuses_broken_curvature():
     grid = StrandGrid(32, 2 * np.pi, 5e-3, 0.2, store_every=1)
     hist = gstrand.simulate(SO3, CHIRAL, generic_chiral_field(grid), grid)
-    bad = gstrand.StrandHistory(hist.times, hist.nu, hist.gamma * 1.1)
+    bad = gstrand.History(hist.times, nu=hist.nu, gamma=hist.gamma * 1.1)
     with pytest.raises(ReconstructionRefusedError):
         gstrand.reconstruct(SO3, np.eye(3), bad, grid)
 
@@ -254,9 +255,47 @@ def test_se3_strand_residual_orders():
     assert fit_order(errs) >= 1.9
 
 
-def test_fixed_bc_freezes_endpoints():
-    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, bc="fixed")
+def _strand_run(grid):
     f0 = generic_chiral_field(grid)
-    hist = gstrand.simulate(SO3, CHIRAL, f0, grid)
-    assert np.allclose(hist.nu[-1][0], f0.nu[0])
-    assert np.allclose(hist.nu[-1][-1], f0.nu[-1])
+    return f0, gstrand.simulate(SO3, CHIRAL, f0, grid)
+
+
+def _peakon_run(grid):
+    s = grid.s_nodes
+    q0 = np.stack([-1.5 + 0.2 * np.sin(s), 1.5 + 0.2 * np.cos(s)], axis=1)
+    m0 = np.stack([1.0 + 0.3 * np.cos(s), 0.8 - 0.3 * np.sin(s)], axis=1)
+    st = peakon.PeakonState(q0, m0, np.zeros_like(q0))
+    return st, peakon.simulate(st, HelmholtzKernel(1.0, 1), grid)
+
+
+def _linear_run(grid):
+    rot = clebsch.rotation_about_e3(grid.s_nodes)
+    v = rot @ np.array([1.0, 0.0, 0.5])
+    st = clebsch.LinearStrandState(v, rot @ np.array([0.2, 0.9, 0.1]), np.zeros_like(v))
+    return st, clebsch.linear_strand_simulate(clebsch.defining_rep_so3(SO3), CHIRAL, st, grid)
+
+
+def _cdb_run(grid):
+    st = clebsch.cdb_rotating_state(SO3, grid, [1.0, 0.4, 0.0], [0.3, 0.2, 0.1])
+    return st, clebsch.cdb_simulate(SO3, st, grid)
+
+
+def _symm_run(grid):
+    q = clebsch.rotation_about_e3(0.3 * np.sin(grid.s_nodes))
+    st = clebsch.SymmRigidState(q, q @ liealg.hat_so_n(3, [0.2, 0.5, 0.3]), np.zeros_like(q))
+    return st, clebsch.symm_rigid_simulate(liealg.builtin("soN(3)"), CHIRAL, st, grid)
+
+
+@pytest.mark.parametrize("run, evolved", [
+    (_strand_run, ("nu", "gamma")),
+    (_peakon_run, ("q", "mw")),
+    (_linear_run, ("v", "m")),
+    (_cdb_run, ("m", "w_t")),
+    (_symm_run, ("q", "mw")),
+], ids=["strand", "peakon", "linear", "cdb", "symm"])
+def test_fixed_bc_freezes_endpoints(run, evolved):
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, bc="fixed")
+    state0, hist = run(grid)
+    for name in evolved:
+        start = getattr(state0, name)
+        assert np.allclose(getattr(hist, name)[-1][[0, -1]], start[[0, -1]], rtol=0, atol=1e-12)
