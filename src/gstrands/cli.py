@@ -138,7 +138,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GStrandsError as exc:
-        print(f"error category: {exc.category}: {exc}", file=sys.stderr)
+        where = ""
+        if getattr(exc, "step_index", None) is not None:
+            where = f" at step {exc.step_index} (t = {exc.t:.6g})"
+        print(f"error category: {exc.category}: {exc}{where}", file=sys.stderr)
         return 2 if exc.category in _USAGE_CATEGORIES else 1
 
 

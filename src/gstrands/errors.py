@@ -25,18 +25,26 @@ class SingularKernelError(GStrandsError):
     category = "validation"
 
 
-class NearCollisionError(GStrandsError):
-    """Gram system past the conditioning threshold: peakons about to collide."""
+class SolverError(GStrandsError):
+    """A failure while stepping.  ``step_index`` is the 0-based step during
+    which it was detected and ``t`` the time that step ends at; both are
+    None outside a step (e.g. the initial slave solve)."""
+
+    def __init__(self, message, step_index=None, t=None):
+        super().__init__(message)
+        self.step_index = step_index
+        self.t = t
+
+
+class NearCollisionError(SolverError):
+    """Peakons crossed, came within the collision gap, or made a Gram system
+    too ill-conditioned to solve."""
 
     category = "near-collision"
 
 
-class BlowUpError(GStrandsError):
+class BlowUpError(SolverError):
     category = "blow-up"
-
-    def __init__(self, message, step_index=None):
-        super().__init__(message)
-        self.step_index = step_index
 
 
 class ReconstructionRefusedError(GStrandsError):

@@ -59,6 +59,10 @@ class StrandGrid:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    def step_end(self, step_index: int | None) -> float | None:
+        """Time at which the 0-based step ``step_index`` ends (None for None)."""
+        return None if step_index is None else (step_index + 1) * self.dt
+
 
 def d_s(arr, grid: StrandGrid):
     """Centered s-derivative along axis 0; periodic wrap or one-sided ends."""
@@ -141,7 +145,8 @@ def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str) -> 
         for a0, a1 in zip(y, y1):
             a1[[0, -1]] = a0[[0, -1]]
     if not all(np.all(np.isfinite(a)) for a in y1):
-        raise BlowUpError(f"{what} blew up", step_index=step_index)
+        raise BlowUpError(f"{what} blew up", step_index=step_index,
+                          t=grid.step_end(step_index))
     return y1
 
 

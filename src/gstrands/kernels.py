@@ -2,9 +2,15 @@
 
 The 1D and 3D kernels are closed-form; the 2D kernel (a modified Bessel K0
 profile) is an optional extension behind the ``allow_dim2`` flag and uses the
-classical 9.8.5/9.8.6 polynomial fits.  Gram solves go through a Cholesky
-factorization with one fixed-order refinement sweep so repeated runs are
-bitwise identical.
+classical 9.8.5/9.8.6 polynomial fits.
+
+Every Gram solve is one application of an inverse, one refinement sweep
+against the dense matrix and a residual check at SOLVE_RTOL.  General
+systems go through a Cholesky factorization whose substitutions run in a
+fixed loop order.  The 1D kernel at sorted points has a tridiagonal inverse
+in closed form (helmholtz_1d_inverse), applied by elementwise products.
+Neither path uses a BLAS call whose summation order depends on threading,
+so repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -114,9 +120,14 @@ class GramSystem:
     cond_estimate: float
 
 
+def norm_1(mats):
+    """Matrix 1-norm (largest absolute column sum), batched."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1)
+
+
 def _cond_1(mats):
     """1-norm condition number, batched; inf marks singular matrices."""
-    norm = np.abs(mats).sum(axis=-2).max(axis=-1)
+    norm = norm_1(mats)
     try:
         inv_norm = np.abs(np.linalg.inv(mats)).sum(axis=-2).max(axis=-1)
     except np.linalg.LinAlgError:
@@ -167,14 +178,83 @@ def chol_solve_batched(mats, rhs):
             x[..., i] = acc / low[..., i, i]
         return x
 
-    x = substitute(rhs)
+    return _refined_solve(mats, substitute, rhs)
+
+
+def _refined_solve(mats, apply_inv, rhs):
+    """x = apply_inv(rhs), one refinement sweep against the dense mats, and
+    a residual check at SOLVE_RTOL relative to max |rhs|."""
+    x = apply_inv(rhs)
     resid = rhs - np.einsum("...ij,...j->...i", mats, x)
-    x = x + substitute(resid)
+    x = x + apply_inv(resid)
     resid = rhs - np.einsum("...ij,...j->...i", mats, x)
-    scale = np.max(np.abs(rhs)) if rhs.size else 0.0
-    if np.max(np.abs(resid), initial=0.0) > SOLVE_RTOL * max(scale, 1e-300):
+    scale = np.abs(rhs).max(initial=0.0)
+    if np.abs(resid).max(initial=0.0) > SOLVE_RTOL * max(scale, 1e-300):
         raise NearCollisionError("Gram solve residual above tolerance; system near singular")
     return x
+
+
+def sort_rows(x):
+    """Flat gather indices (perm, inv) of the 2D array x: x.take(perm) is x
+    with each row in ascending order, and y.take(inv) puts a row-sorted y
+    back in the original order."""
+    order = np.argsort(x, axis=-1)
+    perm = order + x.shape[-1] * np.arange(x.shape[0])[:, None]
+    inv = np.empty_like(perm)
+    inv.reshape(-1)[perm.reshape(-1)] = np.arange(perm.size)
+    return perm, inv
+
+
+def helmholtz_1d_inverse(k: HelmholtzKernel, gaps):
+    """Tridiagonal inverse of the 1D Gram matrix at ascending points.
+
+    ``gaps`` (..., n-1) are the adjacent gaps of the sorted points.  For
+    sorted points e^{-|x_a - x_b|/alpha} is an Ornstein-Uhlenbeck covariance,
+    whose inverse is tridiagonal (the Markov property).  With
+    d_i = 1 - e^{-2 gap_i/alpha}:
+
+        diag_i = 2 alpha (1/d_{i-1} + 1/d_i - 1)   interior points,
+                 2 alpha / d                         the two ends,
+                 2 alpha                             a single point;
+        off_i  = -2 alpha e^{-gap_i/alpha} / d_i.
+
+    Returns (diag (..., n), off (..., n-1)) in sorted order.
+    """
+    if k.dim != 1:
+        raise InvalidParameterError("the tridiagonal Gram inverse needs the 1D kernel")
+    two_a = 2.0 * k.alpha
+    d = -np.expm1((-2.0 / k.alpha) * gaps)
+    # 1/d padded with 1 at both ends, where the -1 then cancels
+    inv_d = np.ones(gaps.shape[:-1] + (gaps.shape[-1] + 2,))
+    inv_d[..., 1:-1] = 1.0 / d
+    diag = two_a * (inv_d[..., :-1] + inv_d[..., 1:] - 1.0)
+    off = -two_a * np.exp(-gaps / k.alpha) / d
+    return diag, off
+
+
+def tridiag_norm_1(diag, off):
+    """1-norm of the symmetric tridiagonal (diag, off), batched."""
+    col = np.abs(diag)
+    col[..., 1:] -= off
+    col[..., :-1] -= off
+    return col.max(axis=-1)
+
+
+def tridiag_solve_sorted(mats, diag, off, sort, rhs):
+    """Solve the (m, n, n) systems mats @ x = rhs (rhs (m, n)) given the
+    tridiagonal inverse (diag, off) of each matrix in the row order of
+    ``sort = sort_rows(points)``: one refinement sweep and the SOLVE_RTOL
+    residual check, as chol_solve_batched."""
+    perm, inv = sort
+
+    def apply_inv(b):
+        bs = b.take(perm)
+        ys = diag * bs
+        ys[:, 1:] += off * bs[:, :-1]
+        ys[:, :-1] += off * bs[:, 1:]
+        return ys.take(inv)
+
+    return _refined_solve(mats, apply_inv, np.asarray(rhs, dtype=float))
 
 
 def solve_gram(g: GramSystem, rhs):

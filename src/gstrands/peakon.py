@@ -12,10 +12,15 @@ Hamiltonian.  n_s = 1 with s-derivatives defined as zero is the classical
 Camassa-Holm peakon mode on the identical code path.
 
 Collisions are analytically singular, so stepping halts with a
-near-collision error whenever a peakon gap falls under COLLISION_GAP or a
-per-s Gram system passes the conditioning limit; a fixed-step integrator
-can hop across an unresolved crossing, in which case those thresholds are
-checked at every evaluated stage but not in between.
+near-collision error when peakons cross, when a peakon gap falls under
+COLLISION_GAP, or when a per-s Gram system passes the conditioning limit.
+Every stage of a step is checked in the ascending order of the positions at
+the start of that step, so a crossing that a fixed step hops over shows as
+a negative gap even when no evaluated stage lands within COLLISION_GAP.
+
+The slaved solve uses the tridiagonal closed-form inverse of the 1D Gram
+matrix at sorted positions (kernels.helmholtz_1d_inverse): no Python loop
+over peakons or pairs, O(n_s n_p) work besides the dense G itself.
 """
 
 from __future__ import annotations
@@ -26,8 +31,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, StrandGrid, d_s, integrate, rk4_advance
-from .kernels import (COND_LIMIT, HelmholtzKernel, _cond_1, chol_solve_batched,
-                      eval as kernel_eval, grad_q)
+from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
+                      helmholtz_1d_inverse, norm_1, sort_rows, tridiag_norm_1,
+                      tridiag_solve_sorted)
+# not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
+from .kernels import chol_solve_batched  # noqa: F401
 
 COLLISION_GAP = 1e-8
 
@@ -50,14 +58,22 @@ class PeakonState:
         return self.q.shape[1]
 
 
-def _check_gaps(q):
-    n_p = q.shape[1]
-    for a in range(n_p):
-        for b in range(a + 1, n_p):
-            gap = np.min(np.abs(q[:, a] - q[:, b]))
-            if gap < COLLISION_GAP:
-                raise NearCollisionError(
-                    f"peakons {a} and {b} within {gap:.3e} of collision")
+def _ordered_gaps(q, sort, step_index, t):
+    """Adjacent gaps of q taken in the ascending order ``sort`` of the
+    step-start positions.  A gap under COLLISION_GAP (negative when the pair
+    crossed) raises NearCollisionError naming the pair and the s-index."""
+    perm, n_p = sort[0], q.shape[1]
+    qs = q.take(perm)
+    gaps = qs[:, 1:] - qs[:, :-1]
+    bad = gaps < COLLISION_GAP
+    if bad.any():
+        j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
+        a, b = sorted((int(perm[j, i]) % n_p, int(perm[j, i + 1]) % n_p))
+        gap = gaps[j, i]
+        what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
+        raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}",
+                                 step_index=step_index, t=t)
+    return gaps
 
 
 def _gram_all(kernel, q):
@@ -81,22 +97,31 @@ def velocity(state: PeakonState, kernel: HelmholtzKernel, j: int, m):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    return _solve_n(state.q, kernel, grid)
+    q = state.q
+    return _solve_n(kernel, grid, q, _gram_all(kernel, q), sort_rows(q))
 
 
-def _solve_n(q, kernel, grid):
-    _check_gaps(q)
-    gram = _gram_all(kernel, q)
-    cond = _cond_1(gram)
-    if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
+def _solve_n(kernel, grid, q, gram, sort, step_index=None):
+    """Solve gram N = -d_s Q after the gap check in ``sort`` and the 1-norm
+    conditioning check, both in closed form from the tridiagonal inverse."""
+    t = grid.step_end(step_index)
+    diag, off = helmholtz_1d_inverse(kernel, _ordered_gaps(q, sort, step_index, t))
+    cond = norm_1(gram) * tridiag_norm_1(diag, off)
+    ok = cond <= COND_LIMIT
+    if not ok.all():
+        j = int(np.argmin(ok))
         raise NearCollisionError(
-            f"per-s Gram conditioning {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
-    return chol_solve_batched(gram, -d_s(q, grid))
+            f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}",
+            step_index=step_index, t=t)
+    try:
+        return tridiag_solve_sorted(gram, diag, off, sort, -d_s(q, grid))
+    except NearCollisionError as exc:
+        raise NearCollisionError(str(exc), step_index=step_index, t=t) from exc
 
 
-def _rhs(kernel, grid, q, mw):
-    nw = _solve_n(q, kernel, grid)
+def _rhs(kernel, grid, sort, step_index, q, mw):
     gram = _gram_all(kernel, q)
+    nw = _solve_n(kernel, grid, q, gram, sort, step_index)
     grad = _grad_all(kernel, q)
     dq = np.einsum("sab,sb->sa", gram, mw)
     coupling = np.einsum("sa,sb->sab", nw, nw) + np.einsum("sa,sb->sab", mw, mw)
@@ -107,10 +132,13 @@ def _rhs(kernel, grid, q, mw):
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
          step_index: int | None = None) -> PeakonState:
     """One RK4 step of the canonical (Q, M) system; N re-solved every stage
-    and once more on the accepted state."""
-    q1, m1 = rk4_advance(lambda q, mw: _rhs(kernel, grid, q, mw), (state.q, state.mw),
-                         grid, step_index, "peakon state")
-    return PeakonState(q1, m1, _solve_n(q1, kernel, grid))
+    and once more on the accepted state, each time with the gaps taken in
+    the ascending order of the step-start positions."""
+    sort = sort_rows(state.q)
+    q1, m1 = rk4_advance(lambda q, mw: _rhs(kernel, grid, sort, step_index, q, mw),
+                         (state.q, state.mw), grid, step_index, "peakon state")
+    return PeakonState(q1, m1, _solve_n(kernel, grid, q1, _gram_all(kernel, q1), sort,
+                                        step_index))
 
 
 def s_constraint_residual(state: PeakonState, kernel, grid) -> float:
@@ -142,7 +170,7 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
-    state = PeakonState(state.q, state.mw, _solve_n(state.q, kernel, grid))
+    state = PeakonState(state.q, state.mw, solve_n_constraint(state, kernel, grid))
     return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid)
 
 

@@ -333,6 +333,16 @@ def peakon_snapshot_csv(hist, kernel, grid):
     return header, rows
 
 
+def _drift(name, values):
+    """Largest change from values[0]: relative, or absolute (``<name>_abs_drift``)
+    when the reference is zero."""
+    ref = values[0]
+    worst = max(abs(v - ref) for v in values)
+    if ref == 0.0:
+        return {f"{name}_abs_drift": float(worst)}
+    return {f"{name}_rel_drift": float(worst / abs(ref))}
+
+
 def run_ch_classical(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     kernel, state = ch_setup(cfg, grid)
@@ -342,14 +352,10 @@ def run_ch_classical(cfg: ScenarioConfig):
         st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
         h_vals.append(float(peakon.collective_hamiltonian(st, kernel)[0]))
         p_vals.append(float(peakon.total_momentum(st)[0]))
-    h0, p0 = h_vals[0], p_vals[0]
     diag = {
         "series": {"hamiltonian": _series(hist.times, h_vals),
                    "total_momentum": _series(hist.times, p_vals)},
-        "summary": {
-            "hamiltonian_rel_drift": float(max(abs(h - h0) for h in h_vals) / abs(h0)),
-            "momentum_rel_drift": float(max(abs(p - p0) for p in p_vals) / abs(p0)),
-        },
+        "summary": {**_drift("hamiltonian", h_vals), **_drift("momentum", p_vals)},
     }
     header = ["t", "s", "a", "Q", "M", "N"]
     rows = []

@@ -120,6 +120,54 @@ initial:
     assert cli.main(["run", cfg]) == 1
 
 
+HEAD_ON = """
+scenario: ch_classical
+label: head_on
+output_dir: {out}
+grid:
+  dt: 0.01
+  t_end: {t_end}
+initial:
+  q0: [-2.5, 2.5]
+  p0: [2.0, -2.0]
+"""
+
+
+def test_run_head_on_collision_exit_1_names_step(tmp_path, capsys):
+    cfg = write(tmp_path, "head_on.yaml", HEAD_ON.format(out=tmp_path, t_end=5.0))
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert ("error category: near-collision: peakons 0 and 1 crossed at s-index 0"
+            " at step 319 (t = 3.2)") in err
+    assert "Traceback" not in err
+
+
+def test_run_zero_total_momentum_reports_absolute_drift(tmp_path):
+    cfg = write(tmp_path, "head_on.yaml", HEAD_ON.format(out=tmp_path, t_end=0.5))
+    assert cli.main(["run", cfg]) == 0
+    summary = json.loads((tmp_path / "head_on.json").read_text())["summary"]
+    assert set(summary) == {"hamiltonian_rel_drift", "momentum_abs_drift"}
+    assert summary["momentum_abs_drift"] < 1e-12
+    assert summary["hamiltonian_rel_drift"] < 1e-6
+
+
+def test_run_blow_up_exit_1_names_step(tmp_path, capsys):
+    # RK4 far past its stability limit (dt = 2 on ds = 0.79)
+    cfg = write(tmp_path, "blow.yaml", f"""
+scenario: chiral_so3
+label: blow
+output_dir: {tmp_path}
+grid:
+  n_s: 8
+  dt: 2.0
+  t_end: 400.0
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error category: blow-up: strand field blew up at step 5 (t = 12)" in err
+
+
 def test_validate_and_list(tmp_path, capsys):
     cfg = write(tmp_path, "ok.yaml", "scenario: cdb_so3\n")
     assert cli.main(["validate", cfg]) == 0

@@ -130,6 +130,53 @@ def test_gram_positive_definite_for_distinct_points():
         np.linalg.cholesky(g.matrix)   # raises if not positive definite
 
 
+def shuffled_rows(rng, n_rows, n, alpha, gap_lo, gap_hi):
+    """Rows of n points with adjacent gaps in [gap_lo, gap_hi] * alpha, each
+    row in a random (unsorted) order."""
+    gaps = rng.uniform(gap_lo, gap_hi, (n_rows, n)) * alpha
+    pts = np.cumsum(gaps, axis=1) - 3.0
+    return np.stack([rng.permutation(row) for row in pts])
+
+
+def sorted_inverse(k, pts):
+    srt = kernels.sort_rows(pts)
+    sorted_pts = pts.take(srt[0])
+    return srt, kernels.helmholtz_1d_inverse(k, sorted_pts[:, 1:] - sorted_pts[:, :-1])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
+    k = kernels.HelmholtzKernel(alpha, 1)
+    rng = np.random.default_rng(n)
+    pts = shuffled_rows(rng, 5, n, alpha, 0.5, 2.0)
+    mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
+    rhs = rng.standard_normal((5, n))
+    srt, (diag, off) = sorted_inverse(k, pts)
+    x = kernels.tridiag_solve_sorted(mats, diag, off, srt, rhs)
+    for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
+                   kernels.chol_solve_batched(mats, rhs)):
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_tridiagonal_inverse_condition_matches_cond_1(n):
+    # gaps down to 0.01 alpha make conditioning up to ~1e4 per close pair
+    rng = np.random.default_rng(100 + n)
+    for alpha in (0.3, 1.0, 2.5):
+        k = kernels.HelmholtzKernel(alpha, 1)
+        pts = shuffled_rows(rng, 4, n, alpha, 0.01, 2.0)
+        mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
+        _, (diag, off) = sorted_inverse(k, pts)
+        cond = kernels.norm_1(mats) * kernels.tridiag_norm_1(diag, off)
+        assert np.max(np.abs(cond / kernels._cond_1(mats) - 1.0)) <= 1e-10
+
+
+def test_tridiagonal_inverse_refuses_non_1d_kernel():
+    with pytest.raises(InvalidParameterError):
+        kernels.helmholtz_1d_inverse(K3, np.ones((1, 2)))
+
+
 def test_quadrature_identity_second_order():
     # sum_j G(x_i, x_j) ((1 - D^2) f)(x_j) h reproduces f at second order
     def err(h):

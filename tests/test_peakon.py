@@ -162,6 +162,42 @@ def test_near_collision_halts():
         peakon.simulate(st, K1, grid)
 
 
+def test_gap_check_names_pair_and_s_index():
+    grid = StrandGrid(8, 2 * np.pi, 1e-2, 1.0)
+    q = np.tile([3.0, -1.0, 1.0, -2.0], (8, 1))
+    q[5, 3] = -1.0 - 5e-9          # peakons 1 and 3 nearly touch at s-index 5
+    st = peakon.PeakonState(q, np.ones((8, 4)), np.zeros((8, 4)))
+    with pytest.raises(NearCollisionError) as exc:
+        peakon.solve_n_constraint(st, K1, grid)
+    assert "peakons 1 and 3 within 5.000e-09 of collision at s-index 5" in str(exc.value)
+    assert exc.value.step_index is None
+
+
+def test_crossing_between_stages_halts_with_step():
+    # head-on peakon-antipeakon: at dt = 0.01 the stages hop across the
+    # collision (the last gap before the flip is 1.6e-4), so only the
+    # step-start order reveals it
+    grid = StrandGrid(1, 1.0, 1e-2, 5.0)
+    st = peakon.PeakonState(np.array([[-2.5, 2.5]]), np.array([[2.0, -2.0]]),
+                            np.zeros((1, 2)))
+    with pytest.raises(NearCollisionError) as exc:
+        peakon.simulate(st, K1, grid)
+    assert "peakons 0 and 1 crossed at s-index 0" in str(exc.value)
+    assert exc.value.step_index == 319
+    assert exc.value.t == pytest.approx(3.2)
+
+
+def test_one_gram_build_per_stage(monkeypatch):
+    # 4 RK stages + the accepted state; the slaved solve reuses the stage's G
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, 0.1)
+    st = two_peakon_wave(grid)
+    calls = []
+    real = peakon.kernel_eval
+    monkeypatch.setattr(peakon, "kernel_eval", lambda *a: calls.append(1) or real(*a))
+    peakon.step(st, K1, grid, step_index=0)
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # energies and snapshots
 
