@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, DimensionMismatchError
-from .gstrand import History, QuadraticLagrangian, StrandGrid, d_s, integrate, rk4_advance
+from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
+                      rk4_advance)
 from .liealg import LieAlgebraSpec, ad_star, bracket, hat_so_n, vee_so_n
 
 PINV_RCOND = 1e-10
@@ -245,14 +246,8 @@ def cdb_div_sigma_residual(alg, hist: History, grid) -> float:
     With the Euclidean base metric and l = |sigma|^2/2, solutions of the
     coupled double-bracket flow make sigma divergence free.
     """
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
     s_t, s_s = cdb_sigma(alg, hist)
-    dt = hist.dt_stored
-    res = (s_t[2:] - s_t[:-2]) / (2.0 * dt)
-    for i in range(res.shape[0]):
-        res[i] += d_s(s_s[i + 1], grid)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(centered_dt(hist, s_t) + d_s(s_s[1:-1], grid, axis=1))))
 
 
 def rotation_about_e3(angles):
@@ -352,28 +347,14 @@ def symm_rigid_simulate(alg, lag, state, grid) -> History:
 def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:
     """Max-norm of d_t W_t + d_s W_s + [U, W_t] + [V, W_s] over interior slices,
     the so(N)-strand field equations implied by the symmetric representation."""
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
     n_mat = hist.q.shape[-1]
-    n_t = len(hist.times)
-    w_t = np.empty_like(hist.q)
-    w_s = np.empty_like(hist.q)
-    u_all = np.empty_like(hist.q)
-    v_all = np.empty_like(hist.q)
-    for k in range(n_t):
-        u_hat, v_hat, _ = symm_rigid_velocities(n_mat, lag, hist.q[k], hist.mw[k],
-                                                d_s(hist.q[k], grid))
-        u_all[k] = u_hat
-        v_all[k] = v_hat
-        w_t[k] = hat_so_n(n_mat, vee_so_n(n_mat, u_hat) @ lag.a_t.T)
-        w_s[k] = hat_so_n(n_mat, vee_so_n(n_mat, v_hat) @ lag.a_s.T)
-    dt = hist.dt_stored
-    res = (w_t[2:] - w_t[:-2]) / (2.0 * dt)
-    for i in range(res.shape[0]):
-        k = i + 1
-        comm_t = u_all[k] @ w_t[k] - w_t[k] @ u_all[k]
-        comm_s = v_all[k] @ w_s[k] - w_s[k] @ v_all[k]
-        res[i] += d_s(w_s[k], grid) + comm_t + comm_s
+    u_hat, v_hat, _ = symm_rigid_velocities(n_mat, lag, hist.q, hist.mw,
+                                            d_s(hist.q, grid, axis=1))
+    w_t = hat_so_n(n_mat, vee_so_n(n_mat, u_hat) @ lag.a_t.T)
+    w_s = hat_so_n(n_mat, vee_so_n(n_mat, v_hat) @ lag.a_s.T)
+    u, v, wt, ws = u_hat[1:-1], v_hat[1:-1], w_t[1:-1], w_s[1:-1]
+    res = centered_dt(hist, w_t) + (d_s(ws, grid, axis=1) + (u @ wt - wt @ u)
+                                    + (v @ ws - ws @ v))
     return float(np.max(np.abs(res)))
 
 

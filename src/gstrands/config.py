@@ -8,6 +8,7 @@ values).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -21,7 +22,8 @@ SCENARIOS = ("chiral_so3", "se3_strand", "cdb_so3", "symm_rigid_soN",
 
 @dataclass(frozen=True)
 class Key:
-    """One schema entry: type is 'float', 'int', 'str', 'list' or 'map'."""
+    """One schema entry: type is 'float', 'int', 'str', 'list' or 'map';
+    ``length`` fixes the number of entries of a list."""
 
     kind: str
     default: object = None
@@ -29,6 +31,7 @@ class Key:
     choices: tuple = ()
     low: float | None = None
     list_of: str = "float"
+    length: int | None = None
 
 
 _GRID_SCHEMA = {
@@ -55,8 +58,8 @@ _GRID_DEFAULTS = {
 _PARAM_SCHEMAS = {
     "chiral_so3": {},
     "se3_strand": {
-        "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0]),
-        "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0]),
+        "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0], length=6),
+        "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0], length=6),
     },
     "cdb_so3": {},
     "symm_rigid_soN": {
@@ -65,8 +68,8 @@ _PARAM_SCHEMAS = {
         "a_s_diag": Key("list", None),
     },
     "linear_rep": {
-        "a_t_diag": Key("list", [1.0, 2.0, 3.0]),
-        "a_s_diag": Key("list", [-1.0, -1.0, -1.0]),
+        "a_t_diag": Key("list", [1.0, 2.0, 3.0], length=3),
+        "a_s_diag": Key("list", [-1.0, -1.0, -1.0], length=3),
     },
     "peakon_strand": {
         "alpha": Key("float", 1.0, low=0.0),
@@ -95,7 +98,7 @@ _INITIAL_SCHEMAS = {
         "width": Key("float", 0.5, low=0.0),
         "winds": Key("int", 1),
         "amplitude": Key("float", 1.0),
-        "xi": Key("list", [0.0, 0.0, 1.0]),
+        "xi": Key("list", [0.0, 0.0, 1.0], length=3),
     },
     "se3_strand": {
         "preset": Key("str", "convective_bump"),
@@ -103,8 +106,8 @@ _INITIAL_SCHEMAS = {
     },
     "cdb_so3": {
         "preset": Key("str", "rotating"),
-        "m0": Key("list", [1.0, 0.4, 0.0]),
-        "wt0": Key("list", [0.3, 0.2, 0.1]),
+        "m0": Key("list", [1.0, 0.4, 0.0], length=3),
+        "wt0": Key("list", [0.3, 0.2, 0.1], length=3),
         "winds": Key("int", 1),
     },
     "symm_rigid_soN": {
@@ -114,8 +117,8 @@ _INITIAL_SCHEMAS = {
     },
     "linear_rep": {
         "preset": Key("str", "rotating"),
-        "v0": Key("list", [1.0, 0.0, 0.5]),
-        "m0": Key("list", [0.2, 0.9, 0.1]),
+        "v0": Key("list", [1.0, 0.0, 0.5], length=3),
+        "m0": Key("list", [0.2, 0.9, 0.1], length=3),
         "winds": Key("int", 1),
     },
     "peakon_strand": {
@@ -169,20 +172,23 @@ class ScenarioConfig:
 
 
 def _coerce(name, key: Key, value):
-    if key.kind == "float":
+    if key.kind in ("float", "int"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
+            what = "a number" if key.kind == "float" else "an integer"
             raise ConfigValidationError(
-                f"field '{name}' must be a number, got {value!r}", code="bad-type", field=name)
-        value = float(value)
-        if key.low is not None and value <= key.low:
+                f"field '{name}' must be {what}, got {value!r}", code="bad-type", field=name)
+        try:
+            f = float(value)
+        except OverflowError:  # an integer beyond the float range
+            f = math.inf
+        if not math.isfinite(f):
             raise ConfigValidationError(
-                f"field '{name}' must be > {key.low}, got {value}", code="out-of-range", field=name)
-        return value
-    if key.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigValidationError(
-                f"field '{name}' must be an integer, got {value!r}", code="bad-type", field=name)
-        f = float(value)
+                f"field '{name}' must be finite, got {value}", code="out-of-range", field=name)
+        if key.kind == "float":
+            if key.low is not None and f <= key.low:
+                raise ConfigValidationError(f"field '{name}' must be > {key.low}, got {f}",
+                                            code="out-of-range", field=name)
+            return f
         if f != int(f):
             raise ConfigValidationError(
                 f"field '{name}' must be integral, got {value}", code="bad-type", field=name)
@@ -204,6 +210,10 @@ def _coerce(name, key: Key, value):
         if not isinstance(value, list):
             raise ConfigValidationError(
                 f"field '{name}' must be a list, got {value!r}", code="bad-type", field=name)
+        if key.length is not None and len(value) != key.length:
+            raise ConfigValidationError(
+                f"field '{name}' must have {key.length} entries, got {len(value)}",
+                code="bad-type", field=name)
         if key.list_of == "list":
             return [_coerce(f"{name}[{i}]", Key("list"), v) for i, v in enumerate(value)]
         return [_coerce(f"{name}[{i}]", Key("float"), v) for i, v in enumerate(value)]
@@ -292,20 +302,70 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario != "ch_classical" and grid["n_s"] != 1 and grid["n_s"] < 8:
         raise ConfigValidationError("grid.n_s must be >= 8 (or 1 for classical modes)",
                                     code="out-of-range", field="grid.n_s")
+    _check_steps(grid)
+    _check_initial(scenario, params, initial)
 
     return ScenarioConfig(scenario=scenario, label=label or scenario,
                           output_dir=output_dir, seed=seed, grid=grid,
                           params=params, initial=initial, raw=data)
 
 
+def _check_steps(grid):
+    """t_end must be a whole number of steps: the run stops at round(t_end/dt)·dt."""
+    dt, t_end = grid["dt"], grid["t_end"]
+    ratio = t_end / dt
+    if not math.isfinite(ratio) or abs(round(ratio) * dt - t_end) > 1e-9 * t_end:
+        raise ConfigValidationError(
+            f"grid.t_end {t_end} is not a whole number of steps of grid.dt {dt}",
+            code="out-of-range", field="grid.t_end")
+
+
+def _check_stored_slices(cfg: ScenarioConfig):
+    """Summary residuals take the centered t-stencil (gstrand.centered_dt),
+    so every scenario but ch_classical and classical symm_rigid_soN must
+    store at least 3 slices."""
+    g = cfg.grid
+    stored = round(g["t_end"] / g["dt"]) // g["store_every"] + 1
+    if stored < 3 and cfg.scenario != "ch_classical" and not (
+            cfg.scenario == "symm_rigid_soN" and g["n_s"] == 1):
+        raise ConfigValidationError(f"grid stores {stored} slice(s); residuals need at least 3",
+                                    code="out-of-range", field="grid.t_end")
+
+
+def _check_initial(scenario, params, initial):
+    """List lengths fixed by other keys, and vectors that must not vanish."""
+    if scenario == "symm_rigid_soN":
+        dim = params["n_so"] * (params["n_so"] - 1) // 2
+        for name, value in (("params.a_t_diag", params["a_t_diag"]),
+                            ("params.a_s_diag", params["a_s_diag"]),
+                            ("initial.u0", initial["u0"])):
+            if value is not None and len(value) != dim:
+                raise ConfigValidationError(
+                    f"field '{name}' must have dim soN({params['n_so']}) = {dim} entries, "
+                    f"got {len(value)}", code="bad-type", field=name)
+    if scenario == "ch_classical":
+        if not initial["q0"]:
+            raise ConfigValidationError("initial.q0 must list at least one peakon",
+                                        code="out-of-range", field="initial.q0")
+        if len(initial["p0"]) != len(initial["q0"]):
+            raise ConfigValidationError("q0 and p0 must have equal length",
+                                        code="bad-type", field="initial.p0")
+    if scenario == "chiral_so3" and not any(initial["xi"]):
+        raise ConfigValidationError("initial.xi must be nonzero",
+                                    code="out-of-range", field="initial.xi")
+
+
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a YAML scenario config file."""
+    """Parse and validate a YAML scenario config file, including the stored
+    slices its residuals need."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config '{path}': {exc}") from exc
-    return parse_config(text)
+    cfg = parse_config(text)
+    _check_stored_slices(cfg)
+    return cfg
 
 
 def schema_description() -> str:

@@ -64,17 +64,22 @@ class StrandGrid:
         return None if step_index is None else (step_index + 1) * self.dt
 
 
-def d_s(arr, grid: StrandGrid):
-    """Centered s-derivative along axis 0; periodic wrap or one-sided ends."""
+def d_s(arr, grid: StrandGrid, axis: int = 0):
+    """Centered s-derivative along ``axis``; periodic wrap or one-sided ends.
+
+    ``axis`` is 0 for one state (n_s, ...) and 1 for a stacked history
+    (n_t, n_s, ...).
+    """
     if grid.n_s == 1:
         return np.zeros_like(arr)
     if grid.bc == "periodic":
-        return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * grid.ds)
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * grid.ds)
-    out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * grid.ds)
-    out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * grid.ds)
-    return out
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * grid.ds)
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * grid.ds)
+    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * grid.ds)
+    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * grid.ds)
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -196,47 +201,38 @@ def simulate(alg, lag, f0: StrandField, grid: StrandGrid) -> History:
     return integrate(lambda f, k: step(alg, lag, f, grid, step_index=k), f0, grid)
 
 
-def hamiltonian_energy(alg, lag, f: StrandField, grid: StrandGrid) -> float:
+def hamiltonian_energy(alg, lag, f, grid: StrandGrid):
     """Sum over s of (<A_t nu, nu> - <A_s gamma, gamma>)/2 * ds.
 
+    ``f`` is a StrandField, or a History for the series over its slices.
     Conserved exactly by the centered semidiscretization on a periodic grid;
     equals the chiral strand energy (|U|^2 + |V|^2)/2 when A_t = I, A_s = -I.
     """
     dens = 0.5 * (pair(alg, f.nu @ lag.a_t.T, f.nu) - pair(alg, f.gamma @ lag.a_s.T, f.gamma))
-    return float(np.sum(dens) * grid.ds)
+    return np.sum(dens, axis=-1) * grid.ds
 
 
-def _centered_dt(series, dt):
-    return (series[2:] - series[:-2]) / (2.0 * dt)
+def centered_dt(hist: History, series):
+    """Centered t-derivative of a stored series at the interior slices 1..n_t-2."""
+    if len(hist.times) < 3:
+        raise DimensionMismatchError("residuals need at least 3 stored slices")
+    return (series[2:] - series[:-2]) / (2.0 * hist.dt_stored)
 
 
 def ep_residual(alg, lag, hist: History, grid: StrandGrid) -> float:
     """Max-norm residual of the field equations over interior stored slices."""
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
-    dt = hist.dt_stored
     m = hist.nu @ lag.a_t.T
     n = hist.gamma @ lag.a_s.T
-    dmdt = _centered_dt(m, dt)
-    res = dmdt.copy()
-    for i in range(res.shape[0]):
-        k = i + 1
-        res[i] += (d_s(n[k], grid)
-                   + ad_star(alg, hist.nu[k], m[k])
-                   + ad_star(alg, hist.gamma[k], n[k]))
+    nu, gamma = hist.nu[1:-1], hist.gamma[1:-1]
+    res = centered_dt(hist, m) + (d_s(n[1:-1], grid, axis=1) + ad_star(alg, nu, m[1:-1])
+                                  + ad_star(alg, gamma, n[1:-1]))
     return float(np.max(np.abs(res)))
 
 
 def zcc_residual(alg, hist: History, grid: StrandGrid) -> float:
     """Max-norm of d_t gamma - d_s nu - [nu, gamma] over interior slices."""
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
-    dt = hist.dt_stored
-    dgdt = _centered_dt(hist.gamma, dt)
-    res = dgdt.copy()
-    for i in range(res.shape[0]):
-        k = i + 1
-        res[i] -= d_s(hist.nu[k], grid) + bracket(alg, hist.nu[k], hist.gamma[k])
+    nu, gamma = hist.nu[1:-1], hist.gamma[1:-1]
+    res = centered_dt(hist, hist.gamma) - (d_s(nu, grid, axis=1) + bracket(alg, nu, gamma))
     return float(np.max(np.abs(res)))
 
 
@@ -270,19 +266,10 @@ def reconstruct(alg: LieAlgebraSpec, g0, hist: History, grid: StrandGrid,
     nmat = alg.basis_matrices.shape[-1]
     if g0.ndim == 2:
         g0 = np.broadcast_to(g0, (grid.n_s, nmat, nmat))
-    g = g0.copy()
-    out = [g.copy()]
-    dt = hist.dt_stored
+    out = [g0]
     for k in range(len(hist.times) - 1):
-        nu_hat = to_matrix(alg, hist.nu[k])
-        for j in range(grid.n_s):
-            g[j] = scipy.linalg.expm(dt * nu_hat[j]) @ g[j]
-        out.append(g.copy())
+        out.append(scipy.linalg.expm(hist.dt_stored * to_matrix(alg, hist.nu[k])) @ out[-1])
     gs = np.array(out)
-    mismatch = 0.0
-    for k in range(len(hist.times)):
-        dsg = d_s(gs[k], grid)
-        gam_hat = to_matrix(alg, hist.gamma[k])
-        mismatch = max(mismatch, float(np.max(np.abs(
-            np.einsum("jab,jbc->jac", dsg, np.linalg.inv(gs[k])) - gam_hat))))
+    dsg_ginv = np.einsum("tjab,tjbc->tjac", d_s(gs, grid, axis=1), np.linalg.inv(gs))
+    mismatch = float(np.max(np.abs(dsg_ginv - to_matrix(alg, hist.gamma))))
     return ReconstructionResult(gs, mismatch, zr)

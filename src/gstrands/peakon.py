@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
-from .gstrand import History, StrandGrid, d_s, integrate, rk4_advance
+from .gstrand import History, StrandGrid, centered_dt, d_s, integrate, rk4_advance
 from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
                       helmholtz_1d_inverse, norm_1, sort_rows, tridiag_norm_1,
                       tridiag_solve_sorted)
@@ -141,23 +141,24 @@ def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
                                         step_index))
 
 
-def s_constraint_residual(state: PeakonState, kernel, grid) -> float:
-    """Max-norm of d_s Q_a + sum_b G(Q_a, Q_b) N_b."""
+def s_constraint_residual(state, kernel, grid):
+    """Max-norm of d_s Q_a + sum_b G(Q_a, Q_b) N_b; for a History, one value
+    per stored slice."""
     gram = _gram_all(kernel, state.q)
-    return float(np.max(np.abs(d_s(state.q, grid)
-                               + np.einsum("sab,sb->sa", gram, state.nw))))
+    res = d_s(state.q, grid, axis=state.q.ndim - 2) + np.einsum("...ab,...b->...a", gram, state.nw)
+    return np.max(np.abs(res), axis=(-2, -1))
 
 
-def collective_hamiltonian(state: PeakonState, kernel) -> np.ndarray:
-    """Per-s energy density (N G N + M G M)/2."""
+def collective_hamiltonian(state, kernel) -> np.ndarray:
+    """Per-s energy density (N G N + M G M)/2; shape (n_t, n_s) for a History."""
     gram = _gram_all(kernel, state.q)
-    return 0.5 * (np.einsum("sa,sab,sb->s", state.nw, gram, state.nw)
-                  + np.einsum("sa,sab,sb->s", state.mw, gram, state.mw))
+    return 0.5 * (np.einsum("...a,...ab,...b->...", state.nw, gram, state.nw)
+                  + np.einsum("...a,...ab,...b->...", state.mw, gram, state.mw))
 
 
-def total_momentum(state: PeakonState) -> np.ndarray:
+def total_momentum(state) -> np.ndarray:
     """Per-s sum of the t-momenta (conserved in the classical mode)."""
-    return state.mw.sum(axis=1)
+    return state.mw.sum(axis=-1)
 
 
 def field_snapshot(state: PeakonState, kernel, m_grid):
@@ -180,15 +181,10 @@ def cross_derivative_residual(hist: History, kernel, grid) -> float:
     Equality of the mixed partials of Q is the scalar form of the
     compatibility condition satisfied along canonical trajectories.
     """
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
     gram = _gram_all(kernel, hist.q)
     nu_at_q = np.einsum("tsab,tsb->tsa", gram, hist.mw)
     gam_at_q = -np.einsum("tsab,tsb->tsa", gram, hist.nw)
-    dt = hist.dt_stored
-    res = (gam_at_q[2:] - gam_at_q[:-2]) / (2.0 * dt)
-    for i in range(res.shape[0]):
-        res[i] -= d_s(nu_at_q[i + 1], grid)
+    res = centered_dt(hist, gam_at_q) - d_s(nu_at_q[1:-1], grid, axis=1)
     return float(np.max(np.abs(res)))
 
 
@@ -201,22 +197,15 @@ def compatibility_residual(hist: History, kernel, grid) -> float:
 
     the evaluation of the zero-curvature defect along the peakon orbit.
     """
-    if len(hist.times) < 3:
-        raise DimensionMismatchError("residuals need at least 3 stored slices")
-    dt = hist.dt_stored
-    dtn = (hist.nw[2:] - hist.nw[:-2]) / (2.0 * dt)
-    worst = 0.0
-    for i in range(dtn.shape[0]):
-        k = i + 1
-        q, mw, nw = hist.q[k], hist.mw[k], hist.nw[k]
-        gram = _gram_all(kernel, q)
-        grad = _grad_all(kernel, q)
-        dsm = d_s(mw, grid)
-        lead = np.einsum("sab,sb->sa", gram, dtn[i] + dsm)
-        anti = np.einsum("sb,sc->sbc", mw, nw) - np.einsum("sb,sc->sbc", nw, mw)
-        # G(Q_a,Q_b) gq(Q_a,Q_c): indices (a,b) on gram, (a,c) on grad
-        term1 = np.einsum("sbc,sab,sac->sa", anti, gram, grad)
-        # G(Q_b,Q_c) gq(Q_b,Q_a): (b,c) on gram, grad at (Q_b, Q_a) = grad[b, a]
-        term2 = np.einsum("sbc,sbc,sba->sa", anti, gram, grad)
-        worst = max(worst, float(np.max(np.abs(lead + term1 - term2))))
-    return worst
+    dtn = centered_dt(hist, hist.nw)
+    q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
+    gram = _gram_all(kernel, q)
+    grad = _grad_all(kernel, q)
+    lead = np.einsum("tsab,tsb->tsa", gram, dtn + d_s(mw, grid, axis=1))
+    mn = np.einsum("tsb,tsc->tsbc", mw, nw)
+    anti = mn - np.swapaxes(mn, -1, -2)
+    # G(Q_a,Q_b) gq(Q_a,Q_c): indices (a,b) on gram, (a,c) on grad
+    term1 = np.einsum("tsbc,tsab,tsac->tsa", anti, gram, grad)
+    # G(Q_b,Q_c) gq(Q_b,Q_a): (b,c) on gram, grad at (Q_b, Q_a) = grad[b, a]
+    term2 = np.einsum("tsbc,tsbc,tsba->tsa", anti, gram, grad)
+    return float(np.max(np.abs(lead + term1 - term2)))

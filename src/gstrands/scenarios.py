@@ -170,14 +170,11 @@ def ch_setup(cfg, grid):
     kernel = HelmholtzKernel(cfg.params["alpha"], dim=1)
     q0 = np.asarray(cfg.initial["q0"], dtype=float)[None, :]
     p0 = np.asarray(cfg.initial["p0"], dtype=float)[None, :]
-    if q0.shape != p0.shape:
-        raise ConfigValidationError("q0 and p0 must have equal length",
-                                    code="bad-type", field="initial.p0")
     return kernel, peakon.PeakonState(q0, p0, np.zeros_like(q0))
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (csv_header, csv_rows, diagnostics_dict)
+# runners: each returns (csv_header, csv_rows, diagnostics_dict, extra_csvs)
 
 def _series(times, values):
     return {"t": [float(t) for t in times], "value": [float(v) for v in values]}
@@ -196,30 +193,26 @@ def _field_rows(hist, grid, comps):
 
 def run_gstrand_like(cfg, alg, lag, f0, grid):
     hist = gstrand.simulate(alg, lag, f0, grid)
-    energies = [gstrand.hamiltonian_energy(alg, lag, StrandField(hist.nu[k], hist.gamma[k]), grid)
-                for k in range(len(hist.times))]
     diag = {
-        "series": {"energy": _series(hist.times, energies)},
+        "series": {"energy": _series(hist.times, gstrand.hamiltonian_energy(alg, lag, hist, grid))},
         "summary": gstrand.residual_report(alg, lag, hist, grid),
     }
     dim = alg.dim
     header = (["t", "s"] + [f"nu{i}" for i in range(dim)] + [f"gamma{i}" for i in range(dim)])
     rows = _field_rows(hist, grid, [hist.nu, hist.gamma])
-    return header, rows, diag, hist
+    return header, rows, diag, {}
 
 
 def run_chiral(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     alg, f0 = chiral_initial(cfg, grid)
-    header, rows, diag, _ = run_gstrand_like(cfg, alg, chiral_lagrangian(3), f0, grid)
-    return header, rows, diag
+    return run_gstrand_like(cfg, alg, chiral_lagrangian(3), f0, grid)
 
 
 def run_se3(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     alg, f0 = se3_initial(cfg, grid)
-    header, rows, diag, _ = run_gstrand_like(cfg, alg, se3_lagrangian(cfg), f0, grid)
-    return header, rows, diag
+    return run_gstrand_like(cfg, alg, se3_lagrangian(cfg), f0, grid)
 
 
 def run_cdb(cfg: ScenarioConfig):
@@ -227,7 +220,7 @@ def run_cdb(cfg: ScenarioConfig):
     alg, state = cdb_initial(cfg, grid)
     hist = clebsch.cdb_simulate(alg, state, grid)
     norms = np.linalg.norm(hist.m, axis=2)
-    drift = [float(np.max(np.abs(norms[k] - norms[0]))) for k in range(len(hist.times))]
+    drift = np.max(np.abs(norms - norms[0]), axis=1)
     diag = {
         "series": {"m_norm_drift": _series(hist.times, drift)},
         "summary": {
@@ -239,7 +232,7 @@ def run_cdb(cfg: ScenarioConfig):
     header = (["t", "s"] + [f"m{i}" for i in range(3)]
               + [f"wt{i}" for i in range(3)] + [f"ws{i}" for i in range(3)])
     rows = _field_rows(hist, grid, [hist.m, hist.w_t, hist.w_s])
-    return header, rows, diag
+    return header, rows, diag, {}
 
 
 def run_symm_rigid(cfg: ScenarioConfig):
@@ -254,7 +247,7 @@ def run_symm_rigid(cfg: ScenarioConfig):
     names = [f"{nm}{i}{j}" for nm in ("Q", "M", "N") for i in range(n_so) for j in range(n_so)]
     header = ["t", "s"] + names
     rows = _field_rows(hist, grid, [hist.q, hist.mw, hist.nw])
-    return header, rows, diag
+    return header, rows, diag, {}
 
 
 def run_linear_rep(cfg: ScenarioConfig):
@@ -275,7 +268,7 @@ def run_linear_rep(cfg: ScenarioConfig):
     header = (["t", "s"] + [f"v{i}" for i in range(rd)] + [f"m{i}" for i in range(rd)]
               + [f"n{i}" for i in range(rd)])
     rows = _field_rows(hist, grid, [hist.v, hist.m, hist.n])
-    return header, rows, diag
+    return header, rows, diag, {}
 
 
 def _linear_sigma_history(rep, lag, hist):
@@ -288,11 +281,8 @@ def run_peakon_strand(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     kernel, state = peakon_setup(cfg, grid)
     hist = peakon.simulate(state, kernel, grid)
-    h_tot, cons = [], []
-    for k in range(len(hist.times)):
-        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
-        h_tot.append(float(np.sum(peakon.collective_hamiltonian(st, kernel)) * grid.ds))
-        cons.append(peakon.s_constraint_residual(st, kernel, grid))
+    h_tot = np.sum(peakon.collective_hamiltonian(hist, kernel), axis=1) * grid.ds
+    cons = peakon.s_constraint_residual(hist, kernel, grid)
     diag = {
         "series": {"hamiltonian_integral": _series(hist.times, h_tot),
                    "s_constraint": _series(hist.times, cons)},
@@ -363,7 +353,7 @@ def run_ch_classical(cfg: ScenarioConfig):
         for a in range(hist.q.shape[2]):
             rows.append([float(t), 0.0, a, float(hist.q[k, 0, a]),
                          float(hist.mw[k, 0, a]), float(hist.nw[k, 0, a])])
-    return header, rows, diag
+    return header, rows, diag, {}
 
 
 def run_verify_action(cfg: ScenarioConfig):
@@ -371,7 +361,7 @@ def run_verify_action(cfg: ScenarioConfig):
     result = verify_suite(cfg, grid)
     header = ["check", "value"]
     rows = [[k, float(v)] for k, v in sorted(result.items())]
-    return header, rows, {"series": {}, "summary": result}
+    return header, rows, {"series": {}, "summary": result}, {}
 
 
 def verify_suite(cfg, grid) -> dict:
@@ -468,11 +458,7 @@ STUDY_RESIDUALS = {
 def run_scenario(cfg: ScenarioConfig):
     """Run one scenario; returns (header, rows, diagnostics, extra_csvs)
     where extra_csvs maps a suffix to (header, rows)."""
-    result = RUNNERS[cfg.scenario](cfg)
-    if len(result) == 3:
-        header, rows, diag = result
-        return header, rows, diag, {}
-    return result
+    return RUNNERS[cfg.scenario](cfg)
 
 
 def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
@@ -488,10 +474,5 @@ def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
                              "n_s": cfg.grid["n_s"] * factor,
                              "dt": cfg.grid["dt"] / factor},
         params=cfg.params, initial=cfg.initial, raw=cfg.raw)
-    if cfg.scenario == "verify_action":
-        grid = make_grid(refined)
-        summary = verify_suite(refined, grid)
-    else:
-        _, _, diag, _ = run_scenario(refined)
-        summary = diag["summary"]
+    summary = run_scenario(refined)[2]["summary"]
     return {k: summary[k] for k in STUDY_RESIDUALS[cfg.scenario]}

@@ -168,6 +168,41 @@ grid:
     assert "error category: blow-up: strand field blew up at step 5 (t = 12)" in err
 
 
+# Inputs the schema used to accept that then died with a traceback, ran a
+# full solve before failing, stopped short of t_end or reported blow-up.
+BAD_CONFIGS = {
+    "t_end-below-one-step": "scenario: verify_action\ngrid: {t_end: 0.04}\n",
+    "one-step-two-slices": "scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.001}\n",
+    "store_every-leaves-one-slice":
+        "scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.01, store_every: 20}\n",
+    "t_end-not-multiple-of-dt": "scenario: chiral_so3\ngrid: {n_s: 16, dt: 0.3, t_end: 1.0}\n",
+    "dt-nan": "scenario: chiral_so3\ngrid: {dt: .nan}\n",
+    "t_end-inf": "scenario: chiral_so3\ngrid: {t_end: .inf}\n",
+    "n_s-inf": "scenario: chiral_so3\ngrid: {n_s: .inf}\n",
+    "cdb-m0-short": "scenario: cdb_so3\ninitial: {m0: [1.0]}\n",
+    "se3-a_s_diag-short": "scenario: se3_strand\nparams: {a_s_diag: [-1.0, -1.0]}\n",
+    "linear-a_t_diag-long": "scenario: linear_rep\nparams: {a_t_diag: [1.0, 2.0, 3.0, 4.0]}\n",
+    "symm-u0-wrong-dim": "scenario: symm_rigid_soN\ninitial: {u0: [0.1, 0.2]}\n",
+    "symm-a_t_diag-wrong-dim": "scenario: symm_rigid_soN\nparams: {n_so: 4, a_t_diag: [1, 2, 3]}\n",
+    "ch-no-peakons": "scenario: ch_classical\ninitial: {preset: inline, q0: [], p0: []}\n",
+    "ch-p0-length": "scenario: ch_classical\ninitial: {q0: [-1.0, 1.0], p0: [1.0]}\n",
+    "chiral-zero-xi":
+        "scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.01}\n"
+        "initial: {preset: traveling_bump, xi: [0, 0, 0]}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_validation_error(tmp_path, capsys, command, name):
+    cfg = write(tmp_path, "bad.yaml", f"output_dir: {tmp_path}\n" + BAD_CONFIGS[name])
+    assert cli.main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error category: validation:" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+
 def test_validate_and_list(tmp_path, capsys):
     cfg = write(tmp_path, "ok.yaml", "scenario: cdb_so3\n")
     assert cli.main(["validate", cfg]) == 0

@@ -299,3 +299,52 @@ def test_fixed_bc_freezes_endpoints(run, evolved):
     for name in evolved:
         start = getattr(state0, name)
         assert np.allclose(getattr(hist, name)[-1][[0, -1]], start[[0, -1]], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_s, bc", [(16, "periodic"), (16, "fixed"), (1, "periodic")],
+                         ids=["periodic", "fixed", "n_s=1"])
+def test_stacked_d_s_matches_per_slice(n_s, bc):
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1, bc=bc)
+    stack = np.random.default_rng(0).standard_normal((5, n_s, 3, 2))
+    assert np.array_equal(gstrand.d_s(stack, grid, axis=1),
+                          np.stack([gstrand.d_s(a, grid) for a in stack]))
+
+
+def test_residuals_on_fixed_bc_history_match_per_slice_reference():
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, bc="fixed")
+    _, hist = _strand_run(grid)
+    dt = hist.dt_stored
+    m = hist.nu @ CHIRAL.a_t.T
+    n = hist.gamma @ CHIRAL.a_s.T
+    ep, zcc = [], []
+    for k in range(1, len(hist.times) - 1):
+        nu, gam = hist.nu[k], hist.gamma[k]
+        ep.append((m[k + 1] - m[k - 1]) / (2.0 * dt)
+                  + (gstrand.d_s(n[k], grid) + liealg.ad_star(SO3, nu, m[k])
+                     + liealg.ad_star(SO3, gam, n[k])))
+        zcc.append((hist.gamma[k + 1] - hist.gamma[k - 1]) / (2.0 * dt)
+                   - (gstrand.d_s(nu, grid) + liealg.bracket(SO3, nu, gam)))
+    assert gstrand.ep_residual(SO3, CHIRAL, hist, grid) == np.max(np.abs(ep))
+    assert gstrand.zcc_residual(SO3, hist, grid) == np.max(np.abs(zcc))
+
+
+@pytest.mark.parametrize("residual", [
+    lambda hist, grid: gstrand.ep_residual(SO3, CHIRAL, hist, grid),
+    lambda hist, grid: gstrand.zcc_residual(SO3, hist, grid),
+    lambda hist, grid: clebsch.cdb_div_sigma_residual(SO3, hist, grid),
+    lambda hist, grid: peakon.cross_derivative_residual(hist, HelmholtzKernel(1.0, 1), grid),
+    lambda hist, grid: peakon.compatibility_residual(hist, HelmholtzKernel(1.0, 1), grid),
+], ids=["ep", "zcc", "cdb_div_sigma", "cross_derivative", "compatibility"])
+def test_residuals_need_three_stored_slices(residual):
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.01)
+    f0 = generic_chiral_field(grid)
+
+    def twice(a):
+        return np.stack([a, a])
+
+    q = np.tile([-1.0, 1.0], (16, 1))
+    two = gstrand.History([0.0, 0.01], nu=twice(f0.nu), gamma=twice(f0.gamma),
+                          m=twice(f0.nu), w_t=twice(f0.gamma), w_s=twice(f0.gamma),
+                          q=twice(q), mw=twice(q), nw=twice(q))
+    with pytest.raises(DimensionMismatchError, match="at least 3 stored slices"):
+        residual(two, grid)
