@@ -19,10 +19,10 @@ import os
 import sys
 import time
 
-from .config import SCENARIOS, load_config, schema_description
+from .config import SCENARIOS, load_config, schema_description, study_names
 from .errors import GStrandsError
 from .output import write_csv, write_json
-from .scenarios import STUDY_RESIDUALS, run_scenario, study_residuals
+from .scenarios import run_scenario, study_residuals
 
 SATURATION_FLOOR = 1e-12
 
@@ -69,12 +69,8 @@ def cmd_study(args) -> int:
         print("error category: usage: --levels must be >= 3", file=sys.stderr)
         return 2
     cfg = load_config(args.config)
+    names = study_names(cfg)
     started = time.monotonic()
-    names = STUDY_RESIDUALS.get(cfg.scenario)
-    if names is None:
-        print(f"error category: validation: scenario '{cfg.scenario}' has no study",
-              file=sys.stderr)
-        return 2
     table = {name: [] for name in names}
     for level in range(args.levels):
         res = study_residuals(cfg, level)

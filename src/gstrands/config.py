@@ -9,25 +9,21 @@ values).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
 from .errors import ConfigParseError, ConfigValidationError
 
-SCENARIOS = ("chiral_so3", "se3_strand", "cdb_so3", "symm_rigid_soN",
-             "linear_rep", "peakon_strand", "ch_classical", "verify_action")
-
 
 @dataclass(frozen=True)
 class Key:
-    """One schema entry: type is 'float', 'int', 'str', 'list' or 'map';
+    """One schema entry: type is 'float', 'int', 'str' or 'list';
     ``length`` fixes the number of entries of a list."""
 
     kind: str
     default: object = None
-    required: bool = False
     choices: tuple = ()
     low: float | None = None
     list_of: str = "float"
@@ -43,109 +39,120 @@ _GRID_SCHEMA = {
     "store_every": Key("int", 1, low=1),
 }
 
-# per-scenario grid defaults overriding the generic ones above
-_GRID_DEFAULTS = {
-    "chiral_so3": {},
-    "se3_strand": {"n_s": 64, "dt": 2e-3, "t_end": 0.5},
-    "cdb_so3": {"n_s": 64},
-    "symm_rigid_soN": {"n_s": 32, "dt": 2e-3, "t_end": 0.5},
-    "linear_rep": {"n_s": 32, "s_extent": 6.4, "dt": 0.01, "t_end": 0.5},
-    "peakon_strand": {"n_s": 32, "dt": 5e-3, "t_end": 0.5},
-    "ch_classical": {"n_s": 1, "s_extent": 1.0, "t_end": 5.0},
-    "verify_action": {"n_s": 16, "s_extent": 6.4, "dt": 0.1, "t_end": 2.0},
+
+def _grid(**defaults):
+    """The grid schema with this scenario's defaults."""
+    return {k: replace(key, default=defaults.get(k, key.default))
+            for k, key in _GRID_SCHEMA.items()}
+
+
+def _presets(*names, default=None):
+    """The ``initial.preset`` key; the default is the first name unless given."""
+    return Key("str", default or names[0], choices=names)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One scenario: its grid, params and initial schemas (the presets are
+    the choices of ``initial["preset"]``) and the summary residuals a
+    convergence study refines (none: no study)."""
+
+    grid: dict
+    params: dict = field(default_factory=dict)
+    initial: dict
+    study: tuple = ()
+
+
+SCENARIOS = {
+    "chiral_so3": Scenario(
+        grid=_grid(),
+        initial={
+            "preset": _presets("generic_smooth", "traveling_bump", "pure_gauge"),
+            "width": Key("float", 0.5, low=0.0),
+            "winds": Key("int", 1),
+            "amplitude": Key("float", 1.0),
+            "xi": Key("list", [0.0, 0.0, 1.0], length=3),
+        },
+        study=("ep_residual", "zcc_residual")),
+    "se3_strand": Scenario(
+        grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
+        params={
+            "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0], length=6),
+            "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0], length=6),
+        },
+        initial={"preset": _presets("convective_bump"), "amplitude": Key("float", 0.2)},
+        study=("ep_residual", "zcc_residual")),
+    "cdb_so3": Scenario(
+        grid=_grid(n_s=64),
+        initial={
+            "preset": _presets("rotating"),
+            "m0": Key("list", [1.0, 0.4, 0.0], length=3),
+            "wt0": Key("list", [0.3, 0.2, 0.1], length=3),
+            "winds": Key("int", 1),
+        },
+        study=("div_sigma_residual", "constraint_residual")),
+    "symm_rigid_soN": Scenario(
+        grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
+        params={
+            "n_so": Key("int", 3, low=2),
+            "a_t_diag": Key("list", None),
+            "a_s_diag": Key("list", None),
+        },
+        initial={
+            "preset": _presets("classical", "strand", default="strand"),
+            "u0": Key("list", None),
+            "amplitude": Key("float", 0.3),
+        },
+        study=("strand_residual",)),
+    "linear_rep": Scenario(
+        grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
+        params={
+            "a_t_diag": Key("list", [1.0, 2.0, 3.0], length=3),
+            "a_s_diag": Key("list", [-1.0, -1.0, -1.0], length=3),
+        },
+        initial={
+            "preset": _presets("rotating"),
+            "v0": Key("list", [1.0, 0.0, 0.5], length=3),
+            "m0": Key("list", [0.2, 0.9, 0.1], length=3),
+            "winds": Key("int", 1),
+        },
+        study=("constraint_drift", "ep_residual")),
+    "peakon_strand": Scenario(
+        grid=_grid(n_s=32, dt=5e-3, t_end=0.5),
+        params={"alpha": Key("float", 1.0, low=0.0), "n_p": Key("int", 2, low=1)},
+        initial={
+            "preset": _presets("two_peakon_wave", "single_peakon", "inline"),
+            "gap": Key("float", 3.0, low=0.0),
+            "amplitude": Key("float", 0.2),
+            "m_values": Key("list", [1.0, 0.8]),
+            "q0": Key("list", None, list_of="list"),
+            "m0": Key("list", None, list_of="list"),
+        },
+        study=("cross_derivative_residual", "compatibility_residual")),
+    "ch_classical": Scenario(
+        grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
+        params={"alpha": Key("float", 1.0, low=0.0)},
+        initial={
+            "preset": _presets("two_peakon", "inline"),
+            "q0": Key("list", [-2.5, 2.5]),
+            "p0": Key("list", [1.0, 0.8]),
+        }),
+    # optimality sits at the finite-difference noise floor from level 0, so
+    # a study refines only the convergent residuals
+    "verify_action": Scenario(
+        grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
+        initial={"preset": _presets("default")},
+        study=("clebsch_gradient_interior_max", "pontryagin_constraint",
+               "pontryagin_divergence")),
 }
 
-_PARAM_SCHEMAS = {
-    "chiral_so3": {},
-    "se3_strand": {
-        "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0], length=6),
-        "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0], length=6),
-    },
-    "cdb_so3": {},
-    "symm_rigid_soN": {
-        "n_so": Key("int", 3, low=2),
-        "a_t_diag": Key("list", None),
-        "a_s_diag": Key("list", None),
-    },
-    "linear_rep": {
-        "a_t_diag": Key("list", [1.0, 2.0, 3.0], length=3),
-        "a_s_diag": Key("list", [-1.0, -1.0, -1.0], length=3),
-    },
-    "peakon_strand": {
-        "alpha": Key("float", 1.0, low=0.0),
-        "n_p": Key("int", 2, low=1),
-    },
-    "ch_classical": {
-        "alpha": Key("float", 1.0, low=0.0),
-    },
-    "verify_action": {},
-}
-
-_INITIAL_PRESETS = {
-    "chiral_so3": ("generic_smooth", "traveling_bump", "pure_gauge"),
-    "se3_strand": ("convective_bump",),
-    "cdb_so3": ("rotating",),
-    "symm_rigid_soN": ("classical", "strand"),
-    "linear_rep": ("rotating",),
-    "peakon_strand": ("two_peakon_wave", "single_peakon", "inline"),
-    "ch_classical": ("two_peakon", "inline"),
-    "verify_action": ("default",),
-}
-
-_INITIAL_SCHEMAS = {
-    "chiral_so3": {
-        "preset": Key("str", "generic_smooth"),
-        "width": Key("float", 0.5, low=0.0),
-        "winds": Key("int", 1),
-        "amplitude": Key("float", 1.0),
-        "xi": Key("list", [0.0, 0.0, 1.0], length=3),
-    },
-    "se3_strand": {
-        "preset": Key("str", "convective_bump"),
-        "amplitude": Key("float", 0.2),
-    },
-    "cdb_so3": {
-        "preset": Key("str", "rotating"),
-        "m0": Key("list", [1.0, 0.4, 0.0], length=3),
-        "wt0": Key("list", [0.3, 0.2, 0.1], length=3),
-        "winds": Key("int", 1),
-    },
-    "symm_rigid_soN": {
-        "preset": Key("str", "strand"),
-        "u0": Key("list", None),
-        "amplitude": Key("float", 0.3),
-    },
-    "linear_rep": {
-        "preset": Key("str", "rotating"),
-        "v0": Key("list", [1.0, 0.0, 0.5], length=3),
-        "m0": Key("list", [0.2, 0.9, 0.1], length=3),
-        "winds": Key("int", 1),
-    },
-    "peakon_strand": {
-        "preset": Key("str", "two_peakon_wave"),
-        "gap": Key("float", 3.0, low=0.0),
-        "amplitude": Key("float", 0.2),
-        "m_values": Key("list", [1.0, 0.8]),
-        "q0": Key("list", None, list_of="list"),
-        "m0": Key("list", None, list_of="list"),
-    },
-    "ch_classical": {
-        "preset": Key("str", "two_peakon"),
-        "q0": Key("list", [-2.5, 2.5]),
-        "p0": Key("list", [1.0, 0.8]),
-    },
-    "verify_action": {"preset": Key("str", "default")},
-}
-
+# top-level keys besides ``scenario`` and its three sections
 _TOP_SCHEMA = {
-    "scenario": Key("str", required=True),
     "label": Key("str", None),
     "output_dir": Key("str", "."),
     "seed": Key("int", 0),
-    "grid": Key("map"),
-    "params": Key("map"),
-    "initial": Key("map"),
 }
+_SECTIONS = ("scenario", "grid", "params", "initial")
 
 
 @dataclass
@@ -157,7 +164,6 @@ class ScenarioConfig:
     grid: dict
     params: dict
     initial: dict
-    raw: dict = dc_field(default_factory=dict, repr=False)
 
     def echo(self) -> dict:
         """Fully-defaulted config for the diagnostics echo."""
@@ -220,7 +226,11 @@ def _coerce(name, key: Key, value):
     raise AssertionError(key.kind)
 
 
-def _apply_schema(section_name, schema, data, defaults=None):
+def _apply_schema(section_name, schema, data):
+    """Coerce one section (``section_name`` "" for the top level) against its
+    schema.  A missing key, or a null one whose default is None, takes the
+    default."""
+    prefix = f"{section_name}." if section_name else ""
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigValidationError(
@@ -228,20 +238,13 @@ def _apply_schema(section_name, schema, data, defaults=None):
     for k in data:
         if k not in schema:
             raise ConfigValidationError(
-                f"unknown key '{section_name}.{k}'", code="unknown-key", field=f"{section_name}.{k}")
+                f"unknown key '{prefix}{k}'", code="unknown-key", field=f"{prefix}{k}")
     out = {}
     for k, key in schema.items():
-        if k in data:
-            out[k] = _coerce(f"{section_name}.{k}", key, data[k])
+        if k in data and not (data[k] is None and key.default is None):
+            out[k] = _coerce(f"{prefix}{k}", key, data[k])
         else:
-            default = key.default
-            if defaults and k in defaults:
-                default = defaults[k]
-            if default is None and key.required:
-                raise ConfigValidationError(
-                    f"missing required key '{section_name}.{k}'", code="missing-key",
-                    field=f"{section_name}.{k}")
-            out[k] = default
+            out[k] = key.default
     return out
 
 
@@ -263,51 +266,28 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigValidationError("empty config", code="missing-key", field="scenario")
     if not isinstance(data, dict):
         raise ConfigValidationError("config must be a mapping", code="bad-type")
-    for k in data:
-        if k not in _TOP_SCHEMA:
-            raise ConfigValidationError(f"unknown key '{k}'", code="unknown-key", field=k)
+    top = _apply_schema("", _TOP_SCHEMA, {k: v for k, v in data.items() if k not in _SECTIONS})
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigValidationError("missing required key 'scenario'",
                                     code="missing-key", field="scenario")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigValidationError(
             f"unknown scenario '{scenario}'; known: {', '.join(SCENARIOS)}",
             code="unknown-scenario", field="scenario")
-
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ConfigValidationError("field 'label' must be a string", code="bad-type", field="label")
-    output_dir = data.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigValidationError("field 'output_dir' must be a string",
-                                    code="bad-type", field="output_dir")
-    seed = _coerce("seed", Key("int", 0), data.get("seed", 0))
-
-    grid = _apply_schema("grid", _GRID_SCHEMA, data.get("grid"),
-                         defaults=_GRID_DEFAULTS[scenario])
-    params = _apply_schema("params", _PARAM_SCHEMAS[scenario], data.get("params"))
-    initial = _apply_schema("initial", _INITIAL_SCHEMAS[scenario], data.get("initial"))
-
-    preset = initial.get("preset")
-    if preset is not None and preset not in _INITIAL_PRESETS[scenario]:
-        raise ConfigValidationError(
-            f"unknown preset '{preset}' for scenario '{scenario}'; "
-            f"known: {', '.join(_INITIAL_PRESETS[scenario])}",
-            code="out-of-range", field="initial.preset")
-
-    if scenario == "ch_classical" and grid["n_s"] != 1:
-        raise ConfigValidationError("ch_classical runs with grid.n_s = 1",
-                                    code="out-of-range", field="grid.n_s")
-    if scenario != "ch_classical" and grid["n_s"] != 1 and grid["n_s"] < 8:
-        raise ConfigValidationError("grid.n_s must be >= 8 (or 1 for classical modes)",
-                                    code="out-of-range", field="grid.n_s")
+    spec = SCENARIOS[scenario]
+    grid = _apply_schema("grid", spec.grid, data.get("grid"))
+    params = _apply_schema("params", spec.params, data.get("params"))
+    initial = _apply_schema("initial", spec.initial, data.get("initial"))
     _check_steps(grid)
-    _check_initial(scenario, params, initial)
+    _check_cross_keys(scenario, grid, params, initial)
+    return ScenarioConfig(scenario=scenario, label=top["label"] or scenario,
+                          output_dir=top["output_dir"], seed=top["seed"], grid=grid,
+                          params=params, initial=initial)
 
-    return ScenarioConfig(scenario=scenario, label=label or scenario,
-                          output_dir=output_dir, seed=seed, grid=grid,
-                          params=params, initial=initial, raw=data)
+
+def _invalid(field, message, code="out-of-range") -> ConfigValidationError:
+    return ConfigValidationError(message, code=code, field=field)
 
 
 def _check_steps(grid):
@@ -315,44 +295,78 @@ def _check_steps(grid):
     dt, t_end = grid["dt"], grid["t_end"]
     ratio = t_end / dt
     if not math.isfinite(ratio) or abs(round(ratio) * dt - t_end) > 1e-9 * t_end:
-        raise ConfigValidationError(
-            f"grid.t_end {t_end} is not a whole number of steps of grid.dt {dt}",
-            code="out-of-range", field="grid.t_end")
+        raise _invalid("grid.t_end",
+                       f"grid.t_end {t_end} is not a whole number of steps of grid.dt {dt}")
 
 
 def _check_stored_slices(cfg: ScenarioConfig):
     """Summary residuals take the centered t-stencil (gstrand.centered_dt),
-    so every scenario but ch_classical and classical symm_rigid_soN must
-    store at least 3 slices."""
+    so every scenario with refinable residuals but classical symm_rigid_soN
+    must store at least 3 slices."""
     g = cfg.grid
     stored = round(g["t_end"] / g["dt"]) // g["store_every"] + 1
-    if stored < 3 and cfg.scenario != "ch_classical" and not (
+    if stored < 3 and SCENARIOS[cfg.scenario].study and not (
             cfg.scenario == "symm_rigid_soN" and g["n_s"] == 1):
-        raise ConfigValidationError(f"grid stores {stored} slice(s); residuals need at least 3",
-                                    code="out-of-range", field="grid.t_end")
+        raise _invalid("grid.t_end", f"grid stores {stored} slice(s); residuals need at least 3")
 
 
-def _check_initial(scenario, params, initial):
-    """List lengths fixed by other keys, and vectors that must not vanish."""
+def _check_cross_keys(scenario, grid, params, initial):
+    """Rules that tie keys to each other: grid sizes a preset needs, list
+    lengths fixed by other keys, vectors that must not vanish and inertia
+    diagonals that must invert."""
+    n_s, preset = grid["n_s"], initial["preset"]
+    if scenario == "ch_classical" and n_s != 1:
+        raise _invalid("grid.n_s", "ch_classical runs with grid.n_s = 1")
+    if n_s != 1 and n_s < 8:
+        raise _invalid("grid.n_s", "grid.n_s must be >= 8 (or 1 for classical modes)")
+    if scenario == "verify_action" and n_s == 1:
+        raise _invalid("grid.n_s", "verify_action's action grid needs grid.n_s >= 8")
+    if preset == "classical" and n_s != 1:
+        raise _invalid("grid.n_s", "the classical preset runs with grid.n_s = 1")
+    for name in ("a_t_diag", "a_s_diag"):  # inertia diagonals, inverted by the solvers
+        if 0.0 in (params.get(name) or ()):
+            raise _invalid(f"params.{name}", f"params.{name} entries must be nonzero")
     if scenario == "symm_rigid_soN":
         dim = params["n_so"] * (params["n_so"] - 1) // 2
         for name, value in (("params.a_t_diag", params["a_t_diag"]),
                             ("params.a_s_diag", params["a_s_diag"]),
                             ("initial.u0", initial["u0"])):
             if value is not None and len(value) != dim:
-                raise ConfigValidationError(
-                    f"field '{name}' must have dim soN({params['n_so']}) = {dim} entries, "
-                    f"got {len(value)}", code="bad-type", field=name)
+                raise _invalid(name, f"field '{name}' must have dim soN({params['n_so']}) = "
+                                     f"{dim} entries, got {len(value)}", code="bad-type")
     if scenario == "ch_classical":
         if not initial["q0"]:
-            raise ConfigValidationError("initial.q0 must list at least one peakon",
-                                        code="out-of-range", field="initial.q0")
+            raise _invalid("initial.q0", "initial.q0 must list at least one peakon")
         if len(initial["p0"]) != len(initial["q0"]):
-            raise ConfigValidationError("q0 and p0 must have equal length",
-                                        code="bad-type", field="initial.p0")
+            raise _invalid("initial.p0", "q0 and p0 must have equal length", code="bad-type")
     if scenario == "chiral_so3" and not any(initial["xi"]):
-        raise ConfigValidationError("initial.xi must be nonzero",
-                                    code="out-of-range", field="initial.xi")
+        raise _invalid("initial.xi", "initial.xi must be nonzero")
+    if scenario == "cdb_so3" and abs(initial["m0"][2]) > 1e-12:
+        raise _invalid("initial.m0", "initial.m0 must be orthogonal to the rotation axis e3")
+    if scenario == "peakon_strand":
+        n_p, m_values = params["n_p"], initial["m_values"]
+        if preset == "two_peakon_wave" and len(m_values) != n_p:
+            raise _invalid("initial.m_values", f"initial.m_values must have n_p = {n_p} "
+                                               f"entries, got {len(m_values)}", code="bad-type")
+        if preset == "single_peakon" and not m_values:
+            raise _invalid("initial.m_values",
+                           "single_peakon takes its momentum from initial.m_values[0]")
+        for name in ("q0", "m0") if preset == "inline" else ():
+            rows = initial[name]
+            if rows is None or len(rows) != n_p or any(len(row) != n_s for row in rows):
+                raise _invalid(f"initial.{name}", f"inline initial.{name} must have shape "
+                                                  f"(n_p, n_s) = {(n_p, n_s)}", code="bad-type")
+
+
+def study_names(cfg: ScenarioConfig) -> tuple:
+    """Residuals a convergence study of ``cfg`` refines.  Level 1 doubles
+    n_s, so a study also needs grid.n_s >= 8."""
+    names = SCENARIOS[cfg.scenario].study
+    if not names:
+        raise _invalid("scenario", f"scenario '{cfg.scenario}' has no refinable residuals")
+    if cfg.grid["n_s"] < 8:
+        raise _invalid("grid.n_s", "a convergence study needs grid.n_s >= 8")
+    return names
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -371,13 +385,11 @@ def load_config(path: str) -> ScenarioConfig:
 def schema_description() -> str:
     """Human-readable schema dump for list-scenarios."""
     lines = []
-    for name in SCENARIOS:
+    for name, spec in SCENARIOS.items():
         lines.append(f"{name}:")
-        gd = dict(_GRID_SCHEMA)
-        lines.append("  grid: " + ", ".join(
-            f"{k}={_GRID_DEFAULTS[name].get(k, v.default)!r}" for k, v in gd.items()))
-        if _PARAM_SCHEMAS[name]:
+        lines.append("  grid: " + ", ".join(f"{k}={v.default!r}" for k, v in spec.grid.items()))
+        if spec.params:
             lines.append("  params: " + ", ".join(
-                f"{k}={v.default!r}" for k, v in _PARAM_SCHEMAS[name].items()))
-        lines.append("  presets: " + ", ".join(_INITIAL_PRESETS[name]))
+                f"{k}={v.default!r}" for k, v in spec.params.items()))
+        lines.append("  presets: " + ", ".join(spec.initial["preset"].choices))
     return "\n".join(lines)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 
-from .errors import BlowUpError, DimensionMismatchError, ReconstructionRefusedError
+from .errors import BlowUpError, DimensionMismatchError, ReconstructionRefusedError, SolverError
 from .liealg import LieAlgebraSpec, ad_star, bracket, pair, to_matrix
 
 ZCC_RECONSTRUCT_TOL = 1e-6
@@ -100,8 +100,11 @@ class QuadraticLagrangian:
         a_s = np.atleast_2d(np.asarray(self.a_s, dtype=float))
         object.__setattr__(self, "a_t", a_t)
         object.__setattr__(self, "a_s", a_s)
-        object.__setattr__(self, "a_t_inv", np.linalg.inv(a_t))
-        object.__setattr__(self, "a_s_inv", np.linalg.inv(a_s))
+        try:
+            object.__setattr__(self, "a_t_inv", np.linalg.inv(a_t))
+            object.__setattr__(self, "a_s_inv", np.linalg.inv(a_s))
+        except np.linalg.LinAlgError as exc:
+            raise DimensionMismatchError(f"inertia matrices must be invertible: {exc}") from exc
 
 
 def chiral_lagrangian(dim: int) -> QuadraticLagrangian:
@@ -170,12 +173,23 @@ class History:
 
 def integrate(step_fn, state, grid: StrandGrid) -> History:
     """Advance ``state`` (a dataclass of arrays) by ``step_fn(state, k)`` for
-    grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step."""
+    grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
+
+    A LinAlgError inside a step is a BlowUpError, and a SolverError without
+    a location gets the step's."""
     names = [f.name for f in fields(state)]
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):
-        state = step_fn(state, k)
+        try:
+            state = step_fn(state, k)
+        except np.linalg.LinAlgError as exc:
+            raise BlowUpError(f"linear algebra failed: {exc}", step_index=k,
+                              t=grid.step_end(k)) from exc
+        except SolverError as exc:
+            if exc.step_index is None:
+                exc.step_index, exc.t = k, grid.step_end(k)
+            raise
         if (k + 1) % grid.store_every == 0:
             times.append((k + 1) * grid.dt)
             for name in names:

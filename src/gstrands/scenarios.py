@@ -4,12 +4,13 @@ studies refine."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg
 
 from . import clebsch, gstrand, peakon, verify
-from .config import ScenarioConfig
-from .errors import ConfigValidationError
+from .config import ScenarioConfig, study_names
 from .gstrand import QuadraticLagrangian, StrandField, StrandGrid, chiral_lagrangian
 from .kernels import HelmholtzKernel
 from .liealg import builtin, hat_so_n
@@ -95,9 +96,6 @@ def symm_rigid_setup(cfg, grid):
     lag = QuadraticLagrangian(a_t, a_s)
     init = cfg.initial
     if init["preset"] == "classical":
-        if grid.n_s != 1:
-            raise ConfigValidationError("classical preset needs grid.n_s = 1",
-                                        code="out-of-range", field="grid.n_s")
         u0 = np.asarray(init["u0"] if init["u0"] else 0.2 + 0.1 * np.arange(dim), dtype=float)
         w0 = hat_so_n(n_so, u0 @ lag.a_t.T)
         q = np.eye(n_so)[None]
@@ -141,10 +139,6 @@ def peakon_setup(cfg, grid):
     if init["preset"] == "inline":
         q0 = np.asarray(init["q0"], dtype=float).T
         m0 = np.asarray(init["m0"], dtype=float).T
-        if q0.shape != (grid.n_s, n_p) or m0.shape != (grid.n_s, n_p):
-            raise ConfigValidationError(
-                f"inline q0/m0 must have shape (n_p, n_s) = {(n_p, grid.n_s)}",
-                code="bad-type", field="initial.q0")
     elif init["preset"] == "single_peakon":
         q0 = np.zeros((grid.n_s, 1))
         m0 = np.full((grid.n_s, 1), init["m_values"][0])
@@ -152,9 +146,6 @@ def peakon_setup(cfg, grid):
     else:  # two_peakon_wave
         gap, amp = init["gap"], init["amplitude"]
         mv = init["m_values"]
-        if n_p != len(mv):
-            raise ConfigValidationError("m_values length must equal n_p",
-                                        code="bad-type", field="initial.m_values")
         centers = (np.arange(n_p) - (n_p - 1) / 2.0) * gap
         q0 = np.empty((grid.n_s, n_p))
         m0 = np.empty((grid.n_s, n_p))
@@ -440,21 +431,6 @@ RUNNERS = {
     "verify_action": run_verify_action,
 }
 
-# residuals a convergence study refines, keyed by scenario
-STUDY_RESIDUALS = {
-    "chiral_so3": ("ep_residual", "zcc_residual"),
-    "se3_strand": ("ep_residual", "zcc_residual"),
-    "cdb_so3": ("div_sigma_residual", "constraint_residual"),
-    "symm_rigid_soN": ("strand_residual",),
-    "linear_rep": ("constraint_drift", "ep_residual"),
-    "peakon_strand": ("cross_derivative_residual", "compatibility_residual"),
-    # optimality sits at the finite-difference noise floor from level 0, so
-    # only the convergent residuals are refined here
-    "verify_action": ("clebsch_gradient_interior_max", "pontryagin_constraint",
-                      "pontryagin_divergence"),
-}
-
-
 def run_scenario(cfg: ScenarioConfig):
     """Run one scenario; returns (header, rows, diagnostics, extra_csvs)
     where extra_csvs maps a suffix to (header, rows)."""
@@ -464,15 +440,9 @@ def run_scenario(cfg: ScenarioConfig):
 def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
     """Summary residuals of the scenario at refinement level ``level``
     (dt and ds both divided by 2**level)."""
-    if cfg.scenario == "ch_classical":
-        raise ConfigValidationError("ch_classical has no refinable residuals",
-                                    code="out-of-range", field="scenario")
+    names = study_names(cfg)
     factor = 2 ** level
-    refined = ScenarioConfig(
-        scenario=cfg.scenario, label=cfg.label, output_dir=cfg.output_dir,
-        seed=cfg.seed, grid={**cfg.grid,
-                             "n_s": cfg.grid["n_s"] * factor,
-                             "dt": cfg.grid["dt"] / factor},
-        params=cfg.params, initial=cfg.initial, raw=cfg.raw)
+    refined = replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * factor,
+                                 "dt": cfg.grid["dt"] / factor})
     summary = run_scenario(refined)[2]["summary"]
-    return {k: summary[k] for k in STUDY_RESIDUALS[cfg.scenario]}
+    return {k: summary[k] for k in names}

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gstrands import cli, config
+from gstrands import cli, config, scenarios
 from gstrands.errors import ConfigParseError, ConfigValidationError
 
 
@@ -66,6 +66,20 @@ def test_numbers_coerced_to_float():
 def test_integral_check_for_int_fields():
     with pytest.raises(ConfigValidationError):
         config.parse_config("scenario: chiral_so3\ngrid:\n  n_s: 12.5\n")
+
+
+def test_null_label_is_the_scenario_name():
+    assert config.parse_config("scenario: chiral_so3\nlabel: null\n").label == "chiral_so3"
+
+
+@pytest.mark.parametrize("text, field", [
+    ("label: 1", "label"), ("output_dir: [a]", "output_dir"), ("seed: 0.5", "seed"),
+    ("seed: null", "seed"),
+])
+def test_top_level_key_errors_name_the_key(text, field):
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(f"scenario: chiral_so3\n{text}\n")
+    assert (exc.value.code, exc.value.field) == ("bad-type", field)
 
 
 def test_unknown_preset():
@@ -169,7 +183,9 @@ grid:
 
 
 # Inputs the schema used to accept that then died with a traceback, ran a
-# full solve before failing, stopped short of t_end or reported blow-up.
+# full solve before failing, stopped short of t_end or reported blow-up,
+# or that validate passed and run rejected; a non-string scenario must not
+# reach the scenario lookup.
 BAD_CONFIGS = {
     "t_end-below-one-step": "scenario: verify_action\ngrid: {t_end: 0.04}\n",
     "one-step-two-slices": "scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.001}\n",
@@ -189,6 +205,26 @@ BAD_CONFIGS = {
     "chiral-zero-xi":
         "scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.01}\n"
         "initial: {preset: traveling_bump, xi: [0, 0, 0]}\n",
+    "scenario-not-a-string": "scenario: [1]\n",
+    "symm-classical-on-a-strand": "scenario: symm_rigid_soN\ninitial: {preset: classical}\n",
+    "peakon-m_values-length": "scenario: peakon_strand\ninitial: {m_values: [1.0]}\n",
+    "peakon-inline-ragged":
+        "scenario: peakon_strand\ngrid: {n_s: 8}\n"
+        "initial: {preset: inline, q0: [[-1, -1, -1, -1, -1, -1, -1, -1], [1, 1]],\n"
+        "          m0: [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]]}\n",
+    "peakon-inline-wrong-n_p":
+        "scenario: peakon_strand\ngrid: {n_s: 8}\nparams: {n_p: 3}\n"
+        "initial: {preset: inline, q0: [[-1, -1, -1, -1, -1, -1, -1, -1]],\n"
+        "          m0: [[1, 1, 1, 1, 1, 1, 1, 1]]}\n",
+    "single-peakon-no-m_values":
+        "scenario: peakon_strand\ninitial: {preset: single_peakon, m_values: []}\n",
+    "se3-zero-a_t_diag":
+        "scenario: se3_strand\ngrid: {n_s: 16, t_end: 0.01}\n"
+        "params: {a_t_diag: [0, 1, 1, 1, 1, 1]}\n",
+    "linear-zero-a_s_diag": "scenario: linear_rep\nparams: {a_s_diag: [0, -1, -1]}\n",
+    "symm-zero-a_s_diag": "scenario: symm_rigid_soN\nparams: {a_s_diag: [0, -1, -1]}\n",
+    "cdb-m0-off-plane": "scenario: cdb_so3\ninitial: {m0: [1.0, 0.4, 0.5]}\n",
+    "verify-n_s-1": "scenario: verify_action\ngrid: {n_s: 1}\n",
 }
 
 
@@ -201,6 +237,40 @@ def test_bad_config_is_a_validation_error(tmp_path, capsys, command, name):
     assert "error category: validation:" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: symm_rigid_soN\ngrid: {n_s: 1}\ninitial: {preset: classical}\n",
+    "scenario: chiral_so3\ngrid: {n_s: 1, dt: 0.01, t_end: 0.1}\n",
+    "scenario: peakon_strand\ngrid: {n_s: 1}\n",
+], ids=["symm_rigid_soN", "chiral_so3", "peakon_strand"])
+def test_study_needs_a_refinable_grid(tmp_path, capsys, monkeypatch, text):
+    def no_solve(cfg):
+        raise AssertionError("a study that cannot refine must not solve")
+
+    monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+    cfg = write(tmp_path, "study.yaml", f"output_dir: {tmp_path}\n" + text)
+    assert cli.main(["study", cfg, "--levels", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error category: validation: a convergence study needs grid.n_s >= 8" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.yaml"]
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: cdb_so3\ngrid: {n_s: 16, dt: 0.005, t_end: 0.1}\n"
+    "initial: {m0: [-1.0e+8, 0.3, 0.0], winds: 4}\n",
+    "scenario: linear_rep\ngrid: {n_s: 8, dt: 0.005, t_end: 0.05}\n"
+    "initial: {m0: [0.3, 1.0e+8, 1.0]}\n",
+], ids=["cdb_so3", "linear_rep"])
+def test_run_failed_slave_solve_is_a_located_blow_up(tmp_path, capsys, text):
+    cfg = write(tmp_path, "big.yaml", f"output_dir: {tmp_path}\n" + text)
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error category: blow-up: linear algebra failed:" in err
+    assert "at step 0 (t = 0.005)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
 
 
 def test_validate_and_list(tmp_path, capsys):

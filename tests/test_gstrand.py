@@ -4,7 +4,7 @@ import scipy.linalg
 from conftest import fit_order
 
 from gstrands import clebsch, gstrand, liealg, peakon
-from gstrands.errors import (BlowUpError, DimensionMismatchError,
+from gstrands.errors import (BlowUpError, DimensionMismatchError, NearCollisionError,
                              ReconstructionRefusedError)
 from gstrands.gstrand import (QuadraticLagrangian, StrandField, StrandGrid,
                               chiral_lagrangian)
@@ -348,3 +348,47 @@ def test_residuals_need_three_stored_slices(residual):
                           q=twice(q), mw=twice(q), nw=twice(q))
     with pytest.raises(DimensionMismatchError, match="at least 3 stored slices"):
         residual(two, grid)
+
+
+@pytest.mark.parametrize("a_t, a_s", [(np.diag([0.0, 1.0, 1.0]), -np.eye(3)),
+                                      (np.eye(3), np.diag([0.0, -1.0, -1.0]))],
+                         ids=["a_t", "a_s"])
+def test_singular_inertia_is_a_dimension_error(a_t, a_s):
+    with pytest.raises(DimensionMismatchError, match="invertible"):
+        QuadraticLagrangian(a_t, a_s)
+
+
+def _state(n_s=8):
+    return clebsch.CDBState(np.ones((n_s, 3)), np.ones((n_s, 3)), np.ones((n_s, 3)))
+
+
+def test_integrate_locates_linalg_error_as_blow_up():
+    grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
+
+    def step(state, k):
+        if k == 3:
+            np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+        return state
+
+    with pytest.raises(BlowUpError, match="Singular matrix") as exc:
+        gstrand.integrate(step, _state(), grid)
+    assert exc.value.step_index == 3
+    assert exc.value.t == pytest.approx(0.04)
+
+
+@pytest.mark.parametrize("error, where", [
+    (BlowUpError("singular configuration matrix"), (2, 0.03)),
+    (NearCollisionError("peakons 0 and 1 crossed", step_index=1, t=0.02), (1, 0.02)),
+], ids=["unlocated", "located"])
+def test_integrate_locates_solver_errors(error, where):
+    grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
+
+    def step(state, k):
+        if k == 2:
+            raise error
+        return state
+
+    with pytest.raises(type(error)) as exc:
+        gstrand.integrate(step, _state(), grid)
+    assert exc.value.step_index == where[0]
+    assert exc.value.t == pytest.approx(where[1])
