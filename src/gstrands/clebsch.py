@@ -39,12 +39,14 @@ class LinearRepSpec:
             raise DimensionMismatchError(
                 f"rho must have shape {(self.alg.dim, self.rep_dim, self.rep_dim)}")
         object.__setattr__(self, "rho", rho)
+        # rho([e_i, e_j]) against [rho_i, rho_j], one row i at a time: the
+        # whole (dim, dim, rep_dim, rep_dim) stack would be dim^4 for adjoint_rep
         worst = 0.0
         for i in range(self.alg.dim):
-            for j in range(self.alg.dim):
-                lhs = np.einsum("k,kab->ab", self.alg.c[:, i, j], rho)
-                rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            mismatch = np.tensordot(self.alg.c[:, i], rho, axes=(0, 0))
+            mismatch -= rho[i] @ rho
+            mismatch += rho @ rho[i]
+            worst = max(worst, float(np.max(np.abs(mismatch))))
         if worst > 1e-10:
             raise DimensionMismatchError(
                 f"rho is not a representation: commutator mismatch {worst:.3e}")
@@ -140,10 +142,9 @@ def linear_constraint_drift(rep, lag, state, grid) -> float:
 
 
 def linear_strand_simulate(rep, lag, state, grid) -> History:
-    state = LinearStrandState(state.v, state.m,
-                              solve_linear_n(rep, lag, state.v, d_s(state.v, grid)))
     return integrate(lambda st, k: linear_strand_step(rep, lag, st, grid, step_index=k),
-                     state, grid)
+                     state, grid, slave=lambda st: LinearStrandState(
+                         st.v, st.m, solve_linear_n(rep, lag, st.v, d_s(st.v, grid))))
 
 
 def classical_ep_trajectory(alg: LieAlgebraSpec, a_t, mu0, dt, t_end):
@@ -236,8 +237,9 @@ def cdb_constraint_residual(alg, state, grid) -> float:
 
 
 def cdb_simulate(alg, state, grid) -> History:
-    state = CDBState(state.m, state.w_t, solve_cdb_ws(alg, state.m, d_s(state.m, grid)))
-    return integrate(lambda st, k: cdb_step(alg, st, grid, step_index=k), state, grid)
+    return integrate(lambda st, k: cdb_step(alg, st, grid, step_index=k), state, grid,
+                     slave=lambda st: CDBState(st.m, st.w_t,
+                                               solve_cdb_ws(alg, st.m, d_s(st.m, grid))))
 
 
 def cdb_div_sigma_residual(alg, hist: History, grid) -> float:
@@ -337,11 +339,12 @@ def symm_rigid_step(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
 
 
 def symm_rigid_simulate(alg, lag, state, grid) -> History:
-    _, _, nw = symm_rigid_velocities(state.q.shape[-1], lag, state.q, state.mw,
-                                     d_s(state.q, grid))
-    state = SymmRigidState(state.q, state.mw, nw)
+    def slave(st):
+        _, _, nw = symm_rigid_velocities(st.q.shape[-1], lag, st.q, st.mw, d_s(st.q, grid))
+        return SymmRigidState(st.q, st.mw, nw)
+
     return integrate(lambda st, k: symm_rigid_step(alg, lag, st, grid, step_index=k),
-                     state, grid)
+                     state, grid, slave=slave)
 
 
 def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:

@@ -135,8 +135,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except GStrandsError as exc:
         where = ""
-        if getattr(exc, "step_index", None) is not None:
-            where = f" at step {exc.step_index} (t = {exc.t:.6g})"
+        if getattr(exc, "t", None) is not None:
+            step = "the initial state" if exc.step_index is None else f"step {exc.step_index}"
+            where = f" at {step} (t = {exc.t:.6g})"
         print(f"error category: {exc.category}: {exc}{where}", file=sys.stderr)
         return 2 if exc.category in _USAGE_CATEGORIES else 1
 

@@ -27,8 +27,8 @@ class SingularKernelError(GStrandsError):
 
 class SolverError(GStrandsError):
     """A failure while stepping.  ``step_index`` is the 0-based step during
-    which it was detected and ``t`` the time that step ends at; both are
-    None outside a step (e.g. the initial slave solve)."""
+    which it was detected and ``t`` the time that step ends at.  The initial
+    slave solve has t = 0 and no step index; both are None until located."""
 
     def __init__(self, message, step_index=None, t=None):
         super().__init__(message)

@@ -171,25 +171,34 @@ class History:
         return float(self.times[1] - self.times[0])
 
 
-def integrate(step_fn, state, grid: StrandGrid) -> History:
+def _located(step_index, t, fn, *args):
+    """fn(*args), with a LinAlgError raised as a BlowUpError at (step_index, t)
+    and a SolverError without a location given that one."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise BlowUpError(f"linear algebra failed: {exc}", step_index=step_index, t=t) from exc
+    except SolverError as exc:
+        if exc.t is None:
+            exc.step_index, exc.t = step_index, t
+        raise
+
+
+def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
     """Advance ``state`` (a dataclass of arrays) by ``step_fn(state, k)`` for
     grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
 
-    A LinAlgError inside a step is a BlowUpError, and a SolverError without
-    a location gets the step's."""
+    ``slave(state)``, when given, first completes the initial state with its
+    slaved multiplier.  A LinAlgError inside a step is a BlowUpError, and a
+    SolverError without a location gets the step's; a failure of ``slave``
+    is located at t = 0 with no step index."""
+    if slave is not None:
+        state = _located(None, 0.0, slave, state)
     names = [f.name for f in fields(state)]
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):
-        try:
-            state = step_fn(state, k)
-        except np.linalg.LinAlgError as exc:
-            raise BlowUpError(f"linear algebra failed: {exc}", step_index=k,
-                              t=grid.step_end(k)) from exc
-        except SolverError as exc:
-            if exc.step_index is None:
-                exc.step_index, exc.t = k, grid.step_end(k)
-            raise
+        state = _located(k, grid.step_end(k), step_fn, state, k)
         if (k + 1) % grid.store_every == 0:
             times.append((k + 1) * grid.dt)
             for name in names:

@@ -4,6 +4,10 @@ Algebra elements (and dual elements, identified through the pairing kappa)
 are plain coordinate arrays of length ``dim``.  Operations accept batched
 arrays with the coordinate axis last, so a strand field of shape
 ``(n_s, dim)`` goes through ``bracket``/``ad_star`` in one call.
+
+``bracket`` and ``ad_star`` contract through sparse index tables built once
+from the nonzero structure constants, so a point costs O(nnz) multiply-adds
+rather than O(dim^3); the dense ``c`` stays the constructor input.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ class LieAlgebraSpec:
     builtins use kappa = identity in their documented basis.
     ``basis_matrices``, when present, is a faithful matrix representation
     (stacked along axis 0) used for group reconstruction.
+    ``bracket_table`` and ``coad_table`` are the sparse forms of ``c`` that
+    ``bracket`` and ``ad_star`` contract with (see ``_contraction_table``).
     """
 
     dim: int
@@ -35,6 +41,8 @@ class LieAlgebraSpec:
     name: str = ""
     basis_matrices: np.ndarray | None = None
     kappa_inv: np.ndarray = field(init=False, repr=False)
+    bracket_table: tuple = field(init=False, repr=False)
+    coad_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -49,6 +57,44 @@ class LieAlgebraSpec:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "kappa_inv", np.linalg.inv(kappa))
+        # bracket: row k lists (i, j, c_kij); coadjoint: row j lists (k, i, c_kij).
+        # Both orders are the dense einsums' summation orders.
+        object.__setattr__(self, "bracket_table", _contraction_table(c))
+        object.__setattr__(self, "coad_table", _contraction_table(c.transpose(2, 0, 1)))
+
+
+def _contraction_table(t):
+    """Sparse form of out[..., o] = sum_ab t[o, a, b] x[..., a] y[..., b].
+
+    Three (dim, width) tables A, B, V: row o lists the nonzero t[o, a, b]
+    as A[o] = a, B[o] = b, V[o] = t[o, a, b] in (a, b) order, padded with
+    zero values to the widest row (at least one column).  Returned as the
+    tuple of columns (A[:, w], B[:, w], V[:, w]), each a contiguous array.
+    """
+    o, a, b = np.nonzero(t)
+    counts = np.bincount(o, minlength=t.shape[0])
+    col = np.arange(o.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (max(int(counts.max(initial=0)), 1), t.shape[0])
+    idx_a = np.zeros(shape, dtype=np.intp)
+    idx_b = np.zeros(shape, dtype=np.intp)
+    val = np.zeros(shape)
+    idx_a[col, o], idx_b[col, o], val[col, o] = a, b, t[o, a, b]
+    return tuple(zip(idx_a, idx_b, val))
+
+
+def _contract(columns, x, y):
+    """Sum over the table's columns, one at a time, so every temporary has
+    the shape of the inputs.  The value multiplies before y, so a padded
+    zero stays zero for any finite x and y."""
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    out = np.zeros(x.shape)
+    for a, b, v in columns:
+        term = x.take(a, axis=-1)
+        term *= v
+        term *= y.take(b, axis=-1)
+        out += term
+    return out
 
 
 def _check_coords(spec, *elements):
@@ -63,7 +109,7 @@ def bracket(spec: LieAlgebraSpec, xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     _check_coords(spec, xi, eta)
-    return np.einsum("kij,...i,...j->...k", spec.c, xi, eta)
+    return _contract(spec.bracket_table, xi, eta)
 
 
 def ad_star(spec: LieAlgebraSpec, xi, mu):
@@ -71,9 +117,7 @@ def ad_star(spec: LieAlgebraSpec, xi, mu):
     xi = np.asarray(xi, dtype=float)
     mu = np.asarray(mu, dtype=float)
     _check_coords(spec, xi, mu)
-    w = mu @ spec.kappa
-    t = np.einsum("kij,...i,...k->...j", spec.c, xi, w)
-    return t @ spec.kappa_inv
+    return _contract(spec.coad_table, mu @ spec.kappa, xi) @ spec.kappa_inv
 
 
 def pair(spec: LieAlgebraSpec, mu, xi):
@@ -112,8 +156,8 @@ def to_matrix(spec: LieAlgebraSpec, xi):
 
 
 def structure_constants_from_matrices(basis) -> np.ndarray:
-    """c[k, i, j] from pairwise commutators, expanding in the given basis
-    by least squares (exact for all builtins, whose constants are integers)."""
+    """c[k, i, j] from pairwise commutators, expanding in the given basis by
+    least squares.  The builtins fill c in closed form; this is their oracle."""
     basis = np.asarray(basis, dtype=float)
     dim = basis.shape[0]
     flat = basis.reshape(dim, -1).T
@@ -169,39 +213,61 @@ def hat_so_n(n, coords):
     return out
 
 
-def _builtin_so3():
-    # hat-map basis: [e1, e2] = e3 cyclically; c^k_ij is the Levi-Civita symbol
-    basis = np.array([_hat_so3(v) for v in np.eye(3)])
+def _levi_civita():
+    """c^k_ij = epsilon_ijk: [e1, e2] = e3 cyclically."""
     c = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[k, i, j] = 1.0
         c[k, j, i] = -1.0
-    return LieAlgebraSpec(3, c, np.eye(3), name="so3", basis_matrices=basis)
+    return c
+
+
+def _builtin_so3():
+    # hat-map basis, in which c^k_ij is the Levi-Civita symbol
+    basis = np.array([_hat_so3(v) for v in np.eye(3)])
+    return LieAlgebraSpec(3, _levi_civita(), np.eye(3), name="so3", basis_matrices=basis)
 
 
 def _builtin_so_n(n):
-    basis = so_n_basis(n)
-    dim = n * (n - 1) // 2
-    c = structure_constants_from_matrices(basis)
-    return LieAlgebraSpec(dim, c, np.eye(dim), name=f"soN({n})", basis_matrices=basis)
+    # [E_ab, E_cd] = d_bc E_ad - d_bd E_ac - d_ac E_bd + d_ad E_bc, with
+    # E_yx = -E_xy and E_xx = 0 in the basis of so_n_basis
+    a, b = np.array(so_n_index_pairs(n)).T
+    dim = a.size
+    slot = np.zeros((n, n), dtype=int)
+    slot[a, b] = slot[b, a] = np.arange(dim)
+    sign = np.zeros((n, n))
+    sign[a, b], sign[b, a] = 1.0, -1.0
+    i, j = np.indices((dim, dim))
+    c = np.zeros((dim,) * 3)
+    for hit, x, y, s in ((b[i] == a[j], a[i], b[j], 1.0), (b[i] == b[j], a[i], a[j], -1.0),
+                         (a[i] == a[j], b[i], b[j], -1.0), (a[i] == b[j], b[i], a[j], 1.0)):
+        np.add.at(c, (slot[x, y][hit], i[hit], j[hit]), s * sign[x, y][hit])
+    return LieAlgebraSpec(dim, c, np.eye(dim), name=f"soN({n})", basis_matrices=so_n_basis(n))
 
 
 def _builtin_se3():
-    # block order (rotation, translation), embedded as 4x4 homogeneous matrices
+    # block order (rotation, translation), embedded as 4x4 homogeneous matrices:
+    # [(w, v), (w', v')] = (w x w', w x v' - w' x v)
     basis = np.zeros((6, 4, 4))
     for i, v in enumerate(np.eye(3)):
         basis[i, :3, :3] = _hat_so3(v)
         basis[3 + i, :3, 3] = v
-    c = structure_constants_from_matrices(basis)
+    eps = _levi_civita()
+    c = np.zeros((6, 6, 6))
+    c[:3, :3, :3] = c[3:, :3, 3:] = c[3:, 3:, :3] = eps
     return LieAlgebraSpec(6, c, np.eye(6), name="se3", basis_matrices=basis)
 
 
 def _builtin_gl_n(n):
-    # matrix units E_ij, row-major; Frobenius pairing is the identity on them
+    # matrix units E_ab at index a*n + b, row-major; Frobenius pairing is the
+    # identity on them.  [E_ab, E_cd] = d_bc E_ad - d_ad E_cb
+    a, b = np.divmod(np.arange(n * n), n)
+    i, j = np.indices((n * n, n * n))
+    c = np.zeros((n * n,) * 3)
+    for hit, k, s in ((b[i] == a[j], a[i] * n + b[j], 1.0), (a[i] == b[j], a[j] * n + b[i], -1.0)):
+        np.add.at(c, (k[hit], i[hit], j[hit]), s)
     basis = np.zeros((n * n, n, n))
-    for k in range(n * n):
-        basis[k, k // n, k % n] = 1.0
-    c = structure_constants_from_matrices(basis)
+    basis[np.arange(n * n), a, b] = 1.0
     return LieAlgebraSpec(n * n, c, np.eye(n * n), name=f"glN({n})", basis_matrices=basis)
 
 

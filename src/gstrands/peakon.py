@@ -171,8 +171,9 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
-    state = PeakonState(state.q, state.mw, solve_n_constraint(state, kernel, grid))
-    return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid)
+    return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid,
+                     slave=lambda st: PeakonState(st.q, st.mw,
+                                                  solve_n_constraint(st, kernel, grid)))
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .gstrand import History, QuadraticLagrangian, StrandGrid, ep_residual
 from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
-from .liealg import LieAlgebraSpec, ad_star
+from .liealg import LieAlgebraSpec, ad_star, bracket
 
 FD_SCALE = 1e-6
 
@@ -199,14 +199,13 @@ def clebsch_linear_action(rep, lag: QuadraticLagrangian, grid: ActionGrid) -> Di
 def clebsch_adjoint_action(alg: LieAlgebraSpec, grid: ActionGrid) -> DiscreteAction:
     """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
     kappa = alg.kappa
-    c = alg.c
 
     def integrand(tt, ss, vals, dts, dss):
         m = vals["m"]
         lval = 0.5 * (np.einsum("...i,ij,...j->...", vals["s_t"], kappa, vals["s_t"])
                       + np.einsum("...i,ij,...j->...", vals["s_s"], kappa, vals["s_s"]))
-        ct = dts["m"] - np.einsum("kij,...i,...j->...k", c, vals["s_t"], m)
-        cs = dss["m"] - np.einsum("kij,...i,...j->...k", c, vals["s_s"], m)
+        ct = dts["m"] - bracket(alg, vals["s_t"], m)
+        cs = dss["m"] - bracket(alg, vals["s_s"], m)
         return (lval + np.einsum("...a,ab,...b->...", vals["w_t"], kappa, ct)
                 + np.einsum("...a,ab,...b->...", vals["w_s"], kappa, cs))
 

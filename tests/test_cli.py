@@ -257,19 +257,26 @@ def test_study_needs_a_refinable_grid(tmp_path, capsys, monkeypatch, text):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study.yaml"]
 
 
-@pytest.mark.parametrize("text", [
-    "scenario: cdb_so3\ngrid: {n_s: 16, dt: 0.005, t_end: 0.1}\n"
-    "initial: {m0: [-1.0e+8, 0.3, 0.0], winds: 4}\n",
-    "scenario: linear_rep\ngrid: {n_s: 8, dt: 0.005, t_end: 0.05}\n"
-    "initial: {m0: [0.3, 1.0e+8, 1.0]}\n",
-], ids=["cdb_so3", "linear_rep"])
-def test_run_failed_slave_solve_is_a_located_blow_up(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, where", [
+    ("scenario: cdb_so3\ngrid: {n_s: 16, dt: 0.005, t_end: 0.1}\n"
+     "initial: {m0: [-1.0e+8, 0.3, 0.0], winds: 4}\n", "at step 0 (t = 0.005)"),
+    ("scenario: linear_rep\ngrid: {n_s: 8, dt: 0.005, t_end: 0.05}\n"
+     "initial: {m0: [0.3, 1.0e+8, 1.0]}\n", "at step 0 (t = 0.005)"),
+    # the initial slave solve, before any step, fails the same way
+    ("scenario: cdb_so3\ngrid: {n_s: 16, dt: 0.005, t_end: 0.05}\n"
+     "initial: {m0: [1.0e+200, 1.0e+200, 0.0]}\n", "at the initial state (t = 0)"),
+    ("scenario: linear_rep\ngrid: {n_s: 8}\ninitial: {v0: [1.0e+200, 0, 0]}\n",
+     "at the initial state (t = 0)"),
+], ids=["cdb_so3", "linear_rep", "cdb_so3-initial", "linear_rep-initial"])
+def test_run_failed_slave_solve_is_a_located_blow_up(tmp_path, capsys, text, where):
     cfg = write(tmp_path, "big.yaml", f"output_dir: {tmp_path}\n" + text)
+    assert cli.main(["validate", cfg]) == 0
     with np.errstate(all="ignore"):
         assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert "error category: blow-up: linear algebra failed:" in err
-    assert "at step 0 (t = 0.005)" in err
+    assert where in err
+    assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
 
 

@@ -392,3 +392,18 @@ def test_integrate_locates_solver_errors(error, where):
         gstrand.integrate(step, _state(), grid)
     assert exc.value.step_index == where[0]
     assert exc.value.t == pytest.approx(where[1])
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
+                                   BlowUpError("singular configuration matrix")],
+                         ids=["linalg", "unlocated"])
+def test_integrate_locates_initial_slave_failure(error):
+    grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
+
+    def slave(state):
+        raise error
+
+    with pytest.raises(BlowUpError) as exc:
+        gstrand.integrate(lambda state, k: state, _state(), grid, slave=slave)
+    assert exc.value.step_index is None
+    assert exc.value.t == 0.0

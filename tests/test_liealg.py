@@ -103,11 +103,16 @@ def test_duality_identity_all_builtins_random():
             assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
 
-def test_jacobi_residual_of_perturbed_constants():
+def perturbed_so3():
+    """so3 constants plus an antisymmetric perturbation: every entry nonzero."""
     rng = np.random.default_rng(1)
     pert = 0.1 * rng.standard_normal((3, 3, 3))
     pert = 0.5 * (pert - np.swapaxes(pert, 1, 2))     # keep antisymmetry exact
-    spec = liealg.LieAlgebraSpec(3, SO3.c + pert, np.eye(3), name="broken")
+    return liealg.LieAlgebraSpec(3, SO3.c + pert, np.eye(3), name="broken")
+
+
+def test_jacobi_residual_of_perturbed_constants():
+    spec = perturbed_so3()
     res = liealg.jacobi_residual(spec)
     assert res > 0.1
     with pytest.raises(DimensionMismatchError):
@@ -149,3 +154,60 @@ def test_ad_star_self_annihilates_so_n():
     for _ in range(20):
         mu = rng.standard_normal(so4.dim)
         assert np.max(np.abs(liealg.ad_star(so4, mu, mu))) < 1e-12
+
+
+BUILTINS = (["so3", "se3"] + [f"soN({n})" for n in range(3, 9)]
+            + [f"glN({n})" for n in range(2, 5)])
+
+
+def skewed_kappa_se3():
+    """se3 constants under a symmetric positive-definite, non-identity pairing."""
+    a = np.random.default_rng(3).standard_normal((6, 6))
+    return liealg.LieAlgebraSpec(6, SE3.c, 0.5 * (a + a.T) + 6.0 * np.eye(6), name="se3-kappa")
+
+
+def dense_bracket(c, xi, eta):
+    return np.einsum("kij,...i,...j->...k", c, xi, eta)
+
+
+def dense_ad_star(c, kappa, kappa_inv, xi, mu):
+    return np.einsum("kij,...i,...k->...j", c, xi, mu @ kappa) @ kappa_inv
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((5,), (5,)), ((3, 5), (3, 5)), ((), (3, 5))],
+                         ids=["point", "batch", "history", "broadcast"])
+@pytest.mark.parametrize("name", BUILTINS + ["perturbed", "kappa"])
+def test_tables_match_dense_einsum(name, shapes):
+    spec = {"perturbed": perturbed_so3, "kappa": skewed_kappa_se3}.get(
+        name, lambda: liealg.builtin(name))()
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(shapes[0] + (spec.dim,))
+    y = rng.standard_normal(shapes[1] + (spec.dim,))
+    got = (liealg.bracket(spec, x, y), liealg.ad_star(spec, x, y))
+    want = (dense_bracket(spec.c, x, y),
+            dense_ad_star(spec.c, spec.kappa, spec.kappa_inv, x, y))
+    # roundoff scale of each output entry: the same sums over absolute values
+    c, ax, ay = np.abs(spec.c), np.abs(x), np.abs(y)
+    scale = (dense_bracket(c, ax, ay),
+             dense_ad_star(c, np.abs(spec.kappa), np.abs(spec.kappa_inv), ax, ay))
+    for g, w, sc in zip(got, want, scale):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-14 * sc)
+        if name == "so3":
+            assert np.array_equal(g, w)
+
+
+def test_abelian_algebra_contracts_to_zero():
+    spec = liealg.LieAlgebraSpec(4, np.zeros((4, 4, 4)), np.eye(4))
+    x = np.random.default_rng(2).standard_normal((7, 4))
+    assert np.array_equal(liealg.bracket(spec, x, x), np.zeros((7, 4)))
+    assert np.array_equal(liealg.ad_star(spec, x, x), np.zeros((7, 4)))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_closed_form_constants_match_matrix_commutators(name):
+    spec = liealg.builtin(name)
+    assert np.array_equal(spec.c, np.round(spec.c))
+    oracle = liealg.structure_constants_from_matrices(spec.basis_matrices)
+    assert np.max(np.abs(spec.c - oracle)) <= 1e-15
+    assert liealg.jacobi_residual(spec) == 0.0
