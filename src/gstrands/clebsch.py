@@ -20,9 +20,10 @@ import numpy as np
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
                       rk4_advance)
-from .liealg import LieAlgebraSpec, ad_star, bracket, hat_so_n, vee_so_n
+from .liealg import LieAlgebraSpec, _levi_civita, ad_star, bracket, hat_so_n, vee_so_n
 
 PINV_RCOND = 1e-10
+_SO3_C, _SO3_KAPPA = _levi_civita(), np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -200,11 +201,28 @@ def solve_cdb_ws(alg, m, dsm):
 
     The map w -> [[m, w], m] is -ad_m^2, symmetric positive semidefinite for
     a bi-invariant pairing; the pseudoinverse picks the gauge representative
-    orthogonal to the centralizer of m.
+    orthogonal to the centralizer of m.  On so(3) (Levi-Civita constants,
+    kappa = I) that representative is closed form, see ``_solve_cdb_ws_so3``.
     """
+    if np.array_equal(alg.c, _SO3_C) and np.array_equal(alg.kappa, _SO3_KAPPA):
+        return _solve_cdb_ws_so3(m, dsm)
     ad_m = np.einsum("kij,...i->...kj", alg.c, m)
     a = -np.einsum("...ki,...ij->...kj", ad_m, ad_m)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(a, rcond=PINV_RCOND), dsm)
+
+
+def _solve_cdb_ws_so3(m, dsm):
+    """so(3) case of ``solve_cdb_ws``: -ad_m^2 w = m x (w x m) = |m|^2 w - m (m.w),
+    whose minimum-norm solution is w = (d_s m - m (m.d_s m)/|m|^2)/|m|^2, the
+    part of d_s m orthogonal to m over |m|^2; w = 0 where m = 0, as with pinv.
+    A non-finite |m|^2 or d_s m raises LinAlgError, as pinv's SVD would."""
+    mm = np.einsum("...i,...i->...", m, m)
+    if not (np.isfinite(mm).all() and np.isfinite(dsm).all()):
+        raise np.linalg.LinAlgError("non-finite m or d_s m in the so(3) slave solve")
+    inv = np.divide(1.0, mm, out=np.zeros_like(mm), where=mm > 0.0)[..., None]
+    w = dsm - m * (np.einsum("...i,...i->...", m, dsm)[..., None] * inv)
+    w *= inv
+    return w
 
 
 def _cdb_rhs(alg, grid, m, w_t):

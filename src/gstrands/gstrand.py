@@ -64,6 +64,21 @@ class StrandGrid:
         return None if step_index is None else (step_index + 1) * self.dt
 
 
+def _centered(arr, axis: int, delta: float, wrap: bool):
+    """(a[i+1] - a[i-1]) / (2 delta) along ``axis`` in one pass, with no
+    shifted copy of ``arr``.  With ``wrap`` the two end rows use the periodic
+    neighbours; otherwise they are left unset for the caller to fill."""
+    arr = np.asarray(arr)
+    out = np.empty_like(arr, dtype=float if arr.dtype.kind in "iu" else None)
+    a, o = arr.swapaxes(0, axis), out.swapaxes(0, axis)
+    two_delta = 2.0 * delta
+    np.divide(np.subtract(a[2:], a[:-2], out=o[1:-1]), two_delta, out=o[1:-1])
+    if wrap:
+        np.divide(np.subtract(a[1:2], a[-1:], out=o[:1]), two_delta, out=o[:1])
+        np.divide(np.subtract(a[:1], a[-2:-1], out=o[-1:]), two_delta, out=o[-1:])
+    return out
+
+
 def d_s(arr, grid: StrandGrid, axis: int = 0):
     """Centered s-derivative along ``axis``; periodic wrap or one-sided ends.
 
@@ -72,14 +87,12 @@ def d_s(arr, grid: StrandGrid, axis: int = 0):
     """
     if grid.n_s == 1:
         return np.zeros_like(arr)
-    if grid.bc == "periodic":
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * grid.ds)
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * grid.ds)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * grid.ds)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * grid.ds)
-    return np.moveaxis(out, 0, axis)
+    out = _centered(arr, axis, grid.ds, grid.bc == "periodic")
+    if grid.bc == "fixed":
+        a, o = np.asarray(arr).swapaxes(0, axis), out.swapaxes(0, axis)
+        o[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * grid.ds)
+        o[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * grid.ds)
+    return out
 
 
 @dataclass(frozen=True)

@@ -165,21 +165,21 @@ def ch_setup(cfg, grid):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (csv_header, csv_rows, diagnostics_dict, extra_csvs)
+# runners: each returns (csv_header, csv_rows, diagnostics_dict, extra_csvs).
+# The rows are generators, built only when the CSV is written, so a
+# convergence study, which keeps only the summary, never builds them.
 
 def _series(times, values):
     return {"t": [float(t) for t in times], "value": [float(v) for v in values]}
 
 
 def _field_rows(hist, grid, comps):
-    rows = []
-    for k, t in enumerate(hist.times):
-        for j in range(grid.n_s):
-            row = [float(t), float(j * grid.ds)]
-            for arr in comps:
-                row.extend(float(x) for x in np.atleast_1d(arr[k, j]).ravel())
-            rows.append(row)
-    return rows
+    """Rows [t, s, *components] per stored slice and gridpoint; matrix-valued
+    components are flattened row-major."""
+    flat = np.concatenate([a.reshape(a.shape[:2] + (-1,)) for a in comps], axis=2)
+    for t, values in zip(hist.times.tolist(), flat.tolist()):
+        for j, vals in enumerate(values):
+            yield [t, j * grid.ds] + vals
 
 
 def run_gstrand_like(cfg, alg, lag, f0, grid):
@@ -284,34 +284,37 @@ def run_peakon_strand(cfg: ScenarioConfig):
         },
     }
     header = ["t", "s", "a", "Q", "M", "N"]
-    rows = []
-    for k, t in enumerate(hist.times):
-        for j in range(grid.n_s):
-            for a in range(hist.q.shape[2]):
-                rows.append([float(t), float(j * grid.ds), a,
-                             float(hist.q[k, j, a]), float(hist.mw[k, j, a]),
-                             float(hist.nw[k, j, a])])
     extras = {"fields": peakon_snapshot_csv(hist, kernel, grid)}
-    return header, rows, diag, extras
+    return header, _peakon_rows(hist, grid), diag, extras
+
+
+def _peakon_rows(hist, grid):
+    """Rows [t, s, a, Q, M, N] per stored slice, gridpoint and peakon."""
+    qmn = np.stack([hist.q, hist.mw, hist.nw], axis=3).tolist()
+    for t, values in zip(hist.times.tolist(), qmn):
+        for j, peakons in enumerate(values):
+            for a, vals in enumerate(peakons):
+                yield [t, j * grid.ds, a] + vals
 
 
 def peakon_snapshot_csv(hist, kernel, grid):
-    """Field samples nu, gamma at the first and last stored times, on an
-    m-grid spanning the peakons plus six kernel lengths."""
+    """(header, rows) of field samples nu, gamma at the first and last stored
+    times, on an m-grid spanning the peakons plus six kernel lengths.  The
+    rows are a generator; the fields are sampled as it runs."""
+    return ["t", "s", "m", "nu", "gamma"], _snapshot_rows(hist, kernel, grid)
+
+
+def _snapshot_rows(hist, kernel, grid):
     lo = float(np.min(hist.q)) - 6.0 * kernel.alpha
     hi = float(np.max(hist.q)) + 6.0 * kernel.alpha
     m_grid = np.linspace(lo, hi, 121)
-    header = ["t", "s", "m", "nu", "gamma"]
-    rows = []
     for k in (0, len(hist.times) - 1):
         st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
         nu, gam = peakon.field_snapshot(st, kernel, m_grid)
         t = float(hist.times[k])
-        for j in range(grid.n_s):
-            for i, m in enumerate(m_grid):
-                rows.append([t, float(j * grid.ds), float(m),
-                             float(nu[j, i]), float(gam[j, i])])
-    return header, rows
+        for j, (nu_j, gam_j) in enumerate(zip(nu.tolist(), gam.tolist())):
+            for m, n_val, g_val in zip(m_grid.tolist(), nu_j, gam_j):
+                yield [t, j * grid.ds, m, n_val, g_val]
 
 
 def _drift(name, values):
@@ -339,12 +342,7 @@ def run_ch_classical(cfg: ScenarioConfig):
         "summary": {**_drift("hamiltonian", h_vals), **_drift("momentum", p_vals)},
     }
     header = ["t", "s", "a", "Q", "M", "N"]
-    rows = []
-    for k, t in enumerate(hist.times):
-        for a in range(hist.q.shape[2]):
-            rows.append([float(t), 0.0, a, float(hist.q[k, 0, a]),
-                         float(hist.mw[k, 0, a]), float(hist.nw[k, 0, a])])
-    return header, rows, diag, {}
+    return header, _peakon_rows(hist, grid), diag, {}
 
 
 def run_verify_action(cfg: ScenarioConfig):

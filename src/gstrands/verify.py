@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .gstrand import History, QuadraticLagrangian, StrandGrid, ep_residual
+from .gstrand import History, QuadraticLagrangian, StrandGrid, _centered, ep_residual
 from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
 from .liealg import LieAlgebraSpec, ad_star, bracket
 
@@ -274,16 +274,10 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas,
     de_dy = de_wrt(y, lambda a: (a, p, b))
 
     def centered(arr, axis, delta, wrap):
-        if wrap:
-            return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * delta)
-        sl_p = [slice(None)] * arr.ndim
-        sl_m = [slice(None)] * arr.ndim
-        sl_p[axis] = slice(2, None)
-        sl_m[axis] = slice(None, -2)
-        out = np.full_like(arr, np.nan)
-        sl_c = [slice(None)] * arr.ndim
-        sl_c[axis] = slice(1, -1)
-        out[tuple(sl_c)] = (arr[tuple(sl_p)] - arr[tuple(sl_m)]) / (2.0 * delta)
+        out = _centered(arr, axis, delta, wrap)
+        if not wrap:
+            ends = out.swapaxes(0, axis)
+            ends[0] = ends[-1] = np.nan
         return out
 
     interior = tuple(slice(1, -1) if not w else slice(None) for w in periodic)

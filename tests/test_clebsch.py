@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import fit_order, rotation_field_z
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gstrands import clebsch, gstrand, liealg
 from gstrands.errors import DimensionMismatchError
@@ -208,6 +210,95 @@ def test_cdb_rotating_state_rejects_bad_axis():
     grid = StrandGrid(16, 2 * np.pi, 1e-3, 0.1)
     with pytest.raises(DimensionMismatchError):
         clebsch.cdb_rotating_state(SO3, grid, [1.0, 0.0, 0.5], [0.1, 0.0, 0.0])
+
+
+def _pinv_cdb_ws(alg, m, dsm):
+    """The general solve_cdb_ws: pinv of -ad_m^2 with the module's cutoff."""
+    ad_m = np.einsum("kij,...i->...kj", alg.c, m)
+    a = -np.einsum("...ki,...ij->...kj", ad_m, ad_m)
+    return np.einsum("...ij,...j->...i", np.linalg.pinv(a, rcond=clebsch.PINV_RCOND), dsm)
+
+
+def _assert_matches_pinv(m, dsm):
+    w = clebsch.solve_cdb_ws(SO3, m, dsm)
+    ref = _pinv_cdb_ws(SO3, m, dsm)
+    mm = np.sum(m * m, axis=-1)
+    scale = np.linalg.norm(dsm, axis=-1) / np.where(mm > 0.0, mm, 1.0)
+    assert np.all(np.abs(w - ref) <= 1e-13 * scale[..., None])
+    assert np.all(w[mm == 0.0] == 0.0)
+
+
+_direction = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+_rows = st.tuples(st.tuples(_direction, _direction, _direction), st.integers(-150, 150),
+                  st.tuples(_direction, _direction, _direction), st.integers(-150, 150))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_rows, min_size=1, max_size=4))
+def test_so3_cdb_ws_closed_form_matches_pinv(rows):
+    # scales 1e-150..1e150 for m and d_s m, kept where w itself is a normal float
+    for _, e_m, _, e_d in rows:
+        assume(abs(e_d - 2 * e_m) <= 250)
+    m = np.array([np.array(dm) * 10.0 ** e_m for dm, e_m, _, _ in rows])
+    dsm = np.array([np.array(dd) * 10.0 ** e_d for _, _, dd, e_d in rows])
+    _assert_matches_pinv(m, dsm)
+
+
+def test_so3_cdb_ws_is_zero_where_m_is_zero():
+    dsm = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1e100, 0.0, 1.0], [1e-100, 5.0, 0.0]])
+    assert np.all(clebsch.solve_cdb_ws(SO3, np.zeros((4, 3)), dsm) == 0.0)
+    _assert_matches_pinv(np.zeros((4, 3)), dsm)
+
+
+def test_so3_cdb_ws_is_zero_for_d_s_m_parallel_to_m():
+    # d_s m in the centralizer of m is pure gauge: the minimum-norm w is 0
+    m = np.array([[0.3, -1.2, 0.5], [1e120, 1e119, 0.0], [0.0, 0.0, 2e-140]])
+    dsm = np.array([3.0, -3e-130, -5e99])[:, None] * m
+    _assert_matches_pinv(m, dsm)
+    w = clebsch.solve_cdb_ws(SO3, m, dsm)
+    scale = np.linalg.norm(dsm, axis=-1) / np.sum(m * m, axis=-1)
+    assert np.all(np.abs(w) <= 1e-13 * scale[:, None])
+
+
+def test_so3_cdb_ws_mixed_zero_rows():
+    m = np.array([[0.0, 0.0, 0.0], [1.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    dsm = np.array([[1.0, 1.0, 1.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 7.0]])
+    _assert_matches_pinv(m, dsm)
+
+
+@pytest.mark.parametrize("m, dsm", [
+    ([[1.0, np.inf, 0.0]], [[0.1, 0.2, 0.3]]),
+    ([[np.nan, 0.4, 0.0]], [[0.1, 0.2, 0.3]]),
+    ([[1.0, 0.4, 0.0]], [[0.1, -np.inf, 0.3]]),
+    ([[1.0, 0.4, 0.0]], [[np.nan, 0.2, 0.3]]),
+    ([[1e200, 1e200, 0.0]], [[0.1, 0.2, 0.3]]),    # |m|^2 overflows
+], ids=["m-inf", "m-nan", "dsm-inf", "dsm-nan", "mm-overflow"])
+def test_so3_cdb_ws_refuses_non_finite_input(m, dsm):
+    with pytest.raises(np.linalg.LinAlgError):
+        clebsch.solve_cdb_ws(SO3, np.array(m), np.array(dsm))
+
+
+def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
+    rng = np.random.default_rng(3)
+    m, dsm = rng.standard_normal((2, 8, 3))
+    renamed = liealg.LieAlgebraSpec(3, SO3.c, np.eye(3), name="not-so3")
+    rescaled = liealg.LieAlgebraSpec(3, SO3.c, 2.0 * np.eye(3), name="so3")
+    se3 = liealg.builtin("se3")
+    m6, dsm6 = rng.standard_normal((2, 8, 6))
+    # the general path, bitwise as before: pinv for every other spec
+    assert clebsch.solve_cdb_ws(se3, m6, dsm6).tobytes() == _pinv_cdb_ws(se3, m6, dsm6).tobytes()
+    assert (clebsch.solve_cdb_ws(rescaled, m, dsm).tobytes()
+            == _pinv_cdb_ws(rescaled, m, dsm).tobytes())
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv called")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    assert np.array_equal(clebsch.solve_cdb_ws(renamed, m, dsm), clebsch.solve_cdb_ws(SO3, m, dsm))
+    with pytest.raises(AssertionError, match="pinv called"):
+        clebsch.solve_cdb_ws(rescaled, m, dsm)
+    with pytest.raises(AssertionError, match="pinv called"):
+        clebsch.solve_cdb_ws(se3, m6, dsm6)
 
 
 # ---------------------------------------------------------------------------

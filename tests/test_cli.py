@@ -1,11 +1,15 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gstrands import cli, config, scenarios
+from gstrands import cli, config, peakon, scenarios
 from gstrands.errors import ConfigParseError, ConfigValidationError
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def write(tmp_path, name, text):
@@ -327,6 +331,24 @@ initial:
     assert cli.main(["study", cfg, "--levels", "3"]) == 0
     report = json.loads((out / "pg.study.json").read_text())
     assert all(o == "saturated" for o in report["orders"]["zcc_residual"])
+
+
+@pytest.mark.parametrize("stem", ["peakon_strand", "chiral_study"])
+def test_study_builds_no_csv_rows(tmp_path, monkeypatch, stem):
+    cfg = str(CONFIG_DIR / f"{stem}.yaml")
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / "plain"))
+    assert cli.main(["study", cfg, "--levels", "3"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study built CSV rows")
+
+    monkeypatch.setattr(cli, "write_csv", refuse)
+    monkeypatch.setattr(peakon, "field_snapshot", refuse)
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / "guarded"))
+    assert cli.main(["study", cfg, "--levels", "3"]) == 0
+    name = f"{stem}.study.json"
+    assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "guarded").iterdir()) == [name]
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

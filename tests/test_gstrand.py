@@ -310,6 +310,37 @@ def test_stacked_d_s_matches_per_slice(n_s, bc):
                           np.stack([gstrand.d_s(a, grid) for a in stack]))
 
 
+def _d_s_reference(arr, grid, axis):
+    """d_s through a pair of np.roll copies (periodic) or one-sided ends (fixed)."""
+    if grid.n_s == 1:
+        return np.zeros_like(arr)
+    if grid.bc == "periodic":
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * grid.ds)
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * grid.ds)
+    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * grid.ds)
+    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * grid.ds)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n_s, bc", [(8, "periodic"), (9, "periodic"), (64, "periodic"),
+                                     (9, "fixed"), (1, "periodic")])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_d_s_is_bitwise_the_reference_stencil(n_s, bc, axis):
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1, bc=bc)
+    rng = np.random.default_rng(n_s)
+    shape = (n_s, 3, 2) if axis == 0 else (5, n_s, 3)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    ref = _d_s_reference(arr, grid, axis)
+    out = gstrand.d_s(arr, grid, axis=axis)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # integer input differentiates as its float copy
+    ints = rng.integers(-50, 50, shape)
+    assert (gstrand.d_s(ints, grid, axis=axis).tobytes()
+            == gstrand.d_s(ints.astype(float), grid, axis=axis).tobytes())
+
+
 def test_residuals_on_fixed_bc_history_match_per_slice_reference():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, bc="fixed")
     _, hist = _strand_run(grid)
