@@ -13,14 +13,16 @@ s-constraint so the canonical system closes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
-                      rk4_advance)
-from .liealg import LieAlgebraSpec, _levi_civita, ad_star, bracket, hat_so_n, vee_so_n
+                      slaved_step)
+from .liealg import (LieAlgebraSpec, _contract, _contraction_table, _levi_civita, ad_star,
+                     bracket, hat_so_n, vee_so_n)
 
 PINV_RCOND = 1e-10
 _SO3_C, _SO3_KAPPA = _levi_civita(), np.eye(3)
@@ -28,11 +30,18 @@ _SO3_C, _SO3_KAPPA = _levi_civita(), np.eye(3)
 
 @dataclass(frozen=True)
 class LinearRepSpec:
-    """Matrices rho[i] of the basis action on V, stacked along axis 0."""
+    """Matrices rho[i] of the basis action on V, stacked along axis 0.
+
+    ``act_table``, ``dual_table`` and ``diamond_table`` are the sparse forms
+    of rho (liealg._contraction_table) that ``act``, ``act_dual`` and
+    ``diamond`` contract with, in the dense einsums' summation orders."""
 
     alg: LieAlgebraSpec
     rep_dim: int
     rho: np.ndarray
+    act_table: tuple = field(init=False, repr=False)
+    dual_table: tuple = field(init=False, repr=False)
+    diamond_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float)
@@ -51,6 +60,9 @@ class LinearRepSpec:
         if worst > 1e-10:
             raise DimensionMismatchError(
                 f"rho is not a representation: commutator mismatch {worst:.3e}")
+        object.__setattr__(self, "act_table", _contraction_table(rho.transpose(1, 0, 2)))
+        object.__setattr__(self, "dual_table", _contraction_table(rho.transpose(2, 0, 1)))
+        object.__setattr__(self, "diamond_table", _contraction_table(rho))
 
 
 def defining_rep_so3(alg: LieAlgebraSpec) -> LinearRepSpec:
@@ -66,12 +78,12 @@ def adjoint_rep(alg: LieAlgebraSpec) -> LinearRepSpec:
 
 def act(rep: LinearRepSpec, xi, v):
     """rho(xi) v, batched."""
-    return np.einsum("kab,...k,...b->...a", rep.rho, xi, v)
+    return _contract(rep.act_table, np.asarray(xi, dtype=float), np.asarray(v, dtype=float))
 
 
 def act_dual(rep: LinearRepSpec, xi, p):
     """Dual action -rho(xi)^T p, batched."""
-    return -np.einsum("kba,...k,...b->...a", rep.rho, xi, p)
+    return -_contract(rep.dual_table, np.asarray(xi, dtype=float), np.asarray(p, dtype=float))
 
 
 def diamond(rep: LinearRepSpec, v, p):
@@ -80,8 +92,7 @@ def diamond(rep: LinearRepSpec, v, p):
     p = np.asarray(p, dtype=float)
     if v.shape[-1] != rep.rep_dim or p.shape[-1] != rep.rep_dim:
         raise DimensionMismatchError("diamond arguments must have rep_dim coordinates")
-    t = np.einsum("kab,...a,...b->...k", rep.rho, p, v)
-    return t @ rep.alg.kappa_inv
+    return _contract(rep.diamond_table, p, v) @ rep.alg.kappa_inv
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +103,7 @@ class LinearStrandState:
     v: np.ndarray     # (n_s, rep_dim)
     m: np.ndarray     # (n_s, rep_dim), t-multiplier
     n: np.ndarray     # (n_s, rep_dim), s-multiplier (slaved)
+    aux: tuple | None = field(default=None, repr=False, compare=False)  # (n,) once slaved
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
@@ -118,8 +130,12 @@ def recover_velocities(rep, lag, state):
     return xi, gam
 
 
-def _linear_rhs(rep, lag, grid, v, m):
-    n = solve_linear_n(rep, lag, v, d_s(v, grid))
+def _linear_slave(rep, lag, grid, y):
+    return (solve_linear_n(rep, lag, y[0], d_s(y[0], grid)),)
+
+
+def _linear_rhs(rep, lag, grid, v, m, aux):
+    (n,) = aux
     xi = diamond(rep, v, m) @ lag.a_t_inv.T
     gam = diamond(rep, v, n) @ lag.a_s_inv.T
     dv = act(rep, xi, v)
@@ -131,9 +147,9 @@ def linear_strand_step(rep: LinearRepSpec, lag: QuadraticLagrangian,
                        state: LinearStrandState, grid: StrandGrid,
                        step_index: int | None = None) -> LinearStrandState:
     """RK4 step of dv/dt = rho(xi) v, dm/dt = -d_s n + rho*(xi) m + rho*(gamma) n."""
-    v1, m1 = rk4_advance(lambda v, m: _linear_rhs(rep, lag, grid, v, m), (state.v, state.m),
-                         grid, step_index, "linear-rep strand")
-    return LinearStrandState(v1, m1, solve_linear_n(rep, lag, v1, d_s(v1, grid)))
+    return slaved_step(partial(_linear_slave, rep, lag, grid),
+                       partial(_linear_rhs, rep, lag, grid), state, grid, step_index,
+                       "linear-rep strand")
 
 
 def linear_constraint_drift(rep, lag, state, grid) -> float:
@@ -144,8 +160,7 @@ def linear_constraint_drift(rep, lag, state, grid) -> float:
 
 def linear_strand_simulate(rep, lag, state, grid) -> History:
     return integrate(lambda st, k: linear_strand_step(rep, lag, st, grid, step_index=k),
-                     state, grid, slave=lambda st: LinearStrandState(
-                         st.v, st.m, solve_linear_n(rep, lag, st.v, d_s(st.v, grid))))
+                     state, grid, slave=partial(_linear_slave, rep, lag, grid))
 
 
 def classical_ep_trajectory(alg: LieAlgebraSpec, a_t, mu0, dt, t_end):
@@ -184,6 +199,7 @@ class CDBState:
     m: np.ndarray      # (n_s, dim) advected algebra variable
     w_t: np.ndarray
     w_s: np.ndarray
+    aux: tuple | None = field(default=None, repr=False, compare=False)  # (w_s,) once slaved
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
@@ -225,8 +241,12 @@ def _solve_cdb_ws_so3(m, dsm):
     return w
 
 
-def _cdb_rhs(alg, grid, m, w_t):
-    w_s = solve_cdb_ws(alg, m, d_s(m, grid))
+def _cdb_slave(alg, grid, y):
+    return (solve_cdb_ws(alg, y[0], d_s(y[0], grid)),)
+
+
+def _cdb_rhs(alg, grid, m, w_t, aux):
+    (w_s,) = aux
     s_t = bracket(alg, m, w_t)
     s_s = bracket(alg, m, w_s)
     dm = bracket(alg, s_t, m)
@@ -243,9 +263,8 @@ def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid,
     every stage (the same closure the peakon module uses for its
     s-momenta), which keeps the monitored constraint exact at gridpoints.
     """
-    m1, t1 = rk4_advance(lambda m, w_t: _cdb_rhs(alg, grid, m, w_t), (state.m, state.w_t),
-                         grid, step_index, "double-bracket strand")
-    return CDBState(m1, t1, solve_cdb_ws(alg, m1, d_s(m1, grid)))
+    return slaved_step(partial(_cdb_slave, alg, grid), partial(_cdb_rhs, alg, grid), state,
+                       grid, step_index, "double-bracket strand")
 
 
 def cdb_constraint_residual(alg, state, grid) -> float:
@@ -256,8 +275,7 @@ def cdb_constraint_residual(alg, state, grid) -> float:
 
 def cdb_simulate(alg, state, grid) -> History:
     return integrate(lambda st, k: cdb_step(alg, st, grid, step_index=k), state, grid,
-                     slave=lambda st: CDBState(st.m, st.w_t,
-                                               solve_cdb_ws(alg, st.m, d_s(st.m, grid))))
+                     slave=partial(_cdb_slave, alg, grid))
 
 
 def cdb_div_sigma_residual(alg, hist: History, grid) -> float:
@@ -312,6 +330,7 @@ class SymmRigidState:
     q: np.ndarray      # (n_s, N, N) configuration in GL(N)
     mw: np.ndarray     # (n_s, N, N) t-multiplier
     nw: np.ndarray     # (n_s, N, N) s-multiplier (slaved)
+    aux: tuple | None = field(default=None, repr=False, compare=False)  # (U, V, Nw) once slaved
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -338,8 +357,13 @@ def symm_rigid_velocities(n_mat, lag, q, mw, dsq):
     return u_hat, v_hat, nw
 
 
-def _symm_rhs(n_mat, lag, grid, q, mw):
-    u_hat, v_hat, nw = symm_rigid_velocities(n_mat, lag, q, mw, d_s(q, grid))
+def _symm_slave(lag, grid, y):
+    q, mw = y
+    return symm_rigid_velocities(q.shape[-1], lag, q, mw, d_s(q, grid))
+
+
+def _symm_rhs(grid, q, mw, aux):
+    u_hat, v_hat, nw = aux
     dq = q @ u_hat
     dm = -d_s(nw, grid) + mw @ u_hat + nw @ v_hat
     return dq, dm
@@ -349,20 +373,13 @@ def symm_rigid_step(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
                     state: SymmRigidState, grid: StrandGrid,
                     step_index: int | None = None) -> SymmRigidState:
     """RK4 step of dQ/dt = QU, dMw/dt = -d_s Nw + Mw U + Nw V on so(N) strands."""
-    n_mat = state.q.shape[-1]
-    q1, m1 = rk4_advance(lambda q, mw: _symm_rhs(n_mat, lag, grid, q, mw), (state.q, state.mw),
-                         grid, step_index, "symmetric rigid-body strand")
-    _, _, n1 = symm_rigid_velocities(n_mat, lag, q1, m1, d_s(q1, grid))
-    return SymmRigidState(q1, m1, n1)
+    return slaved_step(partial(_symm_slave, lag, grid), partial(_symm_rhs, grid), state, grid,
+                       step_index, "symmetric rigid-body strand")
 
 
 def symm_rigid_simulate(alg, lag, state, grid) -> History:
-    def slave(st):
-        _, _, nw = symm_rigid_velocities(st.q.shape[-1], lag, st.q, st.mw, d_s(st.q, grid))
-        return SymmRigidState(st.q, st.mw, nw)
-
     return integrate(lambda st, k: symm_rigid_step(alg, lag, st, grid, step_index=k),
-                     state, grid, slave=slave)
+                     state, grid, slave=partial(_symm_slave, lag, grid))
 
 
 def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:

@@ -5,8 +5,8 @@
     gstrands validate <config.yaml>
     gstrands list-scenarios
 
-Exit codes: 0 success, 1 solver error (near-collision, blow-up, io),
-2 usage error (bad arguments, parse or validation failure).  The
+Exit codes: 0 success, 1 solver error (near-collision, blow-up, io,
+memory), 2 usage error (bad arguments, parse or validation failure).  The
 GSTRANDS_OUTPUT_DIR environment variable overrides the configured output
 directory.  Identical configs produce byte-identical output files.
 """
@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from .config import SCENARIOS, load_config, schema_description, study_names
 from .errors import GStrandsError
@@ -43,11 +45,19 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     header, rows, diag, extras = run_scenario(cfg)
     csv_path, json_path = _paths(cfg)
-    write_csv(csv_path, header, rows)
-    for suffix, (ehead, erows) in extras.items():
-        write_csv(csv_path.replace(".csv", f".{suffix}.csv"), ehead, erows)
     payload = {"config": cfg.echo(), "series": diag["series"], "summary": diag["summary"]}
-    write_json(json_path, payload)
+    tables = [(csv_path, header, rows)] + [
+        (csv_path.replace(".csv", f".{suffix}.csv"), *table) for suffix, table in extras.items()]
+    written = []
+    try:
+        for path, head, body in tables:
+            write_csv(path, head, body)
+            written.append(path)
+        write_json(json_path, payload)
+    except GStrandsError:
+        for path in written:  # a refused file leaves none of this run's outputs
+            os.unlink(path)
+        raise
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     print(f"wall-time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 0
@@ -132,7 +142,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # overflow ends in a categorized error, not a warning
+            return args.func(args)
+    except MemoryError:
+        print("error category: memory: out of memory", file=sys.stderr)
+        return 1
     except GStrandsError as exc:
         where = ""
         if getattr(exc, "t", None) is not None:

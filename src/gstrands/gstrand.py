@@ -149,14 +149,16 @@ def zcc_rhs(alg: LieAlgebraSpec, f: StrandField, grid: StrandGrid):
     return d_s(f.nu, grid) + bracket(alg, f.nu, f.gamma)
 
 
-def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str) -> tuple:
-    """One classical RK4 step of dy/dt = rhs(*y) over the tuple of arrays y.
+def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str,
+                k1=None) -> tuple:
+    """One classical RK4 step of dy/dt = rhs(*y) over the tuple of arrays y;
+    ``k1``, when given, is rhs(*y) already evaluated.
 
     Under fixed bc the endpoint values of every array are frozen.  A
     non-finite result raises BlowUpError("<what> blew up").
     """
     dt = grid.dt
-    k1 = rhs(*y)
+    k1 = rhs(*y) if k1 is None else k1
     k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
     k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
     k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
@@ -169,6 +171,31 @@ def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str) -> 
         raise BlowUpError(f"{what} blew up", step_index=step_index,
                           t=grid.step_end(step_index))
     return y1
+
+
+def _evolved(state) -> tuple:
+    return tuple(getattr(state, f.name) for f in fields(state)[:-2])
+
+
+def _slaved(slave, cls, y):
+    aux = slave(y)
+    return cls(*y, aux[-1], aux)
+
+
+def slaved_step(slave, rhs, state, grid: StrandGrid, step_index: int | None, what: str):
+    """One RK4 step of a constrained family, whose state's fields are the
+    evolved arrays y, the slaved multiplier and ``aux``.  slave(y) returns
+    aux, a tuple ending with the multiplier, and dy/dt = rhs(*y, aux) at
+    every stage; the accepted state is returned with its own slave(y1).
+
+    Stage 1 reuses ``state.aux`` when a slave set it: the previous accepted
+    state went through the same call on the same arrays, so a step makes 4
+    slaved solves, not 5.
+    """
+    y = _evolved(state)
+    k1 = rhs(*y, slave(y) if state.aux is None else state.aux)
+    y1 = rk4_advance(lambda *stage: rhs(*stage, slave(stage)), y, grid, step_index, what, k1)
+    return _slaved(slave, type(state), y1)
 
 
 class History:
@@ -201,13 +228,14 @@ def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
     """Advance ``state`` (a dataclass of arrays) by ``step_fn(state, k)`` for
     grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
 
-    ``slave(state)``, when given, first completes the initial state with its
-    slaved multiplier.  A LinAlgError inside a step is a BlowUpError, and a
-    SolverError without a location gets the step's; a failure of ``slave``
-    is located at t = 0 with no step index."""
+    ``slave``, when given, is the family's slave of ``slaved_step``, which
+    first completes the initial state; every field but ``aux`` is stored.
+    A LinAlgError inside a step is a BlowUpError, and a SolverError without
+    a location gets the step's; a failure of ``slave`` is located at t = 0
+    with no step index."""
     if slave is not None:
-        state = _located(None, 0.0, slave, state)
-    names = [f.name for f in fields(state)]
+        state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
+    names = [f.name for f in fields(state) if f.name != "aux"]
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):

@@ -183,7 +183,10 @@ def chol_solve_batched(mats, rhs):
 
 def _refined_solve(mats, apply_inv, rhs):
     """x = apply_inv(rhs), one refinement sweep against the dense mats, and
-    a residual check at SOLVE_RTOL relative to max |rhs|."""
+    a residual check at SOLVE_RTOL relative to max |rhs|.  An all-zero rhs
+    (the classical mode's -d_s Q) has the exact solution +0, returned as is."""
+    if not rhs.any():
+        return np.zeros_like(rhs)
     x = apply_inv(rhs)
     resid = rhs - np.einsum("...ij,...j->...i", mats, x)
     x = x + apply_inv(resid)

@@ -25,12 +25,13 @@ over peakons or pairs, O(n_s n_p) work besides the dense G itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
-from .gstrand import History, StrandGrid, centered_dt, d_s, integrate, rk4_advance
+from .gstrand import History, StrandGrid, centered_dt, d_s, integrate, slaved_step
 from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
                       helmholtz_1d_inverse, norm_1, sort_rows, tridiag_norm_1,
                       tridiag_solve_sorted)
@@ -45,6 +46,7 @@ class PeakonState:
     q: np.ndarray   # (n_s, n_p) positions
     mw: np.ndarray  # (n_s, n_p) t-momenta
     nw: np.ndarray  # (n_s, n_p) s-momenta (slaved)
+    aux: tuple | None = field(default=None, repr=False, compare=False)  # (G, N), see step
 
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
@@ -97,13 +99,15 @@ def velocity(state: PeakonState, kernel: HelmholtzKernel, j: int, m):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    q = state.q
-    return _solve_n(kernel, grid, q, _gram_all(kernel, q), sort_rows(q))
+    return _slave(kernel, grid, sort_rows(state.q), None, (state.q,))[1]
 
 
-def _solve_n(kernel, grid, q, gram, sort, step_index=None):
-    """Solve gram N = -d_s Q after the gap check in ``sort`` and the 1-norm
+def _slave(kernel, grid, sort, step_index, y):
+    """(G, N) of the positions q = y[0]: the Gram matrices and the solve of
+    G N = -d_s Q, after the gap check in ``sort`` and the 1-norm
     conditioning check, both in closed form from the tridiagonal inverse."""
+    q = y[0]
+    gram = _gram_all(kernel, q)
     t = grid.step_end(step_index)
     diag, off = helmholtz_1d_inverse(kernel, _ordered_gaps(q, sort, step_index, t))
     cond = norm_1(gram) * tridiag_norm_1(diag, off)
@@ -114,14 +118,13 @@ def _solve_n(kernel, grid, q, gram, sort, step_index=None):
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}",
             step_index=step_index, t=t)
     try:
-        return tridiag_solve_sorted(gram, diag, off, sort, -d_s(q, grid))
+        return gram, tridiag_solve_sorted(gram, diag, off, sort, -d_s(q, grid))
     except NearCollisionError as exc:
         raise NearCollisionError(str(exc), step_index=step_index, t=t) from exc
 
 
-def _rhs(kernel, grid, sort, step_index, q, mw):
-    gram = _gram_all(kernel, q)
-    nw = _solve_n(kernel, grid, q, gram, sort, step_index)
+def _rhs(kernel, grid, q, mw, aux):
+    gram, nw = aux
     grad = _grad_all(kernel, q)
     dq = np.einsum("sab,sb->sa", gram, mw)
     coupling = np.einsum("sa,sb->sab", nw, nw) + np.einsum("sa,sb->sab", mw, mw)
@@ -131,14 +134,13 @@ def _rhs(kernel, grid, sort, step_index, q, mw):
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
          step_index: int | None = None) -> PeakonState:
-    """One RK4 step of the canonical (Q, M) system; N re-solved every stage
-    and once more on the accepted state, each time with the gaps taken in
-    the ascending order of the step-start positions."""
-    sort = sort_rows(state.q)
-    q1, m1 = rk4_advance(lambda q, mw: _rhs(kernel, grid, sort, step_index, q, mw),
-                         (state.q, state.mw), grid, step_index, "peakon state")
-    return PeakonState(q1, m1, _solve_n(kernel, grid, q1, _gram_all(kernel, q1), sort,
-                                        step_index))
+    """One RK4 step of the canonical (Q, M) system with N slaved to every
+    stage and to the accepted state (gstrand.slaved_step), each time with the
+    gaps taken in the ascending order of the step-start positions.  Stage 1
+    reuses ``state.aux``: the previous step checked those gaps in its own
+    start order and found them all positive, so that order is this one."""
+    return slaved_step(partial(_slave, kernel, grid, sort_rows(state.q), step_index),
+                       partial(_rhs, kernel, grid), state, grid, step_index, "peakon state")
 
 
 def s_constraint_residual(state, kernel, grid):
@@ -172,8 +174,7 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
     return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid,
-                     slave=lambda st: PeakonState(st.q, st.mw,
-                                                  solve_n_constraint(st, kernel, grid)))
+                     slave=lambda y: _slave(kernel, grid, sort_rows(y[0]), None, y))
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:

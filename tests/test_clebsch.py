@@ -376,3 +376,66 @@ def test_symm_rigid_momentum_relation_exact():
     # t-momentum relation holds by definition of U
     w_t = hat_so_n(3, vee_so_n(3, u) @ RIGID_LAG.a_t.T)
     assert np.max(np.abs(clebsch._skew(np.swapaxes(q, -1, -2) @ mw) - w_t)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sparse rho tables against the dense einsums they replace
+
+INTEGER_BUILTINS = (["so3", "se3"] + [f"soN({n})" for n in range(3, 9)]
+                    + [f"glN({n})" for n in range(2, 5)])
+REP_SHAPES = [((), ()), ((5,), (5,)), ((3, 5), (3, 5)), ((), (3, 5))]
+
+
+def dense_rep_ops(rho, kappa_inv, xi, v, p):
+    """act, act_dual and diamond as the dense einsums over rho."""
+    return (np.einsum("kab,...k,...b->...a", rho, xi, v),
+            -np.einsum("kba,...k,...b->...a", rho, xi, p),
+            np.einsum("kab,...a,...b->...k", rho, p, v) @ kappa_inv)
+
+
+def sparse_rep_ops(rep, xi, v, p):
+    return clebsch.act(rep, xi, v), clebsch.act_dual(rep, xi, p), clebsch.diamond(rep, v, p)
+
+
+def rep_inputs(rep, xi_shape, v_shape, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(xi_shape + (rep.alg.dim,)),
+            rng.standard_normal(v_shape + (rep.rep_dim,)),
+            rng.standard_normal(v_shape + (rep.rep_dim,)))
+
+
+@pytest.mark.parametrize("shapes", REP_SHAPES, ids=["point", "batch", "batch2", "broadcast"])
+@pytest.mark.parametrize("name", ["defining-so3"] + INTEGER_BUILTINS)
+def test_rep_tables_match_dense_einsum(name, shapes):
+    if name == "defining-so3":
+        rep = REP3
+    else:
+        rep = clebsch.adjoint_rep(liealg.builtin(name))
+    xi, v, p = rep_inputs(rep, *shapes, seed=len(name))
+    got = sparse_rep_ops(rep, xi, v, p)
+    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
+    # per-entry sums of absolute terms (the sign of act_dual's does not matter)
+    bound = dense_rep_ops(np.abs(rep.rho), np.abs(rep.alg.kappa_inv), np.abs(xi), np.abs(v),
+                          np.abs(p))
+    for op, g, w, b in zip(("act", "act_dual", "diamond"), got, want, bound):
+        assert g.shape == w.shape
+        if name.startswith("glN") and op == "act":
+            # einsum sums these rows in an order no sequential sum reproduces
+            assert np.all(np.abs(g - w) <= 1e-14 * np.abs(b)), op
+        else:
+            assert np.array_equal(g, w), op
+
+
+@pytest.mark.parametrize("shapes", REP_SHAPES, ids=["point", "batch", "batch2", "broadcast"])
+def test_rep_tables_non_integer_rep(shapes):
+    rng = np.random.default_rng(8)
+    s = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    rep = clebsch.LinearRepSpec(SO3, 3, s @ REP3.rho @ np.linalg.inv(s))
+    xi, v, p = rep_inputs(rep, *shapes, seed=9)
+    got = sparse_rep_ops(rep, xi, v, p)
+    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
+    bound = dense_rep_ops(np.abs(rep.rho), np.abs(rep.alg.kappa_inv), np.abs(xi), np.abs(v),
+                          np.abs(p))
+    for g, w, b in zip(got, want, bound):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-14 * np.abs(b))

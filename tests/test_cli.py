@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gstrands import cli, config, peakon, scenarios
-from gstrands.errors import ConfigParseError, ConfigValidationError
+from gstrands import cli, config, output, peakon, scenarios
+from gstrands.errors import BlowUpError, ConfigParseError, ConfigValidationError
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -383,3 +385,60 @@ grid:
     assert lines[0] == "t,s,a,Q,M,N"
     value = lines[1].split(",")[3]
     assert float(value) == -2.5
+
+
+# ---------------------------------------------------------------------------
+# nothing but categorized error lines on stderr, and nothing non-finite written
+
+def test_overflow_prints_one_error_line_and_no_warning(tmp_path):
+    # run in a child process: pytest would otherwise collect the warnings
+    cfg = write(tmp_path, "big.yaml", f"output_dir: {tmp_path}\nscenario: cdb_so3\n"
+                "grid: {n_s: 16, dt: 0.005, t_end: 0.05}\n"
+                "initial: {m0: [1.0e+200, 1.0e+200, 0.0]}\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "gstrands.cli", "run", cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error category: blow-up: "), done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_writers_refuse_non_finite_floats(tmp_path, value):
+    json_path, csv_path = tmp_path / "d.json", tmp_path / "t.csv"
+    with pytest.raises(BlowUpError) as exc:
+        output.write_json(str(json_path), {"summary": {"ok": 1.0, "bad": [0.5, value]}})
+    assert f"'{json_path}'" in str(exc.value) and "['summary']['bad'][1]" in str(exc.value)
+    with pytest.raises(BlowUpError) as exc:
+        output.write_csv(str(csv_path), ["t", "x"], iter([[0.0, 1.0], [0.1, value]]))
+    assert f"'{csv_path}'" in str(exc.value) and "row 1, column 'x'" in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_with_a_non_finite_summary_writes_nothing(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "c.yaml", f"output_dir: {tmp_path}\nscenario: chiral_so3\n")
+    diag = {"series": {}, "summary": {"energy_drift": float("nan")}}
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda cfg: (["t", "x"], iter([[0.0, 1.0]]), diag, {}))
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error category: blow-up: non-finite value in" in err
+    assert "['summary']['energy_drift']" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_memory_error_is_categorized(tmp_path, capsys, monkeypatch, command):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(scenarios, "run_scenario", exhausted)
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    cfg = write(tmp_path, "c.yaml", f"output_dir: {tmp_path}\nscenario: chiral_so3\n")
+    assert cli.main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category: memory: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]

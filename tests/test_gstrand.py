@@ -1,9 +1,12 @@
+import dataclasses
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import fit_order
+from conftest import SLAVED_FAMILIES, fit_order, slaved_family
 
-from gstrands import clebsch, gstrand, liealg, peakon
+from gstrands import clebsch, gstrand, kernels, liealg, peakon
 from gstrands.errors import (BlowUpError, DimensionMismatchError, NearCollisionError,
                              ReconstructionRefusedError)
 from gstrands.gstrand import (QuadraticLagrangian, StrandField, StrandGrid,
@@ -438,3 +441,69 @@ def test_integrate_locates_initial_slave_failure(error):
         gstrand.integrate(lambda state, k: state, _state(), grid, slave=slave)
     assert exc.value.step_index is None
     assert exc.value.t == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the slaved step: stage 1 reuses the accepted state's solve
+
+STEPS = 3
+
+
+def _counting(monkeypatch, module, attr):
+    calls = []
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("family", SLAVED_FAMILIES)
+def test_simulate_makes_four_slaved_solves_per_step(monkeypatch, family):
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, STEPS * 5e-3)
+    module, solve, _, state, simulate, _ = slaved_family(family, grid)
+    calls = _counting(monkeypatch, module, solve)
+    simulate(state)
+    # the initial state once, then stages 2-4 and the accepted state
+    assert len(calls) == 1 + 4 * STEPS
+
+
+@pytest.mark.parametrize("family", SLAVED_FAMILIES)
+def test_stage_one_reuse_is_bitwise_a_fresh_solve(family):
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, STEPS * 5e-3)
+    _, _, _, state, simulate, step = slaved_family(family, grid)
+    hist = simulate(state)
+    names = [f.name for f in fields(state) if f.name != "aux"]
+    st = type(state)(*(getattr(hist, n)[0] for n in names))
+    for k in range(STEPS):
+        assert st.aux is None  # so step k solves its stage 1 afresh
+        st = step(st, k)
+        for n in names:
+            assert np.array_equal(getattr(st, n), getattr(hist, n)[k + 1]), (k, n)
+        st = dataclasses.replace(st, aux=None)
+
+
+def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
+    grid = StrandGrid(1, 1.0, 1e-2, 0.2)
+    st = peakon.PeakonState(np.array([[-1.0, 1.0]]), np.array([[0.5, 1.0]]), np.ones((1, 2)))
+    applied = _counting(monkeypatch, peakon, "helmholtz_1d_inverse")
+    hist = peakon.simulate(st, HelmholtzKernel(1.0), grid)
+    assert np.array_equal(hist.nw, np.zeros_like(hist.nw))
+    assert not np.signbit(hist.nw).any()
+    # the gap and conditioning checks still run at every slaved solve
+    assert len(applied) == 1 + 4 * grid.n_steps
+
+
+def test_tridiag_solve_of_zero_rhs_is_positive_zero():
+    k = HelmholtzKernel(1.0)
+    q = np.array([[0.3, -1.0, 2.0], [0.0, 1.0, -2.0]])
+    sort = kernels.sort_rows(q)
+    gaps = np.diff(q.take(sort[0]), axis=1)
+    diag, off = kernels.helmholtz_1d_inverse(k, gaps)
+    gram = kernels.eval(k, q[..., :, None], q[..., None, :])
+    x = kernels.tridiag_solve_sorted(gram, diag, off, sort, -np.zeros_like(q))
+    assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()
+
+    def never(b):
+        raise AssertionError("a zero rhs needs no solve")
+
+    x = kernels._refined_solve(np.full((2, 3, 3), np.nan), never, -np.zeros_like(q))
+    assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()

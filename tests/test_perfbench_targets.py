@@ -1,0 +1,58 @@
+"""The benchmark's traced run wraps library functions where they are looked
+up at call time (perfbench/spans.py, TARGETS).  These tests keep those
+names resolvable and the per-step functions reached through them, without
+importing or changing anything under perfbench/."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import SLAVED_FAMILIES, slaved_family
+
+from gstrands import gstrand, liealg
+from gstrands.gstrand import StrandField, StrandGrid, chiral_lagrangian
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+STEPS = 3
+
+
+def spans_targets():
+    """TARGETS of spans.py, read and executed in a fresh namespace (no
+    bytecode or other file is written)."""
+    namespace = {"__name__": "spans_under_test"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_span_target_resolves_to_a_callable():
+    targets = spans_targets()
+    assert targets
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in targets
+               if not callable(getattr(mod, attr, None))]
+    assert missing == []
+
+
+def _count_calls(monkeypatch, module, attr):
+    calls = []
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("family", SLAVED_FAMILIES)
+def test_simulate_steps_through_the_module_attribute(monkeypatch, family):
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, STEPS * 5e-3)
+    module, _, step_name, state, simulate, _ = slaved_family(family, grid)
+    calls = _count_calls(monkeypatch, module, step_name)
+    simulate(state)
+    assert len(calls) == grid.n_steps == STEPS
+
+
+def test_strand_simulate_steps_through_the_module_attribute(monkeypatch):
+    grid = StrandGrid(8, 2 * np.pi, 5e-3, STEPS * 5e-3)
+    alg = liealg.builtin("so3")
+    s = grid.s_nodes[:, None]
+    f0 = StrandField(0.3 * np.sin(s + [0.0, 1.0, 2.0]), 0.2 * np.cos(s + [0.5, 1.5, 2.5]))
+    calls = _count_calls(monkeypatch, gstrand, "step")
+    gstrand.simulate(alg, chiral_lagrangian(3), f0, grid)
+    assert len(calls) == STEPS

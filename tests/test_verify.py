@@ -288,3 +288,59 @@ def test_action_grid_validation():
         verify.ActionGrid(2, 0.1, 4, 0.1)
     with pytest.raises(Exception):
         verify.ActionGrid(4, 0.1, 5, 0.1)   # odd periodic direction
+
+
+def reference_fd_gradient(action, fields, h_scale=verify.FD_SCALE):
+    """fd_gradient as it was first written: every perturbed evaluation
+    rebuilds the cell views of every field."""
+    g = action.grid
+
+    def cells(flds):
+        views = {s.name: verify._cell_views(action, flds[s.name]) for s in action.fields}
+        tt, ss = np.meshgrid((np.arange(g.n_cells_t) + 0.5) * g.dt,
+                             (np.arange(g.n_cells_s) + 0.5) * g.ds, indexing="ij")
+        return action.integrand(tt, ss, *({n: v[i] for n, v in views.items()} for i in range(3)))
+
+    cii, cjj = np.meshgrid(np.arange(g.n_cells_t), np.arange(g.n_cells_s), indexing="ij")
+    grads = {}
+    for spec in action.fields:
+        base = fields[spec.name]
+        grad = np.zeros_like(base)
+        h_all = h_scale * (1.0 + np.abs(base))
+        for comp in range(spec.ncomp):
+            for pa in (0, 1):
+                for pb in (0, 1):
+                    mask = np.zeros(base.shape[:2])
+                    mask[pa::2, pb::2] = 1.0
+                    h = h_all[..., comp] * mask
+                    fp, fm = base.copy(), base.copy()
+                    fp[..., comp] += h
+                    fm[..., comp] -= h
+                    diff = (cells({**fields, spec.name: fp})
+                            - cells({**fields, spec.name: fm})) * (g.dt * g.ds)
+                    ii = cii + (pa - cii) % 2
+                    jj = cjj + (pb - cjj) % 2
+                    if g.periodic_s:
+                        jj %= g.n_s
+                    np.add.at(grad[..., comp], (ii.ravel(), jj.ravel()),
+                              (diff / (2.0 * h[ii, jj])).ravel())
+        grads[spec.name] = grad
+    return grads
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "fixed"])
+@pytest.mark.parametrize("which", ["linear", "adjoint"])
+def test_fd_gradient_is_bitwise_the_all_views_reference(which, periodic):
+    grid = verify.ActionGrid(5, 0.2, 6 if periodic else 5, 0.3, periodic_s=periodic)
+    if which == "linear":
+        lag = QuadraticLagrangian(np.diag([1.0, 2.0, 3.0]), -np.diag([1.5, 1.0, 0.5]))
+        action = verify.clebsch_linear_action(REP3, lag, grid)
+    else:
+        action = verify.clebsch_adjoint_action(SO3, grid)
+    rng = np.random.default_rng(12)
+    fields = {s.name: rng.standard_normal((grid.n_t, grid.n_s, s.ncomp)) for s in action.fields}
+    got = verify.fd_gradient(action, fields)
+    want = reference_fd_gradient(action, fields)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
