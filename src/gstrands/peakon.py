@@ -127,7 +127,7 @@ def _rhs(kernel, grid, q, mw, aux):
     gram, nw = aux
     grad = _grad_all(kernel, q)
     dq = np.einsum("sab,sb->sa", gram, mw)
-    coupling = np.einsum("sa,sb->sab", nw, nw) + np.einsum("sa,sb->sab", mw, mw)
+    coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
     dm = -d_s(nw, grid) - np.einsum("sab,sab->sa", coupling, grad)
     return dq, dm
 
