@@ -6,8 +6,7 @@ discrete variational stationarity diagnostics."""
 from . import clebsch, config, gstrand, kernels, liealg, peakon, verify
 from .errors import (BlowUpError, ConfigParseError, ConfigValidationError,
                      DimensionMismatchError, GStrandsError, InvalidParameterError,
-                     NearCollisionError, ReconstructionRefusedError,
-                     SingularKernelError)
+                     NearCollisionError, ReconstructionRefusedError)
 from .gstrand import QuadraticLagrangian, StrandField, StrandGrid, chiral_lagrangian
 from .kernels import GramSystem, HelmholtzKernel
 from .liealg import LieAlgebraSpec, builtin
@@ -17,7 +16,7 @@ __all__ = [
     "DimensionMismatchError", "GramSystem", "GStrandsError", "HelmholtzKernel",
     "InvalidParameterError",
     "LieAlgebraSpec", "NearCollisionError", "QuadraticLagrangian",
-    "ReconstructionRefusedError", "SingularKernelError", "StrandField",
+    "ReconstructionRefusedError", "StrandField",
     "StrandGrid", "builtin", "chiral_lagrangian", "clebsch", "config",
     "gstrand", "kernels", "liealg", "peakon", "verify",
 ]

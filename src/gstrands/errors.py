@@ -21,10 +21,6 @@ class InvalidParameterError(GStrandsError):
     category = "validation"
 
 
-class SingularKernelError(GStrandsError):
-    category = "validation"
-
-
 class SolverError(GStrandsError):
     """A failure while stepping.  ``step_index`` is the 0-based step during
     which it was detected and ``t`` the time that step ends at.  The initial

@@ -1,116 +1,61 @@
-"""Green's functions of (1 - alpha^2 Lap) and Gram-matrix machinery.
-
-The 1D and 3D kernels are closed-form; the 2D kernel (a modified Bessel K0
-profile) is an optional extension behind the ``allow_dim2`` flag and uses the
-classical 9.8.5/9.8.6 polynomial fits.
+"""Green's function of (1 - alpha^2 d^2/dx^2) on the line and Gram-matrix
+machinery.
 
 Every Gram solve is one application of an inverse, one refinement sweep
 against the dense matrix and a residual check at SOLVE_RTOL.  General
 systems go through a Cholesky factorization whose substitutions run in a
-fixed loop order.  The 1D kernel at sorted points has a tridiagonal inverse
-in closed form (helmholtz_1d_inverse), applied by elementwise products.
+fixed loop order.  The kernel at sorted points has a tridiagonal inverse in
+closed form (helmholtz_1d_inverse), applied by elementwise products.
 Neither path uses a BLAS call whose summation order depends on threading,
 so repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NearCollisionError, SingularKernelError
+from .errors import InvalidParameterError, NearCollisionError
 
 COND_LIMIT = 1e12
 SOLVE_RTOL = 1e-10
 
-# K0 polynomial fits on (0, 2] and [2, inf); abs error < 1e-7
-_K0_SMALL = (-0.57721566, 0.42278420, 0.23069756, 0.03488590,
-             0.00262698, 0.00010750, 0.00000740)
-_K0_LARGE = (1.25331414, -0.07832358, 0.02189568, -0.01062446,
-             0.00587872, -0.00251540, 0.00053208)
-_I0_SMALL = (1.0, 3.5156229, 3.0899424, 1.2067492,
-             0.2659732, 0.0360768, 0.0045813)
-
-
-def _poly(coeffs, x):
-    out = np.zeros_like(x)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _k0(x):
-    x = np.asarray(x, dtype=float)
-    small = x <= 2.0
-    out = np.empty_like(x)
-    xs = np.where(small, x, 1.0)
-    i0 = _poly(_I0_SMALL, (xs / 3.75) ** 2)
-    out_s = -np.log(xs / 2.0) * i0 + _poly(_K0_SMALL, (xs / 2.0) ** 2)
-    xl = np.where(small, 2.0, x)
-    out_l = np.exp(-xl) / np.sqrt(xl) * _poly(_K0_LARGE, 2.0 / xl)
-    out[...] = np.where(small, out_s, out_l)
-    return out
-
 
 @dataclass(frozen=True)
 class HelmholtzKernel:
-    """Green's function of (1 - alpha^2 Lap) in dimension 1, 2 (optional) or 3."""
+    """Green's function e^{-|x|/alpha} / (2 alpha) of (1 - alpha^2 d^2/dx^2).
+
+    ``dim`` is 1, the only dimension provided: the 2D and 3D Green's
+    functions are infinite at coincident points, so no Gram matrix of point
+    particles exists for them."""
 
     alpha: float
     dim: int = 1
-    allow_dim2: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0.0:
             raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.dim not in (1, 2, 3):
-            raise InvalidParameterError(f"unsupported kernel dimension {self.dim}")
-        if self.dim == 2 and not self.allow_dim2:
-            raise InvalidParameterError("dim=2 kernel is optional; pass allow_dim2=True")
+        if self.dim != 1:
+            raise InvalidParameterError(
+                f"unsupported kernel dimension {self.dim}; only dim=1 is provided")
 
 
-def _separation(k, m, m_prime):
-    m = np.asarray(m, dtype=float)
-    m_prime = np.asarray(m_prime, dtype=float)
-    if k.dim == 1:
-        return np.abs(m - m_prime)
-    return np.linalg.norm(m - m_prime, axis=-1)
+def _difference(m, m_prime):
+    return np.asarray(m, dtype=float) - np.asarray(m_prime, dtype=float)
 
 
 def eval(k: HelmholtzKernel, m, m_prime):
-    """G(m, m') >= 0, monotone decreasing in |m - m'|; batched."""
-    r = _separation(k, m, m_prime)
-    a = k.alpha
-    if k.dim == 1:
-        return np.exp(-r / a) / (2.0 * a)
-    if np.any(r == 0.0):
-        raise SingularKernelError(f"{k.dim}D kernel is singular at coincident points")
-    if k.dim == 3:
-        return np.exp(-r / a) / (4.0 * math.pi * a * a * r)
-    return _k0(r / a) / (2.0 * math.pi * a * a)
+    """G(m, m') > 0, monotone decreasing in |m - m'|; batched."""
+    return np.exp(-np.abs(_difference(m, m_prime)) / k.alpha) / (2.0 * k.alpha)
 
 
 def grad_q(k: HelmholtzKernel, q, q_prime):
-    """d/dq G(q, q'); at q = q' the 1D kernel returns 0 (peakon convention)."""
-    if k.dim == 1:
-        q = np.asarray(q, dtype=float)
-        q_prime = np.asarray(q_prime, dtype=float)
-        d = q - q_prime
-        a = k.alpha
-        # np.sign(0) = 0 realizes the coincidence convention
-        return -np.sign(d) * np.exp(-np.abs(d) / a) / (2.0 * a * a)
-    if k.dim == 3:
-        q = np.asarray(q, dtype=float)
-        q_prime = np.asarray(q_prime, dtype=float)
-        d = q - q_prime
-        r = np.linalg.norm(d, axis=-1)
-        if np.any(r == 0.0):
-            raise SingularKernelError("3D kernel gradient is singular at coincident points")
-        g = eval(k, q, q_prime)
-        return (-g * (1.0 / k.alpha + 1.0 / r) / r)[..., None] * d
-    raise InvalidParameterError("gradient of the 2D kernel is not provided")
+    """d/dq G(q, q'); at q = q' it returns 0 (peakon convention)."""
+    d = _difference(q, q_prime)
+    a = k.alpha
+    # np.sign(0) = 0 realizes the coincidence convention
+    return -np.sign(d) * np.exp(-np.abs(d) / a) / (2.0 * a * a)
 
 
 @dataclass(frozen=True)
@@ -143,9 +88,7 @@ def gram(k: HelmholtzKernel, points) -> GramSystem:
         points = points[None]
     if points.shape[0] < 1:
         raise InvalidParameterError("gram needs at least one point")
-    left = points[:, None] if k.dim == 1 else points[:, None, :]
-    right = points[None, :] if k.dim == 1 else points[None, :, :]
-    matrix = eval(k, left, right)
+    matrix = eval(k, points[:, None], points[None, :])
     return GramSystem(points, matrix, float(_cond_1(matrix)))
 
 
@@ -223,8 +166,6 @@ def helmholtz_1d_inverse(k: HelmholtzKernel, gaps):
 
     Returns (diag (..., n), off (..., n-1)) in sorted order.
     """
-    if k.dim != 1:
-        raise InvalidParameterError("the tridiagonal Gram inverse needs the 1D kernel")
     two_a = 2.0 * k.alpha
     d = -np.expm1((-2.0 / k.alpha) * gaps)
     # 1/d padded with 1 at both ends, where the -1 then cancels
@@ -243,19 +184,17 @@ def tridiag_norm_1(diag, off):
     return col.max(axis=-1)
 
 
-def tridiag_solve_sorted(mats, diag, off, sort, rhs):
+def tridiag_solve_sorted(mats, diag, off, rhs):
     """Solve the (m, n, n) systems mats @ x = rhs (rhs (m, n)) given the
-    tridiagonal inverse (diag, off) of each matrix in the row order of
-    ``sort = sort_rows(points)``: one refinement sweep and the SOLVE_RTOL
+    tridiagonal inverse (diag, off) of each matrix, everything in the
+    ascending order of the points: one refinement sweep and the SOLVE_RTOL
     residual check, as chol_solve_batched."""
-    perm, inv = sort
 
     def apply_inv(b):
-        bs = b.take(perm)
-        ys = diag * bs
-        ys[:, 1:] += off * bs[:, :-1]
-        ys[:, :-1] += off * bs[:, 1:]
-        return ys.take(inv)
+        y = diag * b
+        y[:, 1:] += off * b[:, :-1]
+        y[:, :-1] += off * b[:, 1:]
+        return y
 
     return _refined_solve(mats, apply_inv, np.asarray(rhs, dtype=float))
 

@@ -18,22 +18,24 @@ Every stage of a step is checked in the ascending order of the positions at
 the start of that step, so a crossing that a fixed step hops over shows as
 a negative gap even when no evaluated stage lands within COLLISION_GAP.
 
-The slaved solve uses the tridiagonal closed-form inverse of the 1D Gram
-matrix at sorted positions (kernels.helmholtz_1d_inverse): no Python loop
-over peakons or pairs, O(n_s n_p) work besides the dense G itself.
+Each slaved solve evaluates the kernel once, at the positions taken in that
+ascending order: G, its gradient (a fixed sign pattern times G, since the
+order is strict), and the tridiagonal closed-form inverse of G
+(kernels.helmholtz_1d_inverse), so the solve and the right-hand side use
+no Python loop over peakons or pairs and no second exponential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, StrandGrid, centered_dt, d_s, integrate, slaved_step
 from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
-                      helmholtz_1d_inverse, norm_1, sort_rows, tridiag_norm_1,
+                      helmholtz_1d_inverse, sort_rows, tridiag_norm_1,
                       tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
 from .kernels import chol_solve_batched  # noqa: F401
@@ -46,7 +48,7 @@ class PeakonState:
     q: np.ndarray   # (n_s, n_p) positions
     mw: np.ndarray  # (n_s, n_p) t-momenta
     nw: np.ndarray  # (n_s, n_p) s-momenta (slaved)
-    aux: tuple | None = field(default=None, repr=False, compare=False)  # (G, N), see step
+    aux: tuple | None = field(default=None, repr=False, compare=False)  # see _slave
 
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
@@ -60,12 +62,12 @@ class PeakonState:
         return self.q.shape[1]
 
 
-def _ordered_gaps(q, sort, step_index, t):
-    """Adjacent gaps of q taken in the ascending order ``sort`` of the
-    step-start positions.  A gap under COLLISION_GAP (negative when the pair
-    crossed) raises NearCollisionError naming the pair and the s-index."""
-    perm, n_p = sort[0], q.shape[1]
-    qs = q.take(perm)
+def _ordered_gaps(qs, perm, step_index, t):
+    """Adjacent gaps of the positions qs, taken in the ascending order
+    ``perm`` of the step-start positions.  A gap under COLLISION_GAP
+    (negative when the pair crossed) raises NearCollisionError naming the
+    pair and the s-index."""
+    n_p = qs.shape[1]
     gaps = qs[:, 1:] - qs[:, :-1]
     bad = gaps < COLLISION_GAP
     if bad.any():
@@ -76,6 +78,17 @@ def _ordered_gaps(q, sort, step_index, t):
         raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}",
                                  step_index=step_index, t=t)
     return gaps
+
+
+@lru_cache(maxsize=8)
+def _grad_factor(n_p, alpha):
+    """sign(b - a) / alpha over (a, b): dG/dQ_a(Q_a, Q_b) = G_ab times this
+    at strictly ascending points (0 on the diagonal, the coincidence
+    convention of kernels.grad_q)."""
+    idx = np.arange(n_p)
+    factor = np.sign(idx[None, :] - idx[:, None]) / alpha
+    factor.flags.writeable = False  # one cached array serves every caller
+    return factor
 
 
 def _gram_all(kernel, q):
@@ -99,18 +112,25 @@ def velocity(state: PeakonState, kernel: HelmholtzKernel, j: int, m):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    return _slave(kernel, grid, sort_rows(state.q), None, (state.q,))[1]
+    return _slave(kernel, grid, sort_rows(state.q), None, (state.q,))[-1]
 
 
 def _slave(kernel, grid, sort, step_index, y):
-    """(G, N) of the positions q = y[0]: the Gram matrices and the solve of
-    G N = -d_s Q, after the gap check in ``sort`` and the 1-norm
-    conditioning check, both in closed form from the tridiagonal inverse."""
+    """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
+    the Gram and gradient matrices in the ascending order ``sort`` of the
+    step-start positions, and N solves G N = -d_s Q (N in the original
+    order).  Before the solve come the gap check in that order and the
+    1-norm conditioning check, both in closed form from the tridiagonal
+    inverse.  The strict order makes dG_ab = sign(b - a) G_ab / alpha."""
     q = y[0]
-    gram = _gram_all(kernel, q)
+    perm, inv = sort
     t = grid.step_end(step_index)
-    diag, off = helmholtz_1d_inverse(kernel, _ordered_gaps(q, sort, step_index, t))
-    cond = norm_1(gram) * tridiag_norm_1(diag, off)
+    qs = q.take(perm)
+    gaps = _ordered_gaps(qs, perm, step_index, t)
+    gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
+    diag, off = helmholtz_1d_inverse(kernel, gaps)
+    # G is positive and symmetric, so its 1-norm is its largest row sum
+    cond = gram.sum(axis=-1).max(axis=-1) * tridiag_norm_1(diag, off)
     ok = cond <= COND_LIMIT
     if not ok.all():
         j = int(np.argmin(ok))
@@ -118,18 +138,21 @@ def _slave(kernel, grid, sort, step_index, y):
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}",
             step_index=step_index, t=t)
     try:
-        return gram, tridiag_solve_sorted(gram, diag, off, sort, -d_s(q, grid))
+        ns = tridiag_solve_sorted(gram, diag, off, (-d_s(q, grid)).take(perm))
     except NearCollisionError as exc:
         raise NearCollisionError(str(exc), step_index=step_index, t=t) from exc
+    return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns.take(inv)
 
 
 def _rhs(kernel, grid, q, mw, aux):
-    gram, nw = aux
-    grad = _grad_all(kernel, q)
-    dq = np.einsum("sab,sb->sa", gram, mw)
-    coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
-    dm = -d_s(nw, grid) - np.einsum("sab,sab->sa", coupling, grad)
-    return dq, dm
+    """(dQ, dM) from the tables of _slave: dQ = G M and the force
+    sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a, both
+    summed in sorted order."""
+    (perm, inv), gram, grad, nw = aux
+    ms, ns = mw.take(perm), nw.take(perm)
+    dq = np.einsum("sab,sb->sa", gram, ms)
+    force = ns * np.einsum("sab,sb->sa", grad, ns) + ms * np.einsum("sab,sb->sa", grad, ms)
+    return dq.take(inv), -d_s(nw, grid) - force.take(inv)
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
@@ -137,9 +160,12 @@ def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
     """One RK4 step of the canonical (Q, M) system with N slaved to every
     stage and to the accepted state (gstrand.slaved_step), each time with the
     gaps taken in the ascending order of the step-start positions.  Stage 1
-    reuses ``state.aux``: the previous step checked those gaps in its own
-    start order and found them all positive, so that order is this one."""
-    return slaved_step(partial(_slave, kernel, grid, sort_rows(state.q), step_index),
+    reuses ``state.aux``, and with it that state's order: the previous step
+    checked those gaps in its own start order and found them all positive,
+    so the positions are strictly ascending in it and their argsort is that
+    order.  A state built by hand (``aux`` None) is sorted here."""
+    sort = sort_rows(state.q) if state.aux is None else state.aux[0]
+    return slaved_step(partial(_slave, kernel, grid, sort, step_index),
                        partial(_rhs, kernel, grid), state, grid, step_index, "peakon state")
 
 
@@ -199,15 +225,25 @@ def compatibility_residual(hist: History, kernel, grid) -> float:
 
     the evaluation of the zero-curvature defect along the peakon orbit.
     """
+    return float(np.max(np.abs(_compatibility_sum(hist, kernel, grid))))
+
+
+def _compatibility_sum(hist, kernel, grid):
+    """The sum of compatibility_residual per interior slice, s-index and
+    peakon, with both double sums factored into matrix-vector products:
+    O(n_s n_p^2) per slice."""
     dtn = centered_dt(hist, hist.nw)
     q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
     gram = _gram_all(kernel, q)
     grad = _grad_all(kernel, q)
-    lead = np.einsum("tsab,tsb->tsa", gram, dtn + d_s(mw, grid, axis=1))
-    mn = np.einsum("tsb,tsc->tsbc", mw, nw)
-    anti = mn - np.swapaxes(mn, -1, -2)
-    # G(Q_a,Q_b) gq(Q_a,Q_c): indices (a,b) on gram, (a,c) on grad
-    term1 = np.einsum("tsbc,tsab,tsac->tsa", anti, gram, grad)
-    # G(Q_b,Q_c) gq(Q_b,Q_a): (b,c) on gram, grad at (Q_b, Q_a) = grad[b, a]
-    term2 = np.einsum("tsbc,tsbc,tsba->tsa", anti, gram, grad)
-    return float(np.max(np.abs(lead + term1 - term2)))
+
+    def times(mat, v):
+        return np.einsum("tsab,tsb->tsa", mat, v)
+
+    lead = times(gram, dtn + d_s(mw, grid, axis=1))
+    gm, gn = times(gram, mw), times(gram, nw)
+    # sum_bc (M_b N_c - N_b M_c) G_ab dG_ac = (G M)_a (dG N)_a - (G N)_a (dG M)_a
+    term1 = gm * times(grad, nw) - gn * times(grad, mw)
+    # sum_bc (M_b N_c - N_b M_c) G_bc dG_ba = sum_b dG_ba (M_b (G N)_b - N_b (G M)_b)
+    term2 = np.einsum("tsba,tsb->tsa", grad, mw * gn - nw * gm)
+    return lead + term1 - term2

@@ -495,11 +495,10 @@ def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
 def test_tridiag_solve_of_zero_rhs_is_positive_zero():
     k = HelmholtzKernel(1.0)
     q = np.array([[0.3, -1.0, 2.0], [0.0, 1.0, -2.0]])
-    sort = kernels.sort_rows(q)
-    gaps = np.diff(q.take(sort[0]), axis=1)
-    diag, off = kernels.helmholtz_1d_inverse(k, gaps)
-    gram = kernels.eval(k, q[..., :, None], q[..., None, :])
-    x = kernels.tridiag_solve_sorted(gram, diag, off, sort, -np.zeros_like(q))
+    qs = q.take(kernels.sort_rows(q)[0])
+    diag, off = kernels.helmholtz_1d_inverse(k, np.diff(qs, axis=1))
+    gram = kernels.eval(k, qs[..., :, None], qs[..., None, :])
+    x = kernels.tridiag_solve_sorted(gram, diag, off, -np.zeros_like(q))
     assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()
 
     def never(b):

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstrands import kernels
-from gstrands.errors import InvalidParameterError, NearCollisionError, SingularKernelError
+from gstrands.errors import InvalidParameterError, NearCollisionError
 
 K1 = kernels.HelmholtzKernel(1.0, 1)
-K3 = kernels.HelmholtzKernel(1.0, 3)
 
 
 def discrete_green_1d(alpha=1.0, h=1e-3, extent=20.0):
@@ -43,24 +42,6 @@ def test_eval_symmetric():
     rng = np.random.default_rng(0)
     xs, ys = rng.uniform(-5, 5, (2, 100))
     assert np.array_equal(kernels.eval(K1, xs, ys), kernels.eval(K1, ys, xs))
-
-
-def test_eval_3d_closed_form():
-    p = np.zeros(3)
-    q = np.array([1.0, 0.0, 0.0])
-    val = kernels.eval(K3, p, q)
-    assert abs(val - math.exp(-1.0) / (4.0 * math.pi)) < 1e-12
-    # radial check: (1 - Lap) annihilates the kernel away from the source
-    r = np.linspace(0.5, 4.0, 2000)
-    g = np.exp(-r) / (4 * math.pi * r)
-    h = r[1] - r[0]
-    lap = np.gradient(r**2 * np.gradient(g, h), h) / r**2
-    assert np.max(np.abs((g - lap)[2:-2])) < 1e-4
-
-
-def test_eval_3d_singular_at_coincidence():
-    with pytest.raises(SingularKernelError):
-        kernels.eval(K3, np.zeros(3), np.zeros(3))
 
 
 def test_grad_q_matches_central_difference():
@@ -152,8 +133,10 @@ def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
     pts = shuffled_rows(rng, 5, n, alpha, 0.5, 2.0)
     mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
     rhs = rng.standard_normal((5, n))
-    srt, (diag, off) = sorted_inverse(k, pts)
-    x = kernels.tridiag_solve_sorted(mats, diag, off, srt, rhs)
+    (perm, inv), (diag, off) = sorted_inverse(k, pts)
+    sorted_pts = pts.take(perm)
+    sorted_mats = kernels.eval(k, sorted_pts[:, :, None], sorted_pts[:, None, :])
+    x = kernels.tridiag_solve_sorted(sorted_mats, diag, off, rhs.take(perm)).take(inv)
     for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
                    kernels.chol_solve_batched(mats, rhs)):
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -170,11 +153,6 @@ def test_tridiagonal_inverse_condition_matches_cond_1(n):
         _, (diag, off) = sorted_inverse(k, pts)
         cond = kernels.norm_1(mats) * kernels.tridiag_norm_1(diag, off)
         assert np.max(np.abs(cond / kernels._cond_1(mats) - 1.0)) <= 1e-10
-
-
-def test_tridiagonal_inverse_refuses_non_1d_kernel():
-    with pytest.raises(InvalidParameterError):
-        kernels.helmholtz_1d_inverse(K3, np.ones((1, 2)))
 
 
 def test_quadrature_identity_second_order():
@@ -194,24 +172,11 @@ def test_quadrature_identity_second_order():
     assert math.log2(e1 / e2) >= 1.9
 
 
-def test_dim2_kernel_behind_flag():
-    with pytest.raises(InvalidParameterError):
-        kernels.HelmholtzKernel(1.0, 2)
-    k2 = kernels.HelmholtzKernel(1.0, 2, allow_dim2=True)
-    # spot check against the modified Bessel profile via its integral identity:
-    # (1 - Lap) G = 0 away from the origin, checked radially
-    r = np.linspace(0.4, 3.0, 400)
-    pts = np.stack([r, np.zeros_like(r)], axis=1)
-    g = kernels.eval(k2, pts, np.zeros(2))
-    h = r[1] - r[0]
-    lap = np.gradient(r * np.gradient(g, h), h) / r
-    assert np.max(np.abs((g - lap)[3:-3])) < 5e-3
-    with pytest.raises(SingularKernelError):
-        kernels.eval(k2, np.zeros(2), np.zeros(2))
-
-
 def test_invalid_kernel_parameters():
     with pytest.raises(InvalidParameterError):
         kernels.HelmholtzKernel(-1.0, 1)
     with pytest.raises(InvalidParameterError):
         kernels.HelmholtzKernel(1.0, 4)
+    for dim in (2, 3):  # their Green's functions are infinite on the Gram diagonal
+        with pytest.raises(InvalidParameterError):
+            kernels.HelmholtzKernel(1.0, dim)

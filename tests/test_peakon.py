@@ -4,7 +4,7 @@ from conftest import fit_order
 
 from gstrands import kernels, peakon
 from gstrands.errors import NearCollisionError
-from gstrands.gstrand import StrandGrid
+from gstrands.gstrand import History, StrandGrid, centered_dt, d_s
 from gstrands.kernels import HelmholtzKernel
 
 K1 = HelmholtzKernel(1.0, 1)
@@ -196,6 +196,111 @@ def test_one_gram_build_per_stage(monkeypatch):
     monkeypatch.setattr(peakon, "kernel_eval", lambda *a: calls.append(1) or real(*a))
     peakon.step(st, K1, grid, step_index=0)
     assert len(calls) == 5
+
+
+def test_simulate_sorts_the_positions_once(monkeypatch):
+    # every later step takes its order from the accepted state's tables
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, 3 * 5e-3)
+    calls = []
+    real = peakon.sort_rows
+    monkeypatch.setattr(peakon, "sort_rows", lambda q: calls.append(1) or real(q))
+    peakon.simulate(two_peakon_wave(grid), K1, grid)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the stage tables of the slaved solve, against the dense original-order oracles
+
+def shuffled_positions(rng, n_s, n_p):
+    """Rows of n_p positions 0.3-2 apart, each row in a random order."""
+    pts = np.cumsum(rng.uniform(0.3, 2.0, (n_s, n_p)), axis=1) - n_p
+    return np.stack([rng.permutation(row) for row in pts])
+
+
+def sorted_oracle(mats, perm):
+    """(n_s, n_p, n_p) mats with rows and columns in the order of ``perm``."""
+    order = perm % mats.shape[-1]
+    return np.take_along_axis(np.take_along_axis(mats, order[:, :, None], 1),
+                              order[:, None, :], 2)
+
+
+STAGE_SHAPES = [(n_s, n_p) for n_s in (1, 16) for n_p in (1, 2, 32)]
+
+
+@pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
+    k = HelmholtzKernel(alpha)
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
+    q = shuffled_positions(np.random.default_rng(n_s * 100 + n_p), n_s, n_p)
+    sort = kernels.sort_rows(q)
+    tables, gram, grad, nw = peakon._slave(k, grid, sort, None, (q,))
+    assert tables is sort
+    assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), sort[0]))
+    oracle = sorted_oracle(peakon._grad_all(k, q), sort[0])
+    # G / alpha and grad_q's e / (2 alpha^2) each round twice
+    ulps = np.abs(grad - oracle) / np.spacing(np.abs(oracle))
+    assert ulps.max() <= (0.0 if alpha == 1.0 else 2.0)
+    diagonal = np.diagonal(grad, axis1=1, axis2=2)
+    assert np.array_equal(diagonal, np.zeros_like(diagonal)) and not np.signbit(diagonal).any()
+    expected = kernels.chol_solve_batched(peakon._gram_all(k, q), -d_s(q, grid))
+    assert np.max(np.abs(nw - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
+
+
+@pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
+def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
+    rng = np.random.default_rng(7 + n_s * 100 + n_p)
+    q = shuffled_positions(rng, n_s, n_p)
+    mw, nw = rng.standard_normal((2, n_s, n_p))
+    aux = peakon._slave(K1, grid, kernels.sort_rows(q), None, (q,))[:-1] + (nw,)
+    gram, grad = peakon._gram_all(K1, q), peakon._grad_all(K1, q)
+    coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
+    dq_oracle = np.einsum("sab,sb->sa", gram, mw)
+    dm_oracle = -d_s(nw, grid) - np.einsum("sab,sab->sa", coupling, grad)
+    dq_scale = np.einsum("sab,sb->sa", gram, np.abs(mw))
+    dm_scale = np.abs(d_s(nw, grid)) + np.einsum("sab,sab->sa", np.abs(coupling), np.abs(grad))
+
+    def refuse(*args):
+        raise AssertionError("the right-hand side evaluates no kernel")
+
+    monkeypatch.setattr(peakon, "kernel_eval", refuse)
+    monkeypatch.setattr(peakon, "grad_q", refuse)
+    dq, dm = peakon._rhs(K1, grid, q, mw, aux)
+    assert np.all(np.abs(dq - dq_oracle) <= 1e-14 * dq_scale)
+    assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
+
+
+def compatibility_oracle(hist, kernel, grid):
+    """The compatibility sum of peakon.compatibility_residual as the direct
+    three-operand double sums, and the same sums of absolute values."""
+    dtn = centered_dt(hist, hist.nw)
+    q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
+    gram, grad = peakon._gram_all(kernel, q), peakon._grad_all(kernel, q)
+    lead_rhs = dtn + d_s(mw, grid, axis=1)
+    mn = np.einsum("tsb,tsc->tsbc", mw, nw)
+    anti = mn - np.swapaxes(mn, -1, -2)
+
+    def sums(f):
+        return (np.einsum("tsab,tsb->tsa", f(gram), f(lead_rhs)),
+                np.einsum("tsbc,tsab,tsac->tsa", f(anti), f(gram), f(grad)),
+                np.einsum("tsbc,tsbc,tsba->tsa", f(anti), f(gram), f(grad)))
+
+    lead, term1, term2 = sums(np.asarray)
+    return lead + term1 - term2, sum(sums(np.abs))
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 32])
+def test_factored_compatibility_sum_matches_the_double_sums(n_p):
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 1.0)
+    rng = np.random.default_rng(n_p)
+    q = np.stack([shuffled_positions(rng, 16, n_p) for _ in range(6)])
+    mw, nw = rng.standard_normal((2, 6, 16, n_p))
+    hist = History(np.arange(6) * 0.01, q=q, mw=mw, nw=nw)
+    oracle, scale = compatibility_oracle(hist, K1, grid)
+    got = peakon._compatibility_sum(hist, K1, grid)
+    assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
+    assert peakon.compatibility_residual(hist, K1, grid) == np.max(np.abs(got))
 
 
 # ---------------------------------------------------------------------------
