@@ -46,7 +46,7 @@ def _difference(m, m_prime):
 
 
 def eval(k: HelmholtzKernel, m, m_prime):
-    """G(m, m') > 0, monotone decreasing in |m - m'|; batched."""
+    """G(m, m') >= 0, monotone decreasing in |m - m'|; batched."""
     return np.exp(-np.abs(_difference(m, m_prime)) / k.alpha) / (2.0 * k.alpha)
 
 

@@ -129,7 +129,7 @@ def _slave(kernel, grid, sort, step_index, y):
     gaps = _ordered_gaps(qs, perm, step_index, t)
     gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
     diag, off = helmholtz_1d_inverse(kernel, gaps)
-    # G is positive and symmetric, so its 1-norm is its largest row sum
+    # G is nonnegative and symmetric, so its 1-norm is its largest row sum
     cond = gram.sum(axis=-1).max(axis=-1) * tridiag_norm_1(diag, off)
     ok = cond <= COND_LIMIT
     if not ok.all():
