@@ -34,7 +34,13 @@ class LinearRepSpec:
 
     ``act_table``, ``dual_table`` and ``diamond_table`` are the sparse forms
     of rho (liealg._contraction_table) that ``act``, ``act_dual`` and
-    ``diamond`` contract with, in the dense einsums' summation orders."""
+    ``diamond`` contract with, in the dense einsums' summation orders.
+    ``liealg._contract`` works in a (coords, points) layout: one gather per
+    operand for all of a table's columns, then the columns summed in order,
+    over blocks of at most ``liealg._BLOCK`` gathered entries so that the
+    temporaries of a whole history stay cache-sized.  The output has the
+    table's own size (rep_dim for ``act``/``act_dual``, dim for
+    ``diamond``), and only the leading axes broadcast."""
 
     alg: LieAlgebraSpec
     rep_dim: int
@@ -76,14 +82,22 @@ def adjoint_rep(alg: LieAlgebraSpec) -> LinearRepSpec:
     return LinearRepSpec(alg, alg.dim, rho)
 
 
+def _action_operands(rep: LinearRepSpec, xi, v):
+    xi = np.asarray(xi, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if xi.shape[-1] != rep.alg.dim or v.shape[-1] != rep.rep_dim:
+        raise DimensionMismatchError("action arguments must have dim and rep_dim coordinates")
+    return xi, v
+
+
 def act(rep: LinearRepSpec, xi, v):
     """rho(xi) v, batched."""
-    return _contract(rep.act_table, np.asarray(xi, dtype=float), np.asarray(v, dtype=float))
+    return _contract(rep.act_table, *_action_operands(rep, xi, v))
 
 
 def act_dual(rep: LinearRepSpec, xi, p):
     """Dual action -rho(xi)^T p, batched."""
-    return -_contract(rep.dual_table, np.asarray(xi, dtype=float), np.asarray(p, dtype=float))
+    return -_contract(rep.dual_table, *_action_operands(rep, xi, p))
 
 
 def diamond(rep: LinearRepSpec, v, p):

@@ -7,13 +7,15 @@ arrays with the coordinate axis last, so a strand field of shape
 
 ``bracket`` and ``ad_star`` contract through sparse index tables built once
 from the nonzero structure constants, so a point costs O(nnz) multiply-adds
-rather than O(dim^3); the dense ``c`` stays the constructor input.
+rather than O(dim^3); the dense ``c`` stays the constructor input.  ``pair``
+contracts through the one-row table of kappa.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,8 @@ class LieAlgebraSpec:
     ``basis_matrices``, when present, is a faithful matrix representation
     (stacked along axis 0) used for group reconstruction.
     ``bracket_table`` and ``coad_table`` are the sparse forms of ``c`` that
-    ``bracket`` and ``ad_star`` contract with (see ``_contraction_table``).
+    ``bracket`` and ``ad_star`` contract with, and ``pair_table`` the one-row
+    form of kappa that ``pair`` contracts with (see ``_contraction_table``).
     """
 
     dim: int
@@ -43,6 +46,7 @@ class LieAlgebraSpec:
     kappa_inv: np.ndarray = field(init=False, repr=False)
     bracket_table: tuple = field(init=False, repr=False)
     coad_table: tuple = field(init=False, repr=False)
+    pair_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -61,40 +65,91 @@ class LieAlgebraSpec:
         # Both orders are the dense einsums' summation orders.
         object.__setattr__(self, "bracket_table", _contraction_table(c))
         object.__setattr__(self, "coad_table", _contraction_table(c.transpose(2, 0, 1)))
+        object.__setattr__(self, "pair_table", _contraction_table(kappa[None]))
 
 
-def _contraction_table(t):
+class _Table(NamedTuple):
     """Sparse form of out[..., o] = sum_ab t[o, a, b] x[..., a] y[..., b].
 
-    Three (dim, width) tables A, B, V: row o lists the nonzero t[o, a, b]
-    as A[o] = a, B[o] = b, V[o] = t[o, a, b] in (a, b) order, padded with
-    zero values to the widest row (at least one column).  Returned as the
-    tuple of columns (A[:, w], B[:, w], V[:, w]), each a contiguous array.
+    Row o lists the nonzero t[o, a, b] in (a, b) order, zero-padded (index 0)
+    to the widest row, at least one column.  Flat entry w * d + o is column w
+    of row o; ``val`` is a (width * d, 1) column that scales gathered rows.
     """
+
+    idx_a: np.ndarray
+    idx_b: np.ndarray
+    val: np.ndarray
+    width: int
+    d: int
+
+
+def _contraction_table(t) -> _Table:
+    """The ``_Table`` of a (d, n_a, n_b) coefficient array."""
     o, a, b = np.nonzero(t)
-    counts = np.bincount(o, minlength=t.shape[0])
+    d = t.shape[0]
+    counts = np.bincount(o, minlength=d)
     col = np.arange(o.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (max(int(counts.max(initial=0)), 1), t.shape[0])
-    idx_a = np.zeros(shape, dtype=np.intp)
-    idx_b = np.zeros(shape, dtype=np.intp)
-    val = np.zeros(shape)
-    idx_a[col, o], idx_b[col, o], val[col, o] = a, b, t[o, a, b]
-    return tuple(zip(idx_a, idx_b, val))
+    width = max(int(counts.max(initial=0)), 1)
+    flat = col * d + o
+    idx_a = np.zeros(width * d, dtype=np.intp)
+    idx_b = np.zeros(width * d, dtype=np.intp)
+    val = np.zeros((width * d, 1))
+    idx_a[flat], idx_b[flat], val[flat, 0] = a, b, t[o, a, b]
+    return _Table(idx_a, idx_b, val, width, d)
 
 
-def _contract(columns, x, y):
-    """Sum over the table's columns, one at a time, so every temporary has
-    the shape of the inputs.  The value multiplies before y, so a padded
-    zero stays zero for any finite x and y."""
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    out = np.zeros(x.shape)
-    for a, b, v in columns:
-        term = x.take(a, axis=-1)
-        term *= v
-        term *= y.take(b, axis=-1)
-        out += term
+# Gathered entries per block of points: the temporaries stay near 512 KB.
+# One gather over a whole history (soN(8): 39 x 128 points, 13 MB) falls out
+# of cache and is slower.
+_BLOCK = 1 << 16
+
+
+def _contract_block(table, xt, yt, buf):
+    """Contract (coords, points) operands into a (d, points) result: one
+    gather per operand for all columns, into buf[0] and buf[1], then the
+    columns summed in order.  The value multiplies before y, so a padded zero
+    stays zero for any finite x and y; seeding with 0.0 + the first column
+    turns -0.0 into +0.0, as adding to zeros did."""
+    idx_a, idx_b, val, width, d = table
+    terms = xt.take(idx_a, axis=0, out=buf[0], mode="clip")
+    terms *= val
+    terms *= yt.take(idx_b, axis=0, out=buf[1], mode="clip")
+    out = np.add(0.0, terms[:d])
+    for w in range(d, width * d, d):
+        out += terms[w:w + d]
     return out
+
+
+def _contract(table, x, y):
+    """out[..., o] = sum_ab t[o, a, b] x[..., a] y[..., b] for the ``_Table``
+    of t, broadcast over the leading axes; the output has the table's d
+    coordinates and is C-contiguous.  Every point sums the columns in the
+    order of a per-column loop, so the result is bitwise that loop's,
+    whatever the blocking.  The gathers clip their indices, so callers check
+    the coordinate counts."""
+    lead = x.shape[:-1]
+    if lead != y.shape[:-1]:
+        lead = np.broadcast_shapes(lead, y.shape[:-1])
+        x = np.broadcast_to(x, lead + x.shape[-1:])
+        y = np.broadcast_to(y, lead + y.shape[-1:])
+    xt = x.reshape(-1, x.shape[-1]).T
+    yt = y.reshape(-1, y.shape[-1]).T
+    n = xt.shape[1]
+    size = table.idx_a.size
+    step = max(_BLOCK // size, 1)
+    # Both gathers share one allocation that every block reuses: two
+    # block-sized temporaries freed together went back to the OS and were
+    # page-faulted in again on the next call, which cost more than the work.
+    if n <= step:
+        out = _contract_block(table, xt, yt, np.empty((2, size, n))).T.copy()
+    else:
+        out = np.empty((n, table.d))
+        buf = np.empty(2 * size * step)
+        for s in range(0, n, step):
+            m = min(step, n - s)
+            out[s:s + m] = _contract_block(table, xt[:, s:s + m], yt[:, s:s + m],
+                                           buf[:2 * size * m].reshape(2, size, m)).T
+    return out.reshape(lead + (table.d,))
 
 
 def _check_coords(spec, *elements):
@@ -125,7 +180,8 @@ def pair(spec: LieAlgebraSpec, mu, xi):
     mu = np.asarray(mu, dtype=float)
     xi = np.asarray(xi, dtype=float)
     _check_coords(spec, mu, xi)
-    return np.einsum("...i,ij,...j->...", mu, spec.kappa, xi)
+    # [()] makes a point's 0-d result a scalar
+    return _contract(spec.pair_table, mu, xi)[..., 0][()]
 
 
 def jacobi_residual(spec: LieAlgebraSpec) -> float:

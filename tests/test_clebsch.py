@@ -439,3 +439,33 @@ def test_rep_tables_non_integer_rep(shapes):
     for g, w, b in zip(got, want, bound):
         assert g.shape == w.shape
         assert np.all(np.abs(g - w) <= 1e-14 * np.abs(b))
+
+
+def rep_dim_cases():
+    """Reps whose rep_dim differs from the algebra's dim."""
+    gl2 = liealg.builtin("glN(2)")
+    return {"glN(2)-on-R2": clebsch.LinearRepSpec(gl2, 2, gl2.basis_matrices),
+            "so3-trivial": clebsch.LinearRepSpec(SO3, 1, np.zeros((3, 1, 1)))}
+
+
+@pytest.mark.parametrize("shapes", REP_SHAPES, ids=["point", "batch", "batch2", "broadcast"])
+@pytest.mark.parametrize("name", ["glN(2)-on-R2", "so3-trivial"])
+def test_rep_tables_when_rep_dim_differs_from_dim(name, shapes):
+    rep = rep_dim_cases()[name]
+    xi, v, p = rep_inputs(rep, *shapes, seed=13)
+    got = sparse_rep_ops(rep, xi, v, p)
+    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
+    lead = np.broadcast_shapes(shapes[0], shapes[1])
+    for g, w, d in zip(got, want, (rep.rep_dim, rep.rep_dim, rep.alg.dim)):
+        assert g.shape == w.shape == lead + (d,)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("op", ["act", "act_dual"])
+def test_action_refuses_wrong_coordinate_counts(op):
+    fn = getattr(clebsch, op)
+    gl2 = rep_dim_cases()["glN(2)-on-R2"]
+    for xi, v in ((np.zeros(3), np.zeros(2)), (np.zeros(5), np.zeros(2)),
+                  (np.zeros(4), np.zeros(1)), (np.zeros(4), np.zeros(3))):
+        with pytest.raises(DimensionMismatchError):
+            fn(gl2, xi, v)

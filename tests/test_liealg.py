@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstrands import liealg
+from gstrands import clebsch, liealg
 from gstrands.errors import DimensionMismatchError, UnsupportedAlgebraError
 
 SO3 = liealg.builtin("so3")
@@ -211,3 +211,110 @@ def test_closed_form_constants_match_matrix_commutators(name):
     oracle = liealg.structure_constants_from_matrices(spec.basis_matrices)
     assert np.max(np.abs(spec.c - oracle)) <= 1e-15
     assert liealg.jacobi_residual(spec) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocked contraction against the per-column loop it replaced
+
+def column_table(t):
+    """The per-column table: a tuple of (A[:, w], B[:, w], V[:, w]) columns,
+    row o listing the nonzero t[o, a, b] in (a, b) order, zero-padded."""
+    o, a, b = np.nonzero(t)
+    counts = np.bincount(o, minlength=t.shape[0])
+    col = np.arange(o.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (max(int(counts.max(initial=0)), 1), t.shape[0])
+    idx_a = np.zeros(shape, dtype=np.intp)
+    idx_b = np.zeros(shape, dtype=np.intp)
+    val = np.zeros(shape)
+    idx_a[col, o], idx_b[col, o], val[col, o] = a, b, t[o, a, b]
+    return tuple(zip(idx_a, idx_b, val))
+
+
+def column_contract(columns, x, y, d):
+    """One column at a time, zeros += x[a] * v * y[b]: the oracle's order."""
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    x = np.broadcast_to(x, lead + x.shape[-1:])
+    y = np.broadcast_to(y, lead + y.shape[-1:])
+    out = np.zeros(lead + (d,))
+    for a, b, v in columns:
+        term = x.take(a, axis=-1)
+        term *= v
+        term *= y.take(b, axis=-1)
+        out += term
+    return out
+
+
+def spec_tables(name):
+    """(table, dense t) of every contraction a builtin and its adjoint rep use."""
+    spec = liealg.builtin(name)
+    rep = clebsch.adjoint_rep(spec)
+    return {"bracket": (spec.bracket_table, spec.c),
+            "coad": (spec.coad_table, spec.c.transpose(2, 0, 1)),
+            "pair": (spec.pair_table, spec.kappa[None]),
+            "act": (rep.act_table, rep.rho.transpose(1, 0, 2)),
+            "act_dual": (rep.dual_table, rep.rho.transpose(2, 0, 1)),
+            "diamond": (rep.diamond_table, rep.rho)}
+
+
+def seeded_operand(rng, lead, k, fill):
+    """Random entries with the first point all -0.0 and, for "inf", the last
+    point's first coordinate infinite (0 * inf makes NaN in padded terms)."""
+    a = rng.standard_normal(lead + (k,))
+    flat = a.reshape(-1, k)
+    flat[0] = -0.0
+    if fill == "inf":
+        flat[-1, 0] = np.inf
+    return a
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("fill", ["signed-zero", "inf"])
+@pytest.mark.parametrize("shapes", [((), ()), ((1,), (1,)), ((128,), (128,)),
+                                    ((39, 128), (39, 128)), ((5, 1), (1, 7))],
+                         ids=["point", "one", "strand", "history", "broadcast"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_blocked_contract_is_bitwise_the_column_loop(name, shapes, fill):
+    rng = np.random.default_rng(len(name) + len(shapes[0]))
+    for op, (table, t) in spec_tables(name).items():
+        x = seeded_operand(rng, shapes[0], t.shape[1], fill)
+        y = seeded_operand(rng, shapes[1], t.shape[2], "signed-zero")
+        with np.errstate(invalid="ignore"):
+            got = liealg._contract(table, x, y)
+            want = column_contract(column_table(t), x, y, t.shape[0])
+        assert got.shape == want.shape, op
+        assert got.flags.c_contiguous, op
+        assert np.array_equal(bits(got), bits(want)), op
+
+
+def test_history_spans_several_blocks():
+    # the soN(8) history case above must take the blocked path
+    spec = liealg.builtin("soN(8)")
+    for table in (spec.bracket_table, spec.coad_table):
+        assert 39 * 128 * table.idx_a.size > 2 * liealg._BLOCK
+
+
+def test_contract_of_empty_batch():
+    x = np.zeros((0, 3))
+    assert liealg.bracket(SO3, x, x).shape == (0, 3)
+    assert liealg.pair(SO3, x, x).shape == (0,)
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((5,), (5,)), ((3, 5), (3, 5)), ((), (3, 5))],
+                         ids=["point", "batch", "history", "broadcast"])
+@pytest.mark.parametrize("name", BUILTINS + ["kappa"])
+def test_pair_matches_dense_einsum(name, shapes):
+    spec = skewed_kappa_se3() if name == "kappa" else liealg.builtin(name)
+    rng = np.random.default_rng(31)
+    mu = rng.standard_normal(shapes[0] + (spec.dim,))
+    xi = rng.standard_normal(shapes[1] + (spec.dim,))
+    got = liealg.pair(spec, mu, xi)
+    want = np.einsum("...i,ij,...j->...", mu, spec.kappa, xi)
+    assert np.shape(got) == np.shape(want) and type(got) is type(want)
+    if name == "kappa":
+        scale = np.einsum("...i,ij,...j->...", np.abs(mu), np.abs(spec.kappa), np.abs(xi))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    else:
+        assert np.array_equal(got, want)
