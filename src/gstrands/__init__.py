@@ -6,17 +6,15 @@ discrete variational stationarity diagnostics."""
 from . import clebsch, config, gstrand, kernels, liealg, peakon, verify
 from .errors import (BlowUpError, ConfigParseError, ConfigValidationError,
                      DimensionMismatchError, GStrandsError, InvalidParameterError,
-                     NearCollisionError, ReconstructionRefusedError)
+                     NearCollisionError)
 from .gstrand import QuadraticLagrangian, StrandField, StrandGrid, chiral_lagrangian
-from .kernels import GramSystem, HelmholtzKernel
+from .kernels import HelmholtzKernel
 from .liealg import LieAlgebraSpec, builtin
 
 __all__ = [
     "BlowUpError", "ConfigParseError", "ConfigValidationError",
-    "DimensionMismatchError", "GramSystem", "GStrandsError", "HelmholtzKernel",
-    "InvalidParameterError",
-    "LieAlgebraSpec", "NearCollisionError", "QuadraticLagrangian",
-    "ReconstructionRefusedError", "StrandField",
-    "StrandGrid", "builtin", "chiral_lagrangian", "clebsch", "config",
-    "gstrand", "kernels", "liealg", "peakon", "verify",
+    "DimensionMismatchError", "GStrandsError", "HelmholtzKernel",
+    "InvalidParameterError", "LieAlgebraSpec", "NearCollisionError",
+    "QuadraticLagrangian", "StrandField", "StrandGrid", "builtin", "chiral_lagrangian",
+    "clebsch", "config", "gstrand", "kernels", "liealg", "peakon", "verify",
 ]

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
                       slaved_step)
-from .liealg import (LieAlgebraSpec, _contract, _contraction_table, _levi_civita, ad_star,
-                     bracket, hat_so_n, vee_so_n)
+from .liealg import (LieAlgebraSpec, _contract, _contraction_table, _levi_civita, bracket,
+                     hat_so_n, vee_so_n)
+from .liealg import ad_star  # noqa: F401  (re-exported: perfbench/spans.py wraps clebsch.ad_star)
 
 PINV_RCOND = 1e-10
 _SO3_C, _SO3_KAPPA = _levi_civita(), np.eye(3)
@@ -175,34 +176,6 @@ def linear_constraint_drift(rep, lag, state, grid) -> float:
 def linear_strand_simulate(rep, lag, state, grid) -> History:
     return integrate(lambda st, k: linear_strand_step(rep, lag, st, grid, step_index=k),
                      state, grid, slave=partial(_linear_slave, rep, lag, grid))
-
-
-def classical_ep_trajectory(alg: LieAlgebraSpec, a_t, mu0, dt, t_end):
-    """RK4 integration of d(mu)/dt = -ad*_xi mu, xi = A_t^-1 mu.
-
-    Independent oracle for the s-independent mode of the Clebsch solvers.
-    Returns (times, mu, xi).
-    """
-    a_t = np.atleast_2d(np.asarray(a_t, dtype=float))
-    a_t_inv = np.linalg.inv(a_t)
-    mu = np.asarray(mu0, dtype=float).copy()
-    n_steps = int(round(t_end / dt))
-
-    def rhs(m):
-        return -ad_star(alg, m @ a_t_inv.T, m)
-
-    times = [0.0]
-    mus = [mu.copy()]
-    for k in range(n_steps):
-        k1 = rhs(mu)
-        k2 = rhs(mu + 0.5 * dt * k1)
-        k3 = rhs(mu + 0.5 * dt * k2)
-        k4 = rhs(mu + dt * k3)
-        mu = mu + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((k + 1) * dt)
-        mus.append(mu.copy())
-    mus = np.array(mus)
-    return np.array(times), mus, mus @ a_t_inv.T
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +382,3 @@ def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:
                                     + (v @ ws - ws @ v))
     return float(np.max(np.abs(res)))
 
-
-def rigid_body_oracle(alg_so_n: LieAlgebraSpec, a_t, w0_coords, dt, t_end):
-    """Direct rigid-body integration dW/dt = [W, U], U = A_t^-1 W, in so(N)
-    coordinates; the oracle for the classical mode of the symmetric pair."""
-    a_t = np.atleast_2d(np.asarray(a_t, dtype=float))
-    a_t_inv = np.linalg.inv(a_t)
-    w = np.asarray(w0_coords, dtype=float).copy()
-
-    def rhs(wc):
-        return bracket(alg_so_n, wc, wc @ a_t_inv.T)
-
-    n_steps = int(round(t_end / dt))
-    times = [0.0]
-    ws = [w.copy()]
-    for k in range(n_steps):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dt * k1)
-        k3 = rhs(w + 0.5 * dt * k2)
-        k4 = rhs(w + dt * k3)
-        w = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((k + 1) * dt)
-        ws.append(w.copy())
-    ws = np.array(ws)
-    return np.array(times), ws, ws @ a_t_inv.T

@@ -319,8 +319,11 @@ def _check_cross_keys(scenario, grid, params, initial):
         raise _invalid("grid.n_s", "ch_classical runs with grid.n_s = 1")
     if n_s != 1 and n_s < 8:
         raise _invalid("grid.n_s", "grid.n_s must be >= 8 (or 1 for classical modes)")
-    if scenario == "verify_action" and n_s == 1:
-        raise _invalid("grid.n_s", "verify_action's action grid needs grid.n_s >= 8")
+    if scenario == "verify_action":  # its action grid and residuals are periodic in s
+        if n_s % 2:
+            raise _invalid("grid.n_s", "verify_action's action grid needs an even grid.n_s >= 8")
+        if grid["bc"] != "periodic":
+            raise _invalid("grid.bc", "verify_action runs with grid.bc = periodic")
     if preset == "classical" and n_s != 1:
         raise _invalid("grid.n_s", "the classical preset runs with grid.n_s = 1")
     for name in ("a_t_diag", "a_s_diag"):  # inertia diagonals, inverted by the solvers

@@ -43,12 +43,6 @@ class BlowUpError(SolverError):
     category = "blow-up"
 
 
-class ReconstructionRefusedError(GStrandsError):
-    """Zero-curvature residual too large for group reconstruction to be well posed."""
-
-    category = "validation"
-
-
 class ConfigParseError(GStrandsError):
     category = "parse"
 

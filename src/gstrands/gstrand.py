@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BlowUpError, DimensionMismatchError, ReconstructionRefusedError, SolverError
-from .liealg import LieAlgebraSpec, ad_star, bracket, pair, to_matrix
-
-ZCC_RECONSTRUCT_TOL = 1e-6
+from .errors import BlowUpError, DimensionMismatchError, SolverError
+from .liealg import LieAlgebraSpec, ad_star, bracket, pair
 
 
 @dataclass(frozen=True)
@@ -306,34 +303,3 @@ def residual_report(alg, lag, hist: History, grid: StrandGrid) -> dict:
         "zcc_residual": zcc_residual(alg, hist, grid),
     }
 
-
-@dataclass
-class ReconstructionResult:
-    g: np.ndarray               # (n_stored, n_s, N, N)
-    gamma_mismatch: float       # max |(d_s g) g^-1 - gamma_hat|
-    zcc_residual: float
-
-
-def reconstruct(alg: LieAlgebraSpec, g0, hist: History, grid: StrandGrid,
-                tol: float = ZCC_RECONSTRUCT_TOL) -> ReconstructionResult:
-    """Exponential-Euler reconstruction g <- exp(dt nu) g from stored history.
-
-    Requires the zero-curvature residual of the history to be below ``tol``;
-    otherwise a group-valued field with d g g^-1 = sigma does not exist and
-    the call is refused.
-    """
-    zr = zcc_residual(alg, hist, grid)
-    if zr > tol:
-        raise ReconstructionRefusedError(
-            f"zero-curvature residual {zr:.3e} exceeds {tol:.1e}; reconstruction is ill-posed")
-    g0 = np.asarray(g0, dtype=float)
-    nmat = alg.basis_matrices.shape[-1]
-    if g0.ndim == 2:
-        g0 = np.broadcast_to(g0, (grid.n_s, nmat, nmat))
-    out = [g0]
-    for k in range(len(hist.times) - 1):
-        out.append(scipy.linalg.expm(hist.dt_stored * to_matrix(alg, hist.nu[k])) @ out[-1])
-    gs = np.array(out)
-    dsg_ginv = np.einsum("tjab,tjbc->tjac", d_s(gs, grid, axis=1), np.linalg.inv(gs))
-    mismatch = float(np.max(np.abs(dsg_ginv - to_matrix(alg, hist.gamma))))
-    return ReconstructionResult(gs, mismatch, zr)

@@ -1,13 +1,12 @@
-"""Green's function of (1 - alpha^2 d^2/dx^2) on the line and Gram-matrix
-machinery.
+"""Green's function of (1 - alpha^2 d^2/dx^2) on the line and Gram solves.
 
 Every Gram solve is one application of an inverse, one refinement sweep
-against the dense matrix and a residual check at SOLVE_RTOL.  General
-systems go through a Cholesky factorization whose substitutions run in a
-fixed loop order.  The kernel at sorted points has a tridiagonal inverse in
-closed form (helmholtz_1d_inverse), applied by elementwise products.
-Neither path uses a BLAS call whose summation order depends on threading,
-so repeated runs are bitwise identical.
+against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
+sorted points has a tridiagonal inverse in closed form
+(helmholtz_1d_inverse), applied by elementwise products; chol_solve_batched,
+a Cholesky factorization whose substitutions run in a fixed loop order, is
+the general dense solve.  Neither path uses a BLAS call whose summation
+order depends on threading, so repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -56,40 +55,6 @@ def grad_q(k: HelmholtzKernel, q, q_prime):
     a = k.alpha
     # np.sign(0) = 0 realizes the coincidence convention
     return -np.sign(d) * np.exp(-np.abs(d) / a) / (2.0 * a * a)
-
-
-@dataclass(frozen=True)
-class GramSystem:
-    points: np.ndarray
-    matrix: np.ndarray
-    cond_estimate: float
-
-
-def norm_1(mats):
-    """Matrix 1-norm (largest absolute column sum), batched."""
-    return np.abs(mats).sum(axis=-2).max(axis=-1)
-
-
-def _cond_1(mats):
-    """1-norm condition number, batched; inf marks singular matrices."""
-    norm = norm_1(mats)
-    try:
-        inv_norm = np.abs(np.linalg.inv(mats)).sum(axis=-2).max(axis=-1)
-    except np.linalg.LinAlgError:
-        return np.full(mats.shape[:-2], np.inf) if mats.ndim > 2 else np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        return norm * inv_norm
-
-
-def gram(k: HelmholtzKernel, points) -> GramSystem:
-    """Kernel matrix G(points[a], points[b]) with a 1-norm conditioning estimate."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 0:
-        points = points[None]
-    if points.shape[0] < 1:
-        raise InvalidParameterError("gram needs at least one point")
-    matrix = eval(k, points[:, None], points[None, :])
-    return GramSystem(points, matrix, float(_cond_1(matrix)))
 
 
 def chol_solve_batched(mats, rhs):
@@ -198,10 +163,3 @@ def tridiag_solve_sorted(mats, diag, off, rhs):
 
     return _refined_solve(mats, apply_inv, np.asarray(rhs, dtype=float))
 
-
-def solve_gram(g: GramSystem, rhs):
-    """SPD solve of g.matrix @ x = rhs; refuses ill-conditioned systems."""
-    if not np.isfinite(g.cond_estimate) or g.cond_estimate > COND_LIMIT:
-        raise NearCollisionError(
-            f"Gram conditioning {g.cond_estimate:.3e} exceeds {COND_LIMIT:.0e}")
-    return chol_solve_batched(g.matrix, np.asarray(rhs, dtype=float))

@@ -32,7 +32,7 @@ class LieAlgebraSpec:
     positive-definite matrix identifying the dual with the algebra; all
     builtins use kappa = identity in their documented basis.
     ``basis_matrices``, when present, is a faithful matrix representation
-    (stacked along axis 0) used for group reconstruction.
+    (stacked along axis 0).
     ``bracket_table`` and ``coad_table`` are the sparse forms of ``c`` that
     ``bracket`` and ``ad_star`` contract with, and ``pair_table`` the one-row
     form of kappa that ``pair`` contracts with (see ``_contraction_table``).
@@ -202,51 +202,10 @@ def validate(spec: LieAlgebraSpec):
         raise DimensionMismatchError("kappa must be positive definite")
 
 
-def to_matrix(spec: LieAlgebraSpec, xi):
-    """Matrix of an element in the builtin representation, batched."""
-    if spec.basis_matrices is None:
-        raise UnsupportedAlgebraError(f"algebra '{spec.name}' carries no matrix representation")
-    xi = np.asarray(xi, dtype=float)
-    _check_coords(spec, xi)
-    return np.einsum("...i,iab->...ab", xi, spec.basis_matrices)
-
-
-def structure_constants_from_matrices(basis) -> np.ndarray:
-    """c[k, i, j] from pairwise commutators, expanding in the given basis by
-    least squares.  The builtins fill c in closed form; this is their oracle."""
-    basis = np.asarray(basis, dtype=float)
-    dim = basis.shape[0]
-    flat = basis.reshape(dim, -1).T
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coeff = np.linalg.lstsq(flat, comm.ravel(), rcond=None)[0]
-            c[:, i, j] = coeff
-            c[:, j, i] = -coeff
-    return c
-
-
 def _hat_so3(v):
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],
                      [-v[1], v[0], 0.0]])
-
-
-def so_n_basis(n):
-    """E_ab (a < b, lexicographic): +1 at (a, b), -1 at (b, a).
-
-    Orthonormal under <A, B> = -tr(AB)/2, which the coordinate pairing
-    kappa = I represents.
-    """
-    mats = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = np.zeros((n, n))
-            m[a, b] = 1.0
-            m[b, a] = -1.0
-            mats.append(m)
-    return np.array(mats)
 
 
 def so_n_index_pairs(n):
@@ -261,6 +220,11 @@ def vee_so_n(n, mats):
 
 
 def hat_so_n(n, coords):
+    """(Batched) so(n) matrices of the coordinates in the E_ab basis.
+
+    E_ab (a < b, lexicographic) is +1 at (a, b) and -1 at (b, a); the basis
+    is orthonormal under <A, B> = -tr(AB)/2, which kappa = I represents.
+    """
     coords = np.asarray(coords, dtype=float)
     out = np.zeros(coords.shape[:-1] + (n, n))
     for k, (a, b) in enumerate(so_n_index_pairs(n)):
@@ -286,7 +250,7 @@ def _builtin_so3():
 
 def _builtin_so_n(n):
     # [E_ab, E_cd] = d_bc E_ad - d_bd E_ac - d_ac E_bd + d_ad E_bc, with
-    # E_yx = -E_xy and E_xx = 0 in the basis of so_n_basis
+    # E_yx = -E_xy and E_xx = 0
     a, b = np.array(so_n_index_pairs(n)).T
     dim = a.size
     slot = np.zeros((n, n), dtype=int)
@@ -298,7 +262,8 @@ def _builtin_so_n(n):
     for hit, x, y, s in ((b[i] == a[j], a[i], b[j], 1.0), (b[i] == b[j], a[i], a[j], -1.0),
                          (a[i] == a[j], b[i], b[j], -1.0), (a[i] == b[j], b[i], a[j], 1.0)):
         np.add.at(c, (slot[x, y][hit], i[hit], j[hit]), s * sign[x, y][hit])
-    return LieAlgebraSpec(dim, c, np.eye(dim), name=f"soN({n})", basis_matrices=so_n_basis(n))
+    return LieAlgebraSpec(dim, c, np.eye(dim), name=f"soN({n})",
+                          basis_matrices=hat_so_n(n, np.eye(dim)))
 
 
 def _builtin_se3():

@@ -101,14 +101,6 @@ def _grad_all(kernel, q):
     return grad_q(kernel, q[..., :, None], q[..., None, :])
 
 
-def velocity(state: PeakonState, kernel: HelmholtzKernel, j: int, m):
-    """(nu, gamma) of the kernel superposition at strand index j, position m."""
-    if not 0 <= j < state.q.shape[0]:
-        raise DimensionMismatchError(f"strand index {j} out of range")
-    g = kernel_eval(kernel, np.asarray(m, dtype=float)[..., None], state.q[j])
-    return g @ state.mw[j], -(g @ state.nw[j])
-
-
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""

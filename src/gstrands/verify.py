@@ -18,27 +18,27 @@ import numpy as np
 
 from .clebsch import act
 from .errors import DimensionMismatchError
-from .gstrand import History, QuadraticLagrangian, StrandGrid, _centered, ep_residual
+from .gstrand import History, QuadraticLagrangian, StrandGrid, _centered
 from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
-from .liealg import LieAlgebraSpec, ad_star, bracket
+from .liealg import LieAlgebraSpec, ad_star
 
 FD_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
 class ActionGrid:
-    """Uniform (t, s) node grid carrying the cell geometry of the action."""
+    """Uniform (t, s) node grid carrying the cell geometry of the action;
+    s is periodic, so there are n_s cells along s."""
 
     n_t: int
     dt: float
     n_s: int
     ds: float
-    periodic_s: bool = True
 
     def __post_init__(self):
         if self.n_t < 3 or self.n_s < 3:
             raise DimensionMismatchError("action grid needs at least 3 nodes per direction")
-        if self.periodic_s and self.n_s % 2:
+        if self.n_s % 2:
             # the parity-phase gradient needs an even periodic direction
             raise DimensionMismatchError("periodic action grids require even n_s")
 
@@ -46,35 +46,26 @@ class ActionGrid:
     def n_cells_t(self):
         return self.n_t - 1
 
-    @property
-    def n_cells_s(self):
-        return self.n_s if self.periodic_s else self.n_s - 1
-
 
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
     ncomp: int
-    constrained: bool = False   # endpoint values held fixed by the principle
 
 
 @dataclass(frozen=True)
 class DiscreteAction:
     grid: ActionGrid
     fields: tuple
-    integrand: Callable   # (t_c, s_c, vals, dts, dss) -> (n_cells_t, n_cells_s)
+    integrand: Callable   # (t_c, s_c, vals, dts, dss) -> (n_cells_t, n_s)
 
 
 def _cell_views(action: DiscreteAction, arr):
     """Cell-centered value and forward-difference derivatives of one field."""
     g = action.grid
-    if g.periodic_s:
-        right = np.roll(arr, -1, axis=1)
-        f00, f01 = arr[:-1], right[:-1]
-        f10, f11 = arr[1:], right[1:]
-    else:
-        f00, f01 = arr[:-1, :-1], arr[:-1, 1:]
-        f10, f11 = arr[1:, :-1], arr[1:, 1:]
+    right = np.roll(arr, -1, axis=1)
+    f00, f01 = arr[:-1], right[:-1]
+    f10, f11 = arr[1:], right[1:]
     val = 0.25 * (f00 + f01 + f10 + f11)
     dts = 0.5 * ((f10 - f00) + (f11 - f01)) / g.dt
     dss = 0.5 * ((f01 - f00) + (f11 - f10)) / g.ds
@@ -101,7 +92,7 @@ def _integrand_cells(action, views):
     """The integrand on every cell, from each field's ``_cell_views``."""
     g = action.grid
     t_c = (np.arange(g.n_cells_t) + 0.5) * g.dt
-    s_c = (np.arange(g.n_cells_s) + 0.5) * g.ds
+    s_c = (np.arange(g.n_s) + 0.5) * g.ds
     tt, ss = np.meshgrid(t_c, s_c, indexing="ij")
     vals, dts, dss = ({name: view[i] for name, view in views.items()} for i in range(3))
     return action.integrand(tt, ss, vals, dts, dss)
@@ -114,14 +105,14 @@ def assemble(action: DiscreteAction, fields: dict) -> float:
     return float(np.sum(cells) * action.grid.dt * action.grid.ds)
 
 
-def fd_gradient(action: DiscreteAction, fields: dict, h_scale: float = FD_SCALE) -> dict:
+def fd_gradient(action: DiscreteAction, fields: dict) -> dict:
     """Central-difference gradient of assemble w.r.t. every node value.
 
     Grouped into four node-parity phases so each cell contains exactly one
     perturbed corner; the per-cell differences then scatter to their nodes,
     which reproduces the naive one-node-at-a-time loop at a fraction of the
     cost.  Only the perturbed field's cell views are rebuilt per evaluation.
-    Step size is h_scale * (1 + |value|) per node.
+    Step size is FD_SCALE * (1 + |value|) per node.
     """
     _check_fields(action, fields)
     g = action.grid
@@ -129,12 +120,12 @@ def fd_gradient(action: DiscreteAction, fields: dict, h_scale: float = FD_SCALE)
     area = g.dt * g.ds
     grads = {}
     ci = np.arange(g.n_cells_t)
-    cj = np.arange(g.n_cells_s)
+    cj = np.arange(g.n_s)
     cii, cjj = np.meshgrid(ci, cj, indexing="ij")
     for spec in action.fields:
         base = fields[spec.name]
         grad = np.zeros_like(base)
-        h_all = h_scale * (1.0 + np.abs(base))
+        h_all = FD_SCALE * (1.0 + np.abs(base))
         for comp in range(spec.ncomp):
             for pa in (0, 1):
                 for pb in (0, 1):
@@ -152,7 +143,7 @@ def fd_gradient(action: DiscreteAction, fields: dict, h_scale: float = FD_SCALE)
                     di = (pa - cii) % 2
                     dj = (pb - cjj) % 2
                     ii = cii + di
-                    jj = (cjj + dj) % g.n_s if g.periodic_s else cjj + dj
+                    jj = (cjj + dj) % g.n_s
                     np.add.at(grad[..., comp], (ii.ravel(), jj.ravel()),
                               (diff / (2.0 * h[ii, jj])).ravel())
         grads[spec.name] = grad
@@ -169,8 +160,6 @@ def interior_max(action: DiscreteAction, grads: dict) -> float:
     worst = 0.0
     for spec in action.fields:
         arr = grads[spec.name][1:-1]
-        if not g.periodic_s:
-            arr = arr[:, 1:-1]
         if arr.size:
             worst = max(worst, float(np.max(np.abs(arr))))
     return worst / (g.dt * g.ds)
@@ -194,27 +183,8 @@ def clebsch_linear_action(rep, lag: QuadraticLagrangian, grid: ActionGrid) -> Di
         return lval + np.einsum("...a,...a->...", m, ct) + np.einsum("...a,...a->...", n, cs)
 
     rd, ad = rep.rep_dim, rep.alg.dim
-    fields = (FieldSpec("v", rd, constrained=True), FieldSpec("m", rd),
+    fields = (FieldSpec("v", rd), FieldSpec("m", rd),
               FieldSpec("n", rd), FieldSpec("xi", ad), FieldSpec("gam", ad))
-    return DiscreteAction(grid, fields, integrand)
-
-
-def clebsch_adjoint_action(alg: LieAlgebraSpec, grid: ActionGrid) -> DiscreteAction:
-    """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
-    kappa = alg.kappa
-
-    def integrand(tt, ss, vals, dts, dss):
-        m = vals["m"]
-        lval = 0.5 * (np.einsum("...i,ij,...j->...", vals["s_t"], kappa, vals["s_t"])
-                      + np.einsum("...i,ij,...j->...", vals["s_s"], kappa, vals["s_s"]))
-        ct = dts["m"] - bracket(alg, vals["s_t"], m)
-        cs = dss["m"] - bracket(alg, vals["s_s"], m)
-        return (lval + np.einsum("...a,ab,...b->...", vals["w_t"], kappa, ct)
-                + np.einsum("...a,ab,...b->...", vals["w_s"], kappa, cs))
-
-    d = alg.dim
-    fields = (FieldSpec("m", d, constrained=True), FieldSpec("w_t", d),
-              FieldSpec("w_s", d), FieldSpec("s_t", d), FieldSpec("s_s", d))
     return DiscreteAction(grid, fields, integrand)
 
 
@@ -232,24 +202,21 @@ class GeneralizedEnergy:
     n_b: int = 0
 
 
-def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas,
-                        periodic=None, h_scale: float = FD_SCALE) -> dict:
+def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas) -> dict:
     """Max-norm residuals of the three local stationarity equations:
 
         d y^A / d x^mu = de/dp^mu_A,
         d p^mu_A / d x^mu = -de/dy^A,
         de/db^alpha = 0,
 
-    with centered grid derivatives and central finite differences of e.
-    ``deltas`` lists the grid spacing per space-time axis; ``periodic`` flags
-    each axis (time defaults to non-periodic, others to periodic).
+    with centered grid derivatives and central finite differences of e
+    (step FD_SCALE * (1 + |value|)).  ``deltas`` lists the grid spacing per
+    space-time axis; time, the first, is not periodic and every other axis is.
     """
     y = np.asarray(fields["y"], dtype=float)
     p = np.asarray(fields["p"], dtype=float)
     b = np.asarray(fields.get("b"), dtype=float) if fields.get("b") is not None else None
     n_dir = len(deltas)
-    if periodic is None:
-        periodic = [False] + [True] * (n_dir - 1)
     shape = y.shape[:-1]
     if p.shape != shape + (n_dir, energy.n_y):
         raise DimensionMismatchError(f"p must have shape {shape + (n_dir, energy.n_y)}")
@@ -263,7 +230,7 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas,
         out = np.zeros_like(arr)
         flat_comps = arr.reshape(arr.shape[: len(shape)] + (-1,))
         for c in range(flat_comps.shape[-1]):
-            h = h_scale * (1.0 + np.abs(flat_comps[..., c]))
+            h = FD_SCALE * (1.0 + np.abs(flat_comps[..., c]))
             fp = flat_comps.copy()
             fm = flat_comps.copy()
             fp[..., c] += h
@@ -276,21 +243,21 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas,
     de_dp = de_wrt(p, lambda a: (y, a, b))
     de_dy = de_wrt(y, lambda a: (a, p, b))
 
-    def centered(arr, axis, delta, wrap):
-        out = _centered(arr, axis, delta, wrap)
-        if not wrap:
-            ends = out.swapaxes(0, axis)
-            ends[0] = ends[-1] = np.nan
+    def centered(arr, axis, delta):
+        """Periodic along s; along time (axis 0) the end slices are NaN."""
+        out = _centered(arr, axis, delta, axis > 0)
+        if axis == 0:
+            out[0] = out[-1] = np.nan
         return out
 
-    interior = tuple(slice(1, -1) if not w else slice(None) for w in periodic)
+    interior = slice(1, -1)  # the time-interior slices
 
     r1 = 0.0
     div_p = np.zeros(shape + (energy.n_y,))
-    for mu, (delta, wrap) in enumerate(zip(deltas, periodic)):
-        dy = centered(y, mu, delta, wrap)
+    for mu, delta in enumerate(deltas):
+        dy = centered(y, mu, delta)
         r1 = max(r1, float(np.max(np.abs((dy - de_dp[..., mu, :])[interior]))))
-        div_p = div_p + centered(p[..., mu, :], mu, delta, wrap)
+        div_p = div_p + centered(p[..., mu, :], mu, delta)
     r2 = float(np.max(np.abs((div_p + de_dy)[interior])))
     if b is not None and energy.n_b:
         de_db = de_wrt(b, lambda a: (y, p, a))
@@ -307,15 +274,6 @@ def hamilton_pontryagin_energy(n_y: int, lagrangian: Callable) -> GeneralizedEne
         return np.einsum("...a,...a->...", p[..., 0, :], b) - lagrangian(b)
 
     return GeneralizedEnergy(e_loc, n_y=n_y, n_b=n_y)
-
-
-def hamilton_phase_energy(n_y: int, hamiltonian: Callable) -> GeneralizedEnergy:
-    """e = H(q, p) with no auxiliary bundle: the phase-space principle."""
-
-    def e_loc(xs, y, p, b):
-        return hamiltonian(y, p[..., 0, :])
-
-    return GeneralizedEnergy(e_loc, n_y=n_y, n_b=0)
 
 
 def clebsch_pontryagin_energy(rep, lag: QuadraticLagrangian) -> GeneralizedEnergy:
@@ -377,11 +335,3 @@ def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
     lp_term = ad_star(alg, nu_h, m) + ad_star(alg, ga_h, n)
     return float(np.max(np.abs(ep_term - lp_term)))
 
-
-def ep_action_gradient(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
-                       hist: History, grid: StrandGrid) -> float:
-    """Weak-form stationarity of the reduced action under constrained
-    variations delta sigma = d zeta + ad_zeta sigma: the gradient with
-    respect to the generator field zeta is the integrated field-equation
-    residual, reported as an interior max-norm per unit cell area."""
-    return ep_residual(alg, lag, hist, grid)

@@ -1,6 +1,7 @@
 import numpy as np
 
 from gstrands import clebsch
+from gstrands.gstrand import StrandField
 
 
 def fit_order(residuals):
@@ -13,6 +14,17 @@ def fit_order(residuals):
 
 # stacked rotations about e3 by the given angles
 rotation_field_z = clebsch.rotation_about_e3
+
+
+def generic_chiral_field(grid, amplitude=1.0):
+    """Smooth so(3) strand data, nu and gamma not parallel, periodic in s."""
+    s = grid.s_nodes
+    w = 2 * np.pi / grid.s_extent
+    nu = amplitude * np.stack([0.8 + 0.3 * np.sin(w * s), 0.2 * np.cos(w * s),
+                               0.1 * np.sin(2 * w * s)], axis=1)
+    gam = amplitude * np.stack([0.1 * np.cos(w * s), 0.7 - 0.2 * np.sin(w * s),
+                                0.3 * np.cos(2 * w * s)], axis=1)
+    return StrandField(nu, gam)
 
 
 SLAVED_FAMILIES = ("peakon", "cdb", "linear", "symm")

@@ -1,0 +1,180 @@
+"""Reference implementations the tests compare the library against; none of
+them is reached by ``gstrands run``, ``study`` or ``validate``."""
+
+from typing import NamedTuple
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+
+from gstrands import gstrand, kernels, liealg, verify
+from gstrands.errors import NearCollisionError
+
+# ---------------------------------------------------------------------------
+# classical reductions: one RK4 loop, independent of gstrand.rk4_advance
+
+def _rk4(rhs, y0, dt, t_end):
+    """Classical RK4 of dy/dt = rhs(y) from y0; returns (times, stacked y)."""
+    y = np.asarray(y0, dtype=float).copy()
+    n_steps = int(round(t_end / dt))
+    times = [0.0]
+    ys = [y.copy()]
+    for k in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append((k + 1) * dt)
+        ys.append(y.copy())
+    return np.array(times), np.array(ys)
+
+
+def classical_ep_trajectory(alg, a_t, mu0, dt, t_end):
+    """RK4 integration of d(mu)/dt = -ad*_xi mu, xi = A_t^-1 mu.
+
+    Independent oracle for the s-independent mode of the Clebsch solvers.
+    Returns (times, mu, xi).
+    """
+    a_t_inv = np.linalg.inv(np.atleast_2d(np.asarray(a_t, dtype=float)))
+    times, mus = _rk4(lambda m: -liealg.ad_star(alg, m @ a_t_inv.T, m), mu0, dt, t_end)
+    return times, mus, mus @ a_t_inv.T
+
+
+def rigid_body_oracle(alg_so_n, a_t, w0_coords, dt, t_end):
+    """Direct rigid-body integration dW/dt = [W, U], U = A_t^-1 W, in so(N)
+    coordinates; the oracle for the classical mode of the symmetric pair."""
+    a_t_inv = np.linalg.inv(np.atleast_2d(np.asarray(a_t, dtype=float)))
+    times, ws = _rk4(lambda wc: liealg.bracket(alg_so_n, wc, wc @ a_t_inv.T),
+                     w0_coords, dt, t_end)
+    return times, ws, ws @ a_t_inv.T
+
+
+# ---------------------------------------------------------------------------
+# matrices of algebra elements and group reconstruction
+
+class ReconstructionRefused(Exception):
+    """Zero-curvature residual too large for group reconstruction to be well posed."""
+
+
+def to_matrix(alg, xi):
+    """Matrix of an element in the builtin representation, batched."""
+    return np.einsum("...i,iab->...ab", np.asarray(xi, dtype=float), alg.basis_matrices)
+
+
+def reconstruct(alg, g0, hist, grid, tol=1e-6):
+    """Exponential-Euler reconstruction g <- exp(dt nu) g from stored history:
+    g (n_stored, n_s, N, N) and max |(d_s g) g^-1 - gamma_hat|.
+
+    Requires the zero-curvature residual of the history to be below ``tol``;
+    otherwise a group-valued field with d g g^-1 = sigma does not exist and
+    the call is refused.
+    """
+    zr = gstrand.zcc_residual(alg, hist, grid)
+    if zr > tol:
+        raise ReconstructionRefused(
+            f"zero-curvature residual {zr:.3e} exceeds {tol:.1e}; reconstruction is ill-posed")
+    g0 = np.asarray(g0, dtype=float)
+    nmat = alg.basis_matrices.shape[-1]
+    if g0.ndim == 2:
+        g0 = np.broadcast_to(g0, (grid.n_s, nmat, nmat))
+    out = [g0]
+    for k in range(len(hist.times) - 1):
+        out.append(scipy.linalg.expm(hist.dt_stored * to_matrix(alg, hist.nu[k])) @ out[-1])
+    gs = np.array(out)
+    dsg_ginv = np.einsum("tjab,tjbc->tjac", gstrand.d_s(gs, grid, axis=1), np.linalg.inv(gs))
+    mismatch = float(np.max(np.abs(dsg_ginv - to_matrix(alg, hist.gamma))))
+    return gs, mismatch
+
+
+def structure_constants_from_matrices(basis) -> np.ndarray:
+    """c[k, i, j] from pairwise commutators, expanding in the given basis by
+    least squares.  The builtins fill c in closed form; this is their oracle."""
+    basis = np.asarray(basis, dtype=float)
+    dim = basis.shape[0]
+    flat = basis.reshape(dim, -1).T
+    c = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            coeff = np.linalg.lstsq(flat, comm.ravel(), rcond=None)[0]
+            c[:, i, j] = coeff
+            c[:, j, i] = -coeff
+    return c
+
+
+# ---------------------------------------------------------------------------
+# the kernel as an impulse response, and the dense Gram path
+
+def discrete_green_1d(alpha=1.0, h=1e-3, extent=20.0):
+    """Impulse response of the second-difference (1 - alpha^2 D^2) operator."""
+    n = int(round(extent / h))
+    main = np.full(n, 1.0 + 2.0 * alpha**2 / h**2)
+    off = np.full(n - 1, -(alpha**2) / h**2)
+    mat = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
+    mat[0, -1] = -(alpha**2) / h**2
+    mat[-1, 0] = -(alpha**2) / h**2
+    rhs = np.zeros(n)
+    rhs[n // 2] = 1.0 / h
+    sol = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
+    x = (np.arange(n) - n // 2) * h
+    return x, sol
+
+
+class GramSystem(NamedTuple):
+    matrix: np.ndarray
+    cond_estimate: float
+
+
+def norm_1(mats):
+    """Matrix 1-norm (largest absolute column sum), batched."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1)
+
+
+def _cond_1(mats):
+    """1-norm condition number, batched; inf marks singular matrices."""
+    norm = norm_1(mats)
+    try:
+        inv_norm = np.abs(np.linalg.inv(mats)).sum(axis=-2).max(axis=-1)
+    except np.linalg.LinAlgError:
+        return np.full(mats.shape[:-2], np.inf) if mats.ndim > 2 else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm * inv_norm
+
+
+def gram(k, points) -> GramSystem:
+    """Kernel matrix G(points[a], points[b]) with a 1-norm conditioning estimate."""
+    points = np.asarray(points, dtype=float)
+    matrix = kernels.eval(k, points[:, None], points[None, :])
+    return GramSystem(matrix, float(_cond_1(matrix)))
+
+
+def solve_gram(g: GramSystem, rhs):
+    """SPD solve of g.matrix @ x = rhs; refuses ill-conditioned systems."""
+    if not np.isfinite(g.cond_estimate) or g.cond_estimate > kernels.COND_LIMIT:
+        raise NearCollisionError(
+            f"Gram conditioning {g.cond_estimate:.3e} exceeds {kernels.COND_LIMIT:.0e}")
+    return kernels.chol_solve_batched(g.matrix, np.asarray(rhs, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# discrete action of the coupled double-bracket flow
+
+def clebsch_adjoint_action(alg, grid):
+    """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
+    kappa = alg.kappa
+
+    def integrand(tt, ss, vals, dts, dss):
+        m = vals["m"]
+        lval = 0.5 * (np.einsum("...i,ij,...j->...", vals["s_t"], kappa, vals["s_t"])
+                      + np.einsum("...i,ij,...j->...", vals["s_s"], kappa, vals["s_s"]))
+        ct = dts["m"] - liealg.bracket(alg, vals["s_t"], m)
+        cs = dss["m"] - liealg.bracket(alg, vals["s_s"], m)
+        return (lval + np.einsum("...a,ab,...b->...", vals["w_t"], kappa, ct)
+                + np.einsum("...a,ab,...b->...", vals["w_s"], kappa, cs))
+
+    d = alg.dim
+    fields = (verify.FieldSpec("m", d), verify.FieldSpec("w_t", d),
+              verify.FieldSpec("w_s", d), verify.FieldSpec("s_t", d), verify.FieldSpec("s_s", d))
+    return verify.DiscreteAction(grid, fields, integrand)

@@ -8,9 +8,8 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
-from conftest import fit_order, rotation_field_z
+from conftest import fit_order, generic_chiral_field, rotation_field_z
+from oracles import discrete_green_1d, gram, rigid_body_oracle, solve_gram
 
 from gstrands import clebsch, cli, gstrand, kernels, liealg, peakon, verify
 from gstrands.gstrand import (QuadraticLagrangian, StrandField, StrandGrid,
@@ -108,10 +107,7 @@ def test_criterion_4_compatibility_residual_order():
 def test_criterion_5_chiral_strand():
     # (a) energy drift at the pinned resolution
     grid = StrandGrid(128, 2 * np.pi, 1e-3, 1.0, store_every=100)
-    s = grid.s_nodes
-    nu = np.stack([0.8 + 0.3 * np.sin(s), 0.2 * np.cos(s), 0.1 * np.sin(2 * s)], axis=1)
-    gam = np.stack([0.1 * np.cos(s), 0.7 - 0.2 * np.sin(s), 0.3 * np.cos(2 * s)], axis=1)
-    f0 = StrandField(nu, gam)
+    f0 = generic_chiral_field(grid)
     hist = gstrand.simulate(SO3, CHIRAL, f0, grid)
     e0 = gstrand.hamiltonian_energy(SO3, CHIRAL, f0, grid)
     drift = max(abs(gstrand.hamiltonian_energy(
@@ -121,12 +117,7 @@ def test_criterion_5_chiral_strand():
     # (b) residual convergence
     def level(i):
         g = StrandGrid(32 * 2**i, 2 * np.pi, 0.02 / 2**i, 0.4, store_every=1)
-        sl = g.s_nodes
-        nu_l = np.stack([0.8 + 0.3 * np.sin(sl), 0.2 * np.cos(sl),
-                         0.1 * np.sin(2 * sl)], axis=1)
-        ga_l = np.stack([0.1 * np.cos(sl), 0.7 - 0.2 * np.sin(sl),
-                         0.3 * np.cos(2 * sl)], axis=1)
-        h = gstrand.simulate(SO3, CHIRAL, StrandField(nu_l, ga_l), g)
+        h = gstrand.simulate(SO3, CHIRAL, generic_chiral_field(g), g)
         return gstrand.residual_report(SO3, CHIRAL, h, g)
     reps = [level(i) for i in range(3)]
     ep_order = fit_order([r["ep_residual"] for r in reps])
@@ -183,34 +174,23 @@ def test_criterion_7_symmetric_rigid_body_vs_direct_integration():
     u_traj = np.array([
         vee_so_n(3, clebsch._skew(np.swapaxes(hist.q[k], -1, -2) @ hist.mw[k]))[0]
         @ lag.a_t_inv.T for k in range(len(hist.times))])
-    _, _, u_oracle = clebsch.rigid_body_oracle(alg, lag.a_t, w0, 1e-3, 1.0)
+    _, _, u_oracle = rigid_body_oracle(alg, lag.a_t, w0, 1e-3, 1.0)
     dev = float(np.max(np.abs(u_traj - u_oracle)))
     report(7, "symmetric rigid body vs direct integration", dev < 1e-6,
            f"max |U - U_oracle| = {dev:.2e}")
 
 
 def test_criterion_8_kernel_oracle():
-    h = 1e-3
-    extent = 20.0
-    n = int(round(extent / h))
-    main = np.full(n, 1.0 + 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    mat = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, -1] = -1.0 / h**2
-    mat[-1, 0] = -1.0 / h**2
-    rhs = np.zeros(n)
-    rhs[n // 2] = 1.0 / h
-    sol = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
-    x = (np.arange(n) - n // 2) * h
+    x, sol = discrete_green_1d(h=1e-3, extent=20.0)
     sel = np.abs(x) < 5.0
     kernel_err = float(np.max(np.abs(sol[sel] - kernels.eval(K1, x[sel], 0.0))))
 
     rng = np.random.default_rng(123)
     pts = np.sort(rng.uniform(-4, 4, 8))
-    g = kernels.gram(K1, pts)
+    g = gram(K1, pts)
     xv = rng.standard_normal(8)
     rhs2 = g.matrix @ xv
-    resid = float(np.max(np.abs(g.matrix @ kernels.solve_gram(g, rhs2) - rhs2)))
+    resid = float(np.max(np.abs(g.matrix @ solve_gram(g, rhs2) - rhs2)))
     report(8, "kernel impulse oracle + Gram round trip",
            kernel_err < 1e-4 and resid < 1e-10,
            f"impulse err = {kernel_err:.2e}, solve residual = {resid:.2e}")

