@@ -21,12 +21,12 @@ import numpy as np
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
                       slaved_step)
-from .liealg import (LieAlgebraSpec, _contract, _contraction_table, _levi_civita, bracket,
-                     hat_so_n, vee_so_n)
+from .liealg import (LieAlgebraSpec, _contract, _contraction_table, bracket, builtin, hat_so_n,
+                     vee_so_n)
 from .liealg import ad_star  # noqa: F401  (re-exported: perfbench/spans.py wraps clebsch.ad_star)
 
 PINV_RCOND = 1e-10
-_SO3_C, _SO3_KAPPA = _levi_civita(), np.eye(3)
+_SO3_CONSTANTS = builtin("so3").constants
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,21 @@ class LinearRepSpec:
     diamond_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.ascontiguousarray(self.rho, dtype=float)
         if rho.shape != (self.alg.dim, self.rep_dim, self.rep_dim):
             raise DimensionMismatchError(
                 f"rho must have shape {(self.alg.dim, self.rep_dim, self.rep_dim)}")
+        if not np.all(np.isfinite(rho)):
+            raise DimensionMismatchError("rho must be finite")
         object.__setattr__(self, "rho", rho)
         # rho([e_i, e_j]) against [rho_i, rho_j], one row i at a time: the
-        # whole (dim, dim, rep_dim, rep_dim) stack would be dim^4 for adjoint_rep
-        worst = 0.0
-        for i in range(self.alg.dim):
-            mismatch = np.tensordot(self.alg.c[:, i], rho, axes=(0, 0))
-            mismatch -= rho[i] @ rho
-            mismatch += rho @ rho[i]
-            worst = max(worst, float(np.max(np.abs(mismatch))))
-        if worst > 1e-10:
+        # whole (dim, dim, rep_dim, rep_dim) stack would be dim^4 for adjoint_rep.
+        # np.max, unlike Python's max, keeps a NaN mismatch.
+        basis = np.eye(self.alg.dim)
+        worst = np.max([np.abs(np.tensordot(bracket(self.alg, e, basis), rho, axes=(1, 0))
+                               - rho[i] @ rho + rho @ rho[i]).max()
+                        for i, e in enumerate(basis)], initial=0.0)
+        if not worst <= 1e-10:
             raise DimensionMismatchError(
                 f"rho is not a representation: commutator mismatch {worst:.3e}")
         object.__setattr__(self, "act_table", _contraction_table(rho.transpose(1, 0, 2)))
@@ -78,9 +79,10 @@ def defining_rep_so3(alg: LieAlgebraSpec) -> LinearRepSpec:
 
 
 def adjoint_rep(alg: LieAlgebraSpec) -> LinearRepSpec:
-    """ad_xi as matrices on the algebra's own coordinates."""
-    rho = np.stack([alg.c[:, i, :] for i in range(alg.dim)])
-    return LinearRepSpec(alg, alg.dim, rho)
+    """ad_xi as matrices on the algebra's own coordinates:
+    rho[i][k, j] = c^k_ij = [e_i, e_j]^k."""
+    basis = np.eye(alg.dim)
+    return LinearRepSpec(alg, alg.dim, bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
 
 
 def _action_operands(rep: LinearRepSpec, xi, v):
@@ -102,12 +104,12 @@ def act_dual(rep: LinearRepSpec, xi, p):
 
 
 def diamond(rep: LinearRepSpec, v, p):
-    """Momentum map of the cotangent lift: kappa(v <> p, eta) = <p, rho(eta) v>."""
+    """Momentum map of the cotangent lift: <v <> p, eta> = <p, rho(eta) v>."""
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     if v.shape[-1] != rep.rep_dim or p.shape[-1] != rep.rep_dim:
         raise DimensionMismatchError("diamond arguments must have rep_dim coordinates")
-    return _contract(rep.diamond_table, p, v) @ rep.alg.kappa_inv
+    return _contract(rep.diamond_table, p, v)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +132,11 @@ def solve_linear_n(rep: LinearRepSpec, lag: QuadraticLagrangian, v, dsv):
     """Minimum-norm n with rho(A_s^-1 (v <> n)) v = d_s v at each gridpoint.
 
     The map n -> rho(gamma(n)) v is linear: with R[:, k] = rho_k v it equals
-    (R A_s^-1 kappa^-1 R^T) n, generally rank deficient, so the solve goes
-    through a pseudoinverse with a fixed cutoff.
+    (R A_s^-1 R^T) n, generally rank deficient, so the solve goes through a
+    pseudoinverse with a fixed cutoff.
     """
     r = np.einsum("kab,...b->...ak", rep.rho, v)
-    lmat = r @ lag.a_s_inv @ rep.alg.kappa_inv @ np.swapaxes(r, -1, -2)
+    lmat = r @ lag.a_s_inv @ np.swapaxes(r, -1, -2)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(lmat, rcond=PINV_RCOND), dsv)
 
 
@@ -202,14 +204,16 @@ def cdb_sigma(alg, state):
 def solve_cdb_ws(alg, m, dsm):
     """Minimum-norm w_s with [[m, w_s], m] = d_s m at each gridpoint.
 
-    The map w -> [[m, w], m] is -ad_m^2, symmetric positive semidefinite for
-    a bi-invariant pairing; the pseudoinverse picks the gauge representative
-    orthogonal to the centralizer of m.  On so(3) (Levi-Civita constants,
-    kappa = I) that representative is closed form, see ``_solve_cdb_ws_so3``.
+    The map w -> [[m, w], m] is -ad_m^2, symmetric positive semidefinite when
+    the coordinate pairing is bi-invariant; the pseudoinverse picks the gauge
+    representative orthogonal to the centralizer of m.  On so(3) (the
+    Levi-Civita constants) that representative is closed form, see
+    ``_solve_cdb_ws_so3``.
     """
-    if np.array_equal(alg.c, _SO3_C) and np.array_equal(alg.kappa, _SO3_KAPPA):
+    if alg.dim == 3 and all(map(np.array_equal, alg.constants, _SO3_CONSTANTS)):
         return _solve_cdb_ws_so3(m, dsm)
-    ad_m = np.einsum("kij,...i->...kj", alg.c, m)
+    # ad_m[..., k, j] = [m, e_j]^k
+    ad_m = np.swapaxes(bracket(alg, m[..., None, :], np.eye(alg.dim)), -1, -2)
     a = -np.einsum("...ki,...ij->...kj", ad_m, ad_m)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(a, rcond=PINV_RCOND), dsm)
 

@@ -3,10 +3,10 @@
 Every Gram solve is one application of an inverse, one refinement sweep
 against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
 sorted points has a tridiagonal inverse in closed form
-(helmholtz_1d_inverse), applied by elementwise products; chol_solve_batched,
-a Cholesky factorization whose substitutions run in a fixed loop order, is
-the general dense solve.  Neither path uses a BLAS call whose summation
-order depends on threading, so repeated runs are bitwise identical.
+(helmholtz_1d_inverse), applied by elementwise products with no BLAS call,
+so repeated runs are bitwise identical.  Nothing in the package calls the
+fixed-order Cholesky chol_solve_batched: perfbench/spans.py wraps it as
+peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def tridiag_solve_sorted(mats, diag, off, rhs):
     """Solve the (m, n, n) systems mats @ x = rhs (rhs (m, n)) given the
     tridiagonal inverse (diag, off) of each matrix, everything in the
     ascending order of the points: one refinement sweep and the SOLVE_RTOL
-    residual check, as chol_solve_batched."""
+    residual check."""
 
     def apply_inv(b):
         y = diag * b

@@ -1,14 +1,11 @@
 """Finite-dimensional Lie algebra arithmetic.
 
-Algebra elements (and dual elements, identified through the pairing kappa)
-are plain coordinate arrays of length ``dim``.  Operations accept batched
-arrays with the coordinate axis last, so a strand field of shape
-``(n_s, dim)`` goes through ``bracket``/``ad_star`` in one call.
-
-``bracket`` and ``ad_star`` contract through sparse index tables built once
-from the nonzero structure constants, so a point costs O(nnz) multiply-adds
-rather than O(dim^3); the dense ``c`` stays the constructor input.  ``pair``
-contracts through the one-row table of kappa.
+Algebra elements and dual elements are coordinate arrays of length ``dim``
+in a basis e_i and its dual basis, so <mu, xi> = mu_i xi^i.  Operations
+accept batched arrays with the coordinate axis last, so a strand field of
+shape ``(n_s, dim)`` goes through ``bracket``/``ad_star`` in one call.  They
+contract through sparse index tables built once from the nonzero structure
+constants, O(nnz) multiply-adds a point; no ``dim^3`` array is ever built.
 """
 
 from __future__ import annotations
@@ -21,51 +18,70 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedAlgebraError
 
-JACOBI_TOL = 1e-12
+
+class StructureConstants(NamedTuple):
+    """The nonzero c^k_ij, the coefficient of e_k in [e_i, e_j], one entry
+    per position of the four equal-length arrays, sorted by (k, i, j)."""
+
+    k: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Structure constants and pairing of a finite-dimensional Lie algebra.
+    """Structure constants of a finite-dimensional Lie algebra.
 
-    c[k, i, j] is the coefficient of e_k in [e_i, e_j].  kappa is a symmetric
-    positive-definite matrix identifying the dual with the algebra; all
-    builtins use kappa = identity in their documented basis.
-    ``basis_matrices``, when present, is a faithful matrix representation
-    (stacked along axis 0).
-    ``bracket_table`` and ``coad_table`` are the sparse forms of ``c`` that
-    ``bracket`` and ``ad_star`` contract with, and ``pair_table`` the one-row
-    form of kappa that ``pair`` contracts with (see ``_contraction_table``).
+    ``constants`` is a (k, i, j, value) tuple of the nonzero c^k_ij in any
+    order, kept as a sorted ``StructureConstants``; each (k, i, j) appears
+    once, and (k, j, i) with the opposite value.  ``basis_matrices``, when
+    present, is a faithful matrix representation (stacked along axis 0).
+    ``bracket``, ``ad_star`` and ``pair`` contract with ``bracket_table``,
+    ``coad_table`` and the identity ``pair_table`` (see ``_Table``).
     """
 
     dim: int
-    c: np.ndarray
-    kappa: np.ndarray
+    constants: StructureConstants
     name: str = ""
     basis_matrices: np.ndarray | None = None
-    kappa_inv: np.ndarray = field(init=False, repr=False)
     bracket_table: tuple = field(init=False, repr=False)
     coad_table: tuple = field(init=False, repr=False)
     pair_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        kappa = np.asarray(self.kappa, dtype=float)
-        if c.shape != (self.dim,) * 3:
-            raise DimensionMismatchError(
-                f"structure constants must have shape {(self.dim,) * 3}, got {c.shape}")
-        if not np.array_equal(c, -np.swapaxes(c, 1, 2)):
+        k, i, j, value = (np.asarray(a) for a in self.constants)
+        if not (k.ndim == 1 and k.shape == i.shape == j.shape == value.shape):
+            raise DimensionMismatchError("k, i, j and value must be 1-D arrays of one length")
+        index = np.stack([k, i, j])
+        if ((index.size and not np.issubdtype(index.dtype, np.integer))
+                or np.any((index < 0) | (index >= self.dim))):
+            raise DimensionMismatchError(f"structure constant indices must be integers "
+                                         f"in 0..{self.dim - 1}")
+        k, i, j, value = *index.astype(np.intp), value.astype(float)
+        if not np.all(np.isfinite(value) & (value != 0.0)):
+            raise DimensionMismatchError("structure constant entries must be finite and nonzero")
+        order = np.lexsort((j, i, k))
+        k, i, j, value = k[order], i[order], j[order], value[order]
+        key = (k * self.dim + i) * self.dim + j
+        if np.any(np.diff(key) == 0):
+            raise DimensionMismatchError("structure constant entry listed twice")
+        # antisymmetry: the entries sorted by (k, j, i) are the partners
+        # (k, j, i, -value) of the entries in (k, i, j) order
+        partner = np.lexsort((i, j, k))
+        if not (np.array_equal(((k * self.dim + j) * self.dim + i)[partner], key)
+                and np.array_equal(value[partner], -value)):
             raise DimensionMismatchError("structure constants must be antisymmetric in (i, j)")
-        if kappa.shape != (self.dim, self.dim) or not np.array_equal(kappa, kappa.T):
-            raise DimensionMismatchError("kappa must be a symmetric dim x dim matrix")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "kappa_inv", np.linalg.inv(kappa))
+        object.__setattr__(self, "constants", StructureConstants(k, i, j, value))
         # bracket: row k lists (i, j, c_kij); coadjoint: row j lists (k, i, c_kij).
         # Both orders are the dense einsums' summation orders.
-        object.__setattr__(self, "bracket_table", _contraction_table(c))
-        object.__setattr__(self, "coad_table", _contraction_table(c.transpose(2, 0, 1)))
-        object.__setattr__(self, "pair_table", _contraction_table(kappa[None]))
+        object.__setattr__(self, "bracket_table", _table(k, i, j, value, self.dim))
+        by_j = np.lexsort((i, k, j))
+        object.__setattr__(self, "coad_table",
+                           _table(j[by_j], k[by_j], i[by_j], value[by_j], self.dim))
+        diag = np.arange(self.dim)
+        object.__setattr__(self, "pair_table",
+                           _table(np.zeros_like(diag), diag, diag, np.ones(self.dim), 1))
 
 
 class _Table(NamedTuple):
@@ -83,10 +99,8 @@ class _Table(NamedTuple):
     d: int
 
 
-def _contraction_table(t) -> _Table:
-    """The ``_Table`` of a (d, n_a, n_b) coefficient array."""
-    o, a, b = np.nonzero(t)
-    d = t.shape[0]
+def _table(o, a, b, v, d) -> _Table:
+    """The ``_Table`` of the entries t[o, a, b] = v, sorted by (o, a, b)."""
     counts = np.bincount(o, minlength=d)
     col = np.arange(o.size) - np.repeat(np.cumsum(counts) - counts, counts)
     width = max(int(counts.max(initial=0)), 1)
@@ -94,8 +108,14 @@ def _contraction_table(t) -> _Table:
     idx_a = np.zeros(width * d, dtype=np.intp)
     idx_b = np.zeros(width * d, dtype=np.intp)
     val = np.zeros((width * d, 1))
-    idx_a[flat], idx_b[flat], val[flat, 0] = a, b, t[o, a, b]
+    idx_a[flat], idx_b[flat], val[flat, 0] = a, b, v
     return _Table(idx_a, idx_b, val, width, d)
+
+
+def _contraction_table(t) -> _Table:
+    """The ``_Table`` of a dense (d, n_a, n_b) coefficient array."""
+    o, a, b = np.nonzero(t)
+    return _table(o, a, b, t[o, a, b], t.shape[0])
 
 
 # Gathered entries per block of points: the temporaries stay near 512 KB.
@@ -168,38 +188,21 @@ def bracket(spec: LieAlgebraSpec, xi, eta):
 
 
 def ad_star(spec: LieAlgebraSpec, xi, mu):
-    """Coadjoint operator: the unique nu with kappa(nu, eta) = kappa(mu, [xi, eta])."""
+    """Coadjoint operator (ad*_xi mu)_j = c^k_ij xi^i mu_k, the unique nu
+    with <nu, eta> = <mu, [xi, eta]>, batched."""
     xi = np.asarray(xi, dtype=float)
     mu = np.asarray(mu, dtype=float)
     _check_coords(spec, xi, mu)
-    return _contract(spec.coad_table, mu @ spec.kappa, xi) @ spec.kappa_inv
+    return _contract(spec.coad_table, mu, xi)
 
 
 def pair(spec: LieAlgebraSpec, mu, xi):
-    """Duality pairing kappa(mu, xi), batched."""
+    """Duality pairing <mu, xi> = mu_i xi^i, batched."""
     mu = np.asarray(mu, dtype=float)
     xi = np.asarray(xi, dtype=float)
     _check_coords(spec, mu, xi)
     # [()] makes a point's 0-d result a scalar
     return _contract(spec.pair_table, mu, xi)[..., 0][()]
-
-
-def jacobi_residual(spec: LieAlgebraSpec) -> float:
-    """Max-norm of the Jacobi identity over all index quadruples."""
-    c = spec.c
-    r = (np.einsum("kij,mkl->ijlm", c, c)
-         + np.einsum("kjl,mki->ijlm", c, c)
-         + np.einsum("kli,mkj->ijlm", c, c))
-    return float(np.max(np.abs(r)))
-
-
-def validate(spec: LieAlgebraSpec):
-    """Raise unless the spec is a genuine Lie algebra with admissible pairing."""
-    res = jacobi_residual(spec)
-    if res >= JACOBI_TOL:
-        raise DimensionMismatchError(f"Jacobi residual {res:.3e} exceeds {JACOBI_TOL}")
-    if np.min(np.linalg.eigvalsh(spec.kappa)) <= 0.0:
-        raise DimensionMismatchError("kappa must be positive definite")
 
 
 def _hat_so3(v):
@@ -223,7 +226,7 @@ def hat_so_n(n, coords):
     """(Batched) so(n) matrices of the coordinates in the E_ab basis.
 
     E_ab (a < b, lexicographic) is +1 at (a, b) and -1 at (b, a); the basis
-    is orthonormal under <A, B> = -tr(AB)/2, which kappa = I represents.
+    is orthonormal under <A, B> = -tr(AB)/2, the plain sum of coordinate products.
     """
     coords = np.asarray(coords, dtype=float)
     out = np.zeros(coords.shape[:-1] + (n, n))
@@ -233,63 +236,60 @@ def hat_so_n(n, coords):
     return out
 
 
-def _levi_civita():
-    """c^k_ij = epsilon_ijk: [e1, e2] = e3 cyclically."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[k, i, j] = 1.0
-        c[k, j, i] = -1.0
-    return c
+# c^k_ij = epsilon_ijk, [e1, e2] = e3 cyclically, as (k, i, j, value)
+_EPSILON = (np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1]),
+            np.array([2, 1, 2, 0, 1, 0]), np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0]))
 
 
 def _builtin_so3():
     # hat-map basis, in which c^k_ij is the Levi-Civita symbol
     basis = np.array([_hat_so3(v) for v in np.eye(3)])
-    return LieAlgebraSpec(3, _levi_civita(), np.eye(3), name="so3", basis_matrices=basis)
+    return LieAlgebraSpec(3, _EPSILON, name="so3", basis_matrices=basis)
 
 
 def _builtin_so_n(n):
-    # [E_ab, E_cd] = d_bc E_ad - d_bd E_ac - d_ac E_bd + d_ad E_bc, with
-    # E_yx = -E_xy and E_xx = 0
+    # With F_xy = e_x e_y^T - e_y e_x^T, E_ab = F_ab (a < b) and F_yx = -F_xy.
+    # [F_xs, F_sy] = F_xy for distinct x, s, y, and pairs sharing no index
+    # commute, so each ordered triple of distinct indices is one entry.
     a, b = np.array(so_n_index_pairs(n)).T
     dim = a.size
     slot = np.zeros((n, n), dtype=int)
     slot[a, b] = slot[b, a] = np.arange(dim)
-    sign = np.zeros((n, n))
-    sign[a, b], sign[b, a] = 1.0, -1.0
-    i, j = np.indices((dim, dim))
-    c = np.zeros((dim,) * 3)
-    for hit, x, y, s in ((b[i] == a[j], a[i], b[j], 1.0), (b[i] == b[j], a[i], a[j], -1.0),
-                         (a[i] == a[j], b[i], b[j], -1.0), (a[i] == b[j], b[i], a[j], 1.0)):
-        np.add.at(c, (slot[x, y][hit], i[hit], j[hit]), s * sign[x, y][hit])
-    return LieAlgebraSpec(dim, c, np.eye(dim), name=f"soN({n})",
+    r = np.arange(n)
+    sign = np.sign(r[None, :] - r[:, None]).astype(float)  # F_xy = sign[x, y] E_slot[x, y]
+    x, s, y = np.indices((n,) * 3).reshape(3, -1)
+    x, s, y = (t[(x != s) & (s != y) & (x != y)] for t in (x, s, y))
+    constants = (slot[x, y], slot[x, s], slot[s, y], sign[x, s] * sign[s, y] * sign[x, y])
+    return LieAlgebraSpec(dim, constants, name=f"soN({n})",
                           basis_matrices=hat_so_n(n, np.eye(dim)))
 
 
 def _builtin_se3():
     # block order (rotation, translation), embedded as 4x4 homogeneous matrices:
-    # [(w, v), (w', v')] = (w x w', w x v' - w' x v)
+    # [(w, v), (w', v')] = (w x w', w x v' - w' x v), so epsilon fills the
+    # (k, i, j) blocks (rot, rot, rot), (trans, rot, trans) and (trans, trans, rot)
     basis = np.zeros((6, 4, 4))
     for i, v in enumerate(np.eye(3)):
         basis[i, :3, :3] = _hat_so3(v)
         basis[3 + i, :3, 3] = v
-    eps = _levi_civita()
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = c[3:, :3, 3:] = c[3:, 3:, :3] = eps
-    return LieAlgebraSpec(6, c, np.eye(6), name="se3", basis_matrices=basis)
+    offset = np.repeat([[0, 3, 3], [0, 0, 3], [0, 3, 0]], 6, axis=1)  # k, i, j of the blocks
+    constants = (*(np.tile(_EPSILON[:3], 3) + offset), np.tile(_EPSILON[3], 3))
+    return LieAlgebraSpec(6, constants, name="se3", basis_matrices=basis)
 
 
 def _builtin_gl_n(n):
-    # matrix units E_ab at index a*n + b, row-major; Frobenius pairing is the
-    # identity on them.  [E_ab, E_cd] = d_bc E_ad - d_ad E_cb
-    a, b = np.divmod(np.arange(n * n), n)
-    i, j = np.indices((n * n, n * n))
-    c = np.zeros((n * n,) * 3)
-    for hit, k, s in ((b[i] == a[j], a[i] * n + b[j], 1.0), (a[i] == b[j], a[j] * n + b[i], -1.0)):
-        np.add.at(c, (k[hit], i[hit], j[hit]), s)
+    # matrix units E_ab at index a*n + b, row-major, orthonormal under the
+    # Frobenius product.  [E_ab, E_cd] = d_bc E_ad - d_ad E_cb: over all
+    # (a, b, d), [E_ab, E_bd] = E_ad and [E_ab, E_da] = -E_db.  The two terms
+    # meet only in [E_aa, E_aa] = 0, which is left out.
+    a, b, d = np.indices((n,) * 3).reshape(3, -1)
+    a, b, d = (t[(a != b) | (b != d)] for t in (a, b, d))
+    constants = (np.concatenate([a * n + d, d * n + b]), np.tile(a * n + b, 2),
+                 np.concatenate([b * n + d, d * n + a]), np.repeat([1.0, -1.0], a.size))
+    unit = np.arange(n * n)
     basis = np.zeros((n * n, n, n))
-    basis[np.arange(n * n), a, b] = 1.0
-    return LieAlgebraSpec(n * n, c, np.eye(n * n), name=f"glN({n})", basis_matrices=basis)
+    basis[unit, unit // n, unit % n] = 1.0
+    return LieAlgebraSpec(n * n, constants, name=f"glN({n})", basis_matrices=basis)
 
 
 def builtin(name: str) -> LieAlgebraSpec:

@@ -20,7 +20,7 @@ from .clebsch import act
 from .errors import DimensionMismatchError
 from .gstrand import History, QuadraticLagrangian, StrandGrid, _centered
 from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
-from .liealg import LieAlgebraSpec, ad_star
+from .liealg import LieAlgebraSpec, ad_star, pair
 
 FD_SCALE = 1e-6
 
@@ -157,12 +157,10 @@ def interior_max(action: DiscreteAction, grads: dict) -> float:
     boundary-constrained there and multiplier fields see one-sided cells.
     """
     g = action.grid
-    worst = 0.0
-    for spec in action.fields:
-        arr = grads[spec.name][1:-1]
-        if arr.size:
-            worst = max(worst, float(np.max(np.abs(arr))))
-    return worst / (g.dt * g.ds)
+    # np.max, unlike Python's max, keeps a NaN wherever it sits
+    worst = np.max([np.max(np.abs(grads[spec.name][1:-1]), initial=0.0)
+                    for spec in action.fields])
+    return float(worst) / (g.dt * g.ds)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +168,13 @@ def interior_max(action: DiscreteAction, grads: dict) -> float:
 
 def clebsch_linear_action(rep, lag: QuadraticLagrangian, grid: ActionGrid) -> DiscreteAction:
     """l(xi, gam) + m.(d_t v - rho(xi) v) + n.(d_s v - rho(gam) v)."""
-    kappa = rep.alg.kappa
+    alg = rep.alg
     a_t, a_s = lag.a_t, lag.a_s
 
     def integrand(tt, ss, vals, dts, dss):
         v, m, n = vals["v"], vals["m"], vals["n"]
         xi, gam = vals["xi"], vals["gam"]
-        lval = 0.5 * (np.einsum("...i,ij,...j->...", xi @ a_t.T, kappa, xi)
-                      + np.einsum("...i,ij,...j->...", gam @ a_s.T, kappa, gam))
+        lval = 0.5 * (pair(alg, xi @ a_t.T, xi) + pair(alg, gam @ a_s.T, gam))
         ct = dts["v"] - act(rep, xi, v)
         cs = dss["v"] - act(rep, gam, v)
         return lval + np.einsum("...a,...a->...", m, ct) + np.einsum("...a,...a->...", n, cs)
@@ -252,12 +249,13 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas) -> dict
 
     interior = slice(1, -1)  # the time-interior slices
 
-    r1 = 0.0
+    r1 = np.zeros(n_dir)
     div_p = np.zeros(shape + (energy.n_y,))
     for mu, delta in enumerate(deltas):
         dy = centered(y, mu, delta)
-        r1 = max(r1, float(np.max(np.abs((dy - de_dp[..., mu, :])[interior]))))
+        r1[mu] = np.max(np.abs((dy - de_dp[..., mu, :])[interior]))
         div_p = div_p + centered(p[..., mu, :], mu, delta)
+    r1 = float(np.max(r1, initial=0.0))
     r2 = float(np.max(np.abs((div_p + de_dy)[interior])))
     if b is not None and energy.n_b:
         de_db = de_wrt(b, lambda a: (y, p, a))
@@ -279,13 +277,12 @@ def hamilton_pontryagin_energy(n_y: int, lagrangian: Callable) -> GeneralizedEne
 def clebsch_pontryagin_energy(rep, lag: QuadraticLagrangian) -> GeneralizedEnergy:
     """e = m.rho(xi)v + n.rho(gam)v - l(xi, gam) on a (t, s) base,
     with b = (xi, gam) stacked."""
-    kappa = rep.alg.kappa
-    d = rep.alg.dim
+    alg = rep.alg
+    d = alg.dim
 
     def e_loc(xs, y, p, b):
         xi, gam = b[..., :d], b[..., d:]
-        lval = 0.5 * (np.einsum("...i,ij,...j->...", xi @ lag.a_t.T, kappa, xi)
-                      + np.einsum("...i,ij,...j->...", gam @ lag.a_s.T, kappa, gam))
+        lval = 0.5 * (pair(alg, xi @ lag.a_t.T, xi) + pair(alg, gam @ lag.a_s.T, gam))
         return (np.einsum("...a,...a->...", p[..., 0, :], act(rep, xi, y))
                 + np.einsum("...a,...a->...", p[..., 1, :], act(rep, gam, y)) - lval)
 
@@ -301,11 +298,10 @@ class CovariantHamiltonian:
 
     b_t: np.ndarray
     b_s: np.ndarray
-    kappa: np.ndarray
 
     def value(self, nu_t, nu_s):
-        return 0.5 * (np.einsum("...i,ij,...j->...", nu_t @ self.b_t.T, self.kappa, nu_t)
-                      + np.einsum("...i,ij,...j->...", nu_s @ self.b_s.T, self.kappa, nu_s))
+        return 0.5 * (np.einsum("...i,...i->...", nu_t @ self.b_t.T, nu_t)
+                      + np.einsum("...i,...i->...", nu_s @ self.b_s.T, nu_s))
 
     def velocity(self, m, n):
         """delta h / delta nu: the inverse Legendre map back to velocities."""
@@ -315,11 +311,9 @@ class CovariantHamiltonian:
         return QuadraticLagrangian(np.linalg.inv(self.b_t), np.linalg.inv(self.b_s))
 
 
-def legendre_pair(lag: QuadraticLagrangian, kappa=None) -> CovariantHamiltonian:
+def legendre_pair(lag: QuadraticLagrangian) -> CovariantHamiltonian:
     """Legendre-dual quadratic Hamiltonian; inverts the inertia operators."""
-    dim = lag.a_t.shape[0]
-    kappa = np.eye(dim) if kappa is None else np.asarray(kappa, dtype=float)
-    return CovariantHamiltonian(lag.a_t_inv, lag.a_s_inv, kappa)
+    return CovariantHamiltonian(lag.a_t_inv, lag.a_s_inv)
 
 
 def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
@@ -327,7 +321,7 @@ def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
     """Pointwise gap between the field-equation residual written with the
     Lagrangian velocities and with velocities recovered through the
     Hamiltonian; zero up to roundoff by construction of the Legendre pair."""
-    ham = legendre_pair(lag, alg.kappa)
+    ham = legendre_pair(lag)
     m = hist.nu @ lag.a_t.T
     n = hist.gamma @ lag.a_s.T
     ep_term = ad_star(alg, hist.nu, m) + ad_star(alg, hist.gamma, n)

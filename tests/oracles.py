@@ -9,7 +9,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from gstrands import gstrand, kernels, liealg, verify
-from gstrands.errors import NearCollisionError
+from gstrands.errors import DimensionMismatchError, NearCollisionError
+
+JACOBI_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # classical reductions: one RK4 loop, independent of gstrand.rk4_advance
@@ -88,6 +90,33 @@ def reconstruct(alg, g0, hist, grid, tol=1e-6):
     return gs, mismatch
 
 
+# ---------------------------------------------------------------------------
+# dense structure constants: the only dim^3 arrays, built here for the checks
+
+def dense_c(spec) -> np.ndarray:
+    """c[k, i, j] of a spec, zero where it lists no entry."""
+    c = np.zeros((spec.dim,) * 3)
+    k, i, j, value = spec.constants
+    c[k, i, j] = value
+    return c
+
+
+def jacobi_residual(spec) -> float:
+    """Max-norm of the Jacobi identity over all index quadruples."""
+    c = dense_c(spec)
+    r = (np.einsum("kij,mkl->ijlm", c, c)
+         + np.einsum("kjl,mki->ijlm", c, c)
+         + np.einsum("kli,mkj->ijlm", c, c))
+    return float(np.max(np.abs(r)))
+
+
+def validate(spec):
+    """Raise unless the spec's constants satisfy the Jacobi identity."""
+    res = jacobi_residual(spec)
+    if res >= JACOBI_TOL:
+        raise DimensionMismatchError(f"Jacobi residual {res:.3e} exceeds {JACOBI_TOL}")
+
+
 def structure_constants_from_matrices(basis) -> np.ndarray:
     """c[k, i, j] from pairwise commutators, expanding in the given basis by
     least squares.  The builtins fill c in closed form; this is their oracle."""
@@ -163,16 +192,13 @@ def solve_gram(g: GramSystem, rhs):
 
 def clebsch_adjoint_action(alg, grid):
     """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
-    kappa = alg.kappa
 
     def integrand(tt, ss, vals, dts, dss):
-        m = vals["m"]
-        lval = 0.5 * (np.einsum("...i,ij,...j->...", vals["s_t"], kappa, vals["s_t"])
-                      + np.einsum("...i,ij,...j->...", vals["s_s"], kappa, vals["s_s"]))
-        ct = dts["m"] - liealg.bracket(alg, vals["s_t"], m)
-        cs = dss["m"] - liealg.bracket(alg, vals["s_s"], m)
-        return (lval + np.einsum("...a,ab,...b->...", vals["w_t"], kappa, ct)
-                + np.einsum("...a,ab,...b->...", vals["w_s"], kappa, cs))
+        m, s_t, s_s = vals["m"], vals["s_t"], vals["s_s"]
+        lval = 0.5 * (liealg.pair(alg, s_t, s_t) + liealg.pair(alg, s_s, s_s))
+        ct = dts["m"] - liealg.bracket(alg, s_t, m)
+        cs = dss["m"] - liealg.bracket(alg, s_s, m)
+        return lval + liealg.pair(alg, vals["w_t"], ct) + liealg.pair(alg, vals["w_s"], cs)
 
     d = alg.dim
     fields = (verify.FieldSpec("m", d), verify.FieldSpec("w_t", d),

@@ -4,7 +4,7 @@ import scipy.linalg
 from conftest import fit_order, rotation_field_z
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import classical_ep_trajectory, rigid_body_oracle
+from oracles import classical_ep_trajectory, dense_c, rigid_body_oracle
 
 from gstrands import clebsch, gstrand, liealg
 from gstrands.errors import DimensionMismatchError
@@ -21,7 +21,7 @@ e1, e2, e3 = np.eye(3)
 # diamond map
 
 def test_diamond_defining_rep_example():
-    # kappa(v <> p, eta) = p . (eta x v); v = e1, p = e2 gives e3
+    # <v <> p, eta> = p . (eta x v); v = e1, p = e2 gives e3
     out = clebsch.diamond(REP3, e1, e2)
     assert np.allclose(out, e3)
 
@@ -61,6 +61,22 @@ def test_representation_property_enforced():
     rho[0][0, 1] += 1e-3
     with pytest.raises(DimensionMismatchError):
         clebsch.LinearRepSpec(SO3, 3, rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rho_is_refused(bad):
+    rho = SO3.basis_matrices.copy()
+    rho[1][2, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        clebsch.LinearRepSpec(SO3, 3, rho)
+
+
+def test_representation_check_keeps_a_nan_mismatch():
+    # finite entries whose commutators overflow: the mismatch is inf - inf = NaN
+    # in some rows, which must not read as a perfect representation
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DimensionMismatchError, match="not a representation"):
+            clebsch.LinearRepSpec(SO3, 3, 1e300 * SO3.basis_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +231,7 @@ def test_cdb_rotating_state_rejects_bad_axis():
 
 def _pinv_cdb_ws(alg, m, dsm):
     """The general solve_cdb_ws: pinv of -ad_m^2 with the module's cutoff."""
-    ad_m = np.einsum("kij,...i->...kj", alg.c, m)
+    ad_m = np.einsum("kij,...i->...kj", dense_c(alg), m)
     a = -np.einsum("...ki,...ij->...kj", ad_m, ad_m)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(a, rcond=clebsch.PINV_RCOND), dsm)
 
@@ -282,14 +298,16 @@ def test_so3_cdb_ws_refuses_non_finite_input(m, dsm):
 def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
     rng = np.random.default_rng(3)
     m, dsm = rng.standard_normal((2, 8, 3))
-    renamed = liealg.LieAlgebraSpec(3, SO3.c, np.eye(3), name="not-so3")
-    rescaled = liealg.LieAlgebraSpec(3, SO3.c, 2.0 * np.eye(3), name="so3")
+    k, i, j, value = SO3.constants
+    renamed = liealg.LieAlgebraSpec(3, SO3.constants, name="not-so3")
+    # so(3) named "so3" but with doubled constants: not the Levi-Civita entries
+    doubled = liealg.LieAlgebraSpec(3, (k, i, j, 2.0 * value), name="so3")
     se3 = liealg.builtin("se3")
     m6, dsm6 = rng.standard_normal((2, 8, 6))
     # the general path, bitwise as before: pinv for every other spec
     assert clebsch.solve_cdb_ws(se3, m6, dsm6).tobytes() == _pinv_cdb_ws(se3, m6, dsm6).tobytes()
-    assert (clebsch.solve_cdb_ws(rescaled, m, dsm).tobytes()
-            == _pinv_cdb_ws(rescaled, m, dsm).tobytes())
+    assert (clebsch.solve_cdb_ws(doubled, m, dsm).tobytes()
+            == _pinv_cdb_ws(doubled, m, dsm).tobytes())
 
     def no_pinv(*args, **kwargs):
         raise AssertionError("pinv called")
@@ -297,7 +315,7 @@ def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", no_pinv)
     assert np.array_equal(clebsch.solve_cdb_ws(renamed, m, dsm), clebsch.solve_cdb_ws(SO3, m, dsm))
     with pytest.raises(AssertionError, match="pinv called"):
-        clebsch.solve_cdb_ws(rescaled, m, dsm)
+        clebsch.solve_cdb_ws(doubled, m, dsm)
     with pytest.raises(AssertionError, match="pinv called"):
         clebsch.solve_cdb_ws(se3, m6, dsm6)
 
@@ -387,11 +405,11 @@ INTEGER_BUILTINS = (["so3", "se3"] + [f"soN({n})" for n in range(3, 9)]
 REP_SHAPES = [((), ()), ((5,), (5,)), ((3, 5), (3, 5)), ((), (3, 5))]
 
 
-def dense_rep_ops(rho, kappa_inv, xi, v, p):
+def dense_rep_ops(rho, xi, v, p):
     """act, act_dual and diamond as the dense einsums over rho."""
     return (np.einsum("kab,...k,...b->...a", rho, xi, v),
             -np.einsum("kba,...k,...b->...a", rho, xi, p),
-            np.einsum("kab,...a,...b->...k", rho, p, v) @ kappa_inv)
+            np.einsum("kab,...a,...b->...k", rho, p, v))
 
 
 def sparse_rep_ops(rep, xi, v, p):
@@ -414,10 +432,9 @@ def test_rep_tables_match_dense_einsum(name, shapes):
         rep = clebsch.adjoint_rep(liealg.builtin(name))
     xi, v, p = rep_inputs(rep, *shapes, seed=len(name))
     got = sparse_rep_ops(rep, xi, v, p)
-    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
+    want = dense_rep_ops(rep.rho, xi, v, p)
     # per-entry sums of absolute terms (the sign of act_dual's does not matter)
-    bound = dense_rep_ops(np.abs(rep.rho), np.abs(rep.alg.kappa_inv), np.abs(xi), np.abs(v),
-                          np.abs(p))
+    bound = dense_rep_ops(np.abs(rep.rho), np.abs(xi), np.abs(v), np.abs(p))
     for op, g, w, b in zip(("act", "act_dual", "diamond"), got, want, bound):
         assert g.shape == w.shape
         if name.startswith("glN") and op == "act":
@@ -434,9 +451,8 @@ def test_rep_tables_non_integer_rep(shapes):
     rep = clebsch.LinearRepSpec(SO3, 3, s @ REP3.rho @ np.linalg.inv(s))
     xi, v, p = rep_inputs(rep, *shapes, seed=9)
     got = sparse_rep_ops(rep, xi, v, p)
-    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
-    bound = dense_rep_ops(np.abs(rep.rho), np.abs(rep.alg.kappa_inv), np.abs(xi), np.abs(v),
-                          np.abs(p))
+    want = dense_rep_ops(rep.rho, xi, v, p)
+    bound = dense_rep_ops(np.abs(rep.rho), np.abs(xi), np.abs(v), np.abs(p))
     for g, w, b in zip(got, want, bound):
         assert g.shape == w.shape
         assert np.all(np.abs(g - w) <= 1e-14 * np.abs(b))
@@ -455,7 +471,7 @@ def test_rep_tables_when_rep_dim_differs_from_dim(name, shapes):
     rep = rep_dim_cases()[name]
     xi, v, p = rep_inputs(rep, *shapes, seed=13)
     got = sparse_rep_ops(rep, xi, v, p)
-    want = dense_rep_ops(rep.rho, rep.alg.kappa_inv, xi, v, p)
+    want = dense_rep_ops(rep.rho, xi, v, p)
     lead = np.broadcast_shapes(shapes[0], shapes[1])
     for g, w, d in zip(got, want, (rep.rep_dim, rep.rep_dim, rep.alg.dim)):
         assert g.shape == w.shape == lead + (d,)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import structure_constants_from_matrices, to_matrix
+from oracles import (dense_c, jacobi_residual, structure_constants_from_matrices, to_matrix,
+                     validate)
 
 from gstrands import clebsch, liealg
 from gstrands.errors import DimensionMismatchError, UnsupportedAlgebraError
@@ -82,8 +85,8 @@ def test_bracket_bilinear_se3(xi, eta, zeta, a, b):
 @pytest.mark.parametrize("name", ["so3", "se3", "soN(3)", "soN(4)", "soN(5)", "glN(2)", "glN(3)"])
 def test_builtin_jacobi(name):
     spec = liealg.builtin(name)
-    assert liealg.jacobi_residual(spec) < 1e-12
-    liealg.validate(spec)
+    assert jacobi_residual(spec) < 1e-12
+    validate(spec)
 
 
 def test_builtin_dims():
@@ -109,15 +112,17 @@ def perturbed_so3():
     rng = np.random.default_rng(1)
     pert = 0.1 * rng.standard_normal((3, 3, 3))
     pert = 0.5 * (pert - np.swapaxes(pert, 1, 2))     # keep antisymmetry exact
-    return liealg.LieAlgebraSpec(3, SO3.c + pert, np.eye(3), name="broken")
+    c = dense_c(SO3) + pert
+    k, i, j = np.nonzero(c)
+    return liealg.LieAlgebraSpec(3, (k, i, j, c[k, i, j]), name="broken")
 
 
 def test_jacobi_residual_of_perturbed_constants():
     spec = perturbed_so3()
-    res = liealg.jacobi_residual(spec)
+    res = jacobi_residual(spec)
     assert res > 0.1
     with pytest.raises(DimensionMismatchError):
-        liealg.validate(spec)
+        validate(spec)
 
 
 def test_unsupported_name():
@@ -133,10 +138,66 @@ def test_dimension_mismatch():
 
 
 def test_antisymmetry_enforced_exactly():
-    c = SO3.c.copy()
-    c[0, 1, 2] += 1e-14
-    with pytest.raises(DimensionMismatchError):
-        liealg.LieAlgebraSpec(3, c, np.eye(3))
+    k, i, j, value = SO3.constants
+    assert (k[0], i[0], j[0]) == (0, 1, 2)
+    value = value.copy()
+    value[0] += 1e-14
+    with pytest.raises(DimensionMismatchError, match="antisymmetric"):
+        liealg.LieAlgebraSpec(3, (k, i, j, value))
+
+
+def so3_constants_with(**changes):
+    """so3's (k, i, j, value) as lists, with some arrays replaced."""
+    entries = {name: list(arr) for name, arr in SO3.constants._asdict().items()}
+    entries.update(changes)
+    return tuple(entries.values())
+
+
+@pytest.mark.parametrize("constants, message", [
+    (so3_constants_with(k=[0, 0, 1, 1, 2, 3]), "indices"),
+    (so3_constants_with(j=[2, 1, 2, 0, 1, -1]), "indices"),
+    ((SO3.constants.k[[0, 1, 1]], SO3.constants.i[[0, 1, 1]], SO3.constants.j[[0, 1, 1]],
+      SO3.constants.value[[0, 1, 1]]), "twice"),
+    (so3_constants_with(value=[1.0, -1.0, -1.0, 1.0, 1.0]), "one length"),
+    (so3_constants_with(i=[1, 2, 0, 2, 0]), "one length"),
+    (so3_constants_with(value=[[1.0, -1.0, -1.0, 1.0, 1.0, -1.0]]), "one length"),
+    (tuple(a[:5] for a in SO3.constants), "antisymmetric"),
+    (so3_constants_with(value=[1.0, -1.0, -1.0, 1.0, 1.0, 1.0]), "antisymmetric"),
+    ((np.array([0]), np.array([1]), np.array([1]), np.array([1.0])), "antisymmetric"),
+    (so3_constants_with(value=[0.0, -0.0, -1.0, 1.0, 1.0, -1.0]), "nonzero"),
+    (so3_constants_with(value=[np.nan, np.nan, -1.0, 1.0, 1.0, -1.0]), "finite"),
+    (so3_constants_with(k=[0.0, 0.0, 1.0, 1.0, 2.0, 2.0]), "integers"),
+], ids=["k-out-of-range", "j-negative", "listed-twice", "short-value", "short-i", "2d-value",
+        "missing-partner", "partner-same-sign", "diagonal", "zero-value", "nan-value",
+        "float-index"])
+def test_malformed_constants_are_refused(constants, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        liealg.LieAlgebraSpec(3, constants)
+
+
+@pytest.mark.parametrize("name", ["so3", "se3", "soN(4)", "glN(3)"])
+def test_constants_are_kept_sorted_whatever_the_input_order(name):
+    spec = liealg.builtin(name)
+    shuffle = np.random.default_rng(4).permutation(spec.constants.k.size)
+    again = liealg.LieAlgebraSpec(spec.dim, tuple(a[shuffle] for a in spec.constants))
+    for got, want in zip(again.constants, spec.constants):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    for table in ("bracket_table", "coad_table", "pair_table"):
+        for got, want in zip(getattr(again, table), getattr(spec, table)):
+            assert np.array_equal(got, want), table
+
+
+@pytest.mark.parametrize("n, bound_mib", [(24, 32), (32, 64)])
+def test_son_builds_without_a_dim_cubed_array(n, bound_mib):
+    # a dense c would be dim^3 doubles: 160 MiB at n = 24, 931 MiB at n = 32
+    tracemalloc.start()
+    try:
+        spec = liealg.builtin(f"soN({n})")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.constants.k.size == n * (n - 1) * (n - 2)   # ordered pairs sharing one index
+    assert peak < bound_mib * 2**20
 
 
 def test_batched_operations_match_loop():
@@ -161,17 +222,18 @@ BUILTINS = (["so3", "se3"] + [f"soN({n})" for n in range(3, 9)]
             + [f"glN({n})" for n in range(2, 5)])
 
 
-def skewed_kappa_se3():
-    """se3 constants under a symmetric positive-definite, non-identity pairing."""
-    a = np.random.default_rng(3).standard_normal((6, 6))
-    return liealg.LieAlgebraSpec(6, SE3.c, 0.5 * (a + a.T) + 6.0 * np.eye(6), name="se3-kappa")
-
-
 def dense_bracket(c, xi, eta):
     return np.einsum("kij,...i,...j->...k", c, xi, eta)
 
 
+def skewed_kappa():
+    """A symmetric positive-definite, non-identity pairing matrix on se3."""
+    a = np.random.default_rng(3).standard_normal((6, 6))
+    return 0.5 * (a + a.T) + 6.0 * np.eye(6)
+
+
 def dense_ad_star(c, kappa, kappa_inv, xi, mu):
+    """The nu with kappa(nu, eta) = kappa(mu, [xi, eta])."""
     return np.einsum("kij,...i,...k->...j", c, xi, mu @ kappa) @ kappa_inv
 
 
@@ -179,18 +241,27 @@ def dense_ad_star(c, kappa, kappa_inv, xi, mu):
                          ids=["point", "batch", "history", "broadcast"])
 @pytest.mark.parametrize("name", BUILTINS + ["perturbed", "kappa"])
 def test_tables_match_dense_einsum(name, shapes):
-    spec = {"perturbed": perturbed_so3, "kappa": skewed_kappa_se3}.get(
+    spec = {"perturbed": perturbed_so3, "kappa": lambda: SE3}.get(
         name, lambda: liealg.builtin(name))()
     rng = np.random.default_rng(21)
     x = rng.standard_normal(shapes[0] + (spec.dim,))
     y = rng.standard_normal(shapes[1] + (spec.dim,))
-    got = (liealg.bracket(spec, x, y), liealg.ad_star(spec, x, y))
-    want = (dense_bracket(spec.c, x, y),
-            dense_ad_star(spec.c, spec.kappa, spec.kappa_inv, x, y))
+    if name == "kappa":
+        # a non-identity pairing lives in the caller's coordinates:
+        # ad*_kappa(xi, mu) = ad*(xi, mu kappa) kappa^-1
+        kappa = skewed_kappa()
+        kappa_inv = np.linalg.inv(kappa)
+        got_ad = liealg.ad_star(spec, x, y @ kappa) @ kappa_inv
+    else:
+        kappa = kappa_inv = np.eye(spec.dim)
+        got_ad = liealg.ad_star(spec, x, y)
+    c = dense_c(spec)
+    got = (liealg.bracket(spec, x, y), got_ad)
+    want = (dense_bracket(c, x, y), dense_ad_star(c, kappa, kappa_inv, x, y))
     # roundoff scale of each output entry: the same sums over absolute values
-    c, ax, ay = np.abs(spec.c), np.abs(x), np.abs(y)
+    c, ax, ay = np.abs(c), np.abs(x), np.abs(y)
     scale = (dense_bracket(c, ax, ay),
-             dense_ad_star(c, np.abs(spec.kappa), np.abs(spec.kappa_inv), ax, ay))
+             dense_ad_star(c, np.abs(kappa), np.abs(kappa_inv), ax, ay))
     for g, w, sc in zip(got, want, scale):
         assert g.shape == w.shape
         assert np.all(np.abs(g - w) <= 1e-14 * sc)
@@ -199,7 +270,8 @@ def test_tables_match_dense_einsum(name, shapes):
 
 
 def test_abelian_algebra_contracts_to_zero():
-    spec = liealg.LieAlgebraSpec(4, np.zeros((4, 4, 4)), np.eye(4))
+    none = np.array([], dtype=int)
+    spec = liealg.LieAlgebraSpec(4, (none, none, none, np.array([])))
     x = np.random.default_rng(2).standard_normal((7, 4))
     assert np.array_equal(liealg.bracket(spec, x, x), np.zeros((7, 4)))
     assert np.array_equal(liealg.ad_star(spec, x, x), np.zeros((7, 4)))
@@ -208,10 +280,11 @@ def test_abelian_algebra_contracts_to_zero():
 @pytest.mark.parametrize("name", BUILTINS)
 def test_closed_form_constants_match_matrix_commutators(name):
     spec = liealg.builtin(name)
-    assert np.array_equal(spec.c, np.round(spec.c))
+    c = dense_c(spec)
+    assert np.array_equal(c, np.round(c))
     oracle = structure_constants_from_matrices(spec.basis_matrices)
-    assert np.max(np.abs(spec.c - oracle)) <= 1e-15
-    assert liealg.jacobi_residual(spec) == 0.0
+    assert np.max(np.abs(c - oracle)) <= 1e-15
+    assert jacobi_residual(spec) == 0.0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -259,9 +332,10 @@ def spec_tables(name):
     """(table, dense t) of every contraction a builtin and its adjoint rep use."""
     spec = liealg.builtin(name)
     rep = clebsch.adjoint_rep(spec)
-    return {"bracket": (spec.bracket_table, spec.c),
-            "coad": (spec.coad_table, spec.c.transpose(2, 0, 1)),
-            "pair": (spec.pair_table, spec.kappa[None]),
+    c = dense_c(spec)
+    return {"bracket": (spec.bracket_table, c),
+            "coad": (spec.coad_table, c.transpose(2, 0, 1)),
+            "pair": (spec.pair_table, np.eye(spec.dim)[None]),
             "act": (rep.act_table, rep.rho.transpose(1, 0, 2)),
             "act_dual": (rep.dual_table, rep.rho.transpose(2, 0, 1)),
             "diamond": (rep.diamond_table, rep.rho)}
@@ -317,15 +391,18 @@ def test_contract_of_empty_batch():
                          ids=["point", "batch", "history", "broadcast"])
 @pytest.mark.parametrize("name", BUILTINS + ["kappa"])
 def test_pair_matches_dense_einsum(name, shapes):
-    spec = skewed_kappa_se3() if name == "kappa" else liealg.builtin(name)
+    spec = SE3 if name == "kappa" else liealg.builtin(name)
+    kappa = skewed_kappa() if name == "kappa" else np.eye(spec.dim)
     rng = np.random.default_rng(31)
     mu = rng.standard_normal(shapes[0] + (spec.dim,))
     xi = rng.standard_normal(shapes[1] + (spec.dim,))
-    got = liealg.pair(spec, mu, xi)
-    want = np.einsum("...i,ij,...j->...", mu, spec.kappa, xi)
-    assert np.shape(got) == np.shape(want) and type(got) is type(want)
+    want = np.einsum("...i,ij,...j->...", mu, kappa, xi)
     if name == "kappa":
-        scale = np.einsum("...i,ij,...j->...", np.abs(mu), np.abs(spec.kappa), np.abs(xi))
+        # kappa(mu, xi) = <mu kappa, xi>
+        got = liealg.pair(spec, mu @ kappa, xi)
+        scale = np.einsum("...i,ij,...j->...", np.abs(mu), np.abs(kappa), np.abs(xi))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
     else:
+        got = liealg.pair(spec, mu, xi)
         assert np.array_equal(got, want)
+    assert np.shape(got) == np.shape(want) and type(got) is type(want)

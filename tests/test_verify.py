@@ -155,6 +155,27 @@ def test_adjoint_action_gradient_orders():
     assert fit_order(errs) >= 1.9
 
 
+def test_interior_max_keeps_a_nan_gradient():
+    action, _ = quadratic_action()
+    assert np.isnan(verify.interior_max(action, {"x": np.full((4, 4, 1), np.nan)}))
+    # one NaN in one field, after a field of zeros
+    action = verify.clebsch_linear_action(REP3, CHIRAL, verify.ActionGrid(5, 0.1, 4, 0.1))
+    grads = {spec.name: np.zeros((5, 4, spec.ncomp)) for spec in action.fields}
+    grads["gam"][2, 1, 0] = np.nan
+    assert np.isnan(verify.interior_max(action, grads))
+
+
+def test_pontryagin_constraint_keeps_a_nan_derivative():
+    hp = verify.hamilton_pontryagin_energy(1, lambda v: 0.5 * np.sum(v * v, axis=-1))
+    n_t = 11
+    y = (np.arange(n_t) * 0.01)[:, None]
+    y[5, 0] = np.nan
+    res = verify.pontryagin_residual(hp, {"y": y, "p": np.ones((n_t, 1, 1)),
+                                          "b": np.ones((n_t, 1))}, (0.01,))
+    assert np.isnan(res["constraint"])
+    assert np.isnan(res["divergence"])
+
+
 def test_pontryagin_hamilton_pontryagin_exact_line():
     # e = p.v - |v|^2/2 on q(t) = t, p = v = 1: all residuals at roundoff
     hp = verify.hamilton_pontryagin_energy(1, lambda v: 0.5 * np.sum(v * v, axis=-1))
