@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run every bundled example config once and print the summary block of
-each diagnostics file.  Outputs land in scripts/results/."""
+each diagnostics file.  Outputs land in scripts/results/, or in
+$GSTRANDS_OUTPUT_DIR when it is set."""
 
 import json
 import pathlib
 import sys
 
-from gstrands import cli
+from gstrands import cli, config
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -22,8 +23,8 @@ def main():
             print(f"   exited with {code}")
             failures += 1
             continue
-        label = cfg.stem
-        diag = json.loads((HERE / "results" / f"{label}.json").read_text())
+        _, json_path = cli.output_paths(config.load_config(str(cfg)))
+        diag = json.loads(pathlib.Path(json_path).read_text())
         for key, val in sorted(diag["summary"].items()):
             print(f"   {key}: {val:.3e}" if isinstance(val, float) else f"   {key}: {val}")
     return 1 if failures else 0

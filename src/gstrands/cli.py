@@ -31,12 +31,11 @@ SATURATION_FLOOR = 1e-12
 _USAGE_CATEGORIES = ("parse", "validation", "usage")
 
 
-def _out_dir(cfg):
-    return os.environ.get("GSTRANDS_OUTPUT_DIR", cfg.output_dir)
-
-
-def _paths(cfg):
-    base = os.path.join(_out_dir(cfg), cfg.label)
+def output_paths(cfg):
+    """(csv, json) paths of a run of ``cfg``: ``<label>.csv`` and
+    ``<label>.json`` in GSTRANDS_OUTPUT_DIR when set, else in the
+    configured output directory."""
+    base = os.path.join(os.environ.get("GSTRANDS_OUTPUT_DIR", cfg.output_dir), cfg.label)
     return base + ".csv", base + ".json"
 
 
@@ -44,7 +43,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     started = time.monotonic()
     header, rows, diag, extras = run_scenario(cfg)
-    csv_path, json_path = _paths(cfg)
+    csv_path, json_path = output_paths(cfg)
     payload = {"config": cfg.echo(), "series": diag["series"], "summary": diag["summary"]}
     tables = [(csv_path, header, rows)] + [
         (csv_path.replace(".csv", f".{suffix}.csv"), *table) for suffix, table in extras.items()]
@@ -92,7 +91,7 @@ def cmd_study(args) -> int:
         "residuals": table,
         "orders": {name: orders_from_residuals(vals) for name, vals in table.items()},
     }
-    _, json_path = _paths(cfg)
+    _, json_path = output_paths(cfg)
     json_path = json_path.replace(".json", ".study.json")
     write_json(json_path, report)
     for name, vals in table.items():

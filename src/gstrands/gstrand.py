@@ -68,11 +68,12 @@ def _centered(arr, axis: int, delta: float, wrap: bool):
     arr = np.asarray(arr)
     out = np.empty_like(arr, dtype=float if arr.dtype.kind in "iu" else None)
     a, o = arr.swapaxes(0, axis), out.swapaxes(0, axis)
-    two_delta = 2.0 * delta
-    np.divide(np.subtract(a[2:], a[:-2], out=o[1:-1]), two_delta, out=o[1:-1])
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
     if wrap:
-        np.divide(np.subtract(a[1:2], a[-1:], out=o[:1]), two_delta, out=o[:1])
-        np.divide(np.subtract(a[:1], a[-2:-1], out=o[-1:]), two_delta, out=o[-1:])
+        np.subtract(a[1:2], a[-1:], out=o[:1])
+        np.subtract(a[:1], a[-2:-1], out=o[-1:])
+    set_rows = out if wrap else o[1:-1]  # one divide over every row set
+    np.divide(set_rows, 2.0 * delta, out=set_rows)
     return out
 
 
@@ -83,7 +84,7 @@ def d_s(arr, grid: StrandGrid, axis: int = 0):
     (n_t, n_s, ...).
     """
     if grid.n_s == 1:
-        return np.zeros_like(arr)
+        return np.zeros(np.shape(arr))
     out = _centered(arr, axis, grid.ds, grid.bc == "periodic")
     if grid.bc == "fixed":
         a, o = np.asarray(arr).swapaxes(0, axis), out.swapaxes(0, axis)
@@ -147,24 +148,25 @@ def zcc_rhs(alg: LieAlgebraSpec, f: StrandField, grid: StrandGrid):
 
 
 def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str,
-                k1=None) -> tuple:
-    """One classical RK4 step of dy/dt = rhs(*y) over the tuple of arrays y;
+                k1=None) -> list:
+    """One classical RK4 step of dy/dt = rhs(*y) over the sequence of arrays y;
     ``k1``, when given, is rhs(*y) already evaluated.
 
     Under fixed bc the endpoint values of every array are frozen.  A
     non-finite result raises BlowUpError("<what> blew up").
     """
     dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
     k1 = rhs(*y) if k1 is None else k1
-    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
-    y1 = tuple(a + dt / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-               for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4))
+    k2 = rhs(*[a + half * k for a, k in zip(y, k1)])
+    k3 = rhs(*[a + half * k for a, k in zip(y, k2)])
+    k4 = rhs(*[a + dt * k for a, k in zip(y, k3)])
+    y1 = [a + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]
     if grid.bc == "fixed" and grid.n_s > 1:
         for a0, a1 in zip(y, y1):
             a1[[0, -1]] = a0[[0, -1]]
-    if not all(np.all(np.isfinite(a)) for a in y1):
+    if not all([np.isfinite(a).all() for a in y1]):
         raise BlowUpError(f"{what} blew up", step_index=step_index,
                           t=grid.step_end(step_index))
     return y1

@@ -40,18 +40,20 @@ class HelmholtzKernel:
                 f"unsupported kernel dimension {self.dim}; only dim=1 is provided")
 
 
-def _difference(m, m_prime):
-    return np.asarray(m, dtype=float) - np.asarray(m_prime, dtype=float)
-
-
 def eval(k: HelmholtzKernel, m, m_prime):
-    """G(m, m') >= 0, monotone decreasing in |m - m'|; batched."""
-    return np.exp(-np.abs(_difference(m, m_prime)) / k.alpha) / (2.0 * k.alpha)
+    """G(m, m') >= 0, monotone decreasing in |m - m'|; batched.  One array
+    is allocated, for m - m', and every later step runs in place in it."""
+    g = np.asarray(np.subtract(m, m_prime, dtype=float))
+    np.abs(g, out=g)
+    np.divide(g, -k.alpha, out=g)  # = -|d| / alpha, bit for bit
+    np.exp(g, out=g)
+    np.divide(g, 2.0 * k.alpha, out=g)
+    return g
 
 
 def grad_q(k: HelmholtzKernel, q, q_prime):
     """d/dq G(q, q'); at q = q' it returns 0 (peakon convention)."""
-    d = _difference(q, q_prime)
+    d = np.subtract(q, q_prime, dtype=float)
     a = k.alpha
     # np.sign(0) = 0 realizes the coincidence convention
     return -np.sign(d) * np.exp(-np.abs(d) / a) / (2.0 * a * a)
@@ -91,16 +93,17 @@ def chol_solve_batched(mats, rhs):
 
 def _refined_solve(mats, apply_inv, rhs):
     """x = apply_inv(rhs), one refinement sweep against the dense mats, and
-    a residual check at SOLVE_RTOL relative to max |rhs|.  An all-zero rhs
-    (the classical mode's -d_s Q) has the exact solution +0, returned as is."""
-    if not rhs.any():
-        return np.zeros_like(rhs)
+    a residual check at SOLVE_RTOL relative to max |rhs|, which a NaN
+    residual or rhs fails.  An all-zero rhs (the classical mode's -d_s Q) has
+    the exact solution +0, returned as is."""
+    scale = np.abs(rhs).max(initial=0.0)
+    if scale == 0.0:
+        return np.zeros(rhs.shape)
     x = apply_inv(rhs)
     resid = rhs - np.einsum("...ij,...j->...i", mats, x)
     x = x + apply_inv(resid)
     resid = rhs - np.einsum("...ij,...j->...i", mats, x)
-    scale = np.abs(rhs).max(initial=0.0)
-    if np.abs(resid).max(initial=0.0) > SOLVE_RTOL * max(scale, 1e-300):
+    if not np.abs(resid).max(initial=0.0) <= SOLVE_RTOL * max(scale, 1e-300):
         raise NearCollisionError("Gram solve residual above tolerance; system near singular")
     return x
 

@@ -66,11 +66,11 @@ def _ordered_gaps(qs, perm, step_index, t):
     """Adjacent gaps of the positions qs, taken in the ascending order
     ``perm`` of the step-start positions.  A gap under COLLISION_GAP
     (negative when the pair crossed) raises NearCollisionError naming the
-    pair and the s-index."""
+    pair and the s-index; a NaN gap is not one."""
     n_p = qs.shape[1]
     gaps = qs[:, 1:] - qs[:, :-1]
-    bad = gaps < COLLISION_GAP
-    if bad.any():
+    if np.fmin.reduce(gaps, axis=None, initial=np.inf) < COLLISION_GAP:
+        bad = gaps < COLLISION_GAP
         j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
         a, b = sorted((int(perm[j, i]) % n_p, int(perm[j, i + 1]) % n_p))
         gap = gaps[j, i]
@@ -122,10 +122,9 @@ def _slave(kernel, grid, sort, step_index, y):
     gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
     diag, off = helmholtz_1d_inverse(kernel, gaps)
     # G is nonnegative and symmetric, so its 1-norm is its largest row sum
-    cond = gram.sum(axis=-1).max(axis=-1) * tridiag_norm_1(diag, off)
-    ok = cond <= COND_LIMIT
-    if not ok.all():
-        j = int(np.argmin(ok))
+    cond = np.einsum("sab->sa", gram).max(axis=-1) * tridiag_norm_1(diag, off)
+    if not cond.max() <= COND_LIMIT:
+        j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}",
             step_index=step_index, t=t)

@@ -5,9 +5,9 @@ studies refine."""
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from . import clebsch, gstrand, peakon, verify
 from .config import ScenarioConfig, study_names
@@ -101,7 +101,9 @@ def symm_rigid_setup(cfg, grid):
         q = np.eye(n_so)[None]
         state = clebsch.SymmRigidState(q, w0[None], np.zeros_like(w0)[None])
         return alg, lag, state
-    # strand: smooth rotation field Q(s) with smooth momentum
+    # strand: smooth rotation field Q(s) with smooth momentum.  scipy.linalg
+    # is imported here, its one use, so no other run pays for it
+    from scipy.linalg import expm
     s = grid.s_nodes
     amp = init["amplitude"]
     two_pi = 2.0 * np.pi / grid.s_extent
@@ -109,7 +111,7 @@ def symm_rigid_setup(cfg, grid):
     mw = np.empty_like(q)
     for j in range(grid.n_s):
         theta = amp * np.sin(two_pi * s[j]) * (1.0 + 0.1 * np.arange(dim))
-        q[j] = scipy.linalg.expm(hat_so_n(n_so, theta))
+        q[j] = expm(hat_so_n(n_so, theta))
         u = 0.2 + amp * np.cos(two_pi * s[j]) * (0.5 + 0.1 * np.arange(dim))
         mw[j] = q[j] @ hat_so_n(n_so, u @ lag.a_t.T)
     state = clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
@@ -166,20 +168,32 @@ def ch_setup(cfg, grid):
 
 # ---------------------------------------------------------------------------
 # runners: each returns (csv_header, csv_rows, diagnostics_dict, extra_csvs).
-# The rows are generators, built only when the CSV is written, so a
-# convergence study, which keeps only the summary, never builds them.
+# The rows of a trajectory CSV are a zero-argument callable that builds its
+# float table when output.write_csv writes it, so a convergence study,
+# which keeps only the summary, never builds one.
 
 def _series(times, values):
     return {"t": [float(t) for t in times], "value": [float(v) for v in values]}
 
 
-def _field_rows(hist, grid, comps):
-    """Rows [t, s, *components] per stored slice and gridpoint; matrix-valued
-    components are flattened row-major."""
-    flat = np.concatenate([a.reshape(a.shape[:2] + (-1,)) for a in comps], axis=2)
-    for t, values in zip(hist.times.tolist(), flat.tolist()):
-        for j, vals in enumerate(values):
-            yield [t, j * grid.ds] + vals
+def _field_rows(times, ds, comps):
+    """Float table with one row [t, s, *c] per stored slice i, gridpoint j
+    and index r, with t = times[i], s = j ds and c the entries [i, j, r, :]
+    of the arrays ``comps`` (n_t, n_s, n_r, ...) joined in order."""
+    n_t, n_s, n_r = comps[0].shape[:3]
+    width = 2 + sum(c.shape[3] for c in comps)
+    table = np.empty((n_t, n_s, n_r, width))
+    table[..., 0] = np.reshape(times, (n_t, 1, 1))
+    table[..., 1] = (np.arange(n_s) * ds)[:, None]
+    np.concatenate(comps, axis=3, out=table[..., 2:])
+    return table.reshape(-1, width)
+
+
+def _slice_rows(hist, grid, comps):
+    """Rows [t, s, *components] per stored slice and gridpoint, built when
+    written; matrix-valued components are flattened row-major."""
+    return partial(_field_rows, hist.times, grid.ds,
+                   [a.reshape(a.shape[:2] + (1, -1)) for a in comps])
 
 
 def run_gstrand_like(cfg, alg, lag, f0, grid):
@@ -190,7 +204,7 @@ def run_gstrand_like(cfg, alg, lag, f0, grid):
     }
     dim = alg.dim
     header = (["t", "s"] + [f"nu{i}" for i in range(dim)] + [f"gamma{i}" for i in range(dim)])
-    rows = _field_rows(hist, grid, [hist.nu, hist.gamma])
+    rows = _slice_rows(hist, grid, [hist.nu, hist.gamma])
     return header, rows, diag, {}
 
 
@@ -222,7 +236,7 @@ def run_cdb(cfg: ScenarioConfig):
     }
     header = (["t", "s"] + [f"m{i}" for i in range(3)]
               + [f"wt{i}" for i in range(3)] + [f"ws{i}" for i in range(3)])
-    rows = _field_rows(hist, grid, [hist.m, hist.w_t, hist.w_s])
+    rows = _slice_rows(hist, grid, [hist.m, hist.w_t, hist.w_s])
     return header, rows, diag, {}
 
 
@@ -237,7 +251,7 @@ def run_symm_rigid(cfg: ScenarioConfig):
             alg, lag, hist, grid)
     names = [f"{nm}{i}{j}" for nm in ("Q", "M", "N") for i in range(n_so) for j in range(n_so)]
     header = ["t", "s"] + names
-    rows = _field_rows(hist, grid, [hist.q, hist.mw, hist.nw])
+    rows = _slice_rows(hist, grid, [hist.q, hist.mw, hist.nw])
     return header, rows, diag, {}
 
 
@@ -258,7 +272,7 @@ def run_linear_rep(cfg: ScenarioConfig):
     rd, ad = rep.rep_dim, rep.alg.dim
     header = (["t", "s"] + [f"v{i}" for i in range(rd)] + [f"m{i}" for i in range(rd)]
               + [f"n{i}" for i in range(rd)])
-    rows = _field_rows(hist, grid, [hist.v, hist.m, hist.n])
+    rows = _slice_rows(hist, grid, [hist.v, hist.m, hist.n])
     return header, rows, diag, {}
 
 
@@ -283,38 +297,36 @@ def run_peakon_strand(cfg: ScenarioConfig):
             "compatibility_residual": peakon.compatibility_residual(hist, kernel, grid),
         },
     }
-    header = ["t", "s", "a", "Q", "M", "N"]
-    extras = {"fields": peakon_snapshot_csv(hist, kernel, grid)}
-    return header, _peakon_rows(hist, grid), diag, extras
+    extras = {"fields": (SNAPSHOT_HEADER, partial(peakon_snapshot_csv, hist, kernel, grid))}
+    return PEAKON_HEADER, _peakon_rows(hist, grid), diag, extras
+
+
+PEAKON_HEADER = ["t", "s", "a", "Q", "M", "N"]
+SNAPSHOT_HEADER = ["t", "s", "m", "nu", "gamma"]
 
 
 def _peakon_rows(hist, grid):
-    """Rows [t, s, a, Q, M, N] per stored slice, gridpoint and peakon."""
-    qmn = np.stack([hist.q, hist.mw, hist.nw], axis=3).tolist()
-    for t, values in zip(hist.times.tolist(), qmn):
-        for j, peakons in enumerate(values):
-            for a, vals in enumerate(peakons):
-                yield [t, j * grid.ds, a] + vals
+    """Rows [t, s, a, Q, M, N] per stored slice, gridpoint and peakon, built
+    when written."""
+    index = np.arange(hist.q.shape[2], dtype=float)[:, None]
+    return partial(_field_rows, hist.times, grid.ds,
+                   [np.broadcast_to(index, hist.q.shape + (1,)),
+                    hist.q[..., None], hist.mw[..., None], hist.nw[..., None]])
 
 
 def peakon_snapshot_csv(hist, kernel, grid):
-    """(header, rows) of field samples nu, gamma at the first and last stored
-    times, on an m-grid spanning the peakons plus six kernel lengths.  The
-    rows are a generator; the fields are sampled as it runs."""
-    return ["t", "s", "m", "nu", "gamma"], _snapshot_rows(hist, kernel, grid)
-
-
-def _snapshot_rows(hist, kernel, grid):
+    """Table [t, s, m, nu, gamma] of the fields nu, gamma sampled at the
+    first and last stored times, on an m-grid spanning the peakons plus six
+    kernel lengths."""
     lo = float(np.min(hist.q)) - 6.0 * kernel.alpha
     hi = float(np.max(hist.q)) + 6.0 * kernel.alpha
     m_grid = np.linspace(lo, hi, 121)
-    for k in (0, len(hist.times) - 1):
-        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
-        nu, gam = peakon.field_snapshot(st, kernel, m_grid)
-        t = float(hist.times[k])
-        for j, (nu_j, gam_j) in enumerate(zip(nu.tolist(), gam.tolist())):
-            for m, n_val, g_val in zip(m_grid.tolist(), nu_j, gam_j):
-                yield [t, j * grid.ds, m, n_val, g_val]
+    ends = [0, len(hist.times) - 1]
+    samples = [peakon.field_snapshot(peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k]),
+                                     kernel, m_grid) for k in ends]
+    nu, gam = (np.stack(field)[..., None] for field in zip(*samples))  # (2, n_s, 121, 1)
+    m = np.broadcast_to(m_grid[:, None], nu.shape)
+    return _field_rows(hist.times[ends], grid.ds, [m, nu, gam])
 
 
 def _drift(name, values):
@@ -341,8 +353,7 @@ def run_ch_classical(cfg: ScenarioConfig):
                    "total_momentum": _series(hist.times, p_vals)},
         "summary": {**_drift("hamiltonian", h_vals), **_drift("momentum", p_vals)},
     }
-    header = ["t", "s", "a", "Q", "M", "N"]
-    return header, _peakon_rows(hist, grid), diag, {}
+    return PEAKON_HEADER, _peakon_rows(hist, grid), diag, {}
 
 
 def run_verify_action(cfg: ScenarioConfig):

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the library against; none of
 them is reached by ``gstrands run``, ``study`` or ``validate``."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -8,8 +9,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from gstrands import gstrand, kernels, liealg, verify
-from gstrands.errors import DimensionMismatchError, NearCollisionError
+from gstrands import gstrand, kernels, liealg, peakon, verify
+from gstrands.errors import BlowUpError, DimensionMismatchError, NearCollisionError
 
 JACOBI_TOL = 1e-12
 
@@ -204,3 +205,52 @@ def clebsch_adjoint_action(alg, grid):
     fields = (verify.FieldSpec("m", d), verify.FieldSpec("w_t", d),
               verify.FieldSpec("w_s", d), verify.FieldSpec("s_t", d), verify.FieldSpec("s_s", d))
     return verify.DiscreteAction(grid, fields, integrand)
+
+
+# ---------------------------------------------------------------------------
+# CSV: the per-float writer and the row generators the float-table writer
+# (output.write_csv) and its tables (scenarios._field_rows) replaced
+
+def per_float_csv(path, header, rows):
+    """Text of the CSV as the per-float writer made it: format(x, '.17g')
+    for a float, str(x) for anything else.  A non-finite float raises
+    BlowUpError with the writer's message, naming its row and column."""
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row))
+        for k, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise BlowUpError(
+                    f"non-finite value in '{path}' at row {i}, column '{k}'; nothing written")
+    return "\n".join(lines) + "\n"
+
+
+def slice_rows(hist, ds, comps):
+    """Rows [t, s, *components] per stored slice and gridpoint."""
+    flat = np.concatenate([a.reshape(a.shape[:2] + (-1,)) for a in comps], axis=2)
+    for t, values in zip(hist.times.tolist(), flat.tolist()):
+        for j, vals in enumerate(values):
+            yield [t, j * ds] + vals
+
+
+def peakon_rows(hist, ds):
+    """Rows [t, s, a, Q, M, N] per stored slice, gridpoint and peakon; a is an int."""
+    qmn = np.stack([hist.q, hist.mw, hist.nw], axis=3).tolist()
+    for t, values in zip(hist.times.tolist(), qmn):
+        for j, peakons in enumerate(values):
+            for a, vals in enumerate(peakons):
+                yield [t, j * ds, a] + vals
+
+
+def snapshot_rows(hist, kernel, ds):
+    """Rows [t, s, m, nu, gamma] at the first and last stored times."""
+    lo = float(np.min(hist.q)) - 6.0 * kernel.alpha
+    hi = float(np.max(hist.q)) + 6.0 * kernel.alpha
+    m_grid = np.linspace(lo, hi, 121)
+    for k in (0, len(hist.times) - 1):
+        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
+        nu, gam = peakon.field_snapshot(st, kernel, m_grid)
+        t = float(hist.times[k])
+        for j, (nu_j, gam_j) in enumerate(zip(nu.tolist(), gam.tolist())):
+            for m, n_val, g_val in zip(m_grid.tolist(), nu_j, gam_j):
+                yield [t, j * ds, m, n_val, g_val]

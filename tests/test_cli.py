@@ -378,6 +378,28 @@ grid:
     assert (override / "envdemo.csv").exists()
 
 
+def test_run_all_scenarios_reads_the_output_dir_override(tmp_path):
+    script = CONFIG_DIR.parent / "run_all_scenarios.py"
+    results = CONFIG_DIR.parent / "results"
+
+    def listing():
+        return {p.name: p.stat().st_mtime_ns for p in results.iterdir()} if results.exists() else None
+
+    before = listing()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "GSTRANDS_OUTPUT_DIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert listing() == before
+    stems = sorted(p.stem for p in CONFIG_DIR.glob("*.yaml") if "study" not in p.stem)
+    expected = [f"{stem}{ext}" for stem in stems for ext in (".csv", ".json")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        expected + ["peakon_strand.fields.csv"])
+    assert [line[3:] for line in done.stdout.splitlines() if line.startswith("== ")] == stems
+
+
 def test_usage_error_exit_2():
     assert cli.main(["frobnicate"]) == 2
 

@@ -139,6 +139,24 @@ def test_tridiagonal_inverse_condition_matches_cond_1(n):
         assert np.max(np.abs(cond / _cond_1(mats) - 1.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("solver", ["tridiag_solve_sorted", "chol_solve_batched"])
+def test_nan_rhs_fails_the_gram_solve_residual_check(solver):
+    q = np.array([[0.0, 1.0, 2.5]])  # the 3-peakon Gram, in sorted order
+    mats = kernels.eval(K1, q[:, :, None], q[:, None, :])
+    diag, off = kernels.helmholtz_1d_inverse(K1, np.diff(q, axis=1))
+    rhs = np.array([[1.0, np.nan, 0.5]])
+    with pytest.raises(NearCollisionError, match="residual above tolerance"):
+        if solver == "tridiag_solve_sorted":
+            kernels.tridiag_solve_sorted(mats, diag, off, rhs)
+        else:
+            kernels.chol_solve_batched(mats, rhs)
+    # a finite rhs on the same system passes, and an all-zero one is +0
+    x = kernels.tridiag_solve_sorted(mats, diag, off, np.array([[1.0, -0.5, 0.5]]))
+    assert np.all(np.isfinite(x))
+    zero = kernels.tridiag_solve_sorted(mats, diag, off, -np.zeros((1, 3)))
+    assert np.array_equal(zero, np.zeros((1, 3))) and not np.signbit(zero).any()
+
+
 def test_quadrature_identity_second_order():
     # sum_j G(x_i, x_j) ((1 - D^2) f)(x_j) h reproduces f at second order
     def err(h):

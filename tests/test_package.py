@@ -12,13 +12,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg would be the costliest import on this path (about 0.14 s
-    # on a 2-vCPU VM, more than the rest of it); only scenarios imports it
+    # scipy.linalg would be the costliest import of `gstrands run` (about
+    # 0.1 s on a 2-vCPU VM, more than the rest of it); only the symm_rigid
+    # strand preset uses it, and imports it where it does
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, gstrands; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("gstrands", "gstrands.cli"):
+        code = f"import sys, {module}; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False", module
 
 
 def test_every_exported_name_resolves():
