@@ -161,12 +161,10 @@ def _linear_rhs(rep, lag, grid, v, m, aux):
 
 
 def linear_strand_step(rep: LinearRepSpec, lag: QuadraticLagrangian,
-                       state: LinearStrandState, grid: StrandGrid,
-                       step_index: int | None = None) -> LinearStrandState:
+                       state: LinearStrandState, grid: StrandGrid) -> LinearStrandState:
     """RK4 step of dv/dt = rho(xi) v, dm/dt = -d_s n + rho*(xi) m + rho*(gamma) n."""
     return slaved_step(partial(_linear_slave, rep, lag, grid),
-                       partial(_linear_rhs, rep, lag, grid), state, grid, step_index,
-                       "linear-rep strand")
+                       partial(_linear_rhs, rep, lag, grid), state, grid, "linear-rep strand")
 
 
 def linear_constraint_drift(rep, lag, state, grid) -> float:
@@ -176,8 +174,8 @@ def linear_constraint_drift(rep, lag, state, grid) -> float:
 
 
 def linear_strand_simulate(rep, lag, state, grid) -> History:
-    return integrate(lambda st, k: linear_strand_step(rep, lag, st, grid, step_index=k),
-                     state, grid, slave=partial(_linear_slave, rep, lag, grid))
+    return integrate(lambda st: linear_strand_step(rep, lag, st, grid), state, grid,
+                     slave=partial(_linear_slave, rep, lag, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,7 @@ def _cdb_rhs(alg, grid, m, w_t, aux):
     return dm, dwt
 
 
-def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid,
-             step_index: int | None = None) -> CDBState:
+def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid) -> CDBState:
     """RK4 step of the coupled double-bracket strand flow.
 
     m is transported by sigma_t = [m, w_t] and the divergence equation
@@ -255,7 +252,7 @@ def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid,
     s-momenta), which keeps the monitored constraint exact at gridpoints.
     """
     return slaved_step(partial(_cdb_slave, alg, grid), partial(_cdb_rhs, alg, grid), state,
-                       grid, step_index, "double-bracket strand")
+                       grid, "double-bracket strand")
 
 
 def cdb_constraint_residual(alg, state, grid) -> float:
@@ -265,7 +262,7 @@ def cdb_constraint_residual(alg, state, grid) -> float:
 
 
 def cdb_simulate(alg, state, grid) -> History:
-    return integrate(lambda st, k: cdb_step(alg, st, grid, step_index=k), state, grid,
+    return integrate(lambda st: cdb_step(alg, st, grid), state, grid,
                      slave=partial(_cdb_slave, alg, grid))
 
 
@@ -360,20 +357,19 @@ def _symm_rhs(grid, q, mw, aux):
     return dq, dm
 
 
-def symm_rigid_step(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
-                    state: SymmRigidState, grid: StrandGrid,
-                    step_index: int | None = None) -> SymmRigidState:
+def symm_rigid_step(lag: QuadraticLagrangian, state: SymmRigidState,
+                    grid: StrandGrid) -> SymmRigidState:
     """RK4 step of dQ/dt = QU, dMw/dt = -d_s Nw + Mw U + Nw V on so(N) strands."""
     return slaved_step(partial(_symm_slave, lag, grid), partial(_symm_rhs, grid), state, grid,
-                       step_index, "symmetric rigid-body strand")
+                       "symmetric rigid-body strand")
 
 
-def symm_rigid_simulate(alg, lag, state, grid) -> History:
-    return integrate(lambda st, k: symm_rigid_step(alg, lag, st, grid, step_index=k),
-                     state, grid, slave=partial(_symm_slave, lag, grid))
+def symm_rigid_simulate(lag, state, grid) -> History:
+    return integrate(lambda st: symm_rigid_step(lag, st, grid), state, grid,
+                     slave=partial(_symm_slave, lag, grid))
 
 
-def symm_rigid_strand_residual(alg, lag, hist: History, grid) -> float:
+def symm_rigid_strand_residual(lag, hist: History, grid) -> float:
     """Max-norm of d_t W_t + d_s W_s + [U, W_t] + [V, W_s] over interior slices,
     the so(N)-strand field equations implied by the symmetric representation."""
     n_mat = hist.q.shape[-1]

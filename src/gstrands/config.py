@@ -253,7 +253,8 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a YAML scenario config from a string."""
+    """Parse and validate a YAML scenario config from a string, including
+    the stored slices its residuals need."""
     try:
         data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
@@ -281,6 +282,7 @@ def parse_config(text: str) -> ScenarioConfig:
     initial = _apply_schema("initial", spec.initial, data.get("initial"))
     _check_steps(grid)
     _check_cross_keys(scenario, grid, params, initial)
+    _check_stored_slices(scenario, grid)
     return ScenarioConfig(scenario=scenario, label=top["label"] or scenario,
                           output_dir=top["output_dir"], seed=top["seed"], grid=grid,
                           params=params, initial=initial)
@@ -299,14 +301,13 @@ def _check_steps(grid):
                        f"grid.t_end {t_end} is not a whole number of steps of grid.dt {dt}")
 
 
-def _check_stored_slices(cfg: ScenarioConfig):
+def _check_stored_slices(scenario, g):
     """Summary residuals take the centered t-stencil (gstrand.centered_dt),
     so every scenario with refinable residuals but classical symm_rigid_soN
     must store at least 3 slices."""
-    g = cfg.grid
     stored = round(g["t_end"] / g["dt"]) // g["store_every"] + 1
-    if stored < 3 and SCENARIOS[cfg.scenario].study and not (
-            cfg.scenario == "symm_rigid_soN" and g["n_s"] == 1):
+    if stored < 3 and SCENARIOS[scenario].study and not (
+            scenario == "symm_rigid_soN" and g["n_s"] == 1):
         raise _invalid("grid.t_end", f"grid stores {stored} slice(s); residuals need at least 3")
 
 
@@ -373,16 +374,13 @@ def study_names(cfg: ScenarioConfig) -> tuple:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a YAML scenario config file, including the stored
-    slices its residuals need."""
+    """Read a YAML scenario config file and parse it with parse_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config '{path}': {exc}") from exc
-    cfg = parse_config(text)
-    _check_stored_slices(cfg)
-    return cfg
+    return parse_config(text)
 
 
 def schema_description() -> str:

@@ -4,7 +4,8 @@ The reduced field sigma = nu dt + gamma ds is sampled on an s-grid.  The
 momentum m = A_t nu and the connection component gamma evolve by classical
 RK4; s-derivatives are 2nd-order centered stencils.  Diagnostics recompute
 the field equations and the zero-curvature relation from stored history with
-centered differences in both t and s.
+centered differences in both t and s.  Every family steps through
+``integrate``, the one place a solver failure gets its step and time.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class StrandGrid:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    def step_end(self, step_index: int | None) -> float | None:
-        """Time at which the 0-based step ``step_index`` ends (None for None)."""
-        return None if step_index is None else (step_index + 1) * self.dt
 
 
 def _centered(arr, axis: int, delta: float, wrap: bool):
@@ -147,13 +144,12 @@ def zcc_rhs(alg: LieAlgebraSpec, f: StrandField, grid: StrandGrid):
     return d_s(f.nu, grid) + bracket(alg, f.nu, f.gamma)
 
 
-def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str,
-                k1=None) -> list:
+def rk4_advance(rhs, y, grid: StrandGrid, what: str, k1=None) -> list:
     """One classical RK4 step of dy/dt = rhs(*y) over the sequence of arrays y;
     ``k1``, when given, is rhs(*y) already evaluated.
 
     Under fixed bc the endpoint values of every array are frozen.  A
-    non-finite result raises BlowUpError("<what> blew up").
+    non-finite result raises an unlocated BlowUpError("<what> blew up").
     """
     dt = grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
@@ -167,8 +163,7 @@ def rk4_advance(rhs, y, grid: StrandGrid, step_index: int | None, what: str,
         for a0, a1 in zip(y, y1):
             a1[[0, -1]] = a0[[0, -1]]
     if not all([np.isfinite(a).all() for a in y1]):
-        raise BlowUpError(f"{what} blew up", step_index=step_index,
-                          t=grid.step_end(step_index))
+        raise BlowUpError(f"{what} blew up")
     return y1
 
 
@@ -181,7 +176,7 @@ def _slaved(slave, cls, y):
     return cls(*y, aux[-1], aux)
 
 
-def slaved_step(slave, rhs, state, grid: StrandGrid, step_index: int | None, what: str):
+def slaved_step(slave, rhs, state, grid: StrandGrid, what: str):
     """One RK4 step of a constrained family, whose state's fields are the
     evolved arrays y, the slaved multiplier and ``aux``.  slave(y) returns
     aux, a tuple ending with the multiplier, and dy/dt = rhs(*y, aux) at
@@ -193,7 +188,7 @@ def slaved_step(slave, rhs, state, grid: StrandGrid, step_index: int | None, wha
     """
     y = _evolved(state)
     k1 = rhs(*y, slave(y) if state.aux is None else state.aux)
-    y1 = rk4_advance(lambda *stage: rhs(*stage, slave(stage)), y, grid, step_index, what, k1)
+    y1 = rk4_advance(lambda *stage: rhs(*stage, slave(stage)), y, grid, what, k1)
     return _slaved(slave, type(state), y1)
 
 
@@ -224,23 +219,24 @@ def _located(step_index, t, fn, *args):
 
 
 def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
-    """Advance ``state`` (a dataclass of arrays) by ``step_fn(state, k)`` for
+    """Advance ``state`` (a dataclass of arrays) by ``step_fn(state)`` for
     grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
 
     ``slave``, when given, is the family's slave of ``slaved_step``, which
     first completes the initial state; every field but ``aux`` is stored.
-    A LinAlgError inside a step is a BlowUpError, and a SolverError without
-    a location gets the step's; a failure of ``slave`` is located at t = 0
-    with no step index."""
+    A LinAlgError inside step k is a BlowUpError, and a SolverError without
+    a location gets step k and t = (k + 1) dt; a failure of ``slave`` is
+    located at t = 0 with no step index."""
     if slave is not None:
         state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
     names = [f.name for f in fields(state) if f.name != "aux"]
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):
-        state = _located(k, grid.step_end(k), step_fn, state, k)
+        t = (k + 1) * grid.dt
+        state = _located(k, t, step_fn, state)
         if (k + 1) % grid.store_every == 0:
-            times.append((k + 1) * grid.dt)
+            times.append(t)
             for name in names:
                 stored[name].append(getattr(state, name).copy())
     return History(np.array(times), **{name: np.array(v) for name, v in stored.items()})
@@ -252,16 +248,16 @@ def _rhs(alg, lag, grid, m, gamma):
 
 
 def step(alg: LieAlgebraSpec, lag: QuadraticLagrangian, f: StrandField,
-         grid: StrandGrid, step_index: int | None = None) -> StrandField:
+         grid: StrandGrid) -> StrandField:
     """One classical RK4 step of the coupled (momentum, gamma) system."""
     m1, g1 = rk4_advance(lambda m, g: _rhs(alg, lag, grid, m, g),
-                         (f.nu @ lag.a_t.T, f.gamma), grid, step_index, "strand field")
+                         (f.nu @ lag.a_t.T, f.gamma), grid, "strand field")
     return StrandField(m1 @ lag.a_t_inv.T, g1)
 
 
 def simulate(alg, lag, f0: StrandField, grid: StrandGrid) -> History:
     """Integrate to t_end, storing every ``grid.store_every``-th slice."""
-    return integrate(lambda f, k: step(alg, lag, f, grid, step_index=k), f0, grid)
+    return integrate(lambda f: step(alg, lag, f, grid), f0, grid)
 
 
 def hamiltonian_energy(alg, lag, f, grid: StrandGrid):

@@ -17,6 +17,7 @@ COLLISION_GAP, or when a per-s Gram system passes the conditioning limit.
 Every stage of a step is checked in the ascending order of the positions at
 the start of that step, so a crossing that a fixed step hops over shows as
 a negative gap even when no evaluated stage lands within COLLISION_GAP.
+The error names the pair and the s-index; gstrand.integrate adds the step.
 
 Each slaved solve evaluates the kernel once, at the positions taken in that
 ascending order: G, its gradient (a fixed sign pattern times G, since the
@@ -62,7 +63,7 @@ class PeakonState:
         return self.q.shape[1]
 
 
-def _ordered_gaps(qs, perm, step_index, t):
+def _ordered_gaps(qs, perm):
     """Adjacent gaps of the positions qs, taken in the ascending order
     ``perm`` of the step-start positions.  A gap under COLLISION_GAP
     (negative when the pair crossed) raises NearCollisionError naming the
@@ -75,8 +76,7 @@ def _ordered_gaps(qs, perm, step_index, t):
         a, b = sorted((int(perm[j, i]) % n_p, int(perm[j, i + 1]) % n_p))
         gap = gaps[j, i]
         what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
-        raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}",
-                                 step_index=step_index, t=t)
+        raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}")
     return gaps
 
 
@@ -104,10 +104,10 @@ def _grad_all(kernel, q):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    return _slave(kernel, grid, sort_rows(state.q), None, (state.q,))[-1]
+    return _slave(kernel, grid, sort_rows(state.q), (state.q,))[-1]
 
 
-def _slave(kernel, grid, sort, step_index, y):
+def _slave(kernel, grid, sort, y):
     """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
     the Gram and gradient matrices in the ascending order ``sort`` of the
     step-start positions, and N solves G N = -d_s Q (N in the original
@@ -116,9 +116,8 @@ def _slave(kernel, grid, sort, step_index, y):
     inverse.  The strict order makes dG_ab = sign(b - a) G_ab / alpha."""
     q = y[0]
     perm, inv = sort
-    t = grid.step_end(step_index)
     qs = q.take(perm)
-    gaps = _ordered_gaps(qs, perm, step_index, t)
+    gaps = _ordered_gaps(qs, perm)
     gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
     diag, off = helmholtz_1d_inverse(kernel, gaps)
     # G is nonnegative and symmetric, so its 1-norm is its largest row sum
@@ -126,16 +125,12 @@ def _slave(kernel, grid, sort, step_index, y):
     if not cond.max() <= COND_LIMIT:
         j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
-            f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}",
-            step_index=step_index, t=t)
-    try:
-        ns = tridiag_solve_sorted(gram, diag, off, (-d_s(q, grid)).take(perm))
-    except NearCollisionError as exc:
-        raise NearCollisionError(str(exc), step_index=step_index, t=t) from exc
+            f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}")
+    ns = tridiag_solve_sorted(gram, diag, off, (-d_s(q, grid)).take(perm))
     return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns.take(inv)
 
 
-def _rhs(kernel, grid, q, mw, aux):
+def _rhs(grid, q, mw, aux):
     """(dQ, dM) from the tables of _slave: dQ = G M and the force
     sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a, both
     summed in sorted order."""
@@ -146,8 +141,7 @@ def _rhs(kernel, grid, q, mw, aux):
     return dq.take(inv), -d_s(nw, grid) - force.take(inv)
 
 
-def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
-         step_index: int | None = None) -> PeakonState:
+def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:
     """One RK4 step of the canonical (Q, M) system with N slaved to every
     stage and to the accepted state (gstrand.slaved_step), each time with the
     gaps taken in the ascending order of the step-start positions.  Stage 1
@@ -156,8 +150,8 @@ def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid,
     so the positions are strictly ascending in it and their argsort is that
     order.  A state built by hand (``aux`` None) is sorted here."""
     sort = sort_rows(state.q) if state.aux is None else state.aux[0]
-    return slaved_step(partial(_slave, kernel, grid, sort, step_index),
-                       partial(_rhs, kernel, grid), state, grid, step_index, "peakon state")
+    return slaved_step(partial(_slave, kernel, grid, sort), partial(_rhs, grid), state, grid,
+                       "peakon state")
 
 
 def s_constraint_residual(state, kernel, grid):
@@ -190,8 +184,8 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
-    return integrate(lambda st, k: step(st, kernel, grid, step_index=k), state, grid,
-                     slave=lambda y: _slave(kernel, grid, sort_rows(y[0]), None, y))
+    return integrate(lambda st: step(st, kernel, grid), state, grid,
+                     slave=lambda y: _slave(kernel, grid, sort_rows(y[0]), y))
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:

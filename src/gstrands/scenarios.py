@@ -88,8 +88,7 @@ def cdb_initial(cfg, grid):
 
 def symm_rigid_setup(cfg, grid):
     n_so = cfg.params["n_so"]
-    alg = builtin(f"soN({n_so})")
-    dim = alg.dim
+    dim = n_so * (n_so - 1) // 2
     a_t = np.diag(cfg.params["a_t_diag"]) if cfg.params["a_t_diag"] else np.diag(
         1.0 + np.arange(dim, dtype=float))
     a_s = np.diag(cfg.params["a_s_diag"]) if cfg.params["a_s_diag"] else -np.eye(dim)
@@ -100,7 +99,7 @@ def symm_rigid_setup(cfg, grid):
         w0 = hat_so_n(n_so, u0 @ lag.a_t.T)
         q = np.eye(n_so)[None]
         state = clebsch.SymmRigidState(q, w0[None], np.zeros_like(w0)[None])
-        return alg, lag, state
+        return lag, state
     # strand: smooth rotation field Q(s) with smooth momentum.  scipy.linalg
     # is imported here, its one use, so no other run pays for it
     from scipy.linalg import expm
@@ -115,7 +114,7 @@ def symm_rigid_setup(cfg, grid):
         u = 0.2 + amp * np.cos(two_pi * s[j]) * (0.5 + 0.1 * np.arange(dim))
         mw[j] = q[j] @ hat_so_n(n_so, u @ lag.a_t.T)
     state = clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
-    return alg, lag, state
+    return lag, state
 
 
 def linear_rep_setup(cfg, grid):
@@ -133,7 +132,7 @@ def linear_rep_setup(cfg, grid):
 
 
 def peakon_setup(cfg, grid):
-    kernel = HelmholtzKernel(cfg.params["alpha"], dim=1)
+    kernel = HelmholtzKernel(cfg.params["alpha"])
     init = cfg.initial
     n_p = cfg.params["n_p"]
     s = grid.s_nodes
@@ -159,8 +158,8 @@ def peakon_setup(cfg, grid):
     return kernel, state
 
 
-def ch_setup(cfg, grid):
-    kernel = HelmholtzKernel(cfg.params["alpha"], dim=1)
+def ch_setup(cfg):
+    kernel = HelmholtzKernel(cfg.params["alpha"])
     q0 = np.asarray(cfg.initial["q0"], dtype=float)[None, :]
     p0 = np.asarray(cfg.initial["p0"], dtype=float)[None, :]
     return kernel, peakon.PeakonState(q0, p0, np.zeros_like(q0))
@@ -196,7 +195,7 @@ def _slice_rows(hist, grid, comps):
                    [a.reshape(a.shape[:2] + (1, -1)) for a in comps])
 
 
-def run_gstrand_like(cfg, alg, lag, f0, grid):
+def run_gstrand_like(alg, lag, f0, grid):
     hist = gstrand.simulate(alg, lag, f0, grid)
     diag = {
         "series": {"energy": _series(hist.times, gstrand.hamiltonian_energy(alg, lag, hist, grid))},
@@ -211,13 +210,13 @@ def run_gstrand_like(cfg, alg, lag, f0, grid):
 def run_chiral(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     alg, f0 = chiral_initial(cfg, grid)
-    return run_gstrand_like(cfg, alg, chiral_lagrangian(3), f0, grid)
+    return run_gstrand_like(alg, chiral_lagrangian(3), f0, grid)
 
 
 def run_se3(cfg: ScenarioConfig):
     grid = make_grid(cfg)
     alg, f0 = se3_initial(cfg, grid)
-    return run_gstrand_like(cfg, alg, se3_lagrangian(cfg), f0, grid)
+    return run_gstrand_like(alg, se3_lagrangian(cfg), f0, grid)
 
 
 def run_cdb(cfg: ScenarioConfig):
@@ -242,13 +241,12 @@ def run_cdb(cfg: ScenarioConfig):
 
 def run_symm_rigid(cfg: ScenarioConfig):
     grid = make_grid(cfg)
-    alg, lag, state = symm_rigid_setup(cfg, grid)
-    hist = clebsch.symm_rigid_simulate(alg, lag, state, grid)
+    lag, state = symm_rigid_setup(cfg, grid)
+    hist = clebsch.symm_rigid_simulate(lag, state, grid)
     n_so = cfg.params["n_so"]
     diag = {"series": {}, "summary": {}}
     if grid.n_s >= 8:
-        diag["summary"]["strand_residual"] = clebsch.symm_rigid_strand_residual(
-            alg, lag, hist, grid)
+        diag["summary"]["strand_residual"] = clebsch.symm_rigid_strand_residual(lag, hist, grid)
     names = [f"{nm}{i}{j}" for nm in ("Q", "M", "N") for i in range(n_so) for j in range(n_so)]
     header = ["t", "s"] + names
     rows = _slice_rows(hist, grid, [hist.q, hist.mw, hist.nw])
@@ -269,7 +267,7 @@ def run_linear_rep(cfg: ScenarioConfig):
             "ep_residual": gstrand.ep_residual(rep.alg, lag, sig_hist, grid),
         },
     }
-    rd, ad = rep.rep_dim, rep.alg.dim
+    rd = rep.rep_dim
     header = (["t", "s"] + [f"v{i}" for i in range(rd)] + [f"m{i}" for i in range(rd)]
               + [f"n{i}" for i in range(rd)])
     rows = _slice_rows(hist, grid, [hist.v, hist.m, hist.n])
@@ -341,7 +339,7 @@ def _drift(name, values):
 
 def run_ch_classical(cfg: ScenarioConfig):
     grid = make_grid(cfg)
-    kernel, state = ch_setup(cfg, grid)
+    kernel, state = ch_setup(cfg)
     hist = peakon.simulate(state, kernel, grid)
     h_vals, p_vals = [], []
     for k in range(len(hist.times)):
@@ -358,13 +356,13 @@ def run_ch_classical(cfg: ScenarioConfig):
 
 def run_verify_action(cfg: ScenarioConfig):
     grid = make_grid(cfg)
-    result = verify_suite(cfg, grid)
+    result = verify_suite(grid)
     header = ["check", "value"]
     rows = [[k, float(v)] for k, v in sorted(result.items())]
     return header, rows, {"series": {}, "summary": result}, {}
 
 
-def verify_suite(cfg, grid) -> dict:
+def verify_suite(grid) -> dict:
     """Stationarity and consistency checks at one resolution.
 
     The trajectory is a chiral-Lagrangian linear-representation strand: its
@@ -396,7 +394,7 @@ def verify_suite(cfg, grid) -> dict:
     lag2 = verify.legendre_pair(lag).to_lagrangian()
     leg_gap = float(max(np.max(np.abs(lag2.a_t - lag.a_t)), np.max(np.abs(lag2.a_s - lag.a_s))))
     sig_hist = _linear_sigma_history(rep, lag, hist)
-    lp_gap = verify.lp_ep_gap(rep.alg, lag, sig_hist, grid)
+    lp_gap = verify.lp_ep_gap(rep.alg, lag, sig_hist)
 
     return {
         "clebsch_gradient_interior_max": gnorm,

@@ -4,9 +4,10 @@ A DiscreteAction samples an integrand on space-time cells: field values are
 averaged over the four cell corners and the partial derivatives are forward
 differences across the cell, so every cell sees a centered, 2nd-order
 evaluation at its midpoint while boundary nodes pick up the trapezoidal
-end-weights.  Stationarity of a numerically computed trajectory is then
-checked by central finite differences of the assembled sum with respect to
-every interior node value.
+end-weights; the integrand sees those values and differences, not the
+cell's coordinates.  Stationarity of a numerically computed trajectory is
+then checked by central finite differences of the assembled sum with
+respect to every interior node value.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .clebsch import act
 from .errors import DimensionMismatchError
-from .gstrand import History, QuadraticLagrangian, StrandGrid, _centered
+from .gstrand import History, QuadraticLagrangian, _centered
 from .gstrand import d_s  # noqa: F401  (re-exported: perfbench/spans.py wraps verify.d_s)
 from .liealg import LieAlgebraSpec, ad_star, pair
 
@@ -57,7 +58,7 @@ class FieldSpec:
 class DiscreteAction:
     grid: ActionGrid
     fields: tuple
-    integrand: Callable   # (t_c, s_c, vals, dts, dss) -> (n_cells_t, n_s)
+    integrand: Callable   # (vals, dts, dss) -> (n_cells_t, n_s)
 
 
 def _cell_views(action: DiscreteAction, arr):
@@ -90,12 +91,8 @@ def _all_views(action, fields):
 
 def _integrand_cells(action, views):
     """The integrand on every cell, from each field's ``_cell_views``."""
-    g = action.grid
-    t_c = (np.arange(g.n_cells_t) + 0.5) * g.dt
-    s_c = (np.arange(g.n_s) + 0.5) * g.ds
-    tt, ss = np.meshgrid(t_c, s_c, indexing="ij")
-    vals, dts, dss = ({name: view[i] for name, view in views.items()} for i in range(3))
-    return action.integrand(tt, ss, vals, dts, dss)
+    return action.integrand(*({name: view[i] for name, view in views.items()}
+                              for i in range(3)))
 
 
 def assemble(action: DiscreteAction, fields: dict) -> float:
@@ -171,7 +168,7 @@ def clebsch_linear_action(rep, lag: QuadraticLagrangian, grid: ActionGrid) -> Di
     alg = rep.alg
     a_t, a_s = lag.a_t, lag.a_s
 
-    def integrand(tt, ss, vals, dts, dss):
+    def integrand(vals, dts, dss):
         v, m, n = vals["v"], vals["m"], vals["n"]
         xi, gam = vals["xi"], vals["gam"]
         lval = 0.5 * (pair(alg, xi @ a_t.T, xi) + pair(alg, gam @ a_s.T, gam))
@@ -190,9 +187,10 @@ def clebsch_linear_action(rep, lag: QuadraticLagrangian, grid: ActionGrid) -> Di
 
 @dataclass(frozen=True)
 class GeneralizedEnergy:
-    """Local generalized energy density e(x, y, p, b); must be vectorized
+    """Local generalized energy density e(y, p, b); must be vectorized
     over node arrays with shapes y: (..., n_y), p: (..., n_dir, n_y),
-    b: (..., n_b)."""
+    b: (..., n_b).  The paper's e(x, y, p, b) may depend on the space-time
+    point x; no energy here does, so none is passed."""
 
     e_loc: Callable
     n_y: int
@@ -218,11 +216,6 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas) -> dict
     if p.shape != shape + (n_dir, energy.n_y):
         raise DimensionMismatchError(f"p must have shape {shape + (n_dir, energy.n_y)}")
 
-    xs = np.meshgrid(*[np.arange(nn) * dd for nn, dd in zip(shape, deltas)], indexing="ij")
-
-    def e_of(yv, pv, bv):
-        return energy.e_loc(xs, yv, pv, bv)
-
     def de_wrt(arr, builder):
         out = np.zeros_like(arr)
         flat_comps = arr.reshape(arr.shape[: len(shape)] + (-1,))
@@ -232,8 +225,8 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas) -> dict
             fm = flat_comps.copy()
             fp[..., c] += h
             fm[..., c] -= h
-            ep = e_of(*builder(fp.reshape(arr.shape)))
-            em = e_of(*builder(fm.reshape(arr.shape)))
+            ep = energy.e_loc(*builder(fp.reshape(arr.shape)))
+            em = energy.e_loc(*builder(fm.reshape(arr.shape)))
             out.reshape(out.shape[: len(shape)] + (-1,))[..., c] = (ep - em) / (2.0 * h)
         return out
 
@@ -268,7 +261,7 @@ def pontryagin_residual(energy: GeneralizedEnergy, fields: dict, deltas) -> dict
 def hamilton_pontryagin_energy(n_y: int, lagrangian: Callable) -> GeneralizedEnergy:
     """e = p.v - L(v) over a one-dimensional base (classical mechanics)."""
 
-    def e_loc(xs, y, p, b):
+    def e_loc(y, p, b):
         return np.einsum("...a,...a->...", p[..., 0, :], b) - lagrangian(b)
 
     return GeneralizedEnergy(e_loc, n_y=n_y, n_b=n_y)
@@ -280,7 +273,7 @@ def clebsch_pontryagin_energy(rep, lag: QuadraticLagrangian) -> GeneralizedEnerg
     alg = rep.alg
     d = alg.dim
 
-    def e_loc(xs, y, p, b):
+    def e_loc(y, p, b):
         xi, gam = b[..., :d], b[..., d:]
         lval = 0.5 * (pair(alg, xi @ lag.a_t.T, xi) + pair(alg, gam @ lag.a_s.T, gam))
         return (np.einsum("...a,...a->...", p[..., 0, :], act(rep, xi, y))
@@ -316,8 +309,7 @@ def legendre_pair(lag: QuadraticLagrangian) -> CovariantHamiltonian:
     return CovariantHamiltonian(lag.a_t_inv, lag.a_s_inv)
 
 
-def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian,
-              hist: History, grid: StrandGrid) -> float:
+def lp_ep_gap(alg: LieAlgebraSpec, lag: QuadraticLagrangian, hist: History) -> float:
     """Pointwise gap between the field-equation residual written with the
     Lagrangian velocities and with velocities recovered through the
     Hamiltonian; zero up to roundoff by construction of the Legendre pair."""

@@ -33,7 +33,7 @@ SLAVED_FAMILIES = ("peakon", "cdb", "linear", "symm")
 def slaved_family(name, grid):
     """One constrained solver family on ``grid``: (module, name of its slaved
     solve in that module, name of its per-step function, initial state,
-    simulate(state), step(state, k))."""
+    simulate(state), step(state))."""
     from gstrands import liealg, peakon
     from gstrands.gstrand import QuadraticLagrangian, chiral_lagrangian
     from gstrands.kernels import HelmholtzKernel
@@ -47,13 +47,13 @@ def slaved_family(name, grid):
         return (peakon, "tridiag_solve_sorted", "step",
                 peakon.PeakonState(q0, m0, np.zeros_like(q0)),
                 lambda st: peakon.simulate(st, kernel, grid),
-                lambda st, k: peakon.step(st, kernel, grid, step_index=k))
+                lambda st: peakon.step(st, kernel, grid))
     so3 = liealg.builtin("so3")
     if name == "cdb":
         return (clebsch, "solve_cdb_ws", "cdb_step",
                 clebsch.cdb_rotating_state(so3, grid, [1.0, 0.4, 0.0], [0.3, 0.2, 0.1]),
                 lambda st: clebsch.cdb_simulate(so3, st, grid),
-                lambda st, k: clebsch.cdb_step(so3, st, grid, step_index=k))
+                lambda st: clebsch.cdb_step(so3, st, grid))
     if name == "linear":
         rep, lag = clebsch.defining_rep_so3(so3), chiral_lagrangian(3)
         rot = rotation_field_z(s)
@@ -62,11 +62,11 @@ def slaved_family(name, grid):
         return (clebsch, "solve_linear_n", "linear_strand_step",
                 clebsch.LinearStrandState(v, m, np.zeros_like(v)),
                 lambda st: clebsch.linear_strand_simulate(rep, lag, st, grid),
-                lambda st, k: clebsch.linear_strand_step(rep, lag, st, grid, step_index=k))
-    son3, lag = liealg.builtin("soN(3)"), QuadraticLagrangian(np.diag([1.0, 2.0, 3.0]), -np.eye(3))
+                lambda st: clebsch.linear_strand_step(rep, lag, st, grid))
+    lag = QuadraticLagrangian(np.diag([1.0, 2.0, 3.0]), -np.eye(3))
     q = rotation_field_z(0.3 * np.sin(s))
     mw = q @ hat_so_n(3, (0.2 + 0.3 * np.cos(s)[:, None] * [0.5, 0.6, 0.7]) @ lag.a_t.T)
     return (clebsch, "symm_rigid_velocities", "symm_rigid_step",
             clebsch.SymmRigidState(q, mw, np.zeros_like(q)),
-            lambda st: clebsch.symm_rigid_simulate(son3, lag, st, grid),
-            lambda st, k: clebsch.symm_rigid_step(son3, lag, st, grid, step_index=k))
+            lambda st: clebsch.symm_rigid_simulate(lag, st, grid),
+            lambda st: clebsch.symm_rigid_step(lag, st, grid))

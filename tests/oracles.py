@@ -194,7 +194,7 @@ def solve_gram(g: GramSystem, rhs):
 def clebsch_adjoint_action(alg, grid):
     """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
 
-    def integrand(tt, ss, vals, dts, dss):
+    def integrand(vals, dts, dss):
         m, s_t, s_s = vals["m"], vals["s_t"], vals["s_s"]
         lval = 0.5 * (liealg.pair(alg, s_t, s_t) + liealg.pair(alg, s_s, s_s))
         ct = dts["m"] - liealg.bracket(alg, s_t, m)

@@ -87,8 +87,8 @@ def test_criterion_3_s_constraint_and_cross_derivative():
     state = peakon.PeakonState(q0, m0, peakon.solve_n_constraint(
         peakon.PeakonState(q0, m0, np.zeros_like(q0)), K1, grid))
     worst = 0.0
-    for k in range(grid.n_steps):
-        state = peakon.step(state, K1, grid, step_index=k)
+    for _ in range(grid.n_steps):
+        state = peakon.step(state, K1, grid)
         worst = max(worst, peakon.s_constraint_residual(state, K1, grid))
     cross = [c for c, _ in peakon_strand_study()]
     order = fit_order(cross)
@@ -170,7 +170,7 @@ def test_criterion_7_symmetric_rigid_body_vs_direct_integration():
     grid = StrandGrid(1, 1.0, 1e-3, 1.0, store_every=1)
     st = clebsch.SymmRigidState(np.eye(3)[None], hat_so_n(3, w0)[None],
                                 np.zeros((1, 3, 3)))
-    hist = clebsch.symm_rigid_simulate(alg, lag, st, grid)
+    hist = clebsch.symm_rigid_simulate(lag, st, grid)
     u_traj = np.array([
         vee_so_n(3, clebsch._skew(np.swapaxes(hist.q[k], -1, -2) @ hist.mw[k]))[0]
         @ lag.a_t_inv.T for k in range(len(hist.times))])

@@ -4,7 +4,7 @@ import scipy.linalg
 from conftest import fit_order, rotation_field_z
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import classical_ep_trajectory, dense_c, rigid_body_oracle
+from oracles import classical_ep_trajectory, dense_c
 
 from gstrands import clebsch, gstrand, liealg
 from gstrands.errors import DimensionMismatchError
@@ -323,7 +323,6 @@ def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
 # ---------------------------------------------------------------------------
 # symmetric rigid-body representation
 
-SO3N = liealg.builtin("soN(3)")
 RIGID_LAG = QuadraticLagrangian(np.diag([1.0, 2.0, 3.0]), -np.eye(3))
 
 
@@ -333,24 +332,9 @@ def test_symm_rigid_symmetric_product_static():
     q = np.eye(3)[None]
     mw = np.diag([1.0, 2.0, 0.5])[None]       # symmetric => W_t = 0
     st = clebsch.SymmRigidState(q, mw, np.zeros((1, 3, 3)))
-    hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, st, grid)
+    hist = clebsch.symm_rigid_simulate(RIGID_LAG, st, grid)
     assert np.max(np.abs(hist.q[-1] - q)) < 1e-14
     assert np.max(np.abs(hist.mw[-1] - mw)) < 1e-14
-
-
-def test_symm_rigid_classical_matches_rigid_body_oracle():
-    u0 = np.array([0.7, 0.3, 0.5])
-    w0 = u0 @ RIGID_LAG.a_t.T
-    grid = StrandGrid(1, 1.0, 1e-3, 1.0, store_every=1)
-    st = clebsch.SymmRigidState(np.eye(3)[None], hat_so_n(3, w0)[None],
-                                np.zeros((1, 3, 3)))
-    hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, st, grid)
-    u_traj = np.array([
-        vee_so_n(3, clebsch._skew(np.swapaxes(hist.q[k], -1, -2) @ hist.mw[k]))[0]
-        @ RIGID_LAG.a_t_inv.T
-        for k in range(len(hist.times))])
-    _, _, u_oracle = rigid_body_oracle(SO3N, RIGID_LAG.a_t, w0, 1e-3, 1.0)
-    assert np.max(np.abs(u_traj - u_oracle)) < 1e-6
 
 
 def symm_strand_state(grid, amp=0.3):
@@ -368,8 +352,8 @@ def symm_strand_state(grid, amp=0.3):
 def test_symm_rigid_strand_residual_orders():
     def level(i):
         grid = StrandGrid(24 * 2**i, 2 * np.pi, 0.015 / 2**i, 0.3, store_every=1)
-        hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, symm_strand_state(grid), grid)
-        return clebsch.symm_rigid_strand_residual(SO3N, RIGID_LAG, hist, grid)
+        hist = clebsch.symm_rigid_simulate(RIGID_LAG, symm_strand_state(grid), grid)
+        return clebsch.symm_rigid_strand_residual(RIGID_LAG, hist, grid)
 
     errs = [level(i) for i in range(3)]
     assert fit_order(errs) >= 1.9
@@ -378,7 +362,7 @@ def test_symm_rigid_strand_residual_orders():
 def test_symm_rigid_simulate_slaves_initial_nw():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1)
     st = symm_strand_state(grid)
-    hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, st, grid)
+    hist = clebsch.symm_rigid_simulate(RIGID_LAG, st, grid)
     _, _, nw0 = clebsch.symm_rigid_velocities(3, RIGID_LAG, st.q, st.mw, gstrand.d_s(st.q, grid))
     assert np.max(np.abs(nw0)) > 0.1
     assert np.array_equal(hist.nw[0], nw0)
@@ -386,7 +370,7 @@ def test_symm_rigid_simulate_slaves_initial_nw():
 
 def test_symm_rigid_momentum_relation_exact():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, store_every=1)
-    hist = clebsch.symm_rigid_simulate(SO3N, RIGID_LAG, symm_strand_state(grid), grid)
+    hist = clebsch.symm_rigid_simulate(RIGID_LAG, symm_strand_state(grid), grid)
     q, mw, nw = hist.q[-1], hist.mw[-1], hist.nw[-1]
     u, v, _ = clebsch.symm_rigid_velocities(3, RIGID_LAG, q, mw, gstrand.d_s(q, grid))
     # s-momentum relation skew(Q^T N) = A_s V realized by the slaved N

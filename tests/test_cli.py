@@ -65,8 +65,15 @@ def test_parse_error_carries_position():
 
 
 def test_numbers_coerced_to_float():
-    cfg = config.parse_config("scenario: chiral_so3\ngrid:\n  dt: 1\n")
+    cfg = config.parse_config("scenario: chiral_so3\ngrid:\n  dt: 1\n  t_end: 2\n")
     assert isinstance(cfg.grid["dt"], float)
+
+
+def test_parse_config_refuses_too_few_stored_slices():
+    # t_end = dt stores 2 slices; the residuals' centered t-stencil needs 3
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config("scenario: chiral_so3\ngrid: {dt: 0.1, t_end: 0.1}\n")
+    assert (exc.value.code, exc.value.field) == ("out-of-range", "grid.t_end")
 
 
 def test_integral_check_for_int_fields():

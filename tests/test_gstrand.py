@@ -140,8 +140,9 @@ def test_rk4_step_matches_richardson_order():
 def test_blow_up_detected():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1)
     f = StrandField(np.full((16, 3), 1e200), np.full((16, 3), 1e200))
-    with pytest.raises(BlowUpError):
-        gstrand.step(SO3, CHIRAL, f, grid, step_index=7)
+    with pytest.raises(BlowUpError) as exc:
+        gstrand.step(SO3, CHIRAL, f, grid)
+    assert (exc.value.step_index, exc.value.t) == (None, None)  # integrate locates
 
 
 def test_residual_report_orders():
@@ -276,7 +277,7 @@ def _cdb_run(grid):
 def _symm_run(grid):
     q = clebsch.rotation_about_e3(0.3 * np.sin(grid.s_nodes))
     st = clebsch.SymmRigidState(q, q @ liealg.hat_so_n(3, [0.2, 0.5, 0.3]), np.zeros_like(q))
-    return st, clebsch.symm_rigid_simulate(liealg.builtin("soN(3)"), CHIRAL, st, grid)
+    return st, clebsch.symm_rigid_simulate(CHIRAL, st, grid)
 
 
 @pytest.mark.parametrize("run, evolved", [
@@ -386,14 +387,22 @@ def _state(n_s=8):
     return clebsch.CDBState(np.ones((n_s, 3)), np.ones((n_s, 3)), np.ones((n_s, 3)))
 
 
-def test_integrate_locates_linalg_error_as_blow_up():
-    grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
+def _failing_step(k_fail, fail):
+    """A step function that calls fail() on its call number k_fail (0-based)."""
+    calls = []
 
-    def step(state, k):
-        if k == 3:
-            np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+    def step(state):
+        if len(calls) == k_fail:
+            fail()
+        calls.append(None)
         return state
 
+    return step
+
+
+def test_integrate_locates_linalg_error_as_blow_up():
+    grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
+    step = _failing_step(3, lambda: np.linalg.solve(np.zeros((2, 2)), np.ones(2)))
     with pytest.raises(BlowUpError, match="Singular matrix") as exc:
         gstrand.integrate(step, _state(), grid)
     assert exc.value.step_index == 3
@@ -407,11 +416,10 @@ def test_integrate_locates_linalg_error_as_blow_up():
 def test_integrate_locates_solver_errors(error, where):
     grid = StrandGrid(8, 2 * np.pi, 0.01, 0.05)
 
-    def step(state, k):
-        if k == 2:
-            raise error
-        return state
+    def fail():
+        raise error
 
+    step = _failing_step(2, fail)
     with pytest.raises(type(error)) as exc:
         gstrand.integrate(step, _state(), grid)
     assert exc.value.step_index == where[0]
@@ -428,7 +436,7 @@ def test_integrate_locates_initial_slave_failure(error):
         raise error
 
     with pytest.raises(BlowUpError) as exc:
-        gstrand.integrate(lambda state, k: state, _state(), grid, slave=slave)
+        gstrand.integrate(lambda state: state, _state(), grid, slave=slave)
     assert exc.value.step_index is None
     assert exc.value.t == 0.0
 
@@ -465,7 +473,7 @@ def test_stage_one_reuse_is_bitwise_a_fresh_solve(family):
     st = type(state)(*(getattr(hist, n)[0] for n in names))
     for k in range(STEPS):
         assert st.aux is None  # so step k solves its stage 1 afresh
-        st = step(st, k)
+        st = step(st)
         for n in names:
             assert np.array_equal(getattr(st, n), getattr(hist, n)[k + 1]), (k, n)
         st = dataclasses.replace(st, aux=None)

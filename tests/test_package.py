@@ -1,5 +1,6 @@
 """The package surface: what ``import gstrands`` loads and exports."""
 
+import ast
 import os
 import re
 import subprocess
@@ -34,3 +35,54 @@ def test_every_error_class_is_raised_or_subclassed():
     source = "".join(path.read_text() for path in package.glob("*.py"))
     unused = [name for name in classes if not re.search(rf"raise {name}\(|\({name}\)", source)]
     assert classes and unused == []
+
+
+# Parameters a caller must pass but the body may ignore: a handler or
+# callback whose signature a protocol fixes.
+CALLBACK_SLOTS = {
+    ("cli", "cmd_list", "_args"),                             # argparse passes the namespace
+    ("peakon", "_rhs", "q"),                                  # slaved_step passes every evolved array
+    ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # GeneralizedEnergy.e_loc(y, p, b)
+}
+
+
+def _params(fn):
+    a = fn.args
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+
+
+def _reads(node, name) -> bool:
+    """True when ``node`` loads ``name``, not counting nested functions that
+    rebind it as a parameter."""
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+            and name in _params(node):
+        return False
+    return any(_reads(child, name) for child in ast.iter_child_nodes(node))
+
+
+def _unread_parameters(tree, module):
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                name = ".".join(scope + [getattr(child, "name", "<lambda>")])
+                if not isinstance(child, ast.ClassDef):
+                    body = child.body if isinstance(child.body, list) else [child.body]
+                    found.extend((module, name, p) for p in _params(child)
+                                 if not any(_reads(stmt, p) for stmt in body))
+                visit(child, scope + [getattr(child, "name", "<lambda>")])
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((SRC / "gstrands").glob("*.py")):
+        unread += _unread_parameters(ast.parse(path.read_text()), path.stem)
+    assert [slot for slot in unread if slot not in CALLBACK_SLOTS] == []

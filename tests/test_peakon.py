@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from conftest import fit_order
+from scipy.integrate import solve_ivp
 
-from gstrands import kernels, peakon
+from gstrands import config, kernels, peakon, scenarios
 from gstrands.errors import NearCollisionError
 from gstrands.gstrand import History, StrandGrid, centered_dt, d_s
 from gstrands.kernels import HelmholtzKernel
@@ -114,8 +115,8 @@ def test_s_constraint_maintained_every_step():
                                               two_peakon_wave(grid).nw)))
     state = peakon.PeakonState(state.q, state.mw,
                                peakon.solve_n_constraint(state, K1, grid))
-    for k in range(grid.n_steps):
-        state = peakon.step(state, K1, grid, step_index=k)
+    for _ in range(grid.n_steps):
+        state = peakon.step(state, K1, grid)
         assert peakon.s_constraint_residual(state, K1, grid) <= 1e-10
 
 
@@ -187,6 +188,50 @@ def test_crossing_between_stages_halts_with_step():
     assert exc.value.t == pytest.approx(3.2)
 
 
+def ch_classical(dt, t_end, p0):
+    """(state, kernel, grid) of a ch_classical config: q0 = (-2.5, 2.5), n_s = 1."""
+    cfg = config.parse_config(
+        f"scenario: ch_classical\ngrid: {{n_s: 1, dt: {dt}, t_end: {t_end}}}\n"
+        f"initial: {{q0: [-2.5, 2.5], p0: [{p0[0]}, {p0[1]}]}}\n")
+    kernel, state = scenarios.ch_setup(cfg)
+    return state, kernel, scenarios.make_grid(cfg)
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.01, 0.005, 0.0025])
+def test_head_on_halt_precedes_the_exact_collision(dt):
+    # peakon-antipeakon p0 = (2, -2), gap x0 = 5: with G = e^-|x| / 2 the gap
+    # obeys x' = -sqrt(2 H (1 - e^-x)), H = p0^2 (1 - e^-x0) / 2, so the
+    # peakons collide at T = 2 artanh(sqrt(1 - e^-x0)) / sqrt(2 H) = 3.202265
+    x0 = 5.0
+    energy = 2.0 ** 2 * (1.0 - np.exp(-x0)) / 2.0
+    collision = 2.0 * np.arctanh(np.sqrt(1.0 - np.exp(-x0))) / np.sqrt(2.0 * energy)
+    with pytest.raises(NearCollisionError, match="crossed") as exc:
+        peakon.simulate(*ch_classical(dt, 5.0, (2.0, -2.0)))
+    # the halt comes 0.002265 early on every dt: near T a stage overshoots
+    # and flips the order while the exact gap is still about 5e-6
+    assert 0.0 < collision - exc.value.t <= 0.003
+
+
+def test_interacting_two_peakons_converge_at_fourth_order():
+    # the peakons exchange momenta by t = 60, (1.0, 0.8) -> (0.777, 1.023);
+    # the reference is a DOP853 solution of the same ODE, G = e^-|x| / 2
+    def rhs(_t, y):
+        q, p = y[:2], y[2:]
+        d = q[:, None] - q[None, :]
+        g = np.exp(-np.abs(d)) / 2.0
+        return np.concatenate([g @ p, p * ((np.sign(d) * g) @ p)])
+
+    ref = solve_ivp(rhs, (0.0, 60.0), [-2.5, 2.5, 1.0, 0.8], method="DOP853",
+                    rtol=1e-13, atol=1e-14).y[:, -1]
+    errs = []
+    # dt 0.05 (error 3e-12) would sit at the reference's own error floor
+    for dt in (0.4, 0.2, 0.1):
+        hist = peakon.simulate(*ch_classical(dt, 60.0, (1.0, 0.8)))
+        errs.append(np.max(np.abs(np.concatenate([hist.q[-1, 0], hist.mw[-1, 0]]) - ref)))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((3.8 <= orders) & (orders <= 4.3)), (errs, orders)
+
+
 def test_one_gram_build_per_stage(monkeypatch):
     # 4 RK stages + the accepted state; the slaved solve reuses the stage's G
     grid = StrandGrid(16, 2 * np.pi, 5e-3, 0.1)
@@ -194,7 +239,7 @@ def test_one_gram_build_per_stage(monkeypatch):
     calls = []
     real = peakon.kernel_eval
     monkeypatch.setattr(peakon, "kernel_eval", lambda *a: calls.append(1) or real(*a))
-    peakon.step(st, K1, grid, step_index=0)
+    peakon.step(st, K1, grid)
     assert len(calls) == 5
 
 
@@ -234,7 +279,7 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
     q = shuffled_positions(np.random.default_rng(n_s * 100 + n_p), n_s, n_p)
     sort = kernels.sort_rows(q)
-    tables, gram, grad, nw = peakon._slave(k, grid, sort, None, (q,))
+    tables, gram, grad, nw = peakon._slave(k, grid, sort, (q,))
     assert tables is sort
     assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), sort[0]))
     oracle = sorted_oracle(peakon._grad_all(k, q), sort[0])
@@ -253,7 +298,7 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
     rng = np.random.default_rng(7 + n_s * 100 + n_p)
     q = shuffled_positions(rng, n_s, n_p)
     mw, nw = rng.standard_normal((2, n_s, n_p))
-    aux = peakon._slave(K1, grid, kernels.sort_rows(q), None, (q,))[:-1] + (nw,)
+    aux = peakon._slave(K1, grid, kernels.sort_rows(q), (q,))[:-1] + (nw,)
     gram, grad = peakon._gram_all(K1, q), peakon._grad_all(K1, q)
     coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
     dq_oracle = np.einsum("sab,sb->sa", gram, mw)
@@ -266,7 +311,7 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
 
     monkeypatch.setattr(peakon, "kernel_eval", refuse)
     monkeypatch.setattr(peakon, "grad_q", refuse)
-    dq, dm = peakon._rhs(K1, grid, q, mw, aux)
+    dq, dm = peakon._rhs(grid, q, mw, aux)
     assert np.all(np.abs(dq - dq_oracle) <= 1e-14 * dq_scale)
     assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
 
