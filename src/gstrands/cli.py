@@ -21,10 +21,10 @@ import time
 
 import numpy as np
 
-from .config import SCENARIOS, load_config, schema_description, study_names
+from .config import (SCENARIOS, load_config, run_scenario, schema_description, study_names,
+                     study_residuals)
 from .errors import GStrandsError
 from .output import write_csv, write_json
-from .scenarios import run_scenario, study_residuals
 
 SATURATION_FLOOR = 1e-12
 

@@ -3,7 +3,7 @@
 Every key is declared; unknown keys, wrong types and out-of-range values are
 rejected with distinct error codes so typos fail fast.  All numeric scalars
 are coerced to 64-bit floats (integer fields additionally require integral
-values).
+values).  One ``SCENARIOS`` record declares all of a scenario, runner too.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
+from . import scenarios
 from .errors import ConfigParseError, ConfigValidationError
 
 
@@ -54,18 +55,20 @@ def _presets(*names, default=None):
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     """One scenario: its grid, params and initial schemas (the presets are
-    the choices of ``initial["preset"]``) and the summary residuals a
-    convergence study refines (none: no study)."""
+    the choices of ``initial["preset"]``), the summary residuals a
+    convergence study refines (none: no study) and its runner in ``scenarios``,
+    ``run(cfg, grid)`` -> (header, rows, diagnostics, extra_csvs)."""
 
     grid: dict
     params: dict = field(default_factory=dict)
     initial: dict
     study: tuple = ()
+    run: object
 
 
 SCENARIOS = {
     "chiral_so3": Scenario(
-        grid=_grid(),
+        run=scenarios.run_chiral, grid=_grid(),
         initial={
             "preset": _presets("generic_smooth", "traveling_bump", "pure_gauge"),
             "width": Key("float", 0.5, low=0.0),
@@ -75,7 +78,7 @@ SCENARIOS = {
         },
         study=("ep_residual", "zcc_residual")),
     "se3_strand": Scenario(
-        grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
+        run=scenarios.run_se3, grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
         params={
             "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0], length=6),
             "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0], length=6),
@@ -83,7 +86,7 @@ SCENARIOS = {
         initial={"preset": _presets("convective_bump"), "amplitude": Key("float", 0.2)},
         study=("ep_residual", "zcc_residual")),
     "cdb_so3": Scenario(
-        grid=_grid(n_s=64),
+        run=scenarios.run_cdb, grid=_grid(n_s=64),
         initial={
             "preset": _presets("rotating"),
             "m0": Key("list", [1.0, 0.4, 0.0], length=3),
@@ -92,7 +95,7 @@ SCENARIOS = {
         },
         study=("div_sigma_residual", "constraint_residual")),
     "symm_rigid_soN": Scenario(
-        grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
+        run=scenarios.run_symm_rigid, grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
         params={
             "n_so": Key("int", 3, low=2),
             "a_t_diag": Key("list", None),
@@ -105,7 +108,7 @@ SCENARIOS = {
         },
         study=("strand_residual",)),
     "linear_rep": Scenario(
-        grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
+        run=scenarios.run_linear_rep, grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
         params={
             "a_t_diag": Key("list", [1.0, 2.0, 3.0], length=3),
             "a_s_diag": Key("list", [-1.0, -1.0, -1.0], length=3),
@@ -118,7 +121,7 @@ SCENARIOS = {
         },
         study=("constraint_drift", "ep_residual")),
     "peakon_strand": Scenario(
-        grid=_grid(n_s=32, dt=5e-3, t_end=0.5),
+        run=scenarios.run_peakon_strand, grid=_grid(n_s=32, dt=5e-3, t_end=0.5),
         params={"alpha": Key("float", 1.0, low=0.0), "n_p": Key("int", 2, low=1)},
         initial={
             "preset": _presets("two_peakon_wave", "single_peakon", "inline"),
@@ -130,7 +133,7 @@ SCENARIOS = {
         },
         study=("cross_derivative_residual", "compatibility_residual")),
     "ch_classical": Scenario(
-        grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
+        run=scenarios.run_ch_classical, grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
         params={"alpha": Key("float", 1.0, low=0.0)},
         initial={
             "preset": _presets("two_peakon", "inline"),
@@ -140,11 +143,28 @@ SCENARIOS = {
     # optimality sits at the finite-difference noise floor from level 0, so
     # a study refines only the convergent residuals
     "verify_action": Scenario(
-        grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
+        run=scenarios.run_verify_action, grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
         initial={"preset": _presets("default")},
         study=("clebsch_gradient_interior_max", "pontryagin_constraint",
                "pontryagin_divergence")),
 }
+
+
+def run_scenario(cfg: ScenarioConfig):
+    """Run one scenario on its grid; returns (header, rows, diagnostics,
+    extra_csvs) where extra_csvs maps a suffix to (header, rows)."""
+    return SCENARIOS[cfg.scenario].run(cfg, scenarios.make_grid(cfg))
+
+
+def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
+    """Summary residuals of the scenario at refinement level ``level``
+    (dt and ds both divided by 2**level)."""
+    names = study_names(cfg)
+    factor = 2 ** level
+    refined = replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * factor,
+                                 "dt": cfg.grid["dt"] / factor})
+    summary = run_scenario(refined)[2]["summary"]
+    return {k: summary[k] for k in names}
 
 # top-level keys besides ``scenario`` and its three sections
 _TOP_SCHEMA = {
@@ -222,6 +242,12 @@ def _coerce(name, key: Key, value):
                 code="bad-type", field=name)
         if key.list_of == "list":
             return [_coerce(f"{name}[{i}]", Key("list"), v) for i, v in enumerate(value)]
+        # plain finite numbers in one pass; else one by one, naming the first that fails
+        try:
+            if {*map(type, value)} <= {float, int} and all(map(math.isfinite, value)):
+                return list(map(float, value))
+        except OverflowError:  # an integer beyond the float range
+            pass
         return [_coerce(f"{name}[{i}]", Key("float"), v) for i, v in enumerate(value)]
     raise AssertionError(key.kind)
 

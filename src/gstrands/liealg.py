@@ -37,8 +37,8 @@ class LieAlgebraSpec:
     order, kept as a sorted ``StructureConstants``; each (k, i, j) appears
     once, and (k, j, i) with the opposite value.  ``basis_matrices``, when
     present, is a faithful matrix representation (stacked along axis 0).
-    ``bracket``, ``ad_star`` and ``pair`` contract with ``bracket_table``,
-    ``coad_table`` and the identity ``pair_table`` (see ``_Table``).
+    ``bracket`` and ``ad_star`` contract with ``bracket_table`` and
+    ``coad_table`` (see ``_Table``).
     """
 
     dim: int
@@ -47,7 +47,6 @@ class LieAlgebraSpec:
     basis_matrices: np.ndarray | None = None
     bracket_table: tuple = field(init=False, repr=False)
     coad_table: tuple = field(init=False, repr=False)
-    pair_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         k, i, j, value = (np.asarray(a) for a in self.constants)
@@ -79,9 +78,6 @@ class LieAlgebraSpec:
         by_j = np.lexsort((i, k, j))
         object.__setattr__(self, "coad_table",
                            _table(j[by_j], k[by_j], i[by_j], value[by_j], self.dim))
-        diag = np.arange(self.dim)
-        object.__setattr__(self, "pair_table",
-                           _table(np.zeros_like(diag), diag, diag, np.ones(self.dim), 1))
 
 
 class _Table(NamedTuple):
@@ -201,8 +197,13 @@ def pair(spec: LieAlgebraSpec, mu, xi):
     mu = np.asarray(mu, dtype=float)
     xi = np.asarray(xi, dtype=float)
     _check_coords(spec, mu, xi)
-    # [()] makes a point's 0-d result a scalar
-    return _contract(spec.pair_table, mu, xi)[..., 0][()]
+    # summed one coordinate at a time, in order, from 0.0 + the first (so
+    # -0.0 becomes +0.0); [()] makes a point's 0-d result a scalar
+    terms = mu * xi
+    out = np.add(0.0, terms[..., 0])
+    for i in range(1, spec.dim):
+        out += terms[..., i]
+    return out[()]
 
 
 def _hat_so3(v):

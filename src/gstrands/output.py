@@ -5,10 +5,10 @@ round-trip float repr, so identical states serialize to identical bytes.
 A CSV is one float table, formatted with ``'%.17g'`` a block of rows at a
 time, and a column that repeats its values (t, s, a peakon index) a
 distinct value at a time; ``'%.17g' % x`` is ``format(x, '.17g')``, and an
-integer-valued float such as a peakon index prints as that integer.  Files are written
-to a temporary sibling and renamed into place.  A non-finite float is
-refused with a blow-up error naming the file and key, and nothing is
-written.
+integer-valued float such as a peakon index prints as that integer.
+Files are written to a temporary sibling, with the mode a plain ``open``
+gives, and renamed into place.  A non-finite float is refused with a
+blow-up error naming the file and key, and nothing is written.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from itertools import chain
 
 import numpy as np
@@ -32,7 +31,10 @@ def _atomic_write(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        # created as open() creates a file (0o666 less the umask), which
+        # tempfile.mkstemp does not (0o600); O_EXCL keeps the name ours
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(6).hex()}~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)

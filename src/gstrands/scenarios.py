@@ -1,22 +1,21 @@
 """Scenario runners behind the CLI: initial-condition presets, trajectory
-rows, diagnostics series and the per-scenario residuals that convergence
-studies refine."""
+tables and diagnostics series.  Each runner is the ``run`` of one
+``config.SCENARIOS`` record, called by ``config.run_scenario`` on the grid
+``make_grid(cfg)``; this module does not import ``config``."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import clebsch, gstrand, peakon, verify
-from .config import ScenarioConfig, study_names
 from .gstrand import QuadraticLagrangian, StrandField, StrandGrid, chiral_lagrangian
 from .kernels import HelmholtzKernel
 from .liealg import builtin, hat_so_n
 
 
-def make_grid(cfg: ScenarioConfig) -> StrandGrid:
+def make_grid(cfg) -> StrandGrid:
     g = cfg.grid
     return StrandGrid(g["n_s"], g["s_extent"], g["dt"], g["t_end"], g["bc"], g["store_every"])
 
@@ -30,7 +29,8 @@ def _bump(s, extent, width, winds=1):
 # initial conditions
 
 def chiral_initial(cfg, grid):
-    alg = builtin("so3")
+    """(algebra, Lagrangian, initial field) of a chiral so3 strand."""
+    alg, lag = builtin("so3"), chiral_lagrangian(3)
     init = cfg.initial
     s = grid.s_nodes
     if init["preset"] == "traveling_bump":
@@ -38,14 +38,14 @@ def chiral_initial(cfg, grid):
         xi = xi / np.linalg.norm(xi)
         f = init["amplitude"] * _bump(s, grid.s_extent, init["width"], init["winds"])
         nu = f[:, None] * xi
-        return alg, StrandField(nu, nu.copy())
+        return alg, lag, StrandField(nu, nu.copy())
     if init["preset"] == "pure_gauge":
         # unit generator: one full turn over s in [0, 2 pi), so the gauge
         # g = exp((t + s) xi_hat) is periodic (trivial holonomy)
         xi = np.asarray(init["xi"], dtype=float)
         xi = xi / np.linalg.norm(xi)
         nu = np.tile(xi, (grid.n_s, 1))
-        return alg, StrandField(nu, nu.copy())
+        return alg, lag, StrandField(nu, nu.copy())
     # generic_smooth: non-parallel smooth profiles exercising the brackets
     a = init["amplitude"]
     two_pi = 2.0 * np.pi / grid.s_extent
@@ -55,11 +55,11 @@ def chiral_initial(cfg, grid):
     gam = a * np.stack([0.1 * np.cos(two_pi * s),
                         0.7 - 0.2 * np.sin(two_pi * s),
                         0.3 * np.cos(2.0 * two_pi * s)], axis=1)
-    return alg, StrandField(nu, gam)
+    return alg, lag, StrandField(nu, gam)
 
 
 def se3_initial(cfg, grid):
-    alg = builtin("se3")
+    """(algebra, Lagrangian, initial field) of a convective se3 strand."""
     a = cfg.initial["amplitude"]
     s = grid.s_nodes
     two_pi = 2.0 * np.pi / grid.s_extent
@@ -71,19 +71,14 @@ def se3_initial(cfg, grid):
                         0.1 * np.cos(2 * two_pi * s),
                         0.5 + 0.2 * np.sin(two_pi * s), 0.1 * np.cos(two_pi * s),
                         0.2 * np.sin(2 * two_pi * s)], axis=1)
-    return alg, StrandField(nu, gam)
-
-
-def se3_lagrangian(cfg) -> QuadraticLagrangian:
-    return QuadraticLagrangian(np.diag(cfg.params["a_t_diag"]),
-                               np.diag(cfg.params["a_s_diag"]))
+    lag = QuadraticLagrangian(np.diag(cfg.params["a_t_diag"]), np.diag(cfg.params["a_s_diag"]))
+    return builtin("se3"), lag, StrandField(nu, gam)
 
 
 def cdb_initial(cfg, grid):
     alg = builtin("so3")
     init = cfg.initial
-    state = clebsch.cdb_rotating_state(alg, grid, init["m0"], init["wt0"], init["winds"])
-    return alg, state
+    return alg, clebsch.cdb_rotating_state(alg, grid, init["m0"], init["wt0"], init["winds"])
 
 
 def symm_rigid_setup(cfg, grid):
@@ -98,8 +93,7 @@ def symm_rigid_setup(cfg, grid):
         u0 = np.asarray(init["u0"] if init["u0"] else 0.2 + 0.1 * np.arange(dim), dtype=float)
         w0 = hat_so_n(n_so, u0 @ lag.a_t.T)
         q = np.eye(n_so)[None]
-        state = clebsch.SymmRigidState(q, w0[None], np.zeros_like(w0)[None])
-        return lag, state
+        return lag, clebsch.SymmRigidState(q, w0[None], np.zeros_like(w0)[None])
     # strand: smooth rotation field Q(s) with smooth momentum.  scipy.linalg
     # is imported here, its one use, so no other run pays for it
     from scipy.linalg import expm
@@ -113,8 +107,7 @@ def symm_rigid_setup(cfg, grid):
         q[j] = expm(hat_so_n(n_so, theta))
         u = 0.2 + amp * np.cos(two_pi * s[j]) * (0.5 + 0.1 * np.arange(dim))
         mw[j] = q[j] @ hat_so_n(n_so, u @ lag.a_t.T)
-    state = clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
-    return lag, state
+    return lag, clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
 
 
 def linear_rep_setup(cfg, grid):
@@ -154,8 +147,7 @@ def peakon_setup(cfg, grid):
             phase = two_pi * s + a * np.pi / 2.0
             q0[:, a] = centers[a] + amp * np.sin(phase)
             m0[:, a] = mv[a] * (1.0 + 0.3 * np.cos(phase))
-    state = peakon.PeakonState(q0, m0, np.zeros_like(q0))
-    return kernel, state
+    return kernel, peakon.PeakonState(q0, m0, np.zeros_like(q0))
 
 
 def ch_setup(cfg):
@@ -166,10 +158,10 @@ def ch_setup(cfg):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (csv_header, csv_rows, diagnostics_dict, extra_csvs).
-# The rows of a trajectory CSV are a zero-argument callable that builds its
-# float table when output.write_csv writes it, so a convergence study,
-# which keeps only the summary, never builds one.
+# runners: each run(cfg, grid) returns (csv_header, csv_rows, diagnostics,
+# extra_csvs).  A trajectory CSV's rows are a zero-argument callable that
+# builds its float table when output.write_csv writes it, so a convergence
+# study, which keeps only the summary, never builds one.
 
 def _series(times, values):
     return {"t": [float(t) for t in times], "value": [float(v) for v in values]}
@@ -188,39 +180,36 @@ def _field_rows(times, ds, comps):
     return table.reshape(-1, width)
 
 
-def _slice_rows(hist, grid, comps):
-    """Rows [t, s, *components] per stored slice and gridpoint, built when
-    written; matrix-valued components are flattened row-major."""
-    return partial(_field_rows, hist.times, grid.ds,
-                   [a.reshape(a.shape[:2] + (1, -1)) for a in comps])
+def _table(times, ds, columns):
+    """(header, rows) of a CSV with rows [t, s, *entries] built by
+    _field_rows from the (name, array) ``columns``, each array shaped
+    (n_t, n_s, n_r, ...).  An entry's column is the array's name followed by
+    the digits of its index in the trailing axes, matrices row-major."""
+    header = ["t", "s"] + [name + "".join(map(str, index)) for name, a in columns
+                           for index in np.ndindex(a.shape[3:])]
+    comps = [a.reshape(a.shape[:3] + (-1,)) for _, a in columns]
+    return header, partial(_field_rows, times, ds, comps)
 
 
-def run_gstrand_like(alg, lag, f0, grid):
+def _run_strand(alg, lag, f0, grid):
     hist = gstrand.simulate(alg, lag, f0, grid)
     diag = {
         "series": {"energy": _series(hist.times, gstrand.hamiltonian_energy(alg, lag, hist, grid))},
         "summary": gstrand.residual_report(alg, lag, hist, grid),
     }
-    dim = alg.dim
-    header = (["t", "s"] + [f"nu{i}" for i in range(dim)] + [f"gamma{i}" for i in range(dim)])
-    rows = _slice_rows(hist, grid, [hist.nu, hist.gamma])
-    return header, rows, diag, {}
+    columns = [("nu", hist.nu[:, :, None]), ("gamma", hist.gamma[:, :, None])]
+    return *_table(hist.times, grid.ds, columns), diag, {}
 
 
-def run_chiral(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
-    alg, f0 = chiral_initial(cfg, grid)
-    return run_gstrand_like(alg, chiral_lagrangian(3), f0, grid)
+def run_chiral(cfg, grid):
+    return _run_strand(*chiral_initial(cfg, grid), grid)
 
 
-def run_se3(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
-    alg, f0 = se3_initial(cfg, grid)
-    return run_gstrand_like(alg, se3_lagrangian(cfg), f0, grid)
+def run_se3(cfg, grid):
+    return _run_strand(*se3_initial(cfg, grid), grid)
 
 
-def run_cdb(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def run_cdb(cfg, grid):
     alg, state = cdb_initial(cfg, grid)
     hist = clebsch.cdb_simulate(alg, state, grid)
     norms = np.linalg.norm(hist.m, axis=2)
@@ -233,28 +222,22 @@ def run_cdb(cfg: ScenarioConfig):
                 alg, clebsch.CDBState(hist.m[-1], hist.w_t[-1], hist.w_s[-1]), grid),
         },
     }
-    header = (["t", "s"] + [f"m{i}" for i in range(3)]
-              + [f"wt{i}" for i in range(3)] + [f"ws{i}" for i in range(3)])
-    rows = _slice_rows(hist, grid, [hist.m, hist.w_t, hist.w_s])
-    return header, rows, diag, {}
+    columns = [("m", hist.m[:, :, None]), ("wt", hist.w_t[:, :, None]),
+               ("ws", hist.w_s[:, :, None])]
+    return *_table(hist.times, grid.ds, columns), diag, {}
 
 
-def run_symm_rigid(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def run_symm_rigid(cfg, grid):
     lag, state = symm_rigid_setup(cfg, grid)
     hist = clebsch.symm_rigid_simulate(lag, state, grid)
-    n_so = cfg.params["n_so"]
     diag = {"series": {}, "summary": {}}
     if grid.n_s >= 8:
         diag["summary"]["strand_residual"] = clebsch.symm_rigid_strand_residual(lag, hist, grid)
-    names = [f"{nm}{i}{j}" for nm in ("Q", "M", "N") for i in range(n_so) for j in range(n_so)]
-    header = ["t", "s"] + names
-    rows = _slice_rows(hist, grid, [hist.q, hist.mw, hist.nw])
-    return header, rows, diag, {}
+    columns = [("Q", hist.q[:, :, None]), ("M", hist.mw[:, :, None]), ("N", hist.nw[:, :, None])]
+    return *_table(hist.times, grid.ds, columns), diag, {}
 
 
-def run_linear_rep(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def run_linear_rep(cfg, grid):
     rep, lag, state = linear_rep_setup(cfg, grid)
     hist = clebsch.linear_strand_simulate(rep, lag, state, grid)
     drift = clebsch.linear_constraint_drift(
@@ -267,11 +250,8 @@ def run_linear_rep(cfg: ScenarioConfig):
             "ep_residual": gstrand.ep_residual(rep.alg, lag, sig_hist, grid),
         },
     }
-    rd = rep.rep_dim
-    header = (["t", "s"] + [f"v{i}" for i in range(rd)] + [f"m{i}" for i in range(rd)]
-              + [f"n{i}" for i in range(rd)])
-    rows = _slice_rows(hist, grid, [hist.v, hist.m, hist.n])
-    return header, rows, diag, {}
+    columns = [("v", hist.v[:, :, None]), ("m", hist.m[:, :, None]), ("n", hist.n[:, :, None])]
+    return *_table(hist.times, grid.ds, columns), diag, {}
 
 
 def _linear_sigma_history(rep, lag, hist):
@@ -280,8 +260,13 @@ def _linear_sigma_history(rep, lag, hist):
     return gstrand.History(hist.times, nu=xi, gamma=gam)
 
 
-def run_peakon_strand(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def _peakon_columns(hist):
+    """Table columns a, Q, M, N: one row per peakon a."""
+    index = np.broadcast_to(np.arange(hist.q.shape[2], dtype=float), hist.q.shape)
+    return [("a", index), ("Q", hist.q), ("M", hist.mw), ("N", hist.nw)]
+
+
+def run_peakon_strand(cfg, grid):
     kernel, state = peakon_setup(cfg, grid)
     hist = peakon.simulate(state, kernel, grid)
     h_tot = np.sum(peakon.collective_hamiltonian(hist, kernel), axis=1) * grid.ds
@@ -296,20 +281,10 @@ def run_peakon_strand(cfg: ScenarioConfig):
         },
     }
     extras = {"fields": (SNAPSHOT_HEADER, partial(peakon_snapshot_csv, hist, kernel, grid))}
-    return PEAKON_HEADER, _peakon_rows(hist, grid), diag, extras
+    return *_table(hist.times, grid.ds, _peakon_columns(hist)), diag, extras
 
 
-PEAKON_HEADER = ["t", "s", "a", "Q", "M", "N"]
 SNAPSHOT_HEADER = ["t", "s", "m", "nu", "gamma"]
-
-
-def _peakon_rows(hist, grid):
-    """Rows [t, s, a, Q, M, N] per stored slice, gridpoint and peakon, built
-    when written."""
-    index = np.arange(hist.q.shape[2], dtype=float)[:, None]
-    return partial(_field_rows, hist.times, grid.ds,
-                   [np.broadcast_to(index, hist.q.shape + (1,)),
-                    hist.q[..., None], hist.mw[..., None], hist.nw[..., None]])
 
 
 def peakon_snapshot_csv(hist, kernel, grid):
@@ -337,8 +312,7 @@ def _drift(name, values):
     return {f"{name}_rel_drift": float(worst / abs(ref))}
 
 
-def run_ch_classical(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def run_ch_classical(cfg, grid):
     kernel, state = ch_setup(cfg)
     hist = peakon.simulate(state, kernel, grid)
     h_vals, p_vals = [], []
@@ -351,15 +325,13 @@ def run_ch_classical(cfg: ScenarioConfig):
                    "total_momentum": _series(hist.times, p_vals)},
         "summary": {**_drift("hamiltonian", h_vals), **_drift("momentum", p_vals)},
     }
-    return PEAKON_HEADER, _peakon_rows(hist, grid), diag, {}
+    return *_table(hist.times, grid.ds, _peakon_columns(hist)), diag, {}
 
 
-def run_verify_action(cfg: ScenarioConfig):
-    grid = make_grid(cfg)
+def run_verify_action(cfg, grid):
     result = verify_suite(grid)
-    header = ["check", "value"]
     rows = [[k, float(v)] for k, v in sorted(result.items())]
-    return header, rows, {"series": {}, "summary": result}, {}
+    return ["check", "value"], rows, {"series": {}, "summary": result}, {}
 
 
 def verify_suite(grid) -> dict:
@@ -425,31 +397,3 @@ def linear_history_fields(rep, lag, hist) -> dict:
     """Clebsch section (v, m, n, xi, gam) on the action grid."""
     sig = _linear_sigma_history(rep, lag, hist)
     return {"v": hist.v, "m": hist.m, "n": hist.n, "xi": sig.nu, "gam": sig.gamma}
-
-
-RUNNERS = {
-    "chiral_so3": run_chiral,
-    "se3_strand": run_se3,
-    "cdb_so3": run_cdb,
-    "symm_rigid_soN": run_symm_rigid,
-    "linear_rep": run_linear_rep,
-    "peakon_strand": run_peakon_strand,
-    "ch_classical": run_ch_classical,
-    "verify_action": run_verify_action,
-}
-
-def run_scenario(cfg: ScenarioConfig):
-    """Run one scenario; returns (header, rows, diagnostics, extra_csvs)
-    where extra_csvs maps a suffix to (header, rows)."""
-    return RUNNERS[cfg.scenario](cfg)
-
-
-def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
-    """Summary residuals of the scenario at refinement level ``level``
-    (dt and ds both divided by 2**level)."""
-    names = study_names(cfg)
-    factor = 2 ** level
-    refined = replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * factor,
-                                 "dt": cfg.grid["dt"] / factor})
-    summary = run_scenario(refined)[2]["summary"]
-    return {k: summary[k] for k in names}

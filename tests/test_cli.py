@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gstrands import cli, config, output, peakon, scenarios
+from gstrands import cli, config, output, peakon
 from gstrands.errors import BlowUpError, ConfigParseError, ConfigValidationError
 
 
@@ -67,6 +67,37 @@ def test_parse_error_carries_position():
 def test_numbers_coerced_to_float():
     cfg = config.parse_config("scenario: chiral_so3\ngrid:\n  dt: 1\n  t_end: 2\n")
     assert isinstance(cfg.grid["dt"], float)
+
+
+def test_float_lists_are_coerced_to_floats():
+    cfg = config.parse_config("scenario: peakon_strand\ninitial: {m_values: [1, 0.8]}\n")
+    assert cfg.initial["m_values"] == [1.0, 0.8]
+    assert [type(v) for v in cfg.initial["m_values"]] == [float, float]
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("entries, code, message", [
+    ("[1.0, true, .nan]", "bad-type", "field 'initial.m_values[1]' must be a number, got True"),
+    ("[1.0, x]", "bad-type", "field 'initial.m_values[1]' must be a number, got 'x'"),
+    ("[1.0, 2, .inf]", "out-of-range", "field 'initial.m_values[2]' must be finite, got inf"),
+    (f"[{_HUGE}, 1.0]", "out-of-range", f"field 'initial.m_values[0]' must be finite, got {_HUGE}"),
+], ids=["bool", "string", "inf", "huge-int"])
+def test_float_list_errors_name_the_failing_entry(entries, code, message):
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(f"scenario: peakon_strand\ninitial: {{m_values: {entries}}}\n")
+    assert (exc.value.code, exc.value.field, str(exc.value)) == (
+        code, message.split("'")[1], message)
+
+
+def test_nested_float_list_errors_name_the_failing_entry():
+    rows = "[[-1, -1, -1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1, 1, .nan, 1]]"
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(f"scenario: peakon_strand\ngrid: {{n_s: 8}}\n"
+                            f"initial: {{preset: inline, q0: {rows}, m0: {rows}}}\n")
+    assert (exc.value.code, exc.value.field) == ("out-of-range", "initial.q0[1][6]")
+    assert str(exc.value) == "field 'initial.q0[1][6]' must be finite, got nan"
 
 
 def test_parse_config_refuses_too_few_stored_slices():
@@ -272,7 +303,7 @@ def test_study_needs_a_refinable_grid(tmp_path, capsys, monkeypatch, text):
     def no_solve(cfg):
         raise AssertionError("a study that cannot refine must not solve")
 
-    monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+    monkeypatch.setattr(config, "run_scenario", no_solve)
     cfg = write(tmp_path, "study.yaml", f"output_dir: {tmp_path}\n" + text)
     assert cli.main(["study", cfg, "--levels", "3"]) == 2
     err = capsys.readouterr().err
@@ -474,7 +505,7 @@ def test_memory_error_is_categorized(tmp_path, capsys, monkeypatch, command):
     def exhausted(cfg):
         raise MemoryError
 
-    monkeypatch.setattr(scenarios, "run_scenario", exhausted)
+    monkeypatch.setattr(config, "run_scenario", exhausted)
     monkeypatch.setattr(cli, "run_scenario", exhausted)
     cfg = write(tmp_path, "c.yaml", f"output_dir: {tmp_path}\nscenario: chiral_so3\n")
     assert cli.main([command, cfg]) == 1

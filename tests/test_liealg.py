@@ -182,7 +182,7 @@ def test_constants_are_kept_sorted_whatever_the_input_order(name):
     again = liealg.LieAlgebraSpec(spec.dim, tuple(a[shuffle] for a in spec.constants))
     for got, want in zip(again.constants, spec.constants):
         assert np.array_equal(got, want) and got.dtype == want.dtype
-    for table in ("bracket_table", "coad_table", "pair_table"):
+    for table in ("bracket_table", "coad_table"):
         for got, want in zip(getattr(again, table), getattr(spec, table)):
             assert np.array_equal(got, want), table
 
@@ -335,7 +335,6 @@ def spec_tables(name):
     c = dense_c(spec)
     return {"bracket": (spec.bracket_table, c),
             "coad": (spec.coad_table, c.transpose(2, 0, 1)),
-            "pair": (spec.pair_table, np.eye(spec.dim)[None]),
             "act": (rep.act_table, rep.rho.transpose(1, 0, 2)),
             "act_dual": (rep.dual_table, rep.rho.transpose(2, 0, 1)),
             "diamond": (rep.diamond_table, rep.rho)}
@@ -372,6 +371,23 @@ def test_blocked_contract_is_bitwise_the_column_loop(name, shapes, fill):
         assert got.shape == want.shape, op
         assert got.flags.c_contiguous, op
         assert np.array_equal(bits(got), bits(want)), op
+
+
+@pytest.mark.parametrize("fill", ["signed-zero", "inf"])
+@pytest.mark.parametrize("shapes", [((), ()), ((1,), (1,)), ((128,), (128,)),
+                                    ((39, 128), (39, 128)), ((5, 1), (1, 7))],
+                         ids=["point", "one", "strand", "history", "broadcast"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_pair_is_bitwise_the_column_loop(name, shapes, fill):
+    spec = liealg.builtin(name)
+    rng = np.random.default_rng(len(name) + len(shapes[0]))
+    mu = seeded_operand(rng, shapes[0], spec.dim, fill)
+    xi = seeded_operand(rng, shapes[1], spec.dim, "signed-zero")
+    with np.errstate(invalid="ignore"):
+        got = liealg.pair(spec, mu, xi)
+        want = column_contract(column_table(np.eye(spec.dim)[None]), mu, xi, 1)[..., 0]
+    assert np.shape(got) == want.shape
+    assert np.array_equal(bits(got), bits(want))
 
 
 def test_history_spans_several_blocks():

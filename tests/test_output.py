@@ -1,8 +1,10 @@
 """output.write_csv, the float-table writer, against the per-float writer
 and row generators it replaced (tests/oracles.py): the same bytes on
 adversarial values and on every bundled ``run`` config, and the same
-refusal of a non-finite float."""
+refusal of a non-finite float; and the mode of the files the writers make."""
 
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +88,7 @@ def test_table_writer_matches_the_per_float_writer_on_bundled_runs(path, tmp_pat
         monkeypatch.setattr(module, name,
                             lambda *args, _real=real: hists.append(_real(*args)) or hists[-1])
     cfg = config.load_config(str(path))
-    header, rows, _, extras = scenarios.run_scenario(cfg)
+    header, rows, _, extras = config.run_scenario(cfg)
     tables = {"": (header, rows), **{f".{k}": table for k, table in extras.items()}}
     for suffix, (head, body) in tables.items():
         out = tmp_path / f"{cfg.label}{suffix}.csv"
@@ -112,3 +114,16 @@ def test_table_writer_refuses_a_non_finite_float_as_the_per_float_writer(tmp_pat
         assert str(new.value) == str(old.value)
         assert f"'{path}' at {where}; nothing written" in str(new.value)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        output.write_csv(str(tmp_path / "t.csv"), ["t", "x"], np.zeros((2, 2)))
+        output.write_json(str(tmp_path / "d.json"), {"summary": {"x": 1.0}})
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["t.csv", "d.json", "plain"], 0o666 & ~umask)

@@ -43,6 +43,7 @@ CALLBACK_SLOTS = {
     ("cli", "cmd_list", "_args"),                             # argparse passes the namespace
     ("peakon", "_rhs", "q"),                                  # slaved_step passes every evolved array
     ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # GeneralizedEnergy.e_loc(y, p, b)
+    ("scenarios", "run_verify_action", "cfg"),                # Scenario.run(cfg, grid)
 }
 
 

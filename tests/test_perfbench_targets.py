@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps library functions where they are looked
 up at call time (perfbench/spans.py, TARGETS).  These tests keep those
-names resolvable and the per-step functions reached through them, without
-importing or changing anything under perfbench/."""
+names resolvable and the functions reached through them, without importing
+or changing anything under perfbench/."""
 
 from pathlib import Path
 
@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from conftest import SLAVED_FAMILIES, slaved_family
 
-from gstrands import gstrand, liealg
+from gstrands import config, gstrand, liealg, scenarios
 from gstrands.gstrand import StrandField, StrandGrid, chiral_lagrangian
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 STEPS = 3
 
 
@@ -56,3 +57,20 @@ def test_strand_simulate_steps_through_the_module_attribute(monkeypatch):
     calls = _count_calls(monkeypatch, gstrand, "step")
     gstrand.simulate(alg, chiral_lagrangian(3), f0, grid)
     assert len(calls) == STEPS
+
+
+def test_every_scenarios_target_is_called_through_its_module_attribute(monkeypatch):
+    # a table holding a captured function object would skip the traced
+    # wrapper that spans.py installs on the module attribute
+    names = sorted({attr for module, attr, _ in spans_targets() if module is scenarios})
+    calls = {name: _count_calls(monkeypatch, scenarios, name) for name in names}
+    configs = [config.load_config(str(path))
+               for path in sorted((ROOT / "scripts" / "configs").glob("*.yaml"))]
+    # no bundled config runs linear_rep
+    configs.append(config.parse_config("scenario: linear_rep\ngrid: {t_end: 0.1}\n"))
+    for cfg in configs:
+        _, rows, _, extras = config.run_scenario(cfg)
+        for table in [rows] + [body for _, body in extras.values()]:
+            if callable(table):  # the trajectory tables are built when written
+                table()
+    assert names and [name for name in names if not calls[name]] == []
