@@ -23,7 +23,7 @@ def main():
             print(f"   exited with {code}")
             failures += 1
             continue
-        _, json_path = cli.output_paths(config.load_config(str(cfg)))
+        json_path = cli.output_base(config.load_config(str(cfg))) + ".json"
         diag = json.loads(pathlib.Path(json_path).read_text())
         for key, val in sorted(diag["summary"].items()):
             print(f"   {key}: {val:.3e}" if isinstance(val, float) else f"   {key}: {val}")

@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowUpError, DimensionMismatchError
-from .gstrand import (History, QuadraticLagrangian, StrandGrid, centered_dt, d_s, integrate,
-                      slaved_step)
+from .gstrand import (History, QuadraticLagrangian, SlavedState, StrandGrid, centered_dt, d_s,
+                      integrate, slaved_step)
 from .liealg import (LieAlgebraSpec, _contract, _contraction_table, bracket, builtin, hat_so_n,
                      vee_so_n)
 from .liealg import ad_star  # noqa: F401  (re-exported: perfbench/spans.py wraps clebsch.ad_star)
@@ -59,7 +59,7 @@ class LinearRepSpec:
             raise DimensionMismatchError("rho must be finite")
         object.__setattr__(self, "rho", rho)
         # rho([e_i, e_j]) against [rho_i, rho_j], one row i at a time: the
-        # whole (dim, dim, rep_dim, rep_dim) stack would be dim^4 for adjoint_rep.
+        # whole (dim, dim, rep_dim, rep_dim) stack would be dim^4 for an adjoint rep.
         # np.max, unlike Python's max, keeps a NaN mismatch.
         basis = np.eye(self.alg.dim)
         worst = np.max([np.abs(np.tensordot(bracket(self.alg, e, basis), rho, axes=(1, 0))
@@ -76,13 +76,6 @@ class LinearRepSpec:
 def defining_rep_so3(alg: LieAlgebraSpec) -> LinearRepSpec:
     """so(3) acting on R^3 by xi v = xi x v (equals its adjoint action)."""
     return LinearRepSpec(alg, 3, alg.basis_matrices)
-
-
-def adjoint_rep(alg: LieAlgebraSpec) -> LinearRepSpec:
-    """ad_xi as matrices on the algebra's own coordinates:
-    rho[i][k, j] = c^k_ij = [e_i, e_j]^k."""
-    basis = np.eye(alg.dim)
-    return LinearRepSpec(alg, alg.dim, bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
 
 
 def _action_operands(rep: LinearRepSpec, xi, v):
@@ -116,16 +109,10 @@ def diamond(rep: LinearRepSpec, v, p):
 # linear actions: strands of Clebsch variables (v, m, n)
 
 @dataclass
-class LinearStrandState:
+class LinearStrandState(SlavedState):
     v: np.ndarray     # (n_s, rep_dim)
     m: np.ndarray     # (n_s, rep_dim), t-multiplier
-    n: np.ndarray     # (n_s, rep_dim), s-multiplier (slaved)
-    aux: tuple | None = field(default=None, repr=False, compare=False)  # (n,) once slaved
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        self.n = np.asarray(self.n, dtype=float)
+    n: np.ndarray     # (n_s, rep_dim), s-multiplier (slaved); aux is (n,)
 
 
 def solve_linear_n(rep: LinearRepSpec, lag: QuadraticLagrangian, v, dsv):
@@ -140,11 +127,9 @@ def solve_linear_n(rep: LinearRepSpec, lag: QuadraticLagrangian, v, dsv):
     return np.einsum("...ij,...j->...i", np.linalg.pinv(lmat, rcond=PINV_RCOND), dsv)
 
 
-def recover_velocities(rep, lag, state):
+def recover_velocities(rep, lag, v, m, n):
     """(xi, gamma) from the momentum-map relations A_t xi = v<>m, A_s gamma = v<>n."""
-    xi = diamond(rep, state.v, state.m) @ lag.a_t_inv.T
-    gam = diamond(rep, state.v, state.n) @ lag.a_s_inv.T
-    return xi, gam
+    return diamond(rep, v, m) @ lag.a_t_inv.T, diamond(rep, v, n) @ lag.a_s_inv.T
 
 
 def _linear_slave(rep, lag, grid, y):
@@ -153,8 +138,7 @@ def _linear_slave(rep, lag, grid, y):
 
 def _linear_rhs(rep, lag, grid, v, m, aux):
     (n,) = aux
-    xi = diamond(rep, v, m) @ lag.a_t_inv.T
-    gam = diamond(rep, v, n) @ lag.a_s_inv.T
+    xi, gam = recover_velocities(rep, lag, v, m, n)
     dv = act(rep, xi, v)
     dm = -d_s(n, grid) + act_dual(rep, xi, m) + act_dual(rep, gam, n)
     return dv, dm
@@ -169,7 +153,7 @@ def linear_strand_step(rep: LinearRepSpec, lag: QuadraticLagrangian,
 
 def linear_constraint_drift(rep, lag, state, grid) -> float:
     """Max-norm of d_s v - rho(gamma) v, the monitored s-constraint."""
-    _, gam = recover_velocities(rep, lag, state)
+    _, gam = recover_velocities(rep, lag, state.v, state.m, state.n)
     return float(np.max(np.abs(d_s(state.v, grid) - act(rep, gam, state.v))))
 
 
@@ -182,16 +166,10 @@ def linear_strand_simulate(rep, lag, state, grid) -> History:
 # adjoint action: coupled double-bracket flow with l(sigma) = |sigma|^2 / 2
 
 @dataclass
-class CDBState:
+class CDBState(SlavedState):
     m: np.ndarray      # (n_s, dim) advected algebra variable
     w_t: np.ndarray
-    w_s: np.ndarray
-    aux: tuple | None = field(default=None, repr=False, compare=False)  # (w_s,) once slaved
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        self.w_t = np.asarray(self.w_t, dtype=float)
-        self.w_s = np.asarray(self.w_s, dtype=float)
+    w_s: np.ndarray    # slaved; aux is (w_s,)
 
 
 def cdb_sigma(alg, state):
@@ -314,16 +292,10 @@ def cdb_rotating_state(alg: LieAlgebraSpec, grid: StrandGrid, m0, wt0, winds: in
 # right translation on GL(N): symmetric rigid-body representation
 
 @dataclass
-class SymmRigidState:
+class SymmRigidState(SlavedState):
     q: np.ndarray      # (n_s, N, N) configuration in GL(N)
     mw: np.ndarray     # (n_s, N, N) t-multiplier
-    nw: np.ndarray     # (n_s, N, N) s-multiplier (slaved)
-    aux: tuple | None = field(default=None, repr=False, compare=False)  # (U, V, Nw) once slaved
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.mw = np.asarray(self.mw, dtype=float)
-        self.nw = np.asarray(self.nw, dtype=float)
+    nw: np.ndarray     # (n_s, N, N) s-multiplier (slaved); aux is (U, V, Nw)
 
 
 def _skew(mats):

@@ -31,22 +31,21 @@ SATURATION_FLOOR = 1e-12
 _USAGE_CATEGORIES = ("parse", "validation", "usage")
 
 
-def output_paths(cfg):
-    """(csv, json) paths of a run of ``cfg``: ``<label>.csv`` and
-    ``<label>.json`` in GSTRANDS_OUTPUT_DIR when set, else in the
-    configured output directory."""
-    base = os.path.join(os.environ.get("GSTRANDS_OUTPUT_DIR", cfg.output_dir), cfg.label)
-    return base + ".csv", base + ".json"
+def output_base(cfg):
+    """``<dir>/<label>``, extended by each output's suffix; dir is
+    GSTRANDS_OUTPUT_DIR when set, else the configured output directory."""
+    return os.path.join(os.environ.get("GSTRANDS_OUTPUT_DIR", cfg.output_dir), cfg.label)
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     started = time.monotonic()
     header, rows, diag, extras = run_scenario(cfg)
-    csv_path, json_path = output_paths(cfg)
+    base = output_base(cfg)
+    csv_path, json_path = base + ".csv", base + ".json"
     payload = {"config": cfg.echo(), "series": diag["series"], "summary": diag["summary"]}
     tables = [(csv_path, header, rows)] + [
-        (csv_path.replace(".csv", f".{suffix}.csv"), *table) for suffix, table in extras.items()]
+        (f"{base}.{suffix}.csv", *table) for suffix, table in extras.items()]
     written = []
     try:
         for path, head, body in tables:
@@ -63,11 +62,14 @@ def cmd_run(args) -> int:
 
 
 def orders_from_residuals(values):
-    """log2 ratios of successive residuals; 'saturated' below the roundoff floor."""
+    """log2 ratios of successive residuals; a pair is 'saturated' when its later
+    residual is under the roundoff floor and 'grows' when only its earlier one is."""
     orders = []
     for a, b in zip(values, values[1:]):
-        if a < SATURATION_FLOOR or b < SATURATION_FLOOR:
+        if b < SATURATION_FLOOR:
             orders.append("saturated")
+        elif a < SATURATION_FLOOR:
+            orders.append("grows")
         else:
             orders.append(math.log2(a / b))
     return orders
@@ -75,10 +77,9 @@ def orders_from_residuals(values):
 
 def cmd_study(args) -> int:
     if args.levels < 3:
-        print("error category: usage: --levels must be >= 3", file=sys.stderr)
-        return 2
+        raise GStrandsError("--levels must be >= 3")
     cfg = load_config(args.config)
-    names = study_names(cfg)
+    names = study_names(cfg, args.levels)
     started = time.monotonic()
     table = {name: [] for name in names}
     for level in range(args.levels):
@@ -91,8 +92,7 @@ def cmd_study(args) -> int:
         "residuals": table,
         "orders": {name: orders_from_residuals(vals) for name, vals in table.items()},
     }
-    _, json_path = output_paths(cfg)
-    json_path = json_path.replace(".json", ".study.json")
+    json_path = output_base(cfg) + ".study.json"
     write_json(json_path, report)
     for name, vals in table.items():
         orders = ", ".join(o if isinstance(o, str) else f"{o:.2f}"

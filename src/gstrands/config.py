@@ -159,12 +159,11 @@ def run_scenario(cfg: ScenarioConfig):
 def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
     """Summary residuals of the scenario at refinement level ``level``
     (dt and ds both divided by 2**level)."""
-    names = study_names(cfg)
     factor = 2 ** level
     refined = replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * factor,
                                  "dt": cfg.grid["dt"] / factor})
     summary = run_scenario(refined)[2]["summary"]
-    return {k: summary[k] for k in names}
+    return {k: summary[k] for k in SCENARIOS[cfg.scenario].study}
 
 # top-level keys besides ``scenario`` and its three sections
 _TOP_SCHEMA = {
@@ -186,15 +185,9 @@ class ScenarioConfig:
     initial: dict
 
     def echo(self) -> dict:
-        """Fully-defaulted config for the diagnostics echo."""
-        return {
-            "scenario": self.scenario,
-            "label": self.label,
-            "seed": self.seed,
-            "grid": dict(self.grid),
-            "params": dict(self.params),
-            "initial": dict(self.initial),
-        }
+        """Fully-defaulted config for the diagnostics echo: every field but
+        output_dir, sharing its sections with the config."""
+        return {k: v for k, v in vars(self).items() if k != "output_dir"}
 
 
 def _coerce(name, key: Key, value):
@@ -309,6 +302,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _check_steps(grid)
     _check_cross_keys(scenario, grid, params, initial)
     _check_stored_slices(scenario, grid)
+    _check_well_posed(scenario, grid)
     return ScenarioConfig(scenario=scenario, label=top["label"] or scenario,
                           output_dir=top["output_dir"], seed=top["seed"], grid=grid,
                           params=params, initial=initial)
@@ -335,6 +329,17 @@ def _check_stored_slices(scenario, g):
     if stored < 3 and SCENARIOS[scenario].study and not (
             scenario == "symm_rigid_soN" and g["n_s"] == 1):
         raise _invalid("grid.t_end", f"grid stores {stored} slice(s); residuals need at least 3")
+
+
+def _check_well_posed(scenario, g):
+    """cdb_so3 is a Cauchy problem of Laplace type, ill-posed (Hadamard): its
+    worst grid mode grows about e^(t_end/ds), so t_end/ds <= 20 keeps 1e-16
+    roundoff under about 5e-8."""
+    ratio = g["t_end"] * g["n_s"] / g["s_extent"]
+    if scenario == "cdb_so3" and ratio > 20.0:
+        raise _invalid("grid.n_s", f"cdb_so3 is ill-posed: grid.n_s {g['n_s']} gives t_end/ds"
+                                   f" = {ratio:.3g} > 20; roundoff grows e^(t_end/ds)-fold",
+                       code="ill-posed")
 
 
 def _check_cross_keys(scenario, grid, params, initial):
@@ -388,14 +393,16 @@ def _check_cross_keys(scenario, grid, params, initial):
                                                   f"(n_p, n_s) = {(n_p, n_s)}", code="bad-type")
 
 
-def study_names(cfg: ScenarioConfig) -> tuple:
-    """Residuals a convergence study of ``cfg`` refines.  Level 1 doubles
-    n_s, so a study also needs grid.n_s >= 8."""
+def study_names(cfg: ScenarioConfig, levels: int) -> tuple:
+    """Residuals a convergence study of ``cfg`` over ``levels`` levels
+    refines.  Level 1 doubles n_s, so a study also needs grid.n_s >= 8, and
+    its finest grid must be well posed."""
     names = SCENARIOS[cfg.scenario].study
     if not names:
         raise _invalid("scenario", f"scenario '{cfg.scenario}' has no refinable residuals")
     if cfg.grid["n_s"] < 8:
         raise _invalid("grid.n_s", "a convergence study needs grid.n_s >= 8")
+    _check_well_posed(cfg.scenario, {**cfg.grid, "n_s": cfg.grid["n_s"] * 2 ** (levels - 1)})
     return names
 
 

@@ -10,7 +10,7 @@ centered differences in both t and s.  Every family steps through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,20 +167,32 @@ def rk4_advance(rhs, y, grid: StrandGrid, what: str, k1=None) -> list:
     return y1
 
 
-def _evolved(state) -> tuple:
-    return tuple(getattr(state, f.name) for f in fields(state)[:-2])
+@dataclass
+class SlavedState:
+    """A constrained family's state.  Its positional fields (``__match_args__``)
+    are the evolved arrays y, then the slaved multiplier, each coerced to float;
+    ``aux`` is the slave's return for y, None in a state built by hand."""
+
+    aux: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in self.__match_args__:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
+
+def _evolved(state: SlavedState) -> tuple:
+    return tuple(getattr(state, name) for name in state.__match_args__[:-1])
 
 
 def _slaved(slave, cls, y):
     aux = slave(y)
-    return cls(*y, aux[-1], aux)
+    return cls(*y, aux[-1], aux=aux)
 
 
-def slaved_step(slave, rhs, state, grid: StrandGrid, what: str):
-    """One RK4 step of a constrained family, whose state's fields are the
-    evolved arrays y, the slaved multiplier and ``aux``.  slave(y) returns
-    aux, a tuple ending with the multiplier, and dy/dt = rhs(*y, aux) at
-    every stage; the accepted state is returned with its own slave(y1).
+def slaved_step(slave, rhs, state: SlavedState, grid: StrandGrid, what: str):
+    """One RK4 step of a constrained family.  slave(y) returns aux, and
+    dy/dt = rhs(*y, aux) at every stage; the accepted state is returned with
+    its own slave(y1).
 
     Stage 1 reuses ``state.aux`` when a slave set it: the previous accepted
     state went through the same call on the same arrays, so a step makes 4
@@ -223,13 +235,13 @@ def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
     grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
 
     ``slave``, when given, is the family's slave of ``slaved_step``, which
-    first completes the initial state; every field but ``aux`` is stored.
+    first completes the initial state; ``__match_args__`` names the stored fields.
     A LinAlgError inside step k is a BlowUpError, and a SolverError without
     a location gets step k and t = (k + 1) dt; a failure of ``slave`` is
     located at t = 0 with no step index."""
     if slave is not None:
         state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
-    names = [f.name for f in fields(state) if f.name != "aux"]
+    names = state.__match_args__
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):

@@ -28,13 +28,13 @@ no Python loop over peakons or pairs and no second exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
-from .gstrand import History, StrandGrid, centered_dt, d_s, integrate, slaved_step
+from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
 from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
                       helmholtz_1d_inverse, sort_rows, tridiag_norm_1,
                       tridiag_solve_sorted)
@@ -45,22 +45,16 @@ COLLISION_GAP = 1e-8
 
 
 @dataclass
-class PeakonState:
+class PeakonState(SlavedState):
     q: np.ndarray   # (n_s, n_p) positions
     mw: np.ndarray  # (n_s, n_p) t-momenta
-    nw: np.ndarray  # (n_s, n_p) s-momenta (slaved)
-    aux: tuple | None = field(default=None, repr=False, compare=False)  # see _slave
+    nw: np.ndarray  # (n_s, n_p) s-momenta (slaved); aux: see _slave
 
     def __post_init__(self):
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        self.mw = np.atleast_2d(np.asarray(self.mw, dtype=float))
-        self.nw = np.atleast_2d(np.asarray(self.nw, dtype=float))
+        super().__post_init__()
+        self.q, self.mw, self.nw = np.atleast_2d(self.q, self.mw, self.nw)
         if not (self.q.shape == self.mw.shape == self.nw.shape):
             raise DimensionMismatchError("Q, M, N must share shape (n_s, n_p)")
-
-    @property
-    def n_p(self):
-        return self.q.shape[1]
 
 
 def _ordered_gaps(qs, perm):

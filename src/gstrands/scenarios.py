@@ -256,7 +256,7 @@ def run_linear_rep(cfg, grid):
 
 def _linear_sigma_history(rep, lag, hist):
     """Velocity fields recovered through the momentum map, as a strand History."""
-    xi, gam = clebsch.recover_velocities(rep, lag, hist)
+    xi, gam = clebsch.recover_velocities(rep, lag, hist.v, hist.m, hist.n)
     return gstrand.History(hist.times, nu=xi, gamma=gam)
 
 

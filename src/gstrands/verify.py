@@ -95,15 +95,9 @@ def _integrand_cells(action, views):
                               for i in range(3)))
 
 
-def assemble(action: DiscreteAction, fields: dict) -> float:
-    """Cell sum of the integrand times dt*ds."""
-    _check_fields(action, fields)
-    cells = _integrand_cells(action, _all_views(action, fields))
-    return float(np.sum(cells) * action.grid.dt * action.grid.ds)
-
-
 def fd_gradient(action: DiscreteAction, fields: dict) -> dict:
-    """Central-difference gradient of assemble w.r.t. every node value.
+    """Central-difference gradient of the action, the cell sum of the
+    integrand times dt*ds, w.r.t. every node value.
 
     Grouped into four node-parity phases so each cell contains exactly one
     perturbed corner; the per-cell differences then scatter to their nodes,
@@ -291,10 +285,6 @@ class CovariantHamiltonian:
 
     b_t: np.ndarray
     b_s: np.ndarray
-
-    def value(self, nu_t, nu_s):
-        return 0.5 * (np.einsum("...i,...i->...", nu_t @ self.b_t.T, nu_t)
-                      + np.einsum("...i,...i->...", nu_s @ self.b_s.T, nu_s))
 
     def velocity(self, m, n):
         """delta h / delta nu: the inverse Legendre map back to velocities."""

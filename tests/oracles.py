@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from gstrands import gstrand, kernels, liealg, peakon, verify
+from gstrands import clebsch, gstrand, kernels, liealg, peakon, verify
 from gstrands.errors import BlowUpError, DimensionMismatchError, NearCollisionError
 
 JACOBI_TOL = 1e-12
@@ -189,7 +189,29 @@ def solve_gram(g: GramSystem, rhs):
 
 
 # ---------------------------------------------------------------------------
-# discrete action of the coupled double-bracket flow
+# representations, discrete actions and Hamiltonians only the tests evaluate
+
+def adjoint_rep(alg):
+    """ad_xi as matrices on the algebra's own coordinates:
+    rho[i][k, j] = c^k_ij = [e_i, e_j]^k."""
+    basis = np.eye(alg.dim)
+    return clebsch.LinearRepSpec(alg, alg.dim,
+                                 liealg.bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
+
+
+def assemble(action, fields) -> float:
+    """Cell sum of the integrand times dt*ds, the sum verify.fd_gradient
+    differentiates."""
+    verify._check_fields(action, fields)
+    cells = verify._integrand_cells(action, verify._all_views(action, fields))
+    return float(np.sum(cells) * action.grid.dt * action.grid.ds)
+
+
+def hamiltonian_value(ham, nu_t, nu_s):
+    """h(nu_t, nu_s) of a verify.CovariantHamiltonian."""
+    return 0.5 * (np.einsum("...i,...i->...", nu_t @ ham.b_t.T, nu_t)
+                  + np.einsum("...i,...i->...", nu_s @ ham.b_s.T, nu_s))
+
 
 def clebsch_adjoint_action(alg, grid):
     """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""

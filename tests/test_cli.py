@@ -348,6 +348,53 @@ def test_study_levels_validation(tmp_path):
     assert cli.main(["study", cfg, "--levels", "2"]) == 2
 
 
+def test_study_levels_below_three_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "c.yaml", "scenario: chiral_so3\n")
+    assert cli.main(["study", cfg, "--levels", "2"]) == 2
+    assert capsys.readouterr().err == "error category: usage: --levels must be >= 3\n"
+
+
+def test_orders_tell_growth_out_of_the_roundoff_floor_from_saturation():
+    values = [1e-3, 2.5e-4, 1e-13, 1e-14, 1e-9, 5e-13]
+    assert cli.orders_from_residuals(values) == [2.0, "saturated", "saturated", "grows",
+                                                 "saturated"]
+
+
+def test_cdb_study_constraint_residual_grows_out_of_the_floor(tmp_path, monkeypatch):
+    # 2.8e-13 at level 2, 8.1e-10 at level 3: the ill-posed growth of the
+    # cdb_so3 family, no longer reported as saturation; the study still exits 0
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["study", str(CONFIG_DIR / "cdb_study.yaml"), "--levels", "4"]) == 0
+    report = json.loads((tmp_path / "cdb_study.study.json").read_text())
+    assert report["orders"]["constraint_residual"] == ["saturated", "saturated", "grows"]
+
+
+@pytest.mark.parametrize("n_s, ok", [(125, True), (126, False)])
+def test_cdb_so3_grid_past_the_t_over_ds_budget_is_refused(n_s, ok):
+    # t_end n_s / s_extent with t_end 1 and s_extent 2 pi: 19.9 at n_s 125, 20.05 at 126
+    text = f"scenario: cdb_so3\ngrid: {{n_s: {n_s}}}\n"
+    if ok:
+        config.parse_config(text)
+        return
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(text)
+    assert (exc.value.code, exc.value.field) == ("ill-posed", "grid.n_s")
+
+
+def test_study_refuses_an_ill_posed_finest_level_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch):
+    # cdb_study's finest grid at --levels 5 has n_s 512, t_end/ds 32.6
+    def no_solve(cfg):
+        raise AssertionError("an ill-posed study must not solve")
+
+    monkeypatch.setattr(config, "run_scenario", no_solve)
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / "out"))
+    assert cli.main(["study", str(CONFIG_DIR / "cdb_study.yaml"), "--levels", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error category: validation: cdb_so3 is ill-posed: grid.n_s 512")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_study_orders(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path, "study.yaml", f"""
@@ -414,6 +461,20 @@ grid:
     monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(override))
     assert cli.main(["run", cfg]) == 0
     assert (override / "envdemo.csv").exists()
+
+
+@pytest.mark.parametrize("argv, dirname, written", [
+    (["run", "peakon_strand"], "res.csv.d",
+     ["peakon_strand.csv", "peakon_strand.fields.csv", "peakon_strand.json"]),
+    (["study", "cdb_study", "--levels", "3"], "r.json.d", ["cdb_study.study.json"]),
+], ids=["run", "study"])
+def test_output_paths_extend_the_label_not_the_directory(tmp_path, monkeypatch, argv, dirname,
+                                                         written):
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / dirname))
+    command, stem, *rest = argv
+    assert cli.main([command, str(CONFIG_DIR / f"{stem}.yaml"), *rest]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [dirname]
+    assert sorted(p.name for p in (tmp_path / dirname).iterdir()) == written
 
 
 def test_run_all_scenarios_reads_the_output_dir_override(tmp_path):

@@ -479,6 +479,21 @@ def test_stage_one_reuse_is_bitwise_a_fresh_solve(family):
         st = dataclasses.replace(st, aux=None)
 
 
+@pytest.mark.parametrize("family", SLAVED_FAMILIES)
+def test_every_slaved_state_states_the_protocol_through_its_base(family):
+    # positional fields: the evolved arrays, then the multiplier, each
+    # coerced to float; aux is keyword-only and out of repr and equality
+    grid = StrandGrid(16, 2 * np.pi, 5e-3, 5e-3)
+    state = slaved_family(family, grid)[3]
+    cls = type(state)
+    assert issubclass(cls, gstrand.SlavedState)
+    assert [f.name for f in fields(cls) if f.name != "aux"] == list(cls.__match_args__)
+    built = cls(*(np.ones(getattr(state, n).shape, dtype=int) for n in cls.__match_args__))
+    assert [getattr(built, n).dtype for n in cls.__match_args__] == [np.float64] * 3
+    (aux,) = [f for f in fields(cls) if f.name == "aux"]
+    assert (aux.kw_only, aux.repr, aux.compare, aux.default) == (True, False, False, None)
+
+
 def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
     grid = StrandGrid(1, 1.0, 1e-2, 0.2)
     st = peakon.PeakonState(np.array([[-1.0, 1.0]]), np.array([[0.5, 1.0]]), np.ones((1, 2)))

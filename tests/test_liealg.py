@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (dense_c, jacobi_residual, structure_constants_from_matrices, to_matrix,
-                     validate)
+from oracles import (adjoint_rep, dense_c, jacobi_residual, structure_constants_from_matrices,
+                     to_matrix, validate)
 
-from gstrands import clebsch, liealg
+from gstrands import liealg
 from gstrands.errors import DimensionMismatchError, UnsupportedAlgebraError
 
 SO3 = liealg.builtin("so3")
@@ -331,7 +331,7 @@ def column_contract(columns, x, y, d):
 def spec_tables(name):
     """(table, dense t) of every contraction a builtin and its adjoint rep use."""
     spec = liealg.builtin(name)
-    rep = clebsch.adjoint_rep(spec)
+    rep = adjoint_rep(spec)
     c = dense_c(spec)
     return {"bracket": (spec.bracket_table, c),
             "coad": (spec.coad_table, c.transpose(2, 0, 1)),

@@ -87,3 +87,35 @@ def test_every_parameter_is_read():
     for path in sorted((SRC / "gstrands").glob("*.py")):
         unread += _unread_parameters(ast.parse(path.read_text()), path.stem)
     assert [slot for slot in unread if slot not in CALLBACK_SLOTS] == []
+
+
+
+def test_every_src_name_is_reached():
+    # a top-level function or class of the package, or a method or property
+    # of such a class, that nothing in src/, perfbench/ or scripts/ names is
+    # API only tests reach: it belongs in tests/oracles.py or nowhere.  A
+    # Name load, an attribute or an import alias names a top-level
+    # definition; only an attribute names a method.
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "perfbench", "scripts")
+             for path in sorted((SRC.parent / folder).rglob("*.py"))}
+    names, attrs = set(), set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            attrs.add(node.name)
+    unreached = []
+    for path in sorted((SRC / "gstrands").glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in names | attrs:
+                unreached.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreached += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                              and m.name not in attrs]
+    assert unreached == []

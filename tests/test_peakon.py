@@ -188,11 +188,11 @@ def test_crossing_between_stages_halts_with_step():
     assert exc.value.t == pytest.approx(3.2)
 
 
-def ch_classical(dt, t_end, p0):
-    """(state, kernel, grid) of a ch_classical config: q0 = (-2.5, 2.5), n_s = 1."""
+def ch_classical(dt, t_end, p0, q0=(-2.5, 2.5)):
+    """(state, kernel, grid) of a ch_classical config with n_s = 1."""
     cfg = config.parse_config(
         f"scenario: ch_classical\ngrid: {{n_s: 1, dt: {dt}, t_end: {t_end}}}\n"
-        f"initial: {{q0: [-2.5, 2.5], p0: [{p0[0]}, {p0[1]}]}}\n")
+        f"initial: {{q0: {list(q0)}, p0: {list(p0)}}}\n")
     kernel, state = scenarios.ch_setup(cfg)
     return state, kernel, scenarios.make_grid(cfg)
 
@@ -213,23 +213,47 @@ def test_head_on_halt_precedes_the_exact_collision(dt):
 
 
 def test_interacting_two_peakons_converge_at_fourth_order():
-    # the peakons exchange momenta by t = 60, (1.0, 0.8) -> (0.777, 1.023);
     # the reference is a DOP853 solution of the same ODE, G = e^-|x| / 2
     def rhs(_t, y):
-        q, p = y[:2], y[2:]
+        q, p = np.split(y, 2)
         d = q[:, None] - q[None, :]
         g = np.exp(-np.abs(d)) / 2.0
         return np.concatenate([g @ p, p * ((np.sign(d) * g) @ p)])
 
-    ref = solve_ivp(rhs, (0.0, 60.0), [-2.5, 2.5, 1.0, 0.8], method="DOP853",
-                    rtol=1e-13, atol=1e-14).y[:, -1]
-    errs = []
-    # dt 0.05 (error 3e-12) would sit at the reference's own error floor
-    for dt in (0.4, 0.2, 0.1):
-        hist = peakon.simulate(*ch_classical(dt, 60.0, (1.0, 0.8)))
-        errs.append(np.max(np.abs(np.concatenate([hist.q[-1, 0], hist.mw[-1, 0]]) - ref)))
-    orders = np.log2(np.array(errs[:-1]) / errs[1:])
-    assert np.all((3.8 <= orders) & (orders <= 4.3)), (errs, orders)
+    cases = [
+        # two peakons exchange momenta by t = 60, (1.0, 0.8) -> (0.777, 1.023);
+        # dt 0.05 (error 3e-12) would sit at the reference's own error floor
+        ((-2.5, 2.5), (1.0, 0.8), 60.0, (0.4, 0.2, 0.1), (3.8, 4.3)),
+        # three peakons overtaking, errors 9.5e-7 at dt 0.4 to 1.4e-10 at 0.05
+        ((-3.0, 0.0, 2.5), (1.2, 0.7, 0.4), 40.0, (0.4, 0.2, 0.1, 0.05), (4.0, 4.5)),
+    ]
+    for q0, p0, t_end, dts, (low, high) in cases:
+        ref = solve_ivp(rhs, (0.0, t_end), [*q0, *p0], method="DOP853",
+                        rtol=1e-13, atol=1e-14).y[:, -1]
+        errs = []
+        for dt in dts:
+            hist = peakon.simulate(*ch_classical(dt, t_end, p0, q0))
+            errs.append(np.max(np.abs(np.concatenate([hist.q[-1, 0], hist.mw[-1, 0]]) - ref)))
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all((low <= orders) & (orders <= high)), (q0, errs, orders)
+
+
+def test_a_strand_constant_in_s_is_the_classical_trajectory_on_every_row():
+    # s-independent data make every d_s zero, so each of the 16 rows steps
+    # exactly as the n_s = 1 run does and N stays +0
+    q0, p0 = (-3.0, 0.0, 2.5), (1.2, 0.7, 0.4)
+    classical = peakon.simulate(*ch_classical(0.05, 10.0, p0, q0))
+    q_rows, m_rows = ([[x] * 16 for x in v] for v in (q0, p0))
+    cfg = config.parse_config(
+        "scenario: peakon_strand\nparams: {n_p: 3}\ngrid: {n_s: 16, dt: 0.05, t_end: 10.0}\n"
+        f"initial: {{preset: inline, q0: {q_rows}, m0: {m_rows}}}\n")
+    kernel, state = scenarios.peakon_setup(cfg, scenarios.make_grid(cfg))
+    strand = peakon.simulate(state, kernel, scenarios.make_grid(cfg))
+    assert len(strand.times) == len(classical.times) == 201
+    for name in ("q", "mw"):
+        expected = np.broadcast_to(getattr(classical, name), getattr(strand, name).shape)
+        assert np.array_equal(getattr(strand, name), expected), name
+    assert np.all(strand.nw == 0.0) and not np.signbit(strand.nw).any()
 
 
 def test_one_gram_build_per_stage(monkeypatch):
