@@ -21,12 +21,11 @@ import numpy as np
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, SlavedState, StrandGrid, centered_dt, d_s,
                       integrate, slaved_step)
-from .liealg import (LieAlgebraSpec, _contract, _contraction_table, bracket, builtin, hat_so_n,
+from .liealg import (_EPSILON, LieAlgebraSpec, _contract, _contraction_table, bracket, hat_so_n,
                      vee_so_n)
 from .liealg import ad_star  # noqa: F401  (re-exported: perfbench/spans.py wraps clebsch.ad_star)
 
 PINV_RCOND = 1e-10
-_SO3_CONSTANTS = builtin("so3").constants
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,16 @@ class LinearRepSpec:
         object.__setattr__(self, "diamond_table", _contraction_table(rho))
 
 
+def _hat_so3(v):
+    return np.array([[0.0, -v[2], v[1]],
+                     [v[2], 0.0, -v[0]],
+                     [-v[1], v[0], 0.0]])
+
+
 def defining_rep_so3(alg: LieAlgebraSpec) -> LinearRepSpec:
-    """so(3) acting on R^3 by xi v = xi x v (equals its adjoint action)."""
-    return LinearRepSpec(alg, 3, alg.basis_matrices)
+    """so(3) acting on R^3 by xi v = xi x v (equals its adjoint action):
+    rho is the hat-map basis, in which c^k_ij is the Levi-Civita symbol."""
+    return LinearRepSpec(alg, 3, np.array([_hat_so3(v) for v in np.eye(3)]))
 
 
 def _action_operands(rep: LinearRepSpec, xi, v):
@@ -186,7 +192,7 @@ def solve_cdb_ws(alg, m, dsm):
     Levi-Civita constants) that representative is closed form, see
     ``_solve_cdb_ws_so3``.
     """
-    if alg.dim == 3 and all(map(np.array_equal, alg.constants, _SO3_CONSTANTS)):
+    if alg.dim == 3 and all(map(np.array_equal, alg.constants, _EPSILON)):
         return _solve_cdb_ws_so3(m, dsm)
     # ad_m[..., k, j] = [m, e_j]^k
     ad_m = np.swapaxes(bracket(alg, m[..., None, :], np.eye(alg.dim)), -1, -2)

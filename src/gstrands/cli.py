@@ -21,8 +21,7 @@ import time
 
 import numpy as np
 
-from .config import (SCENARIOS, load_config, run_scenario, schema_description, study_names,
-                     study_residuals)
+from .config import SCENARIOS, load_config, run_scenario, schema_description, study
 from .errors import GStrandsError
 from .output import write_csv, write_json
 
@@ -79,13 +78,8 @@ def cmd_study(args) -> int:
     if args.levels < 3:
         raise GStrandsError("--levels must be >= 3")
     cfg = load_config(args.config)
-    names = study_names(cfg, args.levels)
     started = time.monotonic()
-    table = {name: [] for name in names}
-    for level in range(args.levels):
-        res = study_residuals(cfg, level)
-        for name in names:
-            table[name].append(float(res[name]))
+    table = study(cfg, args.levels)
     report = {
         "config": cfg.echo(),
         "levels": args.levels,

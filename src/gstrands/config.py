@@ -156,15 +156,6 @@ def run_scenario(cfg: ScenarioConfig):
     return SCENARIOS[cfg.scenario].run(cfg, scenarios.make_grid(cfg))
 
 
-def study_residuals(cfg: ScenarioConfig, level: int) -> dict:
-    """Summary residuals of the scenario at refinement level ``level``
-    (dt and ds both divided by 2**level)."""
-    factor = 2 ** level
-    refined = replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * factor,
-                                 "dt": cfg.grid["dt"] / factor})
-    summary = run_scenario(refined)[2]["summary"]
-    return {k: summary[k] for k in SCENARIOS[cfg.scenario].study}
-
 # top-level keys besides ``scenario`` and its three sections
 _TOP_SCHEMA = {
     "label": Key("str", None),
@@ -299,10 +290,7 @@ def parse_config(text: str) -> ScenarioConfig:
     grid = _apply_schema("grid", spec.grid, data.get("grid"))
     params = _apply_schema("params", spec.params, data.get("params"))
     initial = _apply_schema("initial", spec.initial, data.get("initial"))
-    _check_steps(grid)
-    _check_cross_keys(scenario, grid, params, initial)
-    _check_stored_slices(scenario, grid)
-    _check_well_posed(scenario, grid)
+    _check(scenario, grid, params, initial)
     return ScenarioConfig(scenario=scenario, label=top["label"] or scenario,
                           output_dir=top["output_dir"], seed=top["seed"], grid=grid,
                           params=params, initial=initial)
@@ -310,6 +298,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def _invalid(field, message, code="out-of-range") -> ConfigValidationError:
     return ConfigValidationError(message, code=code, field=field)
+
+
+def _check(scenario, grid, params, initial):
+    """The rules beyond single keys, checked by parse_config and on every
+    level of a study."""
+    _check_steps(grid)
+    _check_cross_keys(scenario, grid, params, initial)
+    _check_stored_slices(scenario, grid)
+    _check_well_posed(scenario, grid)
 
 
 def _check_steps(grid):
@@ -393,17 +390,22 @@ def _check_cross_keys(scenario, grid, params, initial):
                                                   f"(n_p, n_s) = {(n_p, n_s)}", code="bad-type")
 
 
-def study_names(cfg: ScenarioConfig, levels: int) -> tuple:
-    """Residuals a convergence study of ``cfg`` over ``levels`` levels
-    refines.  Level 1 doubles n_s, so a study also needs grid.n_s >= 8, and
-    its finest grid must be well posed."""
+def study(cfg: ScenarioConfig, levels: int) -> dict:
+    """Summary residuals of a convergence study, one list per refined name
+    with a value for each level l = 0 .. levels-1 (dt and ds divided by 2**l).
+    Level 1 doubles n_s, so a study needs grid.n_s >= 8, and every level's
+    grid passes ``_check`` before any level solves."""
     names = SCENARIOS[cfg.scenario].study
     if not names:
         raise _invalid("scenario", f"scenario '{cfg.scenario}' has no refinable residuals")
     if cfg.grid["n_s"] < 8:
         raise _invalid("grid.n_s", "a convergence study needs grid.n_s >= 8")
-    _check_well_posed(cfg.scenario, {**cfg.grid, "n_s": cfg.grid["n_s"] * 2 ** (levels - 1)})
-    return names
+    refined = [replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * 2 ** level,
+                                  "dt": cfg.grid["dt"] / 2 ** level}) for level in range(levels)]
+    for r in refined:
+        _check(r.scenario, r.grid, r.params, r.initial)
+    summaries = [run_scenario(r)[2]["summary"] for r in refined]
+    return {name: [float(s[name]) for s in summaries] for name in names}
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -35,16 +35,13 @@ class LieAlgebraSpec:
 
     ``constants`` is a (k, i, j, value) tuple of the nonzero c^k_ij in any
     order, kept as a sorted ``StructureConstants``; each (k, i, j) appears
-    once, and (k, j, i) with the opposite value.  ``basis_matrices``, when
-    present, is a faithful matrix representation (stacked along axis 0).
-    ``bracket`` and ``ad_star`` contract with ``bracket_table`` and
-    ``coad_table`` (see ``_Table``).
+    once, and (k, j, i) with the opposite value.  ``bracket`` and ``ad_star``
+    contract with ``bracket_table`` and ``coad_table`` (see ``_Table``).
     """
 
     dim: int
     constants: StructureConstants
     name: str = ""
-    basis_matrices: np.ndarray | None = None
     bracket_table: tuple = field(init=False, repr=False)
     coad_table: tuple = field(init=False, repr=False)
 
@@ -206,12 +203,6 @@ def pair(spec: LieAlgebraSpec, mu, xi):
     return out[()]
 
 
-def _hat_so3(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
 def so_n_index_pairs(n):
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
@@ -243,9 +234,7 @@ _EPSILON = (np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1]),
 
 
 def _builtin_so3():
-    # hat-map basis, in which c^k_ij is the Levi-Civita symbol
-    basis = np.array([_hat_so3(v) for v in np.eye(3)])
-    return LieAlgebraSpec(3, _EPSILON, name="so3", basis_matrices=basis)
+    return LieAlgebraSpec(3, _EPSILON, name="so3")
 
 
 def _builtin_so_n(n):
@@ -261,21 +250,16 @@ def _builtin_so_n(n):
     x, s, y = np.indices((n,) * 3).reshape(3, -1)
     x, s, y = (t[(x != s) & (s != y) & (x != y)] for t in (x, s, y))
     constants = (slot[x, y], slot[x, s], slot[s, y], sign[x, s] * sign[s, y] * sign[x, y])
-    return LieAlgebraSpec(dim, constants, name=f"soN({n})",
-                          basis_matrices=hat_so_n(n, np.eye(dim)))
+    return LieAlgebraSpec(dim, constants, name=f"soN({n})")
 
 
 def _builtin_se3():
-    # block order (rotation, translation), embedded as 4x4 homogeneous matrices:
+    # block order (rotation, translation):
     # [(w, v), (w', v')] = (w x w', w x v' - w' x v), so epsilon fills the
     # (k, i, j) blocks (rot, rot, rot), (trans, rot, trans) and (trans, trans, rot)
-    basis = np.zeros((6, 4, 4))
-    for i, v in enumerate(np.eye(3)):
-        basis[i, :3, :3] = _hat_so3(v)
-        basis[3 + i, :3, 3] = v
     offset = np.repeat([[0, 3, 3], [0, 0, 3], [0, 3, 0]], 6, axis=1)  # k, i, j of the blocks
     constants = (*(np.tile(_EPSILON[:3], 3) + offset), np.tile(_EPSILON[3], 3))
-    return LieAlgebraSpec(6, constants, name="se3", basis_matrices=basis)
+    return LieAlgebraSpec(6, constants, name="se3")
 
 
 def _builtin_gl_n(n):
@@ -287,10 +271,7 @@ def _builtin_gl_n(n):
     a, b, d = (t[(a != b) | (b != d)] for t in (a, b, d))
     constants = (np.concatenate([a * n + d, d * n + b]), np.tile(a * n + b, 2),
                  np.concatenate([b * n + d, d * n + a]), np.repeat([1.0, -1.0], a.size))
-    unit = np.arange(n * n)
-    basis = np.zeros((n * n, n, n))
-    basis[unit, unit // n, unit % n] = 1.0
-    return LieAlgebraSpec(n * n, constants, name=f"glN({n})", basis_matrices=basis)
+    return LieAlgebraSpec(n * n, constants, name=f"glN({n})")
 
 
 def builtin(name: str) -> LieAlgebraSpec:

@@ -61,9 +61,30 @@ class ReconstructionRefused(Exception):
     """Zero-curvature residual too large for group reconstruction to be well posed."""
 
 
+def matrix_basis(alg):
+    """A faithful matrix basis of a builtin algebra, stacked along axis 0, in
+    which its structure constants are the spec's: the so(3) hat map, the
+    so(n) E_ab, se(3) as 4x4 homogeneous matrices (rotations, then
+    translations) and the gl(n) matrix units E_ab at index a*n + b."""
+    if alg.name == "so3":
+        return clebsch.defining_rep_so3(alg).rho
+    if alg.name == "se3":
+        basis = np.zeros((6, 4, 4))
+        basis[:3, :3, :3] = matrix_basis(liealg.builtin("so3"))
+        basis[3:, :3, 3] = np.eye(3)
+        return basis
+    n = int(alg.name[4:-1])
+    if alg.name.startswith("soN"):
+        return liealg.hat_so_n(n, np.eye(alg.dim))
+    unit = np.arange(n * n)
+    basis = np.zeros((n * n, n, n))
+    basis[unit, unit // n, unit % n] = 1.0
+    return basis
+
+
 def to_matrix(alg, xi):
     """Matrix of an element in the builtin representation, batched."""
-    return np.einsum("...i,iab->...ab", np.asarray(xi, dtype=float), alg.basis_matrices)
+    return np.einsum("...i,iab->...ab", np.asarray(xi, dtype=float), matrix_basis(alg))
 
 
 def reconstruct(alg, g0, hist, grid, tol=1e-6):
@@ -79,7 +100,7 @@ def reconstruct(alg, g0, hist, grid, tol=1e-6):
         raise ReconstructionRefused(
             f"zero-curvature residual {zr:.3e} exceeds {tol:.1e}; reconstruction is ill-posed")
     g0 = np.asarray(g0, dtype=float)
-    nmat = alg.basis_matrices.shape[-1]
+    nmat = matrix_basis(alg).shape[-1]
     if g0.ndim == 2:
         g0 = np.broadcast_to(g0, (grid.n_s, nmat, nmat))
     out = [g0]

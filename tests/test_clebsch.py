@@ -4,7 +4,7 @@ import scipy.linalg
 from conftest import fit_order, rotation_field_z
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import adjoint_rep, classical_ep_trajectory, dense_c
+from oracles import adjoint_rep, classical_ep_trajectory, dense_c, matrix_basis
 
 from gstrands import clebsch, gstrand, liealg
 from gstrands.errors import DimensionMismatchError
@@ -57,7 +57,7 @@ def test_diamond_dimension_mismatch():
 
 
 def test_representation_property_enforced():
-    rho = np.stack([m.copy() for m in SO3.basis_matrices])
+    rho = REP3.rho.copy()
     rho[0][0, 1] += 1e-3
     with pytest.raises(DimensionMismatchError):
         clebsch.LinearRepSpec(SO3, 3, rho)
@@ -65,7 +65,7 @@ def test_representation_property_enforced():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rho_is_refused(bad):
-    rho = SO3.basis_matrices.copy()
+    rho = REP3.rho.copy()
     rho[1][2, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
         clebsch.LinearRepSpec(SO3, 3, rho)
@@ -76,7 +76,7 @@ def test_representation_check_keeps_a_nan_mismatch():
     # in some rows, which must not read as a perfect representation
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DimensionMismatchError, match="not a representation"):
-            clebsch.LinearRepSpec(SO3, 3, 1e300 * SO3.basis_matrices)
+            clebsch.LinearRepSpec(SO3, 3, 1e300 * REP3.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,23 @@ def test_cdb_rotating_state_rejects_bad_axis():
     grid = StrandGrid(16, 2 * np.pi, 1e-3, 0.1)
     with pytest.raises(DimensionMismatchError):
         clebsch.cdb_rotating_state(SO3, grid, [1.0, 0.0, 0.5], [0.1, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("k_ds", [np.pi / 4, np.pi / 2], ids=["pi/4", "pi/2"])
+def test_cdb_grid_mode_grows_at_the_rate_of_the_centered_d_s_symbol(k_ds):
+    # The Cauchy problem is of Laplace type: a grid mode cos(k s) of m_3 grows
+    # about e^(T sin(k ds)/ds), less about ln 2 (half of it goes into the
+    # decaying mode).  Measured ratios 0.886 (growth 591) and 0.923 (1.21e4);
+    # on n_s 32 the ln 2 offset weighs more and they read 0.74 and 0.83.
+    grid = StrandGrid(64, 2 * np.pi, 2e-3, 1.0, store_every=500)
+    base = clebsch.cdb_rotating_state(SO3, grid, [1.0, 0.4, 0.0], [0.3, 0.2, 0.1])
+    m = base.m.copy()
+    m[:, 2] += 1e-10 * np.cos(k_ds / grid.ds * grid.s_nodes)
+    ends = [clebsch.cdb_simulate(SO3, st, grid).m[-1]
+            for st in (base, clebsch.CDBState(m, base.w_t, base.w_s))]
+    growth = np.max(np.abs(ends[1] - ends[0])) / 1e-10
+    ratio = np.log(growth) / (grid.t_end * np.sin(k_ds) / grid.ds)
+    assert 0.85 <= ratio <= 0.95, (growth, ratio)
 
 
 def _pinv_cdb_ws(alg, m, dsm):
@@ -445,7 +462,7 @@ def test_rep_tables_non_integer_rep(shapes):
 def rep_dim_cases():
     """Reps whose rep_dim differs from the algebra's dim."""
     gl2 = liealg.builtin("glN(2)")
-    return {"glN(2)-on-R2": clebsch.LinearRepSpec(gl2, 2, gl2.basis_matrices),
+    return {"glN(2)-on-R2": clebsch.LinearRepSpec(gl2, 2, matrix_basis(gl2)),
             "so3-trivial": clebsch.LinearRepSpec(SO3, 1, np.zeros((3, 1, 1)))}
 
 

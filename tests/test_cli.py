@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,27 @@ def test_study_refuses_an_ill_posed_finest_level_before_any_solve(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_study_checks_every_level_before_any_solve(tmp_path, capsys, monkeypatch):
+    # inline peakon rows fix n_s = 8; level 1 doubles grid.n_s but not the rows
+    def no_solve(cfg):
+        raise AssertionError("a study with an invalid level must not solve")
+
+    monkeypatch.setattr(config, "run_scenario", no_solve)
+    q0, m0 = [[-1.5] * 8, [1.5] * 8], [[1.0] * 8, [0.8] * 8]
+    cfg = write(tmp_path, "inline.yaml", f"""
+scenario: peakon_strand
+output_dir: {tmp_path / "out"}
+grid: {{n_s: 8, dt: 0.01, t_end: 0.2}}
+initial: {{preset: inline, q0: {q0}, m0: {m0}}}
+""")
+    assert cli.main(["validate", cfg]) == 0
+    assert cli.main(["study", cfg, "--levels", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error category: validation: inline initial.q0 must have shape "
+                   "(n_p, n_s) = (2, 16)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inline.yaml"]
+
+
 def test_study_orders(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path, "study.yaml", f"""
@@ -411,6 +434,29 @@ grid:
     for name in ("ep_residual", "zcc_residual"):
         orders = report["orders"][name]
         assert all(o >= 1.8 for o in orders)
+
+
+@pytest.mark.parametrize("scenario, n_s", [
+    ("chiral_so3", 32), ("se3_strand", 32), ("peakon_strand", 16), ("symm_rigid_soN", 16),
+    ("linear_rep", 16), ("cdb_so3", 16)])
+def test_stored_trajectory_self_converges_at_second_order(scenario, n_s):
+    # (dt, ds) refined jointly over levels 0-3 with store_every scaled, so every
+    # level stores the same 21 times; level l+1 on every other s-node against
+    # level l, for every stored field but the peakon index a.  cdb_so3 reads
+    # t_end/ds = 8.1 at level 3, inside its ill-posedness budget of 20.
+    cfg = config.parse_config(f"scenario: {scenario}\ngrid: {{n_s: {n_s}, dt: 0.02, t_end: 0.4}}")
+    tables = []
+    for level in range(4):
+        grid = {**cfg.grid, "n_s": n_s * 2**level, "dt": 0.02 / 2**level, "store_every": 2**level}
+        header, rows, _, _ = config.run_scenario(replace(cfg, grid=grid))
+        tables.append(rows().reshape(21, grid["n_s"], -1, len(header)))
+    fields = [re.sub(r"\d+$", "", name) for name in header]
+    for field in sorted(set(fields) - {"t", "s", "a"}):
+        cols = [i for i, f in enumerate(fields) if f == field]
+        diffs = [np.max(np.abs(fine[:, ::2][..., cols] - coarse[..., cols]))
+                 for coarse, fine in zip(tables, tables[1:])]
+        orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
+        assert np.all((orders >= 1.8) & (orders <= 2.2)), (field, diffs, orders)
 
 
 def test_study_saturated_pure_gauge(tmp_path):

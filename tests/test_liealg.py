@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (adjoint_rep, dense_c, jacobi_residual, structure_constants_from_matrices,
-                     to_matrix, validate)
+from oracles import (adjoint_rep, dense_c, jacobi_residual, matrix_basis,
+                     structure_constants_from_matrices, to_matrix, validate)
 
 from gstrands import liealg
 from gstrands.errors import DimensionMismatchError, UnsupportedAlgebraError
@@ -282,7 +282,7 @@ def test_closed_form_constants_match_matrix_commutators(name):
     spec = liealg.builtin(name)
     c = dense_c(spec)
     assert np.array_equal(c, np.round(c))
-    oracle = structure_constants_from_matrices(spec.basis_matrices)
+    oracle = structure_constants_from_matrices(matrix_basis(spec))
     assert np.max(np.abs(c - oracle)) <= 1e-15
     assert jacobi_residual(spec) == 0.0
 
@@ -294,7 +294,7 @@ def test_son_basis_is_the_elementary_antisymmetric_pairs(n):
     basis = np.zeros((len(pairs), n, n))
     for k, (a, b) in enumerate(pairs):
         basis[k, a, b], basis[k, b, a] = 1.0, -1.0
-    assert np.array_equal(liealg.builtin(f"soN({n})").basis_matrices, basis)
+    assert np.array_equal(liealg.hat_so_n(n, np.eye(len(pairs))), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,28 @@ def test_import_leaves_scipy_linalg_unloaded():
         assert out.stdout.strip() == "False", module
 
 
+def test_import_builds_no_algebra():
+    # a spec is built where a run asks for one, never at import: a profile
+    # hook counts LieAlgebraSpec.__post_init__ calls during `import gstrands`,
+    # then during one builtin("so3"), which shows that the hook sees a build
+    code = ("import sys\n"
+            "calls = []\n"
+            "def hook(frame, event, arg):\n"
+            "    name = frame.f_code.co_qualname\n"
+            "    if event == 'call' and name == 'LieAlgebraSpec.__post_init__':\n"
+            "        calls.append(name)\n"
+            "sys.setprofile(hook)\n"
+            "import gstrands\n"
+            "at_import = len(calls)\n"
+            "gstrands.builtin('so3')\n"
+            "sys.setprofile(None)\n"
+            "print(at_import, len(calls) - at_import)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0", "1"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in gstrands.__all__ if not hasattr(gstrands, name)]
     assert missing == []
