@@ -9,6 +9,7 @@ values).  One ``SCENARIOS`` record declares all of a scenario, runner too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -258,15 +259,22 @@ def _apply_schema(section_name, schema, data):
     return out
 
 
-# libyaml's C parser when PyYAML was built with it: same results, less parse time
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's C parser when PyYAML was built with it (same results, less
+    parse time), reading YAML 1.2's exponent floats without a dot (``1e-3``)
+    as floats; YAML 1.1, and so the base loaders, read them as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario config from a string, including
     the stored slices its residuals need."""
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None

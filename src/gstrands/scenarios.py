@@ -343,29 +343,28 @@ def verify_suite(grid) -> dict:
     """
     rep, lag, state = _verify_chiral_clebsch_state(grid)
     hist = clebsch.linear_strand_simulate(rep, lag, state, grid)
-    agrid = verify.ActionGrid(len(hist.times), hist.dt_stored, grid.n_s, grid.ds)
-    action = verify.clebsch_linear_action(rep, lag, agrid)
+    dt, ds = hist.dt_stored, grid.ds
     fields = linear_history_fields(rep, lag, hist)
-    grads = verify.fd_gradient(action, fields)
-    gnorm = verify.interior_max(action, grads)
+    grads = verify.fd_gradient(verify.clebsch_linear_action(rep, lag), fields, dt, ds)
+    gnorm = verify.interior_max(grads, dt, ds)
 
-    energy = verify.clebsch_pontryagin_energy(rep, lag)
     pfields = {
         "y": fields["v"],
         "p": np.stack([fields["m"], fields["n"]], axis=2),
         "b": np.concatenate([fields["xi"], fields["gam"]], axis=2),
     }
-    pres = verify.pontryagin_residual(energy, pfields, (agrid.dt, agrid.ds))
+    pres = verify.pontryagin_residual(verify.clebsch_pontryagin_energy(rep, lag), pfields,
+                                      (dt, ds))
 
-    hp = verify.hamilton_pontryagin_energy(1, lambda v: 0.5 * np.sum(v * v, axis=-1))
+    hp = verify.hamilton_pontryagin_energy(lambda v: 0.5 * np.sum(v * v, axis=-1))
     n_t = 101
     tgrid = np.arange(n_t) * 0.01
     hp_fields = {"y": tgrid[:, None], "p": np.ones((n_t, 1, 1)), "b": np.ones((n_t, 1))}
     hp_res = verify.pontryagin_residual(hp, hp_fields, (0.01,))
 
-    lag2 = verify.legendre_pair(lag).to_lagrangian()
+    lag2 = verify.legendre_pair(verify.legendre_pair(lag))
     leg_gap = float(max(np.max(np.abs(lag2.a_t - lag.a_t)), np.max(np.abs(lag2.a_s - lag.a_s))))
-    sig_hist = _linear_sigma_history(rep, lag, hist)
+    sig_hist = gstrand.History(hist.times, nu=fields["xi"], gamma=fields["gam"])
     lp_gap = verify.lp_ep_gap(rep.alg, lag, sig_hist)
 
     return {

@@ -220,22 +220,22 @@ def adjoint_rep(alg):
                                  liealg.bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
 
 
-def assemble(action, fields) -> float:
+def assemble(integrand, fields, dt, ds) -> float:
     """Cell sum of the integrand times dt*ds, the sum verify.fd_gradient
     differentiates."""
-    verify._check_fields(action, fields)
-    cells = verify._integrand_cells(action, verify._all_views(action, fields))
-    return float(np.sum(cells) * action.grid.dt * action.grid.ds)
+    views = {name: verify._cell_views(arr, dt, ds) for name, arr in fields.items()}
+    return float(np.sum(verify._integrand_cells(integrand, views)) * dt * ds)
 
 
-def hamiltonian_value(ham, nu_t, nu_s):
-    """h(nu_t, nu_s) of a verify.CovariantHamiltonian."""
-    return 0.5 * (np.einsum("...i,...i->...", nu_t @ ham.b_t.T, nu_t)
-                  + np.einsum("...i,...i->...", nu_s @ ham.b_s.T, nu_s))
+def hamiltonian_value(dual, nu_t, nu_s):
+    """h(nu_t, nu_s) of a Legendre dual, verify.legendre_pair(lag)."""
+    return 0.5 * (np.einsum("...i,...i->...", nu_t @ dual.a_t.T, nu_t)
+                  + np.einsum("...i,...i->...", nu_s @ dual.a_s.T, nu_s))
 
 
-def clebsch_adjoint_action(alg, grid):
-    """|s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])."""
+def clebsch_adjoint_action(alg):
+    """Integrand |s_t|^2/2 + |s_s|^2/2 + w_t.(d_t m - [s_t, m]) + w_s.(d_s m - [s_s, m])
+    over the fields m, w_t, w_s, s_t, s_s (alg.dim components each)."""
 
     def integrand(vals, dts, dss):
         m, s_t, s_s = vals["m"], vals["s_t"], vals["s_s"]
@@ -244,10 +244,7 @@ def clebsch_adjoint_action(alg, grid):
         cs = dss["m"] - liealg.bracket(alg, s_s, m)
         return lval + liealg.pair(alg, vals["w_t"], ct) + liealg.pair(alg, vals["w_s"], cs)
 
-    d = alg.dim
-    fields = (verify.FieldSpec("m", d), verify.FieldSpec("w_t", d),
-              verify.FieldSpec("w_s", d), verify.FieldSpec("s_t", d), verify.FieldSpec("s_s", d))
-    return verify.DiscreteAction(grid, fields, integrand)
+    return integrand
 
 
 # ---------------------------------------------------------------------------

@@ -207,14 +207,14 @@ def test_criterion_9_discrete_stationarity():
         m = np.einsum("sab,b->sa", rot, np.array([0.2, 0.9, 0.1]))
         st = clebsch.LinearStrandState(v, m, np.zeros_like(v))
         hist = clebsch.linear_strand_simulate(rep, CHIRAL, st, grid)
-        agrid = verify.ActionGrid(len(hist.times), hist.dt_stored, grid.n_s, grid.ds)
-        action = verify.clebsch_linear_action(rep, CHIRAL, agrid)
+        action = verify.clebsch_linear_action(rep, CHIRAL)
         fields = linear_history_fields(rep, CHIRAL, hist)
-        return verify.interior_max(action, verify.fd_gradient(action, fields))
+        grads = verify.fd_gradient(action, fields, hist.dt_stored, grid.ds)
+        return verify.interior_max(grads, hist.dt_stored, grid.ds)
 
     order = fit_order([level(i) for i in range(3)])
 
-    hp = verify.hamilton_pontryagin_energy(1, lambda v: 0.5 * np.sum(v * v, axis=-1))
+    hp = verify.hamilton_pontryagin_energy(lambda v: 0.5 * np.sum(v * v, axis=-1))
     n_t = 101
     fields = {"y": (np.arange(n_t) * 0.01)[:, None],
               "p": np.ones((n_t, 1, 1)), "b": np.ones((n_t, 1))}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gstrands import cli, config, output, peakon
 from gstrands.errors import BlowUpError, ConfigParseError, ConfigValidationError
@@ -71,6 +72,26 @@ def test_numbers_coerced_to_float():
     assert isinstance(cfg.grid["dt"], float)
 
 
+@pytest.mark.parametrize("text, value", [("1e-2", 0.01), ("5E-1", 0.5), ("-2e1", -20.0)])
+def test_exponent_floats_without_a_dot_parse_as_floats(text, value):
+    # YAML 1.2 reads these as floats; YAML 1.1 (PyYAML's default) as strings
+    cfg = config.parse_config(f"scenario: peakon_strand\ninitial: {{m_values: [1.0, {text}]}}\n")
+    assert cfg.initial["m_values"] == [1.0, value]
+    assert type(cfg.initial["m_values"][1]) is float
+
+
+def test_exponent_float_fills_an_integer_key_and_leaves_the_base_loaders_alone():
+    assert config.parse_config("scenario: chiral_so3\ngrid: {n_s: 1e2}\n").grid["n_s"] == 100
+    assert yaml.load("dt: 1e-3", Loader=yaml.SafeLoader) == {"dt": "1e-3"}
+    assert yaml.load("dt: 1e-3", Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) \
+        == {"dt": "1e-3"}
+
+
+def test_validate_accepts_an_exponent_float(tmp_path):
+    path = write(tmp_path, "exp.yaml", "scenario: chiral_so3\ngrid: {dt: 1e-3, t_end: 1e-2}\n")
+    assert cli.main(["validate", path]) == 0
+
+
 def test_float_lists_are_coerced_to_floats():
     cfg = config.parse_config("scenario: peakon_strand\ninitial: {m_values: [1, 0.8]}\n")
     assert cfg.initial["m_values"] == [1.0, 0.8]
@@ -83,9 +104,10 @@ _HUGE = "1" + "0" * 400  # an integer beyond the float range
 @pytest.mark.parametrize("entries, code, message", [
     ("[1.0, true, .nan]", "bad-type", "field 'initial.m_values[1]' must be a number, got True"),
     ("[1.0, x]", "bad-type", "field 'initial.m_values[1]' must be a number, got 'x'"),
+    ('[1.0, "1e-3"]', "bad-type", "field 'initial.m_values[1]' must be a number, got '1e-3'"),
     ("[1.0, 2, .inf]", "out-of-range", "field 'initial.m_values[2]' must be finite, got inf"),
     (f"[{_HUGE}, 1.0]", "out-of-range", f"field 'initial.m_values[0]' must be finite, got {_HUGE}"),
-], ids=["bool", "string", "inf", "huge-int"])
+], ids=["bool", "string", "quoted-exponent", "inf", "huge-int"])
 def test_float_list_errors_name_the_failing_entry(entries, code, message):
     with pytest.raises(ConfigValidationError) as exc:
         config.parse_config(f"scenario: peakon_strand\ninitial: {{m_values: {entries}}}\n")

@@ -64,7 +64,7 @@ def test_every_error_class_is_raised_or_subclassed():
 CALLBACK_SLOTS = {
     ("cli", "cmd_list", "_args"),                             # argparse passes the namespace
     ("peakon", "_rhs", "q"),                                  # slaved_step passes every evolved array
-    ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # GeneralizedEnergy.e_loc(y, p, b)
+    ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # pontryagin_residual calls e_loc(y, p, b)
     ("scenarios", "run_verify_action", "cfg"),                # Scenario.run(cfg, grid)
 }
 
