@@ -1,34 +1,18 @@
 #!/usr/bin/env python3
 """Joint (dt, ds) refinement studies for every scenario with refinable
-residuals; prints the residual tables and measured orders."""
+residuals through `gstrands study`, which prints the residual tables and
+measured orders; the exit code is the CLI's."""
 
+import os
 import pathlib
 import sys
 
 from gstrands import cli
 
 HERE = pathlib.Path(__file__).resolve().parent
-
-STUDY_CONFIGS = [
-    ("chiral_study.yaml", 3),
-    ("peakon_strand.yaml", 3),
-    ("cdb_study.yaml", 3),
-    ("verify_action.yaml", 3),
-]
-
-
-def main():
-    failures = 0
-    for name, levels in STUDY_CONFIGS:
-        print(f"== {name} (levels={levels})")
-        code = cli.main(["study", str(HERE / "configs" / name), "--levels", str(levels)])
-        if code != 0:
-            print(f"   exited with {code}")
-            failures += 1
-    return 1 if failures else 0
-
+STUDIES = ["chiral_study", "peakon_strand", "cdb_study", "verify_action"]
 
 if __name__ == "__main__":
-    import os
     os.chdir(HERE)
-    sys.exit(main())
+    sys.exit(cli.main(["study", *(str(HERE / "configs" / f"{name}.yaml") for name in STUDIES),
+                       "--levels", "3"]))

@@ -1,12 +1,14 @@
 """Command-line runner.
 
-    gstrands run <config.yaml>
-    gstrands study <config.yaml> --levels k
-    gstrands validate <config.yaml>
+    gstrands run <config.yaml>...
+    gstrands study <config.yaml>... --levels k
+    gstrands validate <config.yaml>...
     gstrands list-scenarios
 
-Exit codes: 0 success, 1 solver error (near-collision, blow-up, io,
-memory), 2 usage error (bad arguments, parse or validation failure).  The
+Each config runs in turn under its own `== <stem>` line, and a failed one
+does not stop the next.  Exit codes: 0 success, 1 solver error
+(near-collision, blow-up, io, memory), 2 usage error (bad arguments, parse
+or validation failure); with several configs, the largest of theirs.  The
 GSTRANDS_OUTPUT_DIR environment variable overrides the configured output
 directory.  Identical configs produce byte-identical output files.
 """
@@ -18,6 +20,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +39,8 @@ def output_base(cfg):
     return os.path.join(os.environ.get("GSTRANDS_OUTPUT_DIR", cfg.output_dir), cfg.label)
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def cmd_run(path, _args) -> int:
+    cfg = load_config(path)
     started = time.monotonic()
     header, rows, diag, extras = run_scenario(cfg)
     base = output_base(cfg)
@@ -57,6 +60,8 @@ def cmd_run(args) -> int:
         raise
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     print(f"wall-time: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    for key, val in sorted(diag["summary"].items()):
+        print(f"   {key}: {val:.3e}" if isinstance(val, float) else f"   {key}: {val}")
     return 0
 
 
@@ -74,10 +79,10 @@ def orders_from_residuals(values):
     return orders
 
 
-def cmd_study(args) -> int:
+def cmd_study(path, args) -> int:
     if args.levels < 3:
         raise GStrandsError("--levels must be >= 3")
-    cfg = load_config(args.config)
+    cfg = load_config(path)
     started = time.monotonic()
     table = study(cfg, args.levels)
     report = {
@@ -97,13 +102,13 @@ def cmd_study(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_validate(path, _args) -> int:
+    cfg = load_config(path)
     print(f"valid: scenario '{cfg.scenario}', label '{cfg.label}'")
     return 0
 
 
-def cmd_list(_args) -> int:
+def cmd_list() -> int:
     print("scenarios: " + ", ".join(SCENARIOS))
     print(schema_description())
     return 0
@@ -113,18 +118,17 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="gstrands", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run one scenario config")
-    p_run.add_argument("config")
+    p_run = sub.add_parser("run", help="run scenario configs")
+    p_run.add_argument("configs", nargs="+", metavar="config")
     p_run.set_defaults(func=cmd_run)
-    p_study = sub.add_parser("study", help="joint (dt, ds) refinement study")
-    p_study.add_argument("config")
+    p_study = sub.add_parser("study", help="joint (dt, ds) refinement studies")
+    p_study.add_argument("configs", nargs="+", metavar="config")
     p_study.add_argument("--levels", type=int, default=3)
     p_study.set_defaults(func=cmd_study)
-    p_val = sub.add_parser("validate", help="parse and validate a config")
-    p_val.add_argument("config")
+    p_val = sub.add_parser("validate", help="parse and validate configs")
+    p_val.add_argument("configs", nargs="+", metavar="config")
     p_val.set_defaults(func=cmd_validate)
-    p_list = sub.add_parser("list-scenarios", help="list scenarios and schema")
-    p_list.set_defaults(func=cmd_list)
+    sub.add_parser("list-scenarios", help="list scenarios and schema")
     return parser
 
 
@@ -134,9 +138,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.command == "list-scenarios":
+        return cmd_list()
+    return max(_run_one(args, path) for path in args.configs)
+
+
+def _run_one(args, path) -> int:
+    """args.func on one config under its `== <stem>` line; an error ends in
+    one categorized stderr line and the exit code, not in an exception."""
+    print(f"== {Path(path).stem}")
     try:
         with np.errstate(all="ignore"):  # overflow ends in a categorized error, not a warning
-            return args.func(args)
+            return args.func(path, args)
     except MemoryError:
         print("error category: memory: out of memory", file=sys.stderr)
         return 1

@@ -262,7 +262,21 @@ def _apply_schema(section_name, schema, data):
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's C parser when PyYAML was built with it (same results, less
     parse time), reading YAML 1.2's exponent floats without a dot (``1e-3``)
-    as floats; YAML 1.1, and so the base loaders, read them as strings."""
+    as floats; YAML 1.1, and so the base loaders, read them as strings.  A
+    key repeated in one mapping is a parse error at the repeat, where the
+    base loaders keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # refuses unhashable keys
+        seen = set()
+        for key_node in keys:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 _Loader.add_implicit_resolver(

@@ -40,8 +40,6 @@ class StrandGrid:
             raise DimensionMismatchError(f"bc must be periodic or fixed, got {self.bc!r}")
         if self.dt <= 0.0 or self.s_extent <= 0.0 or self.t_end < 0.0:
             raise DimensionMismatchError("dt and s_extent must be positive, t_end nonnegative")
-        if self.bc == "fixed" and 1 < self.n_s < 3:
-            raise DimensionMismatchError("fixed bc needs at least 3 gridpoints")
         if self.store_every < 1:
             raise DimensionMismatchError("store_every must be >= 1")
 

@@ -35,11 +35,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
-from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, grad_q,
-                      helmholtz_1d_inverse, sort_rows, tridiag_norm_1,
-                      tridiag_solve_sorted)
+from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, helmholtz_1d_inverse,
+                      sort_rows, tridiag_norm_1, tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
-from .kernels import chol_solve_batched  # noqa: F401
+# and peakon.grad_q
+from .kernels import chol_solve_batched, grad_q  # noqa: F401
 
 COLLISION_GAP = 1e-8
 
@@ -88,11 +88,6 @@ def _grad_factor(n_p, alpha):
 def _gram_all(kernel, q):
     """Pairwise kernel matrices G(Q_a, Q_b) over the last axis of q."""
     return kernel_eval(kernel, q[..., :, None], q[..., None, :])
-
-
-def _grad_all(kernel, q):
-    """Pairwise first-argument gradients dG/dQ_a (Q_a, Q_b)."""
-    return grad_q(kernel, q[..., :, None], q[..., None, :])
 
 
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
@@ -214,7 +209,8 @@ def _compatibility_sum(hist, kernel, grid):
     dtn = centered_dt(hist, hist.nw)
     q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
     gram = _gram_all(kernel, q)
-    grad = _grad_all(kernel, q)
+    # dG/dQ_a (Q_a, Q_b) = sign(Q_b - Q_a) G_ab / alpha, from G with no second exponential
+    grad = np.sign(q[..., None, :] - q[..., :, None]) * gram / kernel.alpha
 
     def times(mat, v):
         return np.einsum("tsab,tsb->tsa", mat, v)

@@ -110,18 +110,21 @@ def symm_rigid_setup(cfg, grid):
     return lag, clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
 
 
+def _rotating_clebsch(lag, grid, v0, m0, winds):
+    """(so3 defining rep, lag, state) whose v and m rotate ``winds`` times
+    about e3 along the strand, with n = 0."""
+    rep = clebsch.defining_rep_so3(builtin("so3"))
+    rot = clebsch.rotation_about_e3(2.0 * np.pi * winds * grid.s_nodes / grid.s_extent)
+    v = np.einsum("sab,b->sa", rot, np.asarray(v0, dtype=float))
+    m = np.einsum("sab,b->sa", rot, np.asarray(m0, dtype=float))
+    return rep, lag, clebsch.LinearStrandState(v, m, np.zeros_like(v))
+
+
 def linear_rep_setup(cfg, grid):
-    alg = builtin("so3")
-    rep = clebsch.defining_rep_so3(alg)
     lag = QuadraticLagrangian(np.diag(cfg.params["a_t_diag"]),
                               np.diag(cfg.params["a_s_diag"]))
     init = cfg.initial
-    v0 = np.asarray(init["v0"], dtype=float)
-    m0 = np.asarray(init["m0"], dtype=float)
-    rot = clebsch.rotation_about_e3(2.0 * np.pi * init["winds"] * grid.s_nodes / grid.s_extent)
-    v = np.einsum("sab,b->sa", rot, v0)
-    m = np.einsum("sab,b->sa", rot, m0)
-    return rep, lag, clebsch.LinearStrandState(v, m, np.zeros_like(v))
+    return _rotating_clebsch(lag, grid, init["v0"], init["m0"], init["winds"])
 
 
 def peakon_setup(cfg, grid):
@@ -382,14 +385,7 @@ def verify_suite(grid) -> dict:
 
 def _verify_chiral_clebsch_state(grid):
     """Chiral Clebsch data: v and m rotate once along the periodic strand."""
-    alg = builtin("so3")
-    rep = clebsch.defining_rep_so3(alg)
-    lag = chiral_lagrangian(3)
-    rot = clebsch.rotation_about_e3(2.0 * np.pi * grid.s_nodes / grid.s_extent)
-    v = np.einsum("sab,b->sa", rot, np.array([1.0, 0.0, 0.5]))
-    m = np.einsum("sab,b->sa", rot, np.array([0.2, 0.9, 0.1]))
-    state = clebsch.LinearStrandState(v, m, np.zeros_like(v))
-    return rep, lag, state
+    return _rotating_clebsch(chiral_lagrangian(3), grid, [1.0, 0.0, 0.5], [0.2, 0.9, 0.1], 1)
 
 
 def linear_history_fields(rep, lag, hist) -> dict:

@@ -92,6 +92,45 @@ def test_validate_accepts_an_exponent_float(tmp_path):
     assert cli.main(["validate", path]) == 0
 
 
+@pytest.mark.parametrize("text, line, column, key", [
+    ("scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n", 2, 16, "n_s"),
+    ("scenario: chiral_so3\nscenario: cdb_so3\n", 2, 1, "scenario"),
+    ("scenario: chiral_so3\ngrid:\n  n_s: 8\n  dt: 0.01\n  n_s: 16\n", 5, 3, "n_s"),
+    ("scenario: peakon_strand\ninitial:\n  preset: inline\n  preset: inline\n", 4, 3, "preset"),
+], ids=["flow-section", "top-level", "block-section", "same-value"])
+def test_a_repeated_key_is_a_parse_error_at_the_repeat(text, line, column, key):
+    with pytest.raises(ConfigParseError) as exc:
+        config.parse_config(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert f"at line {line}, column {column}: repeated key '{key}'" in str(exc.value)
+
+
+def test_an_unhashable_key_stays_a_parse_error():
+    with pytest.raises(ConfigParseError) as exc:
+        config.parse_config("scenario: chiral_so3\n[1, 2]: 3\n")
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert "found unhashable key" in str(exc.value)
+
+
+def test_a_key_beside_a_merge_is_no_repeat():
+    # YAML merge keys (<<) still work, and an explicit key overrides a merged one
+    cfg = config.parse_config("scenario: chiral_so3\ngrid: {<<: {n_s: 8, dt: 0.1}, n_s: 16}\n")
+    assert (cfg.grid["n_s"], cfg.grid["dt"]) == (16, 0.1)
+
+
+def test_repeated_keys_leave_the_base_loaders_alone():
+    config.parse_config("scenario: chiral_so3\n")
+    for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+        assert yaml.load("n_s: 8\nn_s: 16\n", Loader=loader) == {"n_s": 16}
+
+
+def test_validate_refuses_a_repeated_key(tmp_path, capsys):
+    path = write(tmp_path, "rep.yaml", "scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n")
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error category: parse: ") and "repeated key 'n_s'" in err
+
+
 def test_float_lists_are_coerced_to_floats():
     cfg = config.parse_config("scenario: peakon_strand\ninitial: {m_values: [1, 0.8]}\n")
     assert cfg.initial["m_values"] == [1.0, 0.8]
@@ -367,6 +406,60 @@ def test_validate_and_list(tmp_path, capsys):
     assert "peakon_strand" in out
 
 
+GOOD_CH = "scenario: ch_classical\ngrid: {t_end: 0.01}\n"
+BLOW_UP_CDB = ("scenario: cdb_so3\ngrid: {n_s: 16, dt: 0.005, t_end: 0.05}\n"
+               "initial: {m0: [1.0e+200, 1.0e+200, 0.0]}\n")
+
+
+def test_run_takes_several_configs_each_under_its_header_with_its_summary(tmp_path, capsys):
+    paths = [write(tmp_path, f"{stem}.yaml", f"output_dir: {tmp_path}\n{GOOD_CH}")
+             for stem in ("one", "two")]
+    assert cli.main(["run", *paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "ch_classical.json").read_text())["summary"]
+    lines = [f"   {key}: {val:.3e}" for key, val in sorted(summary.items())]
+    assert out == ["== one", *lines, "== two", *lines]
+
+
+def test_one_config_takes_the_same_path_as_several(tmp_path, capsys):
+    path = write(tmp_path, "only.yaml", "scenario: cdb_so3\n")
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().out == "== only\nvalid: scenario 'cdb_so3', label 'cdb_so3'\n"
+
+
+def test_a_failed_config_does_not_stop_the_next(tmp_path, capsys):
+    good = write(tmp_path, "good.yaml", f"output_dir: {tmp_path}\nlabel: good\n{GOOD_CH}")
+    bad = write(tmp_path, "bad.yaml", f"output_dir: {tmp_path}\n" + BAD_CONFIGS["cdb-m0-short"])
+    assert cli.main(["run", good, bad]) == 2
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[0] == "== good" and out[-1] == "== bad"
+    assert out[1:-1] and all(line.startswith("   ") for line in out[1:-1])
+    errors = [line for line in captured.err.splitlines() if line.startswith("error category")]
+    assert len(errors) == 1 and errors[0].startswith("error category: validation: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.yaml", "good.csv", "good.json", "good.yaml"]
+
+
+@pytest.mark.parametrize("texts, code", [
+    ([GOOD_CH, GOOD_CH], 0),
+    ([BLOW_UP_CDB, GOOD_CH], 1),
+    ([GOOD_CH, BLOW_UP_CDB], 1),
+    (["scenario: nope\n", BLOW_UP_CDB, GOOD_CH], 2),
+    ([BLOW_UP_CDB, "scenario: nope\n"], 2),
+], ids=["0-0", "1-0", "0-1", "2-1-0", "1-2"])
+def test_the_exit_code_is_the_largest_per_config_code(tmp_path, capsys, texts, code):
+    paths = [write(tmp_path, f"c{i}.yaml", f"output_dir: {tmp_path}\nlabel: c{i}\n{text}")
+             for i, text in enumerate(texts)]
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", *paths]) == code
+    captured = capsys.readouterr()
+    headers = [line for line in captured.out.splitlines() if line.startswith("== ")]
+    assert headers == [f"== c{i}" for i in range(len(texts))]
+    failed = sum(text != GOOD_CH for text in texts)
+    assert captured.err.count("error category: ") == failed
+
+
 def test_study_levels_validation(tmp_path):
     cfg = write(tmp_path, "c.yaml", "scenario: chiral_so3\n")
     assert cli.main(["study", cfg, "--levels", "2"]) == 2
@@ -545,8 +638,10 @@ def test_output_paths_extend_the_label_not_the_directory(tmp_path, monkeypatch, 
     assert sorted(p.name for p in (tmp_path / dirname).iterdir()) == written
 
 
-def test_run_all_scenarios_reads_the_output_dir_override(tmp_path):
-    script = CONFIG_DIR.parent / "run_all_scenarios.py"
+def run_script(name, out_dir):
+    """scripts/<name> in a child process with GSTRANDS_OUTPUT_DIR=out_dir;
+    it must exit 0 and leave scripts/results/ as it was.  Returns its
+    `== <stem>` headers."""
     results = CONFIG_DIR.parent / "results"
 
     def listing():
@@ -554,17 +649,30 @@ def test_run_all_scenarios_reads_the_output_dir_override(tmp_path):
 
     before = listing()
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "GSTRANDS_OUTPUT_DIR": str(tmp_path),
+    env = {**os.environ, "GSTRANDS_OUTPUT_DIR": str(out_dir),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                          text=True, timeout=600)
+    done = subprocess.run([sys.executable, str(CONFIG_DIR.parent / name)], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert listing() == before
+    return [line[3:] for line in done.stdout.splitlines() if line.startswith("== ")]
+
+
+def test_run_all_scenarios_reads_the_output_dir_override(tmp_path):
+    headers = run_script("run_all_scenarios.py", tmp_path)
     stems = sorted(p.stem for p in CONFIG_DIR.glob("*.yaml") if "study" not in p.stem)
     expected = [f"{stem}{ext}" for stem in stems for ext in (".csv", ".json")]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         expected + ["peakon_strand.fields.csv"])
-    assert [line[3:] for line in done.stdout.splitlines() if line.startswith("== ")] == stems
+    assert headers == stems
+
+
+def test_run_convergence_studies_reads_the_output_dir_override(tmp_path):
+    headers = run_script("run_convergence_studies.py", tmp_path)
+    stems = ["chiral_study", "peakon_strand", "cdb_study", "verify_action"]
+    assert headers == stems
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{stem}.study.json"
+                                                                for stem in stems)
 
 
 def test_usage_error_exit_2():

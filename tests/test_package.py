@@ -62,7 +62,8 @@ def test_every_error_class_is_raised_or_subclassed():
 # Parameters a caller must pass but the body may ignore: a handler or
 # callback whose signature a protocol fixes.
 CALLBACK_SLOTS = {
-    ("cli", "cmd_list", "_args"),                             # argparse passes the namespace
+    ("cli", "cmd_run", "_args"),                              # main calls args.func(path, args)
+    ("cli", "cmd_validate", "_args"),                         # main calls args.func(path, args)
     ("peakon", "_rhs", "q"),                                  # slaved_step passes every evolved array
     ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # pontryagin_residual calls e_loc(y, p, b)
     ("scenarios", "run_verify_action", "cfg"),                # Scenario.run(cfg, grid)

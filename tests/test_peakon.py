@@ -306,7 +306,7 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     tables, gram, grad, nw = peakon._slave(k, grid, sort, (q,))
     assert tables is sort
     assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), sort[0]))
-    oracle = sorted_oracle(peakon._grad_all(k, q), sort[0])
+    oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), sort[0])
     # G / alpha and grad_q's e / (2 alpha^2) each round twice
     ulps = np.abs(grad - oracle) / np.spacing(np.abs(oracle))
     assert ulps.max() <= (0.0 if alpha == 1.0 else 2.0)
@@ -323,7 +323,7 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
     q = shuffled_positions(rng, n_s, n_p)
     mw, nw = rng.standard_normal((2, n_s, n_p))
     aux = peakon._slave(K1, grid, kernels.sort_rows(q), (q,))[:-1] + (nw,)
-    gram, grad = peakon._gram_all(K1, q), peakon._grad_all(K1, q)
+    gram, grad = peakon._gram_all(K1, q), kernels.grad_q(K1, q[..., :, None], q[..., None, :])
     coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
     dq_oracle = np.einsum("sab,sb->sa", gram, mw)
     dm_oracle = -d_s(nw, grid) - np.einsum("sab,sab->sa", coupling, grad)
@@ -345,7 +345,8 @@ def compatibility_oracle(hist, kernel, grid):
     three-operand double sums, and the same sums of absolute values."""
     dtn = centered_dt(hist, hist.nw)
     q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
-    gram, grad = peakon._gram_all(kernel, q), peakon._grad_all(kernel, q)
+    gram = peakon._gram_all(kernel, q)
+    grad = kernels.grad_q(kernel, q[..., :, None], q[..., None, :])
     lead_rhs = dtn + d_s(mw, grid, axis=1)
     mn = np.einsum("tsb,tsc->tsbc", mw, nw)
     anti = mn - np.swapaxes(mn, -1, -2)
