@@ -183,16 +183,25 @@ def cdb_sigma(alg, state):
     return bracket(alg, state.m, state.w_t), bracket(alg, state.m, state.w_s)
 
 
-def solve_cdb_ws(alg, m, dsm):
+def _is_so3(alg):
+    """Whether alg has the Levi-Civita constants, so that
+    ``_solve_cdb_ws_so3`` applies."""
+    return alg.dim == 3 and all(map(np.array_equal, alg.constants, _EPSILON))
+
+
+def solve_cdb_ws(alg, m, dsm, so3=None):
     """Minimum-norm w_s with [[m, w_s], m] = d_s m at each gridpoint.
 
     The map w -> [[m, w], m] is -ad_m^2, symmetric positive semidefinite when
     the coordinate pairing is bi-invariant; the pseudoinverse picks the gauge
     representative orthogonal to the centralizer of m.  On so(3) (the
     Levi-Civita constants) that representative is closed form, see
-    ``_solve_cdb_ws_so3``.
+    ``_solve_cdb_ws_so3``.  ``so3`` is ``_is_so3(alg)``, decided here unless
+    the caller, which solves with one alg many times, has decided it.
     """
-    if alg.dim == 3 and all(map(np.array_equal, alg.constants, _EPSILON)):
+    if so3 is None:
+        so3 = _is_so3(alg)
+    if so3:
         return _solve_cdb_ws_so3(m, dsm)
     # ad_m[..., k, j] = [m, e_j]^k
     ad_m = np.swapaxes(bracket(alg, m[..., None, :], np.eye(alg.dim)), -1, -2)
@@ -214,8 +223,8 @@ def _solve_cdb_ws_so3(m, dsm):
     return w
 
 
-def _cdb_slave(alg, grid, y):
-    return (solve_cdb_ws(alg, y[0], d_s(y[0], grid)),)
+def _cdb_slave(alg, grid, so3, y):
+    return (solve_cdb_ws(alg, y[0], d_s(y[0], grid), so3),)
 
 
 def _cdb_rhs(alg, grid, m, w_t, aux):
@@ -227,15 +236,17 @@ def _cdb_rhs(alg, grid, m, w_t, aux):
     return dm, dwt
 
 
-def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid) -> CDBState:
+def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid, so3=None) -> CDBState:
     """RK4 step of the coupled double-bracket strand flow.
 
     m is transported by sigma_t = [m, w_t] and the divergence equation
     drives w_t; w_s is slaved to the s-relation d_s m = [sigma_s, m] at
     every stage (the same closure the peakon module uses for its
     s-momenta), which keeps the monitored constraint exact at gridpoints.
+    ``so3`` is ``_is_so3(alg)``, decided once per step unless given.
     """
-    return slaved_step(partial(_cdb_slave, alg, grid), partial(_cdb_rhs, alg, grid), state,
+    so3 = _is_so3(alg) if so3 is None else so3
+    return slaved_step(partial(_cdb_slave, alg, grid, so3), partial(_cdb_rhs, alg, grid), state,
                        grid, "double-bracket strand")
 
 
@@ -246,8 +257,9 @@ def cdb_constraint_residual(alg, state, grid) -> float:
 
 
 def cdb_simulate(alg, state, grid) -> History:
-    return integrate(lambda st: cdb_step(alg, st, grid), state, grid,
-                     slave=partial(_cdb_slave, alg, grid))
+    so3 = _is_so3(alg)
+    return integrate(lambda st: cdb_step(alg, st, grid, so3), state, grid,
+                     slave=partial(_cdb_slave, alg, grid, so3))
 
 
 def cdb_div_sigma_residual(alg, hist: History, grid) -> float:

@@ -290,11 +290,17 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
+        # one line: PyYAML's str(exc) adds an 'in "<unicode string>"' line per mark
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         col = mark.column + 1 if mark else None
         where = f" at line {line}, column {col}" if mark else ""
-        raise ConfigParseError(f"config parse error{where}: {exc}", line=line, column=col) from exc
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        context, start = getattr(exc, "context", None), getattr(exc, "context_mark", None)
+        if context and start:
+            problem += f" ({context} from line {start.line + 1}, column {start.column + 1})"
+        raise ConfigParseError(f"config parse error{where}: {problem}", line=line,
+                               column=col) from exc
     if data is None:
         raise ConfigValidationError("empty config", code="missing-key", field="scenario")
     if not isinstance(data, dict):

@@ -4,13 +4,17 @@ Every Gram solve is one application of an inverse, one refinement sweep
 against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
 sorted points has a tridiagonal inverse in closed form
 (helmholtz_1d_inverse), applied by elementwise products with no BLAS call,
-so repeated runs are bitwise identical.  Nothing in the package calls the
+so repeated runs are bitwise identical.  The same closed form bounds the
+1-norm condition number by coth^2(g / 2 alpha) at the smallest gap g
+(cond_1_bound), so a conditioning check needs the inverse only near a
+collision.  Nothing in the package calls the
 fixed-order Cholesky chol_solve_batched: perfbench/spans.py wraps it as
 peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +148,19 @@ def helmholtz_1d_inverse(k: HelmholtzKernel, gaps):
     return diag, off
 
 
+def cond_1_bound(k: HelmholtzKernel, gap):
+    """coth^2(gap / 2 alpha), an upper bound on the 1-norm condition number
+    of the Gram matrix at ascending points whose adjacent gaps are all at
+    least ``gap``.  With r = e^{-gap/alpha}: the k-th neighbour on either
+    side lies at least k gap away, so no row of G sums to more than
+    (1 + r) / (2 alpha (1 - r)); and a column of helmholtz_1d_inverse sums
+    to 2 alpha (1/(1 - e_{i-1}) + 1/(1 - e_i) - 1) with e_i = e^{-gap_i/alpha},
+    at most 2 alpha (1 + r) / (1 - r).  1 for a single point (gap inf), inf
+    for a NaN gap or one too small for the bound to be a finite float."""
+    t2 = math.tanh(0.5 * gap / k.alpha) ** 2
+    return 1.0 / t2 if t2 > 0.0 else math.inf
+
+
 def tridiag_norm_1(diag, off):
     """1-norm of the symmetric tridiagonal (diag, off), batched."""
     col = np.abs(diag)
@@ -152,17 +169,22 @@ def tridiag_norm_1(diag, off):
     return col.max(axis=-1)
 
 
-def tridiag_solve_sorted(mats, diag, off, rhs):
-    """Solve the (m, n, n) systems mats @ x = rhs (rhs (m, n)) given the
-    tridiagonal inverse (diag, off) of each matrix, everything in the
-    ascending order of the points: one refinement sweep and the SOLVE_RTOL
-    residual check."""
+def tridiag_solve_sorted(mats, k: HelmholtzKernel, gaps, rhs, inverse=None):
+    """Solve the (m, n, n) Gram systems mats @ x = rhs (rhs (m, n)) of the
+    kernel k at ascending points with adjacent gaps ``gaps``, everything in
+    that order: the tridiagonal inverse, one refinement sweep and the
+    SOLVE_RTOL residual check.  ``inverse`` is helmholtz_1d_inverse(k, gaps)
+    when the caller has it; otherwise the first sweep builds it, and an
+    all-zero rhs, which needs no sweep, builds none."""
 
     def apply_inv(b):
+        nonlocal inverse
+        if inverse is None:
+            inverse = helmholtz_1d_inverse(k, gaps)
+        diag, off = inverse
         y = diag * b
         y[:, 1:] += off * b[:, :-1]
         y[:, :-1] += off * b[:, 1:]
         return y
 
     return _refined_solve(mats, apply_inv, np.asarray(rhs, dtype=float))
-

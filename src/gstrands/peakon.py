@@ -20,10 +20,16 @@ a negative gap even when no evaluated stage lands within COLLISION_GAP.
 The error names the pair and the s-index; gstrand.integrate adds the step.
 
 Each slaved solve evaluates the kernel once, at the positions taken in that
-ascending order: G, its gradient (a fixed sign pattern times G, since the
-order is strict), and the tridiagonal closed-form inverse of G
-(kernels.helmholtz_1d_inverse), so the solve and the right-hand side use
-no Python loop over peakons or pairs and no second exponential.
+ascending order: G and its gradient (a fixed sign pattern times G, since the
+order is strict), so the solve and the right-hand side use no Python loop
+over peakons or pairs and no second exponential.  The conditioning check
+first tries the closed-form bound cond_1(G) <= coth^2(g / 2 alpha) at the
+smallest gap g (kernels.cond_1_bound).  Far from a collision that bound
+clears the stage, and no exact per-s cond is computed.  Otherwise the exact
+per-s 1-norm cond comes from the tridiagonal closed-form inverse of G
+(kernels.helmholtz_1d_inverse), which the solve then reuses.  A cleared
+stage builds the inverse only if its solve has a nonzero right-hand side,
+so the classical mode (-d_s Q = 0) never builds it.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
-from .kernels import (COND_LIMIT, HelmholtzKernel, eval as kernel_eval, helmholtz_1d_inverse,
-                      sort_rows, tridiag_norm_1, tridiag_solve_sorted)
+from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_eval,
+                      helmholtz_1d_inverse, sort_rows, tridiag_norm_1, tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
 # and peakon.grad_q
 from .kernels import chol_solve_batched, grad_q  # noqa: F401
@@ -59,19 +65,21 @@ class PeakonState(SlavedState):
 
 def _ordered_gaps(qs, perm):
     """Adjacent gaps of the positions qs, taken in the ascending order
-    ``perm`` of the step-start positions.  A gap under COLLISION_GAP
-    (negative when the pair crossed) raises NearCollisionError naming the
-    pair and the s-index; a NaN gap is not one."""
+    ``perm`` of the step-start positions, and the smallest of them that is
+    not NaN (inf when there is none).  A gap under COLLISION_GAP (negative
+    when the pair crossed) raises NearCollisionError naming the pair and the
+    s-index; a NaN gap is not one."""
     n_p = qs.shape[1]
     gaps = qs[:, 1:] - qs[:, :-1]
-    if np.fmin.reduce(gaps, axis=None, initial=np.inf) < COLLISION_GAP:
+    low = np.fmin.reduce(gaps, axis=None, initial=np.inf)
+    if low < COLLISION_GAP:
         bad = gaps < COLLISION_GAP
         j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
         a, b = sorted((int(perm[j, i]) % n_p, int(perm[j, i + 1]) % n_p))
         gap = gaps[j, i]
         what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
         raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}")
-    return gaps
+    return gaps, low
 
 
 @lru_cache(maxsize=8)
@@ -96,18 +104,15 @@ def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
     return _slave(kernel, grid, sort_rows(state.q), (state.q,))[-1]
 
 
-def _slave(kernel, grid, sort, y):
-    """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
-    the Gram and gradient matrices in the ascending order ``sort`` of the
-    step-start positions, and N solves G N = -d_s Q (N in the original
-    order).  Before the solve come the gap check in that order and the
-    1-norm conditioning check, both in closed form from the tridiagonal
-    inverse.  The strict order makes dG_ab = sign(b - a) G_ab / alpha."""
-    q = y[0]
-    perm, inv = sort
-    qs = q.take(perm)
-    gaps = _ordered_gaps(qs, perm)
-    gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
+def _check_conditioning(kernel, qs, gaps, low, gram):
+    """The per-s 1-norm conditioning check of the Gram matrices ``gram`` at
+    the sorted positions qs, whose smallest gap is ``low``.  At finite
+    positions with kernels.cond_1_bound(kernel, low) <= COND_LIMIT / 2 it
+    passes with no exact cond; the factor 2 keeps the roundoff of the exact
+    value far from the limit.  Otherwise the exact cond per s-index, from
+    the tridiagonal inverse, which is returned for the solve to reuse."""
+    if np.isfinite(qs).all() and cond_1_bound(kernel, low) <= 0.5 * COND_LIMIT:
+        return None
     diag, off = helmholtz_1d_inverse(kernel, gaps)
     # G is nonnegative and symmetric, so its 1-norm is its largest row sum
     cond = np.einsum("sab->sa", gram).max(axis=-1) * tridiag_norm_1(diag, off)
@@ -115,7 +120,23 @@ def _slave(kernel, grid, sort, y):
         j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}")
-    ns = tridiag_solve_sorted(gram, diag, off, (-d_s(q, grid)).take(perm))
+    return diag, off
+
+
+def _slave(kernel, grid, sort, y):
+    """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
+    the Gram and gradient matrices in the ascending order ``sort`` of the
+    step-start positions, and N solves G N = -d_s Q (N in the original
+    order).  Before the solve come the gap check in that order and the
+    conditioning check (_check_conditioning).  The strict order makes
+    dG_ab = sign(b - a) G_ab / alpha."""
+    q = y[0]
+    perm, inv = sort
+    qs = q.take(perm)
+    gaps, low = _ordered_gaps(qs, perm)
+    gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
+    inverse = _check_conditioning(kernel, qs, gaps, low, gram)
+    ns = tridiag_solve_sorted(gram, kernel, gaps, (-d_s(q, grid)).take(perm), inverse)
     return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns.take(inv)
 
 

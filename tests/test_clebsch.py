@@ -337,6 +337,23 @@ def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
         clebsch.solve_cdb_ws(se3, m6, dsm6)
 
 
+@pytest.mark.parametrize("spec", ["so3", "se3"])
+def test_cdb_run_decides_the_closed_form_once(monkeypatch, spec):
+    alg = liealg.builtin(spec)
+    grid = StrandGrid(16, 2 * np.pi, 1e-3, 5e-3)
+    m0 = np.zeros((16, alg.dim))
+    m0[:, :3] = np.stack([np.cos(grid.s_nodes), np.sin(grid.s_nodes), np.ones(16)], axis=1)
+    state = clebsch.CDBState(m0, 0.5 * m0, np.zeros_like(m0))
+    decided, solves = [], []
+    real_is_so3, real_solve = clebsch._is_so3, clebsch.solve_cdb_ws
+    monkeypatch.setattr(clebsch, "_is_so3", lambda a: decided.append(1) or real_is_so3(a))
+    monkeypatch.setattr(clebsch, "solve_cdb_ws",
+                        lambda a, m, dsm, so3=None: solves.append(so3) or real_solve(a, m, dsm, so3))
+    clebsch.cdb_simulate(alg, state, grid)
+    assert len(decided) == 1
+    assert solves == [spec == "so3"] * (1 + 4 * grid.n_steps)
+
+
 # ---------------------------------------------------------------------------
 # symmetric rigid-body representation
 

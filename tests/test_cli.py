@@ -105,6 +105,20 @@ def test_a_repeated_key_is_a_parse_error_at_the_repeat(text, line, column, key):
     assert f"at line {line}, column {column}: repeated key '{key}'" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, where, problem", [
+    ("scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n", "line 2, column 16", "repeated key 'n_s'"),
+    ("scenario: chiral_so3\ngrid: {n_s: 8\n", "line 3, column 1",
+     "did not find expected ',' or '}'"),
+], ids=["repeated-key", "unclosed-flow"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_yaml_error_is_one_line_exit_2(tmp_path, capsys, command, text, where, problem):
+    path = write(tmp_path, "bad.yaml", text)
+    assert cli.main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("error category: parse:") == 1
+    assert err.startswith(f"error category: parse: config parse error at {where}: {problem}")
+
+
 def test_an_unhashable_key_stays_a_parse_error():
     with pytest.raises(ConfigParseError) as exc:
         config.parse_config("scenario: chiral_so3\n[1, 2]: 3\n")
@@ -261,6 +275,26 @@ def test_run_head_on_collision_exit_1_names_step(tmp_path, capsys):
     assert ("error category: near-collision: peakons 0 and 1 crossed at s-index 0"
             " at step 319 (t = 3.2)") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_s, j", [(1, 0), (8, 3)])
+def test_run_ill_conditioned_gram_is_one_line_exit_1(tmp_path, capsys, n_s, j):
+    # gaps of 1e-7 pass the collision gap; at alpha = 2e7 the pair's cond_1 is 4e14
+    if n_s == 1:
+        text = ("scenario: ch_classical\nparams: {alpha: 2.0e+7}\ngrid: {dt: 0.01, t_end: 0.1}\n"
+                "initial: {q0: [0.0, 1.0e-7], p0: [1.0, 0.5]}\n")
+    else:
+        right = [1.0] * n_s
+        right[j] = 1e-7
+        text = ("scenario: peakon_strand\nparams: {alpha: 2.0e+7, n_p: 2}\n"
+                "grid: {n_s: 8, dt: 0.01, t_end: 0.1}\n"
+                f"initial: {{preset: inline, q0: [{[0.0] * n_s}, {right}], "
+                f"m0: [{[1.0] * n_s}, {[0.5] * n_s}]}}\n")
+    cfg = write(tmp_path, "close.yaml", f"output_dir: {tmp_path}\n" + text)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error category: near-collision: per-s Gram conditioning 4.000e+14 exceeds "
+                   f"1e+12 at s-index {j} at the initial state (t = 0)\n")
 
 
 def test_run_zero_total_momentum_reports_absolute_drift(tmp_path):

@@ -494,24 +494,48 @@ def test_every_slaved_state_states_the_protocol_through_its_base(family):
     assert (aux.kw_only, aux.repr, aux.compare, aux.default) == (True, False, False, None)
 
 
+def _counting_inverses(monkeypatch):
+    """Calls of helmholtz_1d_inverse from peakon (the exact conditioning
+    check) and from kernels (a solve that builds its own inverse)."""
+    calls = _counting(monkeypatch, peakon, "helmholtz_1d_inverse")
+    monkeypatch.setattr(kernels, "helmholtz_1d_inverse", peakon.helmholtz_1d_inverse)
+    return calls
+
+
 def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
     grid = StrandGrid(1, 1.0, 1e-2, 0.2)
     st = peakon.PeakonState(np.array([[-1.0, 1.0]]), np.array([[0.5, 1.0]]), np.ones((1, 2)))
-    applied = _counting(monkeypatch, peakon, "helmholtz_1d_inverse")
+    checked = _counting(monkeypatch, peakon, "_check_conditioning")
+    inverses = _counting_inverses(monkeypatch)
     hist = peakon.simulate(st, HelmholtzKernel(1.0), grid)
     assert np.array_equal(hist.nw, np.zeros_like(hist.nw))
     assert not np.signbit(hist.nw).any()
-    # the gap and conditioning checks still run at every slaved solve
-    assert len(applied) == 1 + 4 * grid.n_steps
+    # the gap and conditioning checks still run at every slaved solve; far
+    # from a collision the bound passes the latter without an inverse, and
+    # the zero rhs needs no solve
+    assert len(checked) == 1 + 4 * grid.n_steps
+    assert len(inverses) == 0
+
+
+@pytest.mark.parametrize("n_s", [1, 8])
+def test_near_a_collision_each_solve_builds_one_inverse(monkeypatch, n_s):
+    # a gap of 1e-6 alpha puts the bound at 4e12: the exact check runs at
+    # every solve, and the solve of a nonzero rhs (n_s = 8) reuses its inverse
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1)
+    x = 0.1 * np.sin(grid.s_nodes)[:, None]
+    st = peakon.PeakonState(x + [[0.0, 1e-6]], np.ones((n_s, 2)), np.zeros((n_s, 2)))
+    inverses = _counting_inverses(monkeypatch)
+    hist = peakon.simulate(st, HelmholtzKernel(1.0), grid)
+    assert len(inverses) == 1 + 4 * grid.n_steps
+    assert np.any(hist.nw != 0.0) == (n_s > 1)
 
 
 def test_tridiag_solve_of_zero_rhs_is_positive_zero():
     k = HelmholtzKernel(1.0)
     q = np.array([[0.3, -1.0, 2.0], [0.0, 1.0, -2.0]])
     qs = q.take(kernels.sort_rows(q)[0])
-    diag, off = kernels.helmholtz_1d_inverse(k, np.diff(qs, axis=1))
     gram = kernels.eval(k, qs[..., :, None], qs[..., None, :])
-    x = kernels.tridiag_solve_sorted(gram, diag, off, -np.zeros_like(q))
+    x = kernels.tridiag_solve_sorted(gram, k, np.diff(qs, axis=1), -np.zeros_like(q))
     assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()
 
     def never(b):

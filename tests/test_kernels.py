@@ -103,10 +103,15 @@ def shuffled_rows(rng, n_rows, n, alpha, gap_lo, gap_hi):
     return np.stack([rng.permutation(row) for row in pts])
 
 
-def sorted_inverse(k, pts):
+def sorted_gaps(pts):
     srt = kernels.sort_rows(pts)
     sorted_pts = pts.take(srt[0])
-    return srt, kernels.helmholtz_1d_inverse(k, sorted_pts[:, 1:] - sorted_pts[:, :-1])
+    return srt, sorted_pts[:, 1:] - sorted_pts[:, :-1]
+
+
+def sorted_inverse(k, pts):
+    srt, gaps = sorted_gaps(pts)
+    return srt, kernels.helmholtz_1d_inverse(k, gaps)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
@@ -117,10 +122,14 @@ def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
     pts = shuffled_rows(rng, 5, n, alpha, 0.5, 2.0)
     mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
     rhs = rng.standard_normal((5, n))
-    (perm, inv), (diag, off) = sorted_inverse(k, pts)
+    (perm, inv), gaps = sorted_gaps(pts)
     sorted_pts = pts.take(perm)
     sorted_mats = kernels.eval(k, sorted_pts[:, :, None], sorted_pts[:, None, :])
-    x = kernels.tridiag_solve_sorted(sorted_mats, diag, off, rhs.take(perm)).take(inv)
+    x = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, rhs.take(perm)).take(inv)
+    # an inverse handed in is the one the solve would build
+    given_inverse = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, rhs.take(perm),
+                                                 kernels.helmholtz_1d_inverse(k, gaps))
+    assert given_inverse.take(inv).tobytes() == x.tobytes()
     for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
                    kernels.chol_solve_batched(mats, rhs)):
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -139,21 +148,51 @@ def test_tridiagonal_inverse_condition_matches_cond_1(n):
         assert np.max(np.abs(cond / _cond_1(mats) - 1.0)) <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.1, 10.0),
+       log_gaps=st.lists(st.floats(-7.0, math.log10(50.0)), min_size=0, max_size=39),
+       equal=st.booleans())
+def test_cond_1_bound_holds_at_the_smallest_gap(alpha, log_gaps, equal):
+    # n_p = 1-40 points with gaps 1e-7 alpha to 50 alpha; equal gaps come
+    # closest to the bound, whose row-sum half assumes endless neighbours
+    k = kernels.HelmholtzKernel(alpha, 1)
+    gaps = alpha * 10.0 ** np.array(log_gaps)
+    if equal:
+        gaps = np.full_like(gaps, gaps.min(initial=1.0))
+    pts = np.concatenate([[0.0], np.cumsum(gaps)])[None, :] - 1.0
+    row_gaps = np.diff(pts, axis=1)
+    mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
+    cond = norm_1(mats) * kernels.tridiag_norm_1(*kernels.helmholtz_1d_inverse(k, row_gaps))
+    bound = kernels.cond_1_bound(k, row_gaps.min(initial=np.inf))
+    assert cond[0] <= bound * (1.0 + 1e-12)
+    # so a bound at half the limit never clears a row past the limit
+    assert not (bound <= 0.5 * kernels.COND_LIMIT and cond[0] > kernels.COND_LIMIT)
+
+
+def test_cond_1_bound_edges():
+    assert kernels.cond_1_bound(K1, np.inf) == 1.0
+    assert kernels.cond_1_bound(K1, np.nan) == math.inf
+    assert kernels.cond_1_bound(K1, 0.0) == math.inf
+    assert kernels.cond_1_bound(kernels.HelmholtzKernel(1e300), 1e-8) == math.inf
+    # two points: cond_1 = coth(gap / 2 alpha), the square root of the bound
+    assert kernels.cond_1_bound(K1, 2.0) == pytest.approx(1.0 / math.tanh(1.0) ** 2, rel=1e-15)
+
+
 @pytest.mark.parametrize("solver", ["tridiag_solve_sorted", "chol_solve_batched"])
 def test_nan_rhs_fails_the_gram_solve_residual_check(solver):
     q = np.array([[0.0, 1.0, 2.5]])  # the 3-peakon Gram, in sorted order
     mats = kernels.eval(K1, q[:, :, None], q[:, None, :])
-    diag, off = kernels.helmholtz_1d_inverse(K1, np.diff(q, axis=1))
+    gaps = np.diff(q, axis=1)
     rhs = np.array([[1.0, np.nan, 0.5]])
     with pytest.raises(NearCollisionError, match="residual above tolerance"):
         if solver == "tridiag_solve_sorted":
-            kernels.tridiag_solve_sorted(mats, diag, off, rhs)
+            kernels.tridiag_solve_sorted(mats, K1, gaps, rhs)
         else:
             kernels.chol_solve_batched(mats, rhs)
     # a finite rhs on the same system passes, and an all-zero one is +0
-    x = kernels.tridiag_solve_sorted(mats, diag, off, np.array([[1.0, -0.5, 0.5]]))
+    x = kernels.tridiag_solve_sorted(mats, K1, gaps, np.array([[1.0, -0.5, 0.5]]))
     assert np.all(np.isfinite(x))
-    zero = kernels.tridiag_solve_sorted(mats, diag, off, -np.zeros((1, 3)))
+    zero = kernels.tridiag_solve_sorted(mats, K1, gaps, -np.zeros((1, 3)))
     assert np.array_equal(zero, np.zeros((1, 3))) and not np.signbit(zero).any()
 
 

@@ -43,6 +43,10 @@ INLINE = {
     "inline": "scenario: peakon_strand\nparams: {n_p: 2}\ngrid: {n_s: 8, dt: 0.01, t_end: 0.2}\n"
               f"initial: {{preset: inline, q0: {_PEAKON_ROWS}, m0: [[1.0, 1.1, 1.2, 1.1, 1.0, "
               "0.9, 0.8, 0.9], [0.8, 0.8, 0.7, 0.8, 0.9, 0.8, 0.8, 0.7]]}\n",
+    "five_peakon": "scenario: peakon_strand\nparams: {n_p: 5, alpha: 0.7}\n"
+                   "grid: {n_s: 8, dt: 0.01, t_end: 0.2, store_every: 5}\n"
+                   "initial: {preset: two_peakon_wave, gap: 1.2, amplitude: 0.3, "
+                   "m_values: [1.0, 0.8, -0.5, 0.9, 0.6]}\n",
 }
 OPS = ([f"run:{stem}" for stem in RUNS] + [f"study:{stem}" for stem in STUDIES]
        + [f"inline:{name}" for name in INLINE])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import fit_order
+from hypothesis import example, given, settings, strategies
 from scipy.integrate import solve_ivp
 
 from gstrands import config, kernels, peakon, scenarios
@@ -186,6 +189,77 @@ def test_crossing_between_stages_halts_with_step():
     assert "peakons 0 and 1 crossed at s-index 0" in str(exc.value)
     assert exc.value.step_index == 319
     assert exc.value.t == pytest.approx(3.2)
+
+
+# ---------------------------------------------------------------------------
+# the per-s Gram conditioning check
+
+def exact_conditioning_error(kernel, qs):
+    """The message of the exact per-s cond_1 check at sorted positions qs,
+    run with no bound, or None when it passes."""
+    gram = kernels.eval(kernel, qs[:, :, None], qs[:, None, :])
+    diag, off = kernels.helmholtz_1d_inverse(kernel, np.diff(qs, axis=1))
+    cond = np.einsum("sab->sa", gram).max(axis=-1) * kernels.tridiag_norm_1(diag, off)
+    if cond.max() <= kernels.COND_LIMIT:
+        return None
+    j = int(np.argmin(cond <= kernels.COND_LIMIT))
+    return f"per-s Gram conditioning {cond[j]:.3e} exceeds 1e+12 at s-index {j}"
+
+
+@pytest.mark.parametrize("n_s, j", [(1, 0), (8, 0), (8, 5), (8, 7)])
+def test_ill_conditioned_close_pair_halts_at_its_s_index(n_s, j):
+    # 1e-7 passes the collision gap; at alpha = 2e7 the pair's cond_1 is 4e14
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1)
+    q = np.tile([[-1.0, 1.0]], (n_s, 1))
+    q[j] = [0.3, 0.3 + 1e-7]
+    state = peakon.PeakonState(q, np.ones((n_s, 2)), np.zeros((n_s, 2)))
+    with pytest.raises(NearCollisionError) as exc:
+        peakon.simulate(state, HelmholtzKernel(2e7), grid)
+    assert str(exc.value) == f"per-s Gram conditioning 4.000e+14 exceeds 1e+12 at s-index {j}"
+    assert (exc.value.step_index, exc.value.t) == (None, 0.0)
+
+
+def test_non_finite_stage_positions_fail_the_conditioning_check():
+    grid = StrandGrid(8, 2 * np.pi, 1e-2, 0.1)
+    q = np.tile([[-1.0, 1.0]], (8, 1))
+    # a NaN momentum puts NaN positions into stage 2 of step 0 at s-index 3
+    m = np.ones((8, 2))
+    m[3, 0] = np.nan
+    with pytest.raises(NearCollisionError) as exc:
+        peakon.simulate(peakon.PeakonState(q, m, np.zeros((8, 2))), K1, grid)
+    assert str(exc.value) == "per-s Gram conditioning nan exceeds 1e+12 at s-index 3"
+    assert (exc.value.step_index, exc.value.t) == (0, 0.01)
+    # +inf in one row: its gap is +inf, and its Gram diagonal inf - inf is NaN
+    q[6, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NearCollisionError) as exc:
+        peakon.simulate(peakon.PeakonState(q, np.ones((8, 2)), np.zeros((8, 2))), K1, grid)
+    assert str(exc.value) == "per-s Gram conditioning nan exceeds 1e+12 at s-index 6"
+    assert exc.value.category == "near-collision" and exc.value.t == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_s=strategies.integers(1, 4), n_p=strategies.integers(1, 12),
+       log_alpha=strategies.floats(-1.0, 10.0),
+       log_gaps=strategies.lists(strategies.floats(-8.0, 2.0), min_size=48, max_size=48))
+@example(n_s=2, n_p=2, log_alpha=math.log10(2e7), log_gaps=[0.0, -7.0] + [0.0] * 46)
+@example(n_s=1, n_p=3, log_alpha=0.0, log_gaps=[0.0, -6.0, -6.5] + [0.0] * 45)
+def test_the_check_raises_exactly_when_the_exact_cond_does(n_s, n_p, log_alpha, log_gaps):
+    """Gaps from the collision gap to 100 (absolute) and alpha up to 1e10
+    reach exact conds far past the limit: the check keeps the exact
+    check's outcome and message."""
+    kernel = HelmholtzKernel(10.0 ** log_alpha)
+    gaps = np.maximum(10.0 ** np.array(log_gaps[:n_s * n_p]).reshape(n_s, n_p),
+                      peakon.COLLISION_GAP)
+    qs = np.cumsum(gaps, axis=1)
+    gram = kernels.eval(kernel, qs[:, :, None], qs[:, None, :])
+    row_gaps = np.diff(qs, axis=1)
+    expected = exact_conditioning_error(kernel, qs)
+    try:
+        peakon._check_conditioning(kernel, qs, row_gaps, row_gaps.min(initial=np.inf), gram)
+    except NearCollisionError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 def ch_classical(dt, t_end, p0, q0=(-2.5, 2.5)):
