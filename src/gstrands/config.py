@@ -292,9 +292,15 @@ def parse_config(text: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         # one line: PyYAML's str(exc) adds an 'in "<unicode string>"' line per mark
         mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark else None
-        col = mark.column + 1 if mark else None
-        where = f" at line {line}, column {col}" if mark else ""
+        if mark:
+            line, col = mark.line + 1, mark.column + 1
+        elif getattr(exc, "position", None) is not None:
+            # a ReaderError has no mark, only the character index in text
+            line = text.count("\n", 0, exc.position) + 1
+            col = exc.position - text.rfind("\n", 0, exc.position)
+        else:
+            line = col = None
+        where = f" at line {line}, column {col}" if line else ""
         problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         context, start = getattr(exc, "context", None), getattr(exc, "context_mark", None)
         if context and start:

@@ -14,15 +14,20 @@ Camassa-Holm peakon mode on the identical code path.
 Collisions are analytically singular, so stepping halts with a
 near-collision error when peakons cross, when a peakon gap falls under
 COLLISION_GAP, or when a per-s Gram system passes the conditioning limit.
-Every stage of a step is checked in the ascending order of the positions at
-the start of that step, so a crossing that a fixed step hops over shows as
-a negative gap even when no evaluated stage lands within COLLISION_GAP.
-The error names the pair and the s-index; gstrand.integrate adds the step.
+Every stage of a run is checked in the ascending order of the positions at
+t = 0, fixed for the whole run: a step reuses the accepted state's order,
+and a crossing halts the run.  So a crossing that a fixed step hops over
+shows as a negative gap even when no evaluated stage lands within
+COLLISION_GAP.  The error names the pair and the s-index; gstrand.integrate
+adds the step.
 
 Each slaved solve evaluates the kernel once, at the positions taken in that
 ascending order: G and its gradient (a fixed sign pattern times G, since the
 order is strict), so the solve and the right-hand side use no Python loop
-over peakons or pairs and no second exponential.  The conditioning check
+over peakons or pairs and no second exponential.  A run whose rows are
+already ascending at t = 0 (every bundled config) gathers nothing: its order
+is the identity, None.  At n_s = 1 the right-hand side -d_s Q of the solve
+is all -0, so N is +0 with no solve.  The conditioning check
 first tries the closed-form bound cond_1(G) <= coth^2(g / 2 alpha) at the
 smallest gap g (kernels.cond_1_bound).  Far from a collision that bound
 clears the stage, and no exact per-s cond is computed.  Otherwise the exact
@@ -63,19 +68,45 @@ class PeakonState(SlavedState):
             raise DimensionMismatchError("Q, M, N must share shape (n_s, n_p)")
 
 
-def _ordered_gaps(qs, perm):
+def _run_order(q):
+    """The ascending order of the positions q (kernels.sort_rows), or None
+    when every row of q is already ascending: that order is the identity,
+    which _ordered and _original apply with no gather."""
+    sort = sort_rows(q)
+    return None if np.array_equal(sort[0].reshape(-1), np.arange(q.size)) else sort
+
+
+def _ordered(sort, x):
+    """x with each row in the ascending order ``sort``; for sort None, x
+    itself as a C-contiguous array.  einsum sums a non-C-contiguous operand
+    (an inline config's initial state is a transposed view) in another order,
+    and the gather that sort None skips always returned a C copy; on a C
+    array ascontiguousarray copies nothing."""
+    return np.ascontiguousarray(x) if sort is None else x.take(sort[0])
+
+
+def _original(sort, x):
+    """The rows of x, in the ascending order ``sort``, back in the original
+    order."""
+    return x if sort is None else x.take(sort[1])
+
+
+def _ordered_gaps(qs, sort):
     """Adjacent gaps of the positions qs, taken in the ascending order
-    ``perm`` of the step-start positions, and the smallest of them that is
-    not NaN (inf when there is none).  A gap under COLLISION_GAP (negative
-    when the pair crossed) raises NearCollisionError naming the pair and the
-    s-index; a NaN gap is not one."""
-    n_p = qs.shape[1]
+    ``sort`` of the run, and the smallest of them that is not NaN (inf when
+    there is none).  A gap under COLLISION_GAP (negative when the pair
+    crossed) raises NearCollisionError naming the pair and the s-index; a
+    NaN gap is not one."""
     gaps = qs[:, 1:] - qs[:, :-1]
     low = np.fmin.reduce(gaps, axis=None, initial=np.inf)
     if low < COLLISION_GAP:
         bad = gaps < COLLISION_GAP
         j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
-        a, b = sorted((int(perm[j, i]) % n_p, int(perm[j, i + 1]) % n_p))
+        if sort is None:
+            a, b = int(i), int(i) + 1
+        else:
+            n_p = qs.shape[1]
+            a, b = sorted((int(sort[0][j, i]) % n_p, int(sort[0][j, i + 1]) % n_p))
         gap = gaps[j, i]
         what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
         raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}")
@@ -101,7 +132,7 @@ def _gram_all(kernel, q):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    return _slave(kernel, grid, sort_rows(state.q), (state.q,))[-1]
+    return _slave(kernel, grid, _run_order(state.q), (state.q,))[-1]
 
 
 def _check_conditioning(kernel, qs, gaps, low, gram):
@@ -126,29 +157,36 @@ def _check_conditioning(kernel, qs, gaps, low, gram):
 def _slave(kernel, grid, sort, y):
     """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
     the Gram and gradient matrices in the ascending order ``sort`` of the
-    step-start positions, and N solves G N = -d_s Q (N in the original
-    order).  Before the solve come the gap check in that order and the
-    conditioning check (_check_conditioning).  The strict order makes
-    dG_ab = sign(b - a) G_ab / alpha."""
+    run (None: the identity, _run_order), and N solves G N = -d_s Q (N in
+    the original order).  Before the solve come the gap check in that order
+    and the conditioning check (_check_conditioning).  The strict order
+    makes dG_ab = sign(b - a) G_ab / alpha."""
     q = y[0]
-    perm, inv = sort
-    qs = q.take(perm)
-    gaps, low = _ordered_gaps(qs, perm)
+    qs = _ordered(sort, q)
+    gaps, low = _ordered_gaps(qs, sort)
     gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
     inverse = _check_conditioning(kernel, qs, gaps, low, gram)
-    ns = tridiag_solve_sorted(gram, kernel, gaps, (-d_s(q, grid)).take(perm), inverse)
-    return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns.take(inv)
+    if grid.n_s == 1:
+        # -d_s Q is all -0, and _refined_solve returns +0 for it with no solve
+        ns = np.zeros(q.shape)
+    else:
+        rhs = _ordered(sort, -d_s(q, grid))
+        ns = _original(sort, tridiag_solve_sorted(gram, kernel, gaps, rhs, inverse))
+    return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns
 
 
 def _rhs(grid, q, mw, aux):
     """(dQ, dM) from the tables of _slave: dQ = G M and the force
     sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a, both
     summed in sorted order."""
-    (perm, inv), gram, grad, nw = aux
-    ms, ns = mw.take(perm), nw.take(perm)
+    sort, gram, grad, nw = aux
+    ms, ns = _ordered(sort, mw), _ordered(sort, nw)
     dq = np.einsum("sab,sb->sa", gram, ms)
     force = ns * np.einsum("sab,sb->sa", grad, ns) + ms * np.einsum("sab,sb->sa", grad, ms)
-    return dq.take(inv), -d_s(nw, grid) - force.take(inv)
+    dq, force = _original(sort, dq), _original(sort, force)
+    if grid.n_s == 1:
+        return dq, -force  # -d_s N is all -0, and (-0) - f is -f bit for bit
+    return dq, -d_s(nw, grid) - force
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:
@@ -159,7 +197,7 @@ def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> Peako
     checked those gaps in its own start order and found them all positive,
     so the positions are strictly ascending in it and their argsort is that
     order.  A state built by hand (``aux`` None) is sorted here."""
-    sort = sort_rows(state.q) if state.aux is None else state.aux[0]
+    sort = _run_order(state.q) if state.aux is None else state.aux[0]
     return slaved_step(partial(_slave, kernel, grid, sort), partial(_rhs, grid), state, grid,
                        "peakon state")
 
@@ -195,7 +233,7 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
     return integrate(lambda st: step(st, kernel, grid), state, grid,
-                     slave=lambda y: _slave(kernel, grid, sort_rows(y[0]), y))
+                     slave=lambda y: _slave(kernel, grid, _run_order(y[0]), y))
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:

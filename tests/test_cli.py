@@ -109,7 +109,9 @@ def test_a_repeated_key_is_a_parse_error_at_the_repeat(text, line, column, key):
     ("scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n", "line 2, column 16", "repeated key 'n_s'"),
     ("scenario: chiral_so3\ngrid: {n_s: 8\n", "line 3, column 1",
      "did not find expected ',' or '}'"),
-], ids=["repeated-key", "unclosed-flow"])
+    # a ReaderError carries a character position, not a mark
+    ("a: 1\nb: \x00", "line 2, column 4", "unacceptable character #x0000"),
+], ids=["repeated-key", "unclosed-flow", "reader-error"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_a_yaml_error_is_one_line_exit_2(tmp_path, capsys, command, text, where, problem):
     path = write(tmp_path, "bad.yaml", text)

@@ -414,6 +414,40 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
     assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
 
 
+def bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_an_ordered_run_skips_its_gathers_with_the_same_bytes(n_s, n_p, layout):
+    # the identity order (None) against the explicit permutation of the same
+    # ascending rows; an F-ordered stage must still sum as the gathered copy did
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
+    rng = np.random.default_rng(11 + n_s * 100 + n_p)
+    q = layout(np.sort(shuffled_positions(rng, n_s, n_p), axis=1))
+    mw, nw = (layout(x) for x in rng.standard_normal((2, n_s, n_p)))
+    sort = kernels.sort_rows(q)
+    assert peakon._run_order(q) is None
+    fast, slow = peakon._slave(K1, grid, None, (q,)), peakon._slave(K1, grid, sort, (q,))
+    assert fast[0] is None
+    for name, a, b in zip(("gram", "grad", "ns"), fast[1:], slow[1:]):
+        assert bitwise_equal(a, b), name
+    for ns in (nw, fast[-1]):
+        for name, a, b in zip(("dq", "dm"), peakon._rhs(grid, q, mw, fast[:-1] + (ns,)),
+                              peakon._rhs(grid, q, mw, slow[:-1] + (ns,))):
+            assert bitwise_equal(a, b), name
+
+
+def test_a_run_order_is_none_only_for_ascending_rows():
+    q = np.array([[0.0, 1.0, 2.0], [-1.0, 0.5, 3.0]])
+    assert peakon._run_order(q) is None
+    sort = peakon._run_order(q[:, ::-1])
+    assert sort is not None and np.array_equal(q[:, ::-1].take(sort[0]), q)
+    with pytest.raises(NearCollisionError, match="peakons 1 and 2 crossed at s-index 1"):
+        peakon._ordered_gaps(np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]), None)
+
+
 def compatibility_oracle(hist, kernel, grid):
     """The compatibility sum of peakon.compatibility_residual as the direct
     three-operand double sums, and the same sums of absolute values."""
