@@ -3,7 +3,7 @@
 Every key is declared; unknown keys, wrong types and out-of-range values are
 rejected with distinct error codes so typos fail fast.  All numeric scalars
 are coerced to 64-bit floats (integer fields additionally require integral
-values).  One ``SCENARIOS`` record declares all of a scenario, runner too.
+values).  One ``SCENARIOS`` record declares all of a scenario, runner and rules too.
 """
 
 from __future__ import annotations
@@ -53,18 +53,89 @@ def _presets(*names, default=None):
     return Key("str", default or names[0], choices=names)
 
 
+def _invalid(field, message, code="out-of-range") -> ConfigValidationError:
+    return ConfigValidationError(message, code=code, field=field)
+
+
+def _chiral_rules(grid, params, initial):
+    if not any(initial["xi"]):
+        raise _invalid("initial.xi", "initial.xi must be nonzero")
+
+
+def _cdb_rules(grid, params, initial):
+    """m0 lies in the plane it turns in.  Laplace type, so ill-posed (Hadamard):
+    modes grow about e^(t_end/ds); t_end/ds <= 20 keeps 1e-16 roundoff < 5e-8."""
+    if abs(initial["m0"][2]) > 1e-12:
+        raise _invalid("initial.m0", "initial.m0 must be orthogonal to the rotation axis e3")
+    ratio = grid["t_end"] * grid["n_s"] / grid["s_extent"]
+    if ratio > 20.0:
+        raise _invalid("grid.n_s", f"cdb_so3 is ill-posed: grid.n_s {grid['n_s']} gives t_end/ds"
+                                   f" = {ratio:.3g} > 20; roundoff grows e^(t_end/ds)-fold",
+                       code="ill-posed")
+
+
+def _symm_rigid_rules(grid, params, initial):
+    """Vectors have dim soN(n_so) entries.  A run at n_s = 1, the classical
+    preset's grid, computes no strand residual."""
+    if initial["preset"] == "classical" and grid["n_s"] != 1:
+        raise _invalid("grid.n_s", "the classical preset runs with grid.n_s = 1")
+    dim = params["n_so"] * (params["n_so"] - 1) // 2
+    for name, value in (("params.a_t_diag", params["a_t_diag"]),
+                        ("params.a_s_diag", params["a_s_diag"]), ("initial.u0", initial["u0"])):
+        if value is not None and len(value) != dim:
+            raise _invalid(name, f"field '{name}' must have dim soN({params['n_so']}) = "
+                                 f"{dim} entries, got {len(value)}", code="bad-type")
+    return grid["n_s"] == 1
+
+
+def _peakon_rules(grid, params, initial):
+    """The data shapes of each preset."""
+    n_p, m_values, preset = params["n_p"], initial["m_values"], initial["preset"]
+    if preset == "two_peakon_wave" and len(m_values) != n_p:
+        raise _invalid("initial.m_values", f"initial.m_values must have n_p = {n_p} "
+                                           f"entries, got {len(m_values)}", code="bad-type")
+    if preset == "single_peakon" and not m_values:
+        raise _invalid("initial.m_values",
+                       "single_peakon takes its momentum from initial.m_values[0]")
+    for name in ("q0", "m0") if preset == "inline" else ():
+        rows = initial[name]
+        if rows is None or len(rows) != n_p or any(len(row) != grid["n_s"] for row in rows):
+            raise _invalid(f"initial.{name}", f"inline initial.{name} must have shape (n_p, "
+                                              f"n_s) = {(n_p, grid['n_s'])}", code="bad-type")
+
+
+def _ch_classical_rules(grid, params, initial):
+    if grid["n_s"] != 1:
+        raise _invalid("grid.n_s", "ch_classical runs with grid.n_s = 1")
+    if not initial["q0"]:
+        raise _invalid("initial.q0", "initial.q0 must list at least one peakon")
+    if len(initial["p0"]) != len(initial["q0"]):
+        raise _invalid("initial.p0", "q0 and p0 must have equal length", code="bad-type")
+
+
+def _verify_action_rules(grid, params, initial):
+    """Its action grid and residuals are periodic in s."""
+    if grid["n_s"] % 2:
+        raise _invalid("grid.n_s", "verify_action's action grid needs an even grid.n_s >= 8")
+    if grid["bc"] != "periodic":
+        raise _invalid("grid.bc", "verify_action runs with grid.bc = periodic")
+
+
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     """One scenario: its grid, params and initial schemas (the presets are
-    the choices of ``initial["preset"]``), the summary residuals a
-    convergence study refines (none: no study) and its runner in ``scenarios``,
-    ``run(cfg, grid)`` -> (header, rows, diagnostics, extra_csvs)."""
+    the choices of ``initial["preset"]``), the summary residuals a study
+    refines (none: no study), its runner in ``scenarios``, ``run(cfg, grid)``
+    -> (header, rows, diagnostics, extra_csvs), and its rules beyond the
+    shared ones of ``_check``: ``rules(grid, params, initial)`` raises, or
+    returns True for a grid with no summary residual (so no 3-slice rule)."""
 
     grid: dict
     params: dict = field(default_factory=dict)
     initial: dict
     study: tuple = ()
     run: object
+    rules: object = lambda grid, params, initial: None  # the shared rules only
 
 
 SCENARIOS = {
@@ -77,7 +148,7 @@ SCENARIOS = {
             "amplitude": Key("float", 1.0),
             "xi": Key("list", [0.0, 0.0, 1.0], length=3),
         },
-        study=("ep_residual", "zcc_residual")),
+        study=("ep_residual", "zcc_residual"), rules=_chiral_rules),
     "se3_strand": Scenario(
         run=scenarios.run_se3, grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
         params={
@@ -94,7 +165,7 @@ SCENARIOS = {
             "wt0": Key("list", [0.3, 0.2, 0.1], length=3),
             "winds": Key("int", 1),
         },
-        study=("div_sigma_residual", "constraint_residual")),
+        study=("div_sigma_residual", "constraint_residual"), rules=_cdb_rules),
     "symm_rigid_soN": Scenario(
         run=scenarios.run_symm_rigid, grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
         params={
@@ -107,7 +178,7 @@ SCENARIOS = {
             "u0": Key("list", None),
             "amplitude": Key("float", 0.3),
         },
-        study=("strand_residual",)),
+        study=("strand_residual",), rules=_symm_rigid_rules),
     "linear_rep": Scenario(
         run=scenarios.run_linear_rep, grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
         params={
@@ -132,7 +203,7 @@ SCENARIOS = {
             "q0": Key("list", None, list_of="list"),
             "m0": Key("list", None, list_of="list"),
         },
-        study=("cross_derivative_residual", "compatibility_residual")),
+        study=("cross_derivative_residual", "compatibility_residual"), rules=_peakon_rules),
     "ch_classical": Scenario(
         run=scenarios.run_ch_classical, grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
         params={"alpha": Key("float", 1.0, low=0.0)},
@@ -140,14 +211,15 @@ SCENARIOS = {
             "preset": _presets("two_peakon", "inline"),
             "q0": Key("list", [-2.5, 2.5]),
             "p0": Key("list", [1.0, 0.8]),
-        }),
+        },
+        rules=_ch_classical_rules),
     # optimality sits at the finite-difference noise floor from level 0, so
     # a study refines only the convergent residuals
     "verify_action": Scenario(
         run=scenarios.run_verify_action, grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
         initial={"preset": _presets("default")},
         study=("clebsch_gradient_interior_max", "pontryagin_constraint",
-               "pontryagin_divergence")),
+               "pontryagin_divergence"), rules=_verify_action_rules),
 }
 
 
@@ -324,104 +396,30 @@ def parse_config(text: str) -> ScenarioConfig:
     grid = _apply_schema("grid", spec.grid, data.get("grid"))
     params = _apply_schema("params", spec.params, data.get("params"))
     initial = _apply_schema("initial", spec.initial, data.get("initial"))
-    _check(scenario, grid, params, initial)
+    _check(spec, grid, params, initial)
     return ScenarioConfig(scenario=scenario, label=top["label"] or scenario,
                           output_dir=top["output_dir"], seed=top["seed"], grid=grid,
                           params=params, initial=initial)
 
 
-def _invalid(field, message, code="out-of-range") -> ConfigValidationError:
-    return ConfigValidationError(message, code=code, field=field)
-
-
-def _check(scenario, grid, params, initial):
+def _check(spec: Scenario, grid, params, initial):
     """The rules beyond single keys, checked by parse_config and on every
-    level of a study."""
-    _check_steps(grid)
-    _check_cross_keys(scenario, grid, params, initial)
-    _check_stored_slices(scenario, grid)
-    _check_well_posed(scenario, grid)
-
-
-def _check_steps(grid):
-    """t_end must be a whole number of steps: the run stops at round(t_end/dt)·dt."""
-    dt, t_end = grid["dt"], grid["t_end"]
-    ratio = t_end / dt
-    if not math.isfinite(ratio) or abs(round(ratio) * dt - t_end) > 1e-9 * t_end:
+    level of a study: the shared ones, then ``spec.rules``, then the 3 stored
+    slices that summary residuals take (gstrand.centered_dt)."""
+    dt, t_end, n_s = grid["dt"], grid["t_end"], grid["n_s"]
+    steps = t_end / dt  # the run stops at round(t_end/dt)·dt
+    if not math.isfinite(steps) or abs(round(steps) * dt - t_end) > 1e-9 * t_end:
         raise _invalid("grid.t_end",
                        f"grid.t_end {t_end} is not a whole number of steps of grid.dt {dt}")
-
-
-def _check_stored_slices(scenario, g):
-    """Summary residuals take the centered t-stencil (gstrand.centered_dt),
-    so every scenario with refinable residuals but classical symm_rigid_soN
-    must store at least 3 slices."""
-    stored = round(g["t_end"] / g["dt"]) // g["store_every"] + 1
-    if stored < 3 and SCENARIOS[scenario].study and not (
-            scenario == "symm_rigid_soN" and g["n_s"] == 1):
-        raise _invalid("grid.t_end", f"grid stores {stored} slice(s); residuals need at least 3")
-
-
-def _check_well_posed(scenario, g):
-    """cdb_so3 is a Cauchy problem of Laplace type, ill-posed (Hadamard): its
-    worst grid mode grows about e^(t_end/ds), so t_end/ds <= 20 keeps 1e-16
-    roundoff under about 5e-8."""
-    ratio = g["t_end"] * g["n_s"] / g["s_extent"]
-    if scenario == "cdb_so3" and ratio > 20.0:
-        raise _invalid("grid.n_s", f"cdb_so3 is ill-posed: grid.n_s {g['n_s']} gives t_end/ds"
-                                   f" = {ratio:.3g} > 20; roundoff grows e^(t_end/ds)-fold",
-                       code="ill-posed")
-
-
-def _check_cross_keys(scenario, grid, params, initial):
-    """Rules that tie keys to each other: grid sizes a preset needs, list
-    lengths fixed by other keys, vectors that must not vanish and inertia
-    diagonals that must invert."""
-    n_s, preset = grid["n_s"], initial["preset"]
-    if scenario == "ch_classical" and n_s != 1:
-        raise _invalid("grid.n_s", "ch_classical runs with grid.n_s = 1")
     if n_s != 1 and n_s < 8:
         raise _invalid("grid.n_s", "grid.n_s must be >= 8 (or 1 for classical modes)")
-    if scenario == "verify_action":  # its action grid and residuals are periodic in s
-        if n_s % 2:
-            raise _invalid("grid.n_s", "verify_action's action grid needs an even grid.n_s >= 8")
-        if grid["bc"] != "periodic":
-            raise _invalid("grid.bc", "verify_action runs with grid.bc = periodic")
-    if preset == "classical" and n_s != 1:
-        raise _invalid("grid.n_s", "the classical preset runs with grid.n_s = 1")
     for name in ("a_t_diag", "a_s_diag"):  # inertia diagonals, inverted by the solvers
         if 0.0 in (params.get(name) or ()):
             raise _invalid(f"params.{name}", f"params.{name} entries must be nonzero")
-    if scenario == "symm_rigid_soN":
-        dim = params["n_so"] * (params["n_so"] - 1) // 2
-        for name, value in (("params.a_t_diag", params["a_t_diag"]),
-                            ("params.a_s_diag", params["a_s_diag"]),
-                            ("initial.u0", initial["u0"])):
-            if value is not None and len(value) != dim:
-                raise _invalid(name, f"field '{name}' must have dim soN({params['n_so']}) = "
-                                     f"{dim} entries, got {len(value)}", code="bad-type")
-    if scenario == "ch_classical":
-        if not initial["q0"]:
-            raise _invalid("initial.q0", "initial.q0 must list at least one peakon")
-        if len(initial["p0"]) != len(initial["q0"]):
-            raise _invalid("initial.p0", "q0 and p0 must have equal length", code="bad-type")
-    if scenario == "chiral_so3" and not any(initial["xi"]):
-        raise _invalid("initial.xi", "initial.xi must be nonzero")
-    if scenario == "cdb_so3" and abs(initial["m0"][2]) > 1e-12:
-        raise _invalid("initial.m0", "initial.m0 must be orthogonal to the rotation axis e3")
-    if scenario == "peakon_strand":
-        n_p, m_values = params["n_p"], initial["m_values"]
-        if preset == "two_peakon_wave" and len(m_values) != n_p:
-            raise _invalid("initial.m_values", f"initial.m_values must have n_p = {n_p} "
-                                               f"entries, got {len(m_values)}", code="bad-type")
-        if preset == "single_peakon" and not m_values:
-            raise _invalid("initial.m_values",
-                           "single_peakon takes its momentum from initial.m_values[0]")
-        for name in ("q0", "m0") if preset == "inline" else ():
-            rows = initial[name]
-            if rows is None or len(rows) != n_p or any(len(row) != n_s for row in rows):
-                raise _invalid(f"initial.{name}", f"inline initial.{name} must have shape "
-                                                  f"(n_p, n_s) = {(n_p, n_s)}", code="bad-type")
+    no_residual = spec.rules(grid, params, initial)
+    stored = round(steps) // grid["store_every"] + 1
+    if stored < 3 and spec.study and not no_residual:
+        raise _invalid("grid.t_end", f"grid stores {stored} slice(s); residuals need at least 3")
 
 
 def study(cfg: ScenarioConfig, levels: int) -> dict:
@@ -429,17 +427,17 @@ def study(cfg: ScenarioConfig, levels: int) -> dict:
     with a value for each level l = 0 .. levels-1 (dt and ds divided by 2**l).
     Level 1 doubles n_s, so a study needs grid.n_s >= 8, and every level's
     grid passes ``_check`` before any level solves."""
-    names = SCENARIOS[cfg.scenario].study
-    if not names:
+    spec = SCENARIOS[cfg.scenario]
+    if not spec.study:
         raise _invalid("scenario", f"scenario '{cfg.scenario}' has no refinable residuals")
     if cfg.grid["n_s"] < 8:
         raise _invalid("grid.n_s", "a convergence study needs grid.n_s >= 8")
     refined = [replace(cfg, grid={**cfg.grid, "n_s": cfg.grid["n_s"] * 2 ** level,
                                   "dt": cfg.grid["dt"] / 2 ** level}) for level in range(levels)]
     for r in refined:
-        _check(r.scenario, r.grid, r.params, r.initial)
+        _check(spec, r.grid, r.params, r.initial)
     summaries = [run_scenario(r)[2]["summary"] for r in refined]
-    return {name: [float(s[name]) for s in summaries] for name in names}
+    return {name: [float(s[name]) for s in summaries] for name in spec.study}
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -386,6 +386,83 @@ def test_bad_config_is_a_validation_error(tmp_path, capsys, command, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
 
 
+# one minimal config per rule beyond single keys, shared or a scenario's own,
+# with the exact error it must raise
+CROSS_KEY_RULES = {
+    "whole-steps": ("scenario: chiral_so3\ngrid: {n_s: 16, dt: 0.3, t_end: 1.0}\n",
+                    "out-of-range", "grid.t_end",
+                    "grid.t_end 1.0 is not a whole number of steps of grid.dt 0.3"),
+    "n_s-8-or-1": ("scenario: se3_strand\ngrid: {n_s: 4}\n", "out-of-range", "grid.n_s",
+                   "grid.n_s must be >= 8 (or 1 for classical modes)"),
+    "a_t_diag-nonzero": ("scenario: se3_strand\nparams: {a_t_diag: [1, 0, 1, 1, 1, 1]}\n",
+                         "out-of-range", "params.a_t_diag",
+                         "params.a_t_diag entries must be nonzero"),
+    "a_s_diag-nonzero": ("scenario: linear_rep\nparams: {a_s_diag: [0, -1, -1]}\n",
+                         "out-of-range", "params.a_s_diag",
+                         "params.a_s_diag entries must be nonzero"),
+    "three-slices": ("scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.001}\n", "out-of-range",
+                     "grid.t_end", "grid stores 2 slice(s); residuals need at least 3"),
+    "ch-n_s-1": ("scenario: ch_classical\ngrid: {n_s: 16}\n", "out-of-range", "grid.n_s",
+                 "ch_classical runs with grid.n_s = 1"),
+    "ch-q0-empty": ("scenario: ch_classical\ninitial: {q0: [], p0: []}\n", "out-of-range",
+                    "initial.q0", "initial.q0 must list at least one peakon"),
+    "ch-p0-length": ("scenario: ch_classical\ninitial: {q0: [-1.0, 1.0], p0: [1.0]}\n",
+                     "bad-type", "initial.p0", "q0 and p0 must have equal length"),
+    "verify-n_s-even": ("scenario: verify_action\ngrid: {n_s: 9}\n", "out-of-range", "grid.n_s",
+                        "verify_action's action grid needs an even grid.n_s >= 8"),
+    "verify-bc-periodic": ("scenario: verify_action\ngrid: {bc: fixed}\n", "out-of-range",
+                           "grid.bc", "verify_action runs with grid.bc = periodic"),
+    "symm-classical-n_s-1": ("scenario: symm_rigid_soN\ninitial: {preset: classical}\n",
+                             "out-of-range", "grid.n_s",
+                             "the classical preset runs with grid.n_s = 1"),
+    "symm-a_t_diag-dim": ("scenario: symm_rigid_soN\nparams: {n_so: 4, a_t_diag: [1, 2, 3]}\n",
+                          "bad-type", "params.a_t_diag",
+                          "field 'params.a_t_diag' must have dim soN(4) = 6 entries, got 3"),
+    "symm-a_s_diag-dim": ("scenario: symm_rigid_soN\nparams: {a_s_diag: [-1, -1]}\n",
+                          "bad-type", "params.a_s_diag",
+                          "field 'params.a_s_diag' must have dim soN(3) = 3 entries, got 2"),
+    "symm-u0-dim": ("scenario: symm_rigid_soN\ninitial: {u0: [0.1, 0.2]}\n", "bad-type",
+                    "initial.u0", "field 'initial.u0' must have dim soN(3) = 3 entries, got 2"),
+    "chiral-xi-nonzero": ("scenario: chiral_so3\ngrid: {n_s: 16, t_end: 0.01}\n"
+                          "initial: {xi: [0, 0, 0]}\n", "out-of-range", "initial.xi",
+                          "initial.xi must be nonzero"),
+    "cdb-m0-in-plane": ("scenario: cdb_so3\ninitial: {m0: [1.0, 0.4, 0.5]}\n", "out-of-range",
+                        "initial.m0", "initial.m0 must be orthogonal to the rotation axis e3"),
+    "cdb-well-posed": ("scenario: cdb_so3\ngrid: {n_s: 126}\n", "ill-posed", "grid.n_s",
+                       "cdb_so3 is ill-posed: grid.n_s 126 gives t_end/ds = 20.1 > 20; "
+                       "roundoff grows e^(t_end/ds)-fold"),
+    "peakon-m_values-n_p": ("scenario: peakon_strand\ninitial: {m_values: [1.0]}\n", "bad-type",
+                            "initial.m_values", "initial.m_values must have n_p = 2 entries, got 1"),
+    "peakon-single-m_values": (
+        "scenario: peakon_strand\ninitial: {preset: single_peakon, m_values: []}\n",
+        "out-of-range", "initial.m_values",
+        "single_peakon takes its momentum from initial.m_values[0]"),
+    "peakon-inline-q0": ("scenario: peakon_strand\ngrid: {n_s: 8}\n"
+                         "initial: {preset: inline, q0: [[-1], [1]]}\n", "bad-type", "initial.q0",
+                         "inline initial.q0 must have shape (n_p, n_s) = (2, 8)"),
+    "peakon-inline-m0": ("scenario: peakon_strand\ngrid: {n_s: 8}\nparams: {n_p: 1}\n"
+                         "initial: {preset: inline, q0: [[0, 0, 0, 0, 0, 0, 0, 0]]}\n",
+                         "bad-type", "initial.m0",
+                         "inline initial.m0 must have shape (n_p, n_s) = (1, 8)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_KEY_RULES))
+def test_each_cross_key_rule_raises_its_own_error(name):
+    text, code, field, message = CROSS_KEY_RULES[name]
+    with pytest.raises(ConfigValidationError) as exc:
+        config.parse_config(text)
+    assert (exc.value.code, exc.value.field, str(exc.value)) == (code, field, message)
+
+
+@pytest.mark.parametrize("preset", ["classical", "strand"])
+def test_symm_rigid_soN_at_one_point_needs_no_three_slices(preset):
+    # its n_s = 1 mode computes no summary residual, so one step is enough
+    cfg = config.parse_config("scenario: symm_rigid_soN\ngrid: {n_s: 1, dt: 0.01, t_end: 0.01}\n"
+                              f"initial: {{preset: {preset}}}\n")
+    assert cfg.grid["n_s"] == 1
+
+
 @pytest.mark.parametrize("grid, field", [("{bc: fixed}", "grid.bc"), ("{n_s: 9}", "grid.n_s")])
 def test_verify_action_grid_is_periodic_and_even(grid, field):
     with pytest.raises(ConfigValidationError) as exc:

@@ -98,6 +98,14 @@ def _main(argv):
 @settings(max_examples=700, derandomize=True, deadline=None)
 @given(configs())
 @example({"scenario": "verify_action", "grid": {"n_s": 9}})  # odd: its action grid is periodic
+# configs that break two rules, one shared and one of the scenario's record
+@example({"scenario": "ch_classical", "grid": {"n_s": 4, "t_end": 0.01}})
+@example({"scenario": "symm_rigid_soN", "grid": {"n_s": 16, "dt": 0.01, "t_end": 0.05},
+          "params": {"a_t_diag": [0.0, 1.0, 1.0]}, "initial": {"preset": "classical"}})
+@example({"scenario": "cdb_so3", "grid": {"n_s": 128, "dt": 1.0, "t_end": 1.0}})
+# one step at n_s = 1: no strand residual, so no 3-slice rule
+@example({"scenario": "symm_rigid_soN", "grid": {"n_s": 1, "dt": 0.01, "t_end": 0.01},
+          "initial": {"preset": "strand"}})
 def test_validate_and_run_agree_on_fuzzed_configs(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

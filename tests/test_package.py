@@ -67,6 +67,11 @@ CALLBACK_SLOTS = {
     ("peakon", "_rhs", "q"),                                  # slaved_step passes every evolved array
     ("verify", "hamilton_pontryagin_energy.e_loc", "y"),      # pontryagin_residual calls e_loc(y, p, b)
     ("scenarios", "run_verify_action", "cfg"),                # Scenario.run(cfg, grid)
+    # Scenario.rules(grid, params, initial): a rule reads only the sections it ties
+    *(("config", rule, p) for rule, unread in [
+        ("Scenario.<lambda>", ("grid", "params", "initial")), ("_chiral_rules", ("grid", "params")),
+        ("_cdb_rules", ("params",)), ("_ch_classical_rules", ("params",)),
+        ("_verify_action_rules", ("params", "initial"))] for p in unread),
 }
 
 
@@ -111,6 +116,17 @@ def test_every_parameter_is_read():
         unread += _unread_parameters(ast.parse(path.read_text()), path.stem)
     assert [slot for slot in unread if slot not in CALLBACK_SLOTS] == []
 
+
+
+def test_config_compares_no_scenario_name():
+    # a scenario's rules live in its SCENARIOS record, so no code in config
+    # branches on a scenario's name
+    tree = ast.parse((SRC / "gstrands" / "config.py").read_text())
+    hits = [f"line {node.lineno}: {const.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for operand in [node.left, *node.comparators] for const in ast.walk(operand)
+            if isinstance(const, ast.Constant) and const.value in gstrands.config.SCENARIOS]
+    assert hits == []
 
 
 def test_every_src_name_is_reached():
