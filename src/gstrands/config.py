@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
-import yaml
 
-from . import scenarios
 from .errors import ConfigParseError, ConfigValidationError
 
 
@@ -125,22 +124,24 @@ def _verify_action_rules(grid, params, initial):
 class Scenario:
     """One scenario: its grid, params and initial schemas (the presets are
     the choices of ``initial["preset"]``), the summary residuals a study
-    refines (none: no study), its runner in ``scenarios``, ``run(cfg, grid)``
-    -> (header, rows, diagnostics, extra_csvs), and its rules beyond the
-    shared ones of ``_check``: ``rules(grid, params, initial)`` raises, or
-    returns True for a grid with no summary residual (so no 3-slice rule)."""
+    refines (none: no study), the name of its runner in ``scenarios``,
+    ``run(cfg, grid)`` -> (header, rows, diagnostics, extra_csvs), looked up
+    by run_scenario so that parsing a config loads no solver, and its rules
+    beyond the shared ones of ``_check``: ``rules(grid, params, initial)``
+    raises, or returns True for a grid with no summary residual (so no
+    3-slice rule)."""
 
     grid: dict
     params: dict = field(default_factory=dict)
     initial: dict
     study: tuple = ()
-    run: object
+    run: str
     rules: object = lambda grid, params, initial: None  # the shared rules only
 
 
 SCENARIOS = {
     "chiral_so3": Scenario(
-        run=scenarios.run_chiral, grid=_grid(),
+        run="run_chiral", grid=_grid(),
         initial={
             "preset": _presets("generic_smooth", "traveling_bump", "pure_gauge"),
             "width": Key("float", 0.5, low=0.0),
@@ -150,7 +151,7 @@ SCENARIOS = {
         },
         study=("ep_residual", "zcc_residual"), rules=_chiral_rules),
     "se3_strand": Scenario(
-        run=scenarios.run_se3, grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
+        run="run_se3", grid=_grid(n_s=64, dt=2e-3, t_end=0.5),
         params={
             "a_t_diag": Key("list", [1.0, 2.0, 3.0, 1.0, 1.0, 1.0], length=6),
             "a_s_diag": Key("list", [-1.0, -1.0, -2.0, -1.0, -1.0, -2.0], length=6),
@@ -158,7 +159,7 @@ SCENARIOS = {
         initial={"preset": _presets("convective_bump"), "amplitude": Key("float", 0.2)},
         study=("ep_residual", "zcc_residual")),
     "cdb_so3": Scenario(
-        run=scenarios.run_cdb, grid=_grid(n_s=64),
+        run="run_cdb", grid=_grid(n_s=64),
         initial={
             "preset": _presets("rotating"),
             "m0": Key("list", [1.0, 0.4, 0.0], length=3),
@@ -167,7 +168,7 @@ SCENARIOS = {
         },
         study=("div_sigma_residual", "constraint_residual"), rules=_cdb_rules),
     "symm_rigid_soN": Scenario(
-        run=scenarios.run_symm_rigid, grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
+        run="run_symm_rigid", grid=_grid(n_s=32, dt=2e-3, t_end=0.5),
         params={
             "n_so": Key("int", 3, low=2),
             "a_t_diag": Key("list", None),
@@ -180,7 +181,7 @@ SCENARIOS = {
         },
         study=("strand_residual",), rules=_symm_rigid_rules),
     "linear_rep": Scenario(
-        run=scenarios.run_linear_rep, grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
+        run="run_linear_rep", grid=_grid(n_s=32, s_extent=6.4, dt=0.01, t_end=0.5),
         params={
             "a_t_diag": Key("list", [1.0, 2.0, 3.0], length=3),
             "a_s_diag": Key("list", [-1.0, -1.0, -1.0], length=3),
@@ -193,7 +194,7 @@ SCENARIOS = {
         },
         study=("constraint_drift", "ep_residual")),
     "peakon_strand": Scenario(
-        run=scenarios.run_peakon_strand, grid=_grid(n_s=32, dt=5e-3, t_end=0.5),
+        run="run_peakon_strand", grid=_grid(n_s=32, dt=5e-3, t_end=0.5),
         params={"alpha": Key("float", 1.0, low=0.0), "n_p": Key("int", 2, low=1)},
         initial={
             "preset": _presets("two_peakon_wave", "single_peakon", "inline"),
@@ -205,7 +206,7 @@ SCENARIOS = {
         },
         study=("cross_derivative_residual", "compatibility_residual"), rules=_peakon_rules),
     "ch_classical": Scenario(
-        run=scenarios.run_ch_classical, grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
+        run="run_ch_classical", grid=_grid(n_s=1, s_extent=1.0, t_end=5.0),
         params={"alpha": Key("float", 1.0, low=0.0)},
         initial={
             "preset": _presets("two_peakon", "inline"),
@@ -216,7 +217,7 @@ SCENARIOS = {
     # optimality sits at the finite-difference noise floor from level 0, so
     # a study refines only the convergent residuals
     "verify_action": Scenario(
-        run=scenarios.run_verify_action, grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
+        run="run_verify_action", grid=_grid(n_s=16, s_extent=6.4, dt=0.1, t_end=2.0),
         initial={"preset": _presets("default")},
         study=("clebsch_gradient_interior_max", "pontryagin_constraint",
                "pontryagin_divergence"), rules=_verify_action_rules),
@@ -226,7 +227,8 @@ SCENARIOS = {
 def run_scenario(cfg: ScenarioConfig):
     """Run one scenario on its grid; returns (header, rows, diagnostics,
     extra_csvs) where extra_csvs maps a suffix to (header, rows)."""
-    return SCENARIOS[cfg.scenario].run(cfg, scenarios.make_grid(cfg))
+    from . import scenarios  # the solvers load with the first run
+    return getattr(scenarios, SCENARIOS[cfg.scenario].run)(cfg, scenarios.make_grid(cfg))
 
 
 # top-level keys besides ``scenario`` and its three sections
@@ -331,36 +333,44 @@ def _apply_schema(section_name, schema, data):
     return out
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's C parser when PyYAML was built with it (same results, less
-    parse time), reading YAML 1.2's exponent floats without a dot (``1e-3``)
-    as floats; YAML 1.1, and so the base loaders, read them as strings.  A
-    key repeated in one mapping is a parse error at the repeat, where the
-    base loaders keep the last value."""
+@cache
+def _loader():
+    """The YAML loader class, built on the first parse: yaml loads with it."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep)  # refuses unhashable keys
-        seen = set()
-        for key_node in keys:
-            key = self.construct_object(key_node)
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"repeated key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return mapping
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        """libyaml's C parser when PyYAML was built with it (same results,
+        less parse time), reading YAML 1.2's exponent floats without a dot
+        (``1e-3``) as floats; YAML 1.1, and so the base loaders, read them as
+        strings.  A key repeated in one mapping is a parse error at the
+        repeat, where the base loaders keep the last value."""
 
+        def construct_mapping(self, node, deep=False):
+            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)  # refuses unhashable keys
+            seen = set()
+            for key_node in keys:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return mapping
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."))
+    return Loader
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario config from a string, including
     the stored slices its residuals need."""
+    import yaml
+
     try:
-        data = yaml.load(text, Loader=_Loader)
+        data = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         # one line: PyYAML's str(exc) adds an 'in "<unicode string>"' line per mark
         mark = getattr(exc, "problem_mark", None)
@@ -416,6 +426,9 @@ def _check(spec: Scenario, grid, params, initial):
     for name in ("a_t_diag", "a_s_diag"):  # inertia diagonals, inverted by the solvers
         if 0.0 in (params.get(name) or ()):
             raise _invalid(f"params.{name}", f"params.{name} entries must be nonzero")
+    alpha = params.get("alpha")  # the kernels divide by 2 alpha
+    if alpha is not None and not math.isfinite(0.5 / alpha):
+        raise _invalid("params.alpha", f"params.alpha {alpha} is too small: 1/(2 alpha) overflows")
     no_residual = spec.rules(grid, params, initial)
     stored = round(steps) // grid["store_every"] + 1
     if stored < 3 and spec.study and not no_residual:
@@ -445,7 +458,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config '{path}': {exc}") from exc
     return parse_config(text)
 

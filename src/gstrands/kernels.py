@@ -37,8 +37,9 @@ class HelmholtzKernel:
     dim: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0.0 and math.isfinite(0.5 / self.alpha)):
+            raise InvalidParameterError(
+                f"alpha must be positive with 1/(2 alpha) finite, got {self.alpha}")
         if self.dim != 1:
             raise InvalidParameterError(
                 f"unsupported kernel dimension {self.dim}; only dim=1 is provided")

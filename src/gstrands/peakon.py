@@ -13,12 +13,13 @@ Camassa-Holm peakon mode on the identical code path.
 
 Collisions are analytically singular, so stepping halts with a
 near-collision error when peakons cross, when a peakon gap falls under
-COLLISION_GAP, or when a per-s Gram system passes the conditioning limit.
+COLLISION_GAP · alpha (the Gram conditioning depends on gap / alpha), or when
+a per-s Gram system passes the conditioning limit.
 Every stage of a run is checked in the ascending order of the positions at
 t = 0, fixed for the whole run: a step reuses the accepted state's order,
 and a crossing halts the run.  So a crossing that a fixed step hops over
 shows as a negative gap even when no evaluated stage lands within
-COLLISION_GAP.  The error names the pair and the s-index; gstrand.integrate
+the collision gap.  The error names the pair and the s-index; gstrand.integrate
 adds the step.
 
 Each slaved solve evaluates the kernel once, at the positions taken in that
@@ -91,16 +92,18 @@ def _original(sort, x):
     return x if sort is None else x.take(sort[1])
 
 
-def _ordered_gaps(qs, sort):
+def _ordered_gaps(qs, sort, alpha):
     """Adjacent gaps of the positions qs, taken in the ascending order
     ``sort`` of the run, and the smallest of them that is not NaN (inf when
-    there is none).  A gap under COLLISION_GAP (negative when the pair
-    crossed) raises NearCollisionError naming the pair and the s-index; a
-    NaN gap is not one."""
+    there is none).  A gap under COLLISION_GAP · alpha, relative to the
+    kernel length alpha (negative when the pair crossed), raises
+    NearCollisionError naming the pair and the s-index; a NaN gap is not
+    one."""
     gaps = qs[:, 1:] - qs[:, :-1]
     low = np.fmin.reduce(gaps, axis=None, initial=np.inf)
-    if low < COLLISION_GAP:
-        bad = gaps < COLLISION_GAP
+    collision_gap = COLLISION_GAP * alpha
+    if low < collision_gap:
+        bad = gaps < collision_gap
         j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
         if sort is None:
             a, b = int(i), int(i) + 1
@@ -163,7 +166,7 @@ def _slave(kernel, grid, sort, y):
     makes dG_ab = sign(b - a) G_ab / alpha."""
     q = y[0]
     qs = _ordered(sort, q)
-    gaps, low = _ordered_gaps(qs, sort)
+    gaps, low = _ordered_gaps(qs, sort, kernel.alpha)
     gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
     inverse = _check_conditioning(kernel, qs, gaps, low, gram)
     if grid.n_s == 1:

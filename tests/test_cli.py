@@ -48,6 +48,29 @@ def test_negative_alpha_names_field():
     assert "alpha" in str(exc.value)
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_alpha_whose_green_function_overflows_is_a_validation_error(tmp_path, capsys,
+                                                                       command):
+    # the parent passed alpha 1e-320 and halted at step 0 on a NaN Gram conditioning
+    for scenario in ("ch_classical", "peakon_strand"):
+        path = write(tmp_path, "tiny.yaml", f"scenario: {scenario}\noutput_dir: {tmp_path}\n"
+                                            "params: {alpha: 1.0e-320}\n")
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err == ("error category: validation: params.alpha 1e-320 is "
+                                           "too small: 1/(2 alpha) overflows\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_small_alpha_pair_fifty_alpha_apart_runs(tmp_path, capsys):
+    # the collision gap scales with alpha: 5e-9 is 50 alpha (cond_1 about 1), and
+    # at speeds p / (2 alpha) = 5e9 a step of 1e-21 moves a peakon 5e-12
+    path = write(tmp_path, "small.yaml", f"scenario: ch_classical\noutput_dir: {tmp_path}\n"
+                 "params: {alpha: 1.0e-10}\ngrid: {dt: 1.0e-21, t_end: 1.0e-20}\n"
+                 "initial: {preset: inline, q0: [0.0, 5.0e-9], p0: [1.0, 0.8]}\n")
+    assert cli.main(["run", path]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigValidationError) as exc:
         config.parse_config("scenario: chiral_so3\ntypo_key: 1\n")
@@ -105,20 +128,25 @@ def test_a_repeated_key_is_a_parse_error_at_the_repeat(text, line, column, key):
     assert f"at line {line}, column {column}: repeated key '{key}'" in str(exc.value)
 
 
-@pytest.mark.parametrize("text, where, problem", [
-    ("scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n", "line 2, column 16", "repeated key 'n_s'"),
-    ("scenario: chiral_so3\ngrid: {n_s: 8\n", "line 3, column 1",
-     "did not find expected ',' or '}'"),
+@pytest.mark.parametrize("text, message", [
+    ("scenario: chiral_so3\ngrid: {n_s: 8, n_s: 16}\n",
+     "config parse error at line 2, column 16: repeated key 'n_s'"),
+    ("scenario: chiral_so3\ngrid: {n_s: 8\n",
+     "config parse error at line 3, column 1: did not find expected ',' or '}'"),
     # a ReaderError carries a character position, not a mark
-    ("a: 1\nb: \x00", "line 2, column 4", "unacceptable character #x0000"),
-], ids=["repeated-key", "unclosed-flow", "reader-error"])
-@pytest.mark.parametrize("command", ["run", "validate"])
-def test_a_yaml_error_is_one_line_exit_2(tmp_path, capsys, command, text, where, problem):
-    path = write(tmp_path, "bad.yaml", text)
-    assert cli.main([command, path]) == 2
+    ("a: 1\nb: \x00", "config parse error at line 2, column 4: unacceptable character #x0000"),
+    # a file that is not UTF-8 fails in the read, before YAML sees it
+    (b"\xff\xfescenario: chiral_so3\n",
+     "cannot read config '{path}': 'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["repeated-key", "unclosed-flow", "reader-error", "non-utf8"])
+@pytest.mark.parametrize("command", ["run", "study", "validate"])
+def test_a_yaml_error_is_one_line_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.count("error category: parse:") == 1
-    assert err.startswith(f"error category: parse: config parse error at {where}: {problem}")
+    assert err.startswith("error category: parse: " + message.replace("{path}", str(path)))
 
 
 def test_an_unhashable_key_stays_a_parse_error():
@@ -281,7 +309,8 @@ def test_run_head_on_collision_exit_1_names_step(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_s, j", [(1, 0), (8, 3)])
 def test_run_ill_conditioned_gram_is_one_line_exit_1(tmp_path, capsys, n_s, j):
-    # gaps of 1e-7 pass the collision gap; at alpha = 2e7 the pair's cond_1 is 4e14
+    # at alpha = 2e7 a gap of 1e-7 is under the collision gap COLLISION_GAP * alpha
+    # (the pair's cond_1 there is 4e14)
     if n_s == 1:
         text = ("scenario: ch_classical\nparams: {alpha: 2.0e+7}\ngrid: {dt: 0.01, t_end: 0.1}\n"
                 "initial: {q0: [0.0, 1.0e-7], p0: [1.0, 0.5]}\n")
@@ -295,8 +324,8 @@ def test_run_ill_conditioned_gram_is_one_line_exit_1(tmp_path, capsys, n_s, j):
     cfg = write(tmp_path, "close.yaml", f"output_dir: {tmp_path}\n" + text)
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err
-    assert err == ("error category: near-collision: per-s Gram conditioning 4.000e+14 exceeds "
-                   f"1e+12 at s-index {j} at the initial state (t = 0)\n")
+    assert err == ("error category: near-collision: peakons 0 and 1 within 1.000e-07 of "
+                   f"collision at s-index {j} at the initial state (t = 0)\n")
 
 
 def test_run_zero_total_momentum_reports_absolute_drift(tmp_path):

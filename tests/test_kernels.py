@@ -221,3 +221,6 @@ def test_invalid_kernel_parameters():
     for dim in (2, 3):  # their Green's functions are infinite on the Gram diagonal
         with pytest.raises(InvalidParameterError):
             kernels.HelmholtzKernel(1.0, dim)
+    # a subnormal alpha: 1/(2 alpha) overflows, and the Gram would be inf and NaN
+    with pytest.raises(InvalidParameterError, match="1/\\(2 alpha\\) finite"):
+        kernels.HelmholtzKernel(1e-320, 1)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gstrands
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -46,9 +48,69 @@ def test_import_builds_no_algebra():
     assert out.stdout.split() == ["0", "1"]
 
 
+def _loaded_after(code):
+    """The gstrands submodules and yaml that a fresh interpreter has loaded
+    after running ``code``."""
+    code += ("\nimport sys\nprint(' '.join(sorted(m for m in sys.modules\n"
+             "                     if m == 'yaml' or m.startswith('gstrands.'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return set(out.stdout.split())
+
+
+SOLVERS = {f"gstrands.{m}" for m in ("scenarios", "clebsch", "gstrand", "peakon", "verify")}
+BUNDLED = SRC.parent / "scripts" / "configs"
+
+
+def test_import_loads_only_the_errors():
+    assert _loaded_after("import gstrands") == {"gstrands.errors"}
+
+
+def test_an_algebra_set_up_loads_no_yaml_and_no_solver():
+    # the set-up of an API run on a built-in algebra, as the algebra_wide
+    # benchmark workload does it
+    loaded = _loaded_after("import gstrands\nfrom gstrands import config, kernels, liealg\n"
+                           "gstrands.builtin('soN(8)')")
+    assert "gstrands.liealg" in loaded and not loaded & (SOLVERS | {"yaml"})
+
+
+def test_a_config_load_loads_yaml_and_no_solver():
+    loaded = _loaded_after(f"from gstrands import config\n"
+                           f"config.load_config({str(BUNDLED / 'peakon_strand.yaml')!r})")
+    assert "yaml" in loaded and not loaded & SOLVERS
+
+
+def test_validate_and_list_scenarios_load_no_solver():
+    for argv in (["validate", str(BUNDLED / "chiral_so3.yaml")], ["list-scenarios"]):
+        code = (f"import contextlib, io\nfrom gstrands import cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0")
+        assert not _loaded_after(code) & SOLVERS, argv
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in gstrands.__all__ if not hasattr(gstrands, name)]
     assert missing == []
+    star = {}
+    exec("from gstrands import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(gstrands.__all__)
+    assert all(star[name] is getattr(gstrands, name) for name in gstrands.__all__)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(gstrands.__all__) <= set(dir(gstrands))
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'gstrands' has no attribute 'frobnicate'"):
+        gstrands.frobnicate  # noqa: B018
+
+
+def test_every_scenario_runner_is_a_scenarios_function():
+    from gstrands import scenarios
+    runners = {name: spec.run for name, spec in gstrands.config.SCENARIOS.items()}
+    assert all(callable(getattr(scenarios, run, None)) for run in runners.values()), runners
 
 
 def test_every_error_class_is_raised_or_subclassed():
@@ -133,8 +195,10 @@ def test_every_src_name_is_reached():
     # a top-level function or class of the package, or a method or property
     # of such a class, that nothing in src/, perfbench/ or scripts/ names is
     # API only tests reach: it belongs in tests/oracles.py or nowhere.  A
-    # Name load, an attribute or an import alias names a top-level
-    # definition; only an attribute names a method.
+    # Name load, an attribute, an import alias or a Scenario record's
+    # run="<runner>" string names a top-level definition; only an attribute
+    # names a method.  A module's __getattr__ and __dir__ are the import
+    # protocol's (PEP 562), not API.
     trees = {path: ast.parse(path.read_text()) for folder in ("src", "perfbench", "scripts")
              for path in sorted((SRC.parent / folder).rglob("*.py"))}
     names, attrs = set(), set()
@@ -146,10 +210,14 @@ def test_every_src_name_is_reached():
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
             attrs.add(node.name)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Scenario":
+            names.update(kw.value.value for kw in node.keywords
+                         if kw.arg == "run" and isinstance(kw.value, ast.Constant))
     unreached = []
     for path in sorted((SRC / "gstrands").glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name in ("__getattr__", "__dir__"):
                 continue
             if node.name not in names | attrs:
                 unreached.append(f"{path.stem}.{node.name}")

@@ -177,6 +177,20 @@ def test_gap_check_names_pair_and_s_index():
     assert exc.value.step_index is None
 
 
+def test_a_run_scales_with_alpha():
+    # q = alpha Q, t = alpha^2 T maps the alpha-kernel system onto the
+    # alpha = 1 one, collision gap included: the pair 50 alpha apart runs at
+    # alpha 1e-10 as it does at alpha 1
+    def run(alpha):
+        grid = StrandGrid(1, 1.0, 0.1 * alpha ** 2, 4.0 * alpha ** 2)
+        state = peakon.PeakonState([[0.0, 50.0 * alpha]], [[1.0, 0.8]], [[0.0, 0.0]])
+        return peakon.simulate(state, HelmholtzKernel(alpha), grid)
+
+    small, unit = run(1e-10), run(1.0)
+    np.testing.assert_allclose(small.q / 1e-10, unit.q, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(small.mw, unit.mw, rtol=1e-12)
+
+
 def test_crossing_between_stages_halts_with_step():
     # head-on peakon-antipeakon: at dt = 0.01 the stages hop across the
     # collision (the last gap before the flip is 1.6e-4), so only the
@@ -208,14 +222,15 @@ def exact_conditioning_error(kernel, qs):
 
 @pytest.mark.parametrize("n_s, j", [(1, 0), (8, 0), (8, 5), (8, 7)])
 def test_ill_conditioned_close_pair_halts_at_its_s_index(n_s, j):
-    # 1e-7 passes the collision gap; at alpha = 2e7 the pair's cond_1 is 4e14
+    # at alpha = 2e7 the gap 1e-7 is 5e-15 alpha, under the collision gap
+    # COLLISION_GAP * alpha (the pair's cond_1 there is 4e14)
     grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1)
     q = np.tile([[-1.0, 1.0]], (n_s, 1))
     q[j] = [0.3, 0.3 + 1e-7]
     state = peakon.PeakonState(q, np.ones((n_s, 2)), np.zeros((n_s, 2)))
     with pytest.raises(NearCollisionError) as exc:
         peakon.simulate(state, HelmholtzKernel(2e7), grid)
-    assert str(exc.value) == f"per-s Gram conditioning 4.000e+14 exceeds 1e+12 at s-index {j}"
+    assert str(exc.value) == f"peakons 0 and 1 within 1.000e-07 of collision at s-index {j}"
     assert (exc.value.step_index, exc.value.t) == (None, 0.0)
 
 
@@ -445,7 +460,7 @@ def test_a_run_order_is_none_only_for_ascending_rows():
     sort = peakon._run_order(q[:, ::-1])
     assert sort is not None and np.array_equal(q[:, ::-1].take(sort[0]), q)
     with pytest.raises(NearCollisionError, match="peakons 1 and 2 crossed at s-index 1"):
-        peakon._ordered_gaps(np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]), None)
+        peakon._ordered_gaps(np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]), None, 1.0)
 
 
 def compatibility_oracle(hist, kernel, grid):
