@@ -5,10 +5,11 @@ against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
 sorted points has a tridiagonal inverse in closed form
 (helmholtz_1d_inverse), applied by elementwise products with no BLAS call,
 so repeated runs are bitwise identical.  The same closed form bounds the
-1-norm condition number by coth^2(g / 2 alpha) at the smallest gap g
-(cond_1_bound), so a conditioning check needs the inverse only near a
-collision.  Nothing in the package calls the
-fixed-order Cholesky chol_solve_batched: perfbench/spans.py wraps it as
+1-norm condition number of n_p points by min(n_p, c) c with
+c = coth(g / 2 alpha) at the smallest gap g (cond_1_bound), so a
+conditioning check needs the inverse only near a collision of more than
+about 2500 points.  Nothing in the package calls the fixed-order Cholesky
+chol_solve_batched: perfbench/spans.py wraps it as
 peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
 
@@ -113,17 +114,6 @@ def _refined_solve(mats, apply_inv, rhs):
     return x
 
 
-def sort_rows(x):
-    """Flat gather indices (perm, inv) of the 2D array x: x.take(perm) is x
-    with each row in ascending order, and y.take(inv) puts a row-sorted y
-    back in the original order."""
-    order = np.argsort(x, axis=-1)
-    perm = order + x.shape[-1] * np.arange(x.shape[0])[:, None]
-    inv = np.empty_like(perm)
-    inv.reshape(-1)[perm.reshape(-1)] = np.arange(perm.size)
-    return perm, inv
-
-
 def helmholtz_1d_inverse(k: HelmholtzKernel, gaps):
     """Tridiagonal inverse of the 1D Gram matrix at ascending points.
 
@@ -149,17 +139,19 @@ def helmholtz_1d_inverse(k: HelmholtzKernel, gaps):
     return diag, off
 
 
-def cond_1_bound(k: HelmholtzKernel, gap):
-    """coth^2(gap / 2 alpha), an upper bound on the 1-norm condition number
-    of the Gram matrix at ascending points whose adjacent gaps are all at
-    least ``gap``.  With r = e^{-gap/alpha}: the k-th neighbour on either
-    side lies at least k gap away, so no row of G sums to more than
-    (1 + r) / (2 alpha (1 - r)); and a column of helmholtz_1d_inverse sums
-    to 2 alpha (1/(1 - e_{i-1}) + 1/(1 - e_i) - 1) with e_i = e^{-gap_i/alpha},
-    at most 2 alpha (1 + r) / (1 - r).  1 for a single point (gap inf), inf
-    for a NaN gap or one too small for the bound to be a finite float."""
-    t2 = math.tanh(0.5 * gap / k.alpha) ** 2
-    return 1.0 / t2 if t2 > 0.0 else math.inf
+def cond_1_bound(k: HelmholtzKernel, gap, n_p):
+    """min(n_p, c) c with c = coth(gap / 2 alpha), an upper bound on the
+    1-norm condition number of the Gram matrix of n_p ascending points whose
+    adjacent gaps are all at least ``gap``.  With r = e^{-gap/alpha}: the
+    k-th neighbour on either side lies at least k gap away, so no row of G
+    sums to more than (1 + r) / (2 alpha (1 - r)) = c / (2 alpha), nor, with
+    every entry at most 1 / (2 alpha), to more than n_p / (2 alpha); and a
+    column of helmholtz_1d_inverse sums to 2 alpha (1/(1 - e_{i-1}) +
+    1/(1 - e_i) - 1) with e_i = e^{-gap_i/alpha}, at most 2 alpha c.  1 for
+    a single point (gap inf), inf for a NaN gap or one too small for the
+    bound to be a finite float."""
+    t = math.tanh(0.5 * gap / k.alpha)
+    return min(n_p, 1.0 / t) / t if t > 0.0 else math.inf
 
 
 def tridiag_norm_1(diag, off):

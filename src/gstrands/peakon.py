@@ -11,31 +11,33 @@ solves, and (Q, M) obey the canonical equations for the collective
 Hamiltonian.  n_s = 1 with s-derivatives defined as zero is the classical
 Camassa-Holm peakon mode on the identical code path.
 
-Collisions are analytically singular, so stepping halts with a
-near-collision error when peakons cross, when a peakon gap falls under
-COLLISION_GAP · alpha (the Gram conditioning depends on gap / alpha), or when
-a per-s Gram system passes the conditioning limit.
-Every stage of a run is checked in the ascending order of the positions at
-t = 0, fixed for the whole run: a step reuses the accepted state's order,
-and a crossing halts the run.  So a crossing that a fixed step hops over
-shows as a negative gap even when no evaluated stage lands within
-the collision gap.  The error names the pair and the s-index; gstrand.integrate
-adds the step.
+A run has one peakon order.  simulate labels the peakons once, in the
+ascending order of their positions at s-index 0 and t = 0, integrates in
+that order and returns the history in the original labels; step takes rows
+that are ascending, and keeps the labels only to name a pair in an error.
+Collisions are analytically singular where two peakon curves meet, in t or
+in s, so a stage halts with a near-collision error when an adjacent gap of
+a row is negative ("crossed"), under COLLISION_GAP · alpha (the Gram
+conditioning depends on gap / alpha), or when a per-s Gram system passes
+the conditioning limit.  So a strand whose rows do not share the order of
+row 0 halts at t = 0, and a crossing in t that a fixed step hops over shows
+as a negative gap even when no evaluated stage lands within the collision
+gap.  The error names the pair and the s-index; gstrand.integrate adds the
+step.
 
-Each slaved solve evaluates the kernel once, at the positions taken in that
-ascending order: G and its gradient (a fixed sign pattern times G, since the
-order is strict), so the solve and the right-hand side use no Python loop
-over peakons or pairs and no second exponential.  A run whose rows are
-already ascending at t = 0 (every bundled config) gathers nothing: its order
-is the identity, None.  At n_s = 1 the right-hand side -d_s Q of the solve
-is all -0, so N is +0 with no solve.  The conditioning check
-first tries the closed-form bound cond_1(G) <= coth^2(g / 2 alpha) at the
-smallest gap g (kernels.cond_1_bound).  Far from a collision that bound
-clears the stage, and no exact per-s cond is computed.  Otherwise the exact
-per-s 1-norm cond comes from the tridiagonal closed-form inverse of G
-(kernels.helmholtz_1d_inverse), which the solve then reuses.  A cleared
-stage builds the inverse only if its solve has a nonzero right-hand side,
-so the classical mode (-d_s Q = 0) never builds it.
+Each slaved solve evaluates the kernel once: G and its gradient (a fixed
+sign pattern times G, since the rows are strictly ascending), so the solve
+and the right-hand side use no Python loop over peakons or pairs, no gather
+and no second exponential.  At n_s = 1 the right-hand side -d_s Q of the
+solve is all -0, so N is +0 with no solve.  The conditioning check first
+tries the closed-form bound cond_1(G) <= min(n_p, c) c, c = coth(g / 2 alpha)
+at the smallest gap g (kernels.cond_1_bound).  Up to about 2500 peakons
+that bound clears every stage at finite positions that passes the gap
+check, and no exact per-s cond is computed.  Otherwise the exact per-s 1-norm cond comes from the
+tridiagonal closed-form inverse of G (kernels.helmholtz_1d_inverse), which
+the solve then reuses.  A cleared stage builds the inverse only if its
+solve has a nonzero right-hand side, so the classical mode (-d_s Q = 0)
+never builds it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
 from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_eval,
-                      helmholtz_1d_inverse, sort_rows, tridiag_norm_1, tridiag_solve_sorted)
+                      helmholtz_1d_inverse, tridiag_norm_1, tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
 # and peakon.grad_q
 from .kernels import chol_solve_batched, grad_q  # noqa: F401
@@ -69,47 +71,31 @@ class PeakonState(SlavedState):
             raise DimensionMismatchError("Q, M, N must share shape (n_s, n_p)")
 
 
-def _run_order(q):
-    """The ascending order of the positions q (kernels.sort_rows), or None
-    when every row of q is already ascending: that order is the identity,
-    which _ordered and _original apply with no gather."""
-    sort = sort_rows(q)
-    return None if np.array_equal(sort[0].reshape(-1), np.arange(q.size)) else sort
+def _relabeled(state):
+    """(labels, ordered, back): the peakons of ``state`` labeled once, in
+    the ascending order ``labels`` of their positions at s-index 0;
+    ``ordered``, its state with each array gathered into that order (take
+    returns C arrays, so every stage sums in one order whatever the layout
+    handed in); and ``back``, the inverse permutation, for
+    x.take(back, axis=-1) to put a result in the original labels."""
+    labels = np.argsort(state.q[0], kind="stable")
+    ordered = PeakonState(*(x.take(labels, axis=1) for x in (state.q, state.mw, state.nw)))
+    return labels, ordered, np.argsort(labels)
 
 
-def _ordered(sort, x):
-    """x with each row in the ascending order ``sort``; for sort None, x
-    itself as a C-contiguous array.  einsum sums a non-C-contiguous operand
-    (an inline config's initial state is a transposed view) in another order,
-    and the gather that sort None skips always returned a C copy; on a C
-    array ascontiguousarray copies nothing."""
-    return np.ascontiguousarray(x) if sort is None else x.take(sort[0])
-
-
-def _original(sort, x):
-    """The rows of x, in the ascending order ``sort``, back in the original
-    order."""
-    return x if sort is None else x.take(sort[1])
-
-
-def _ordered_gaps(qs, sort, alpha):
-    """Adjacent gaps of the positions qs, taken in the ascending order
-    ``sort`` of the run, and the smallest of them that is not NaN (inf when
-    there is none).  A gap under COLLISION_GAP · alpha, relative to the
-    kernel length alpha (negative when the pair crossed), raises
-    NearCollisionError naming the pair and the s-index; a NaN gap is not
-    one."""
-    gaps = qs[:, 1:] - qs[:, :-1]
+def _ordered_gaps(q, labels, alpha):
+    """Adjacent gaps of the ascending rows q and the smallest of them that
+    is not NaN (inf when there is none).  A gap under COLLISION_GAP · alpha,
+    relative to the kernel length alpha (negative when the pair crossed),
+    raises NearCollisionError naming the pair by its ``labels`` and the
+    s-index; a NaN gap is not one."""
+    gaps = q[:, 1:] - q[:, :-1]
     low = np.fmin.reduce(gaps, axis=None, initial=np.inf)
     collision_gap = COLLISION_GAP * alpha
     if low < collision_gap:
         bad = gaps < collision_gap
         j, i = np.unravel_index(np.argmin(np.where(bad, gaps, np.inf)), gaps.shape)
-        if sort is None:
-            a, b = int(i), int(i) + 1
-        else:
-            n_p = qs.shape[1]
-            a, b = sorted((int(sort[0][j, i]) % n_p, int(sort[0][j, i + 1]) % n_p))
+        a, b = sorted((int(labels[i]), int(labels[i + 1])))
         gap = gaps[j, i]
         what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
         raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}")
@@ -135,17 +121,18 @@ def _gram_all(kernel, q):
 def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
                        grid: StrandGrid) -> np.ndarray:
     """N fields making d_s Q_a = gamma(Q_a) hold exactly at every gridpoint."""
-    return _slave(kernel, grid, _run_order(state.q), (state.q,))[-1]
+    labels, ordered, back = _relabeled(state)
+    return _slave(kernel, grid, labels, (ordered.q,))[-1].take(back, axis=1)
 
 
-def _check_conditioning(kernel, qs, gaps, low, gram):
+def _check_conditioning(kernel, q, gaps, low, gram):
     """The per-s 1-norm conditioning check of the Gram matrices ``gram`` at
-    the sorted positions qs, whose smallest gap is ``low``.  At finite
-    positions with kernels.cond_1_bound(kernel, low) <= COND_LIMIT / 2 it
-    passes with no exact cond; the factor 2 keeps the roundoff of the exact
-    value far from the limit.  Otherwise the exact cond per s-index, from
-    the tridiagonal inverse, which is returned for the solve to reuse."""
-    if np.isfinite(qs).all() and cond_1_bound(kernel, low) <= 0.5 * COND_LIMIT:
+    the ascending positions q, whose smallest gap is ``low``.  At finite
+    positions with kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2
+    it passes with no exact cond; the factor 2 keeps the roundoff of the
+    exact value far from the limit.  Otherwise the exact cond per s-index,
+    from the tridiagonal inverse, which is returned for the solve to reuse."""
+    if np.isfinite(q).all() and cond_1_bound(kernel, low, q.shape[1]) <= 0.5 * COND_LIMIT:
         return None
     diag, off = helmholtz_1d_inverse(kernel, gaps)
     # G is nonnegative and symmetric, so its 1-norm is its largest row sum
@@ -157,51 +144,43 @@ def _check_conditioning(kernel, qs, gaps, low, gram):
     return diag, off
 
 
-def _slave(kernel, grid, sort, y):
-    """(sort, G, dG, N) of the positions q = y[0].  G and dG = dG/dQ_a are
-    the Gram and gradient matrices in the ascending order ``sort`` of the
-    run (None: the identity, _run_order), and N solves G N = -d_s Q (N in
-    the original order).  Before the solve come the gap check in that order
-    and the conditioning check (_check_conditioning).  The strict order
-    makes dG_ab = sign(b - a) G_ab / alpha."""
+def _slave(kernel, grid, labels, y):
+    """(labels, G, dG, N) of the ascending positions q = y[0]: the Gram and
+    gradient matrices dG = dG/dQ_a, and N solving G N = -d_s Q.  Before the
+    solve come the gap check, which names a pair by its ``labels``, and the
+    conditioning check (_check_conditioning).  The strict order makes
+    dG_ab = sign(b - a) G_ab / alpha."""
     q = y[0]
-    qs = _ordered(sort, q)
-    gaps, low = _ordered_gaps(qs, sort, kernel.alpha)
-    gram = kernel_eval(kernel, qs[:, :, None], qs[:, None, :])
-    inverse = _check_conditioning(kernel, qs, gaps, low, gram)
+    gaps, low = _ordered_gaps(q, labels, kernel.alpha)
+    gram = _gram_all(kernel, q)
+    inverse = _check_conditioning(kernel, q, gaps, low, gram)
     if grid.n_s == 1:
         # -d_s Q is all -0, and _refined_solve returns +0 for it with no solve
         ns = np.zeros(q.shape)
     else:
-        rhs = _ordered(sort, -d_s(q, grid))
-        ns = _original(sort, tridiag_solve_sorted(gram, kernel, gaps, rhs, inverse))
-    return sort, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns
+        ns = tridiag_solve_sorted(gram, kernel, gaps, -d_s(q, grid), inverse)
+    return labels, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns
 
 
 def _rhs(grid, q, mw, aux):
     """(dQ, dM) from the tables of _slave: dQ = G M and the force
-    sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a, both
-    summed in sorted order."""
-    sort, gram, grad, nw = aux
-    ms, ns = _ordered(sort, mw), _ordered(sort, nw)
-    dq = np.einsum("sab,sb->sa", gram, ms)
-    force = ns * np.einsum("sab,sb->sa", grad, ns) + ms * np.einsum("sab,sb->sa", grad, ms)
-    dq, force = _original(sort, dq), _original(sort, force)
+    sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a."""
+    _, gram, grad, nw = aux
+    dq = np.einsum("sab,sb->sa", gram, mw)
+    force = nw * np.einsum("sab,sb->sa", grad, nw) + mw * np.einsum("sab,sb->sa", grad, mw)
     if grid.n_s == 1:
         return dq, -force  # -d_s N is all -0, and (-0) - f is -f bit for bit
     return dq, -d_s(nw, grid) - force
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:
-    """One RK4 step of the canonical (Q, M) system with N slaved to every
-    stage and to the accepted state (gstrand.slaved_step), each time with the
-    gaps taken in the ascending order of the step-start positions.  Stage 1
-    reuses ``state.aux``, and with it that state's order: the previous step
-    checked those gaps in its own start order and found them all positive,
-    so the positions are strictly ascending in it and their argsort is that
-    order.  A state built by hand (``aux`` None) is sorted here."""
-    sort = _run_order(state.q) if state.aux is None else state.aux[0]
-    return slaved_step(partial(_slave, kernel, grid, sort), partial(_rhs, grid), state, grid,
+    """One RK4 step of the canonical (Q, M) system, whose rows must be
+    ascending, with N slaved to every stage and to the accepted state
+    (gstrand.slaved_step).  The labels that name a pair in an error come
+    from ``state.aux``; a state built by hand (``aux`` None) has labels
+    0..n_p-1."""
+    labels = np.arange(state.q.shape[1]) if state.aux is None else state.aux[0]
+    return slaved_step(partial(_slave, kernel, grid, labels), partial(_rhs, grid), state, grid,
                        "peakon state")
 
 
@@ -235,8 +214,13 @@ def field_snapshot(state: PeakonState, kernel, m_grid):
 
 
 def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
-    return integrate(lambda st: step(st, kernel, grid), state, grid,
-                     slave=lambda y: _slave(kernel, grid, _run_order(y[0]), y))
+    """Integrate to t_end with the peakons relabeled once (_relabeled); the
+    stored history is in the labels of ``state``."""
+    labels, ordered, back = _relabeled(state)
+    hist = integrate(lambda st: step(st, kernel, grid), ordered, grid,
+                     slave=partial(_slave, kernel, grid, labels))
+    return History(hist.times, **{name: getattr(hist, name).take(back, axis=-1)
+                                  for name in PeakonState.__match_args__})
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:

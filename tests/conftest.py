@@ -27,6 +27,15 @@ def generic_chiral_field(grid, amplitude=1.0):
     return StrandField(nu, gam)
 
 
+# two peakon curves that cross along s: peakon 0 runs from -1 up to 1 and
+# back, peakon 1 mirrors it, so the rows at s-indices 3-6 hold them in the
+# order opposite to row 0's
+S_CROSSING = ("scenario: peakon_strand\nparams: {n_p: 2}\ngrid: {n_s: 8, dt: 0.01, t_end: 0.2}\n"
+              "initial: {preset: inline, "
+              "q0: [[-1.0, -0.6, -0.2, 0.2, 0.6, 1.0, 0.5, -0.5], "
+              "[1.0, 0.6, 0.2, -0.2, -0.6, -1.0, -0.5, 0.5]], "
+              f"m0: [{[1.0] * 8}, {[0.8] * 8}]}}\n")
+
 SLAVED_FAMILIES = ("peakon", "cdb", "linear", "symm")
 
 

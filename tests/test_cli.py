@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import S_CROSSING
 
 from gstrands import cli, config, output, peakon
 from gstrands.errors import BlowUpError, ConfigParseError, ConfigValidationError
@@ -283,6 +284,15 @@ initial:
   m0: [[1,1,1,1,1,1,1,1],[1,1,1,1,1,1,1,1]]
 """)
     assert cli.main(["run", cfg]) == 1
+
+
+def test_run_peakons_that_cross_along_s_exit_1_and_write_nothing(tmp_path, capsys):
+    # a strand whose rows do not share one peakon order halts at t = 0
+    cfg = write(tmp_path, "cross.yaml", f"output_dir: {tmp_path / 'out'}\n" + S_CROSSING)
+    assert cli.main(["run", cfg]) == 1
+    assert capsys.readouterr().err == ("error category: near-collision: peakons 0 and 1 "
+                                       "crossed at s-index 5 at the initial state (t = 0)\n")
+    assert not (tmp_path / "out").exists()
 
 
 HEAD_ON = """

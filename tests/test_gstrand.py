@@ -140,7 +140,8 @@ def test_rk4_step_matches_richardson_order():
 def test_blow_up_detected():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1)
     f = StrandField(np.full((16, 3), 1e200), np.full((16, 3), 1e200))
-    with pytest.raises(BlowUpError) as exc:
+    # a library call warns as numpy does; only cli.main silences the overflow
+    with pytest.raises(BlowUpError) as exc, pytest.warns(RuntimeWarning):
         gstrand.step(SO3, CHIRAL, f, grid)
     assert (exc.value.step_index, exc.value.t) == (None, None)  # integrate locates
 
@@ -519,21 +520,22 @@ def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
 
 @pytest.mark.parametrize("n_s", [1, 8])
 def test_near_a_collision_each_solve_builds_one_inverse(monkeypatch, n_s):
-    # a gap of 1e-6 alpha puts the bound at 4e12: the exact check runs at
-    # every solve, and the solve of a nonzero rhs (n_s = 8) reuses its inverse
+    # a gap of 1e-6 alpha puts the bound for two points at 4e6, which clears
+    # every stage with no exact check: the solve of a nonzero rhs (n_s = 8)
+    # builds one inverse, and the classical mode (n_s = 1) solves nothing
     grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1)
     x = 0.1 * np.sin(grid.s_nodes)[:, None]
     st = peakon.PeakonState(x + [[0.0, 1e-6]], np.ones((n_s, 2)), np.zeros((n_s, 2)))
     inverses = _counting_inverses(monkeypatch)
     hist = peakon.simulate(st, HelmholtzKernel(1.0), grid)
-    assert len(inverses) == 1 + 4 * grid.n_steps
+    assert len(inverses) == (1 + 4 * grid.n_steps if n_s > 1 else 0)
     assert np.any(hist.nw != 0.0) == (n_s > 1)
 
 
 def test_tridiag_solve_of_zero_rhs_is_positive_zero():
     k = HelmholtzKernel(1.0)
     q = np.array([[0.3, -1.0, 2.0], [0.0, 1.0, -2.0]])
-    qs = q.take(kernels.sort_rows(q)[0])
+    qs = np.sort(q, axis=1)
     gram = kernels.eval(k, qs[..., :, None], qs[..., None, :])
     x = kernels.tridiag_solve_sorted(gram, k, np.diff(qs, axis=1), -np.zeros_like(q))
     assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()

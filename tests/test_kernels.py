@@ -104,14 +104,15 @@ def shuffled_rows(rng, n_rows, n, alpha, gap_lo, gap_hi):
 
 
 def sorted_gaps(pts):
-    srt = kernels.sort_rows(pts)
-    sorted_pts = pts.take(srt[0])
-    return srt, sorted_pts[:, 1:] - sorted_pts[:, :-1]
+    """(order, gaps): the ascending order of each row of pts, and the
+    adjacent gaps of the rows taken in it."""
+    order = np.argsort(pts, axis=-1)
+    return order, np.diff(np.take_along_axis(pts, order, -1), axis=-1)
 
 
 def sorted_inverse(k, pts):
-    srt, gaps = sorted_gaps(pts)
-    return srt, kernels.helmholtz_1d_inverse(k, gaps)
+    order, gaps = sorted_gaps(pts)
+    return order, kernels.helmholtz_1d_inverse(k, gaps)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
@@ -122,14 +123,15 @@ def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
     pts = shuffled_rows(rng, 5, n, alpha, 0.5, 2.0)
     mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
     rhs = rng.standard_normal((5, n))
-    (perm, inv), gaps = sorted_gaps(pts)
-    sorted_pts = pts.take(perm)
+    order, gaps = sorted_gaps(pts)
+    back = np.argsort(order, axis=-1)
+    sorted_pts, sorted_rhs = (np.take_along_axis(a, order, -1) for a in (pts, rhs))
     sorted_mats = kernels.eval(k, sorted_pts[:, :, None], sorted_pts[:, None, :])
-    x = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, rhs.take(perm)).take(inv)
+    x = np.take_along_axis(kernels.tridiag_solve_sorted(sorted_mats, k, gaps, sorted_rhs), back, -1)
     # an inverse handed in is the one the solve would build
-    given_inverse = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, rhs.take(perm),
+    given_inverse = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, sorted_rhs,
                                                  kernels.helmholtz_1d_inverse(k, gaps))
-    assert given_inverse.take(inv).tobytes() == x.tobytes()
+    assert np.take_along_axis(given_inverse, back, -1).tobytes() == x.tobytes()
     for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
                    kernels.chol_solve_batched(mats, rhs)):
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -155,6 +157,7 @@ def test_tridiagonal_inverse_condition_matches_cond_1(n):
 def test_cond_1_bound_holds_at_the_smallest_gap(alpha, log_gaps, equal):
     # n_p = 1-40 points with gaps 1e-7 alpha to 50 alpha; equal gaps come
     # closest to the bound, whose row-sum half assumes endless neighbours
+    # until the n_p points cap it
     k = kernels.HelmholtzKernel(alpha, 1)
     gaps = alpha * 10.0 ** np.array(log_gaps)
     if equal:
@@ -163,19 +166,25 @@ def test_cond_1_bound_holds_at_the_smallest_gap(alpha, log_gaps, equal):
     row_gaps = np.diff(pts, axis=1)
     mats = kernels.eval(k, pts[:, :, None], pts[:, None, :])
     cond = norm_1(mats) * kernels.tridiag_norm_1(*kernels.helmholtz_1d_inverse(k, row_gaps))
-    bound = kernels.cond_1_bound(k, row_gaps.min(initial=np.inf))
+    bound = kernels.cond_1_bound(k, row_gaps.min(initial=np.inf), pts.shape[1])
     assert cond[0] <= bound * (1.0 + 1e-12)
     # so a bound at half the limit never clears a row past the limit
     assert not (bound <= 0.5 * kernels.COND_LIMIT and cond[0] > kernels.COND_LIMIT)
 
 
 def test_cond_1_bound_edges():
-    assert kernels.cond_1_bound(K1, np.inf) == 1.0
-    assert kernels.cond_1_bound(K1, np.nan) == math.inf
-    assert kernels.cond_1_bound(K1, 0.0) == math.inf
-    assert kernels.cond_1_bound(kernels.HelmholtzKernel(1e300), 1e-8) == math.inf
-    # two points: cond_1 = coth(gap / 2 alpha), the square root of the bound
-    assert kernels.cond_1_bound(K1, 2.0) == pytest.approx(1.0 / math.tanh(1.0) ** 2, rel=1e-15)
+    assert kernels.cond_1_bound(K1, np.inf, 1) == 1.0
+    assert kernels.cond_1_bound(K1, np.nan, 2) == math.inf
+    assert kernels.cond_1_bound(K1, 0.0, 2) == math.inf
+    assert kernels.cond_1_bound(kernels.HelmholtzKernel(1e300), 1e-8, 2) == math.inf
+    # far apart, coth^2(gap / 2 alpha); two points have cond_1 = coth(gap / 2 alpha)
+    coth = 1.0 / math.tanh(1.0)
+    assert kernels.cond_1_bound(K1, 2.0, 40) == pytest.approx(coth ** 2, rel=1e-15)
+    # close together, n_p coth(gap / 2 alpha): at the collision gap 1e-8 alpha
+    # the bound passes COND_LIMIT / 2 only above about 2500 points
+    assert kernels.cond_1_bound(K1, 2.0, 1) == pytest.approx(coth, rel=1e-15)
+    assert kernels.cond_1_bound(K1, 1e-8, 2499) <= 0.5 * kernels.COND_LIMIT
+    assert kernels.cond_1_bound(K1, 1e-8, 2501) > 0.5 * kernels.COND_LIMIT
 
 
 @pytest.mark.parametrize("solver", ["tridiag_solve_sorted", "chol_solve_batched"])

@@ -35,6 +35,29 @@ _PEAKON_ROWS = ("[[-1.5, -1.4, -1.3, -1.4, -1.5, -1.6, -1.7, -1.6], "
                 "[1.5, 1.6, 1.5, 1.4, 1.5, 1.6, 1.5, 1.4]]")
 _PEAKON_ROWS_REVERSED = ("[[1.5, 1.6, 1.5, 1.4, 1.5, 1.6, 1.5, 1.4], "
                          "[-1.5, -1.4, -1.3, -1.4, -1.5, -1.6, -1.7, -1.6]]")
+# five_peakon's q0 and m0 (scenarios.peakon_setup), one row per peakon, last peakon first
+_FIVE_Q_REVERSED = (
+    "[[2.4, 2.612132034355964, 2.6999999999999997, 2.612132034355964, 2.4, 2.1878679656440356, "
+    "2.1, 2.187867965644035], "
+    "[0.8999999999999999, 0.9878679656440357, 1.2, 1.4121320343559642, 1.5, 1.4121320343559645, "
+    "1.2, 0.9878679656440356], "
+    "[3.6739403974420595e-17, -0.21213203435596423, -0.3, -0.2121320343559643, "
+    "-7.347880794884119e-17, 0.2121320343559642, 0.3, 0.2121320343559645], "
+    "[-0.8999999999999999, -0.9878679656440357, -1.2, -1.4121320343559642, -1.5, "
+    "-1.4121320343559642, -1.2, -0.9878679656440358], "
+    "[-2.4, -2.1878679656440356, -2.1, -2.1878679656440356, -2.4, -2.612132034355964, "
+    "-2.6999999999999997, -2.612132034355964]]")
+_FIVE_M_REVERSED = (
+    "[[0.78, 0.7272792206135785, 0.6, 0.47272077938642154, 0.42, 0.4727207793864215, "
+    "0.5999999999999999, 0.7272792206135784], "
+    "[0.9, 1.090918830920368, 1.1700000000000002, 1.090918830920368, 0.9, 0.7090811690796324, "
+    "0.63, 0.7090811690796323], "
+    "[-0.35, -0.39393398282201786, -0.5, -0.6060660171779821, -0.65, -0.6060660171779821, "
+    "-0.5, -0.39393398282201797], "
+    "[0.8, 0.6302943725152286, 0.5599999999999999, 0.6302943725152286, 0.8, 0.9697056274847715, "
+    "1.04, 0.9697056274847715], "
+    "[1.3, 1.2121320343559643, 1.0, 0.7878679656440357, 0.7, 0.7878679656440357, 1.0, "
+    "1.2121320343559643]]")
 INLINE = {
     "linear_rep": "scenario: linear_rep\ngrid: {t_end: 0.2}\n",
     "symm_rigid_classical": "scenario: symm_rigid_soN\ngrid: {n_s: 1, dt: 0.01, t_end: 0.5}\n"
@@ -57,6 +80,11 @@ INLINE = {
                        "grid: {n_s: 8, dt: 0.01, t_end: 0.2}\n"
                        f"initial: {{preset: inline, q0: {_PEAKON_ROWS_REVERSED}, m0: [[0.8, 0.8, "
                        "0.7, 0.8, 0.9, 0.8, 0.8, 0.7], [1.0, 1.1, 1.2, 1.1, 1.0, 0.9, 0.8, 0.9]]}\n",
+    # five_peakon's two_peakon_wave rows as an inline config, right to left
+    "reversed_five_peakon": "scenario: peakon_strand\nparams: {n_p: 5, alpha: 0.7}\n"
+                            "grid: {n_s: 8, dt: 0.01, t_end: 0.2, store_every: 5}\n"
+                            f"initial: {{preset: inline, q0: {_FIVE_Q_REVERSED}, "
+                            f"m0: {_FIVE_M_REVERSED}}}\n",
     # a -0.0 momentum in the classical mode, where N and d_s N are exact zeros
     "classical_zero_momenta": "scenario: ch_classical\ngrid: {dt: 0.01, t_end: 0.5}\n"
                               "initial: {q0: [-2.0, 0.0, 2.0], p0: [1.0, -0.0, -0.5]}\n",

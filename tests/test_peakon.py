@@ -1,14 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import fit_order
+from conftest import S_CROSSING, fit_order
 from hypothesis import example, given, settings, strategies
 from scipy.integrate import solve_ivp
 
 from gstrands import config, kernels, peakon, scenarios
 from gstrands.errors import NearCollisionError
-from gstrands.gstrand import History, StrandGrid, centered_dt, d_s
+from gstrands.gstrand import History, StrandGrid, centered_dt, d_s, integrate
 from gstrands.kernels import HelmholtzKernel
 
 K1 = HelmholtzKernel(1.0, 1)
@@ -191,6 +192,30 @@ def test_a_run_scales_with_alpha():
     np.testing.assert_allclose(small.mw, unit.mw, rtol=1e-12)
 
 
+@pytest.mark.parametrize("solve", [peakon.simulate, peakon.solve_n_constraint])
+def test_peakons_that_cross_along_s_halt_at_t_0(solve):
+    # one order per run: the rows that do not share row 0's order fail the
+    # gap check at the initial slave solve, the deepest crossing first
+    cfg = config.parse_config(S_CROSSING)
+    grid = scenarios.make_grid(cfg)
+    kernel, state = scenarios.peakon_setup(cfg, grid)
+    with pytest.raises(NearCollisionError) as exc:
+        solve(state, kernel, grid)
+    assert str(exc.value) == "peakons 0 and 1 crossed at s-index 5"
+    assert exc.value.step_index is None
+
+
+def test_step_takes_ascending_rows():
+    # a state built by hand is labeled 0..n_p-1 and must already be ascending
+    grid = StrandGrid(1, 1.0, 1e-2, 0.1)
+    state = peakon.PeakonState([[1.0, -1.0]], [[1.0, 0.8]], [[0.0, 0.0]])
+    with pytest.raises(NearCollisionError, match="peakons 0 and 1 crossed at s-index 0"):
+        peakon.step(state, K1, grid)
+    # simulate relabels it once and returns the history in its own labels
+    hist = peakon.simulate(state, K1, grid)
+    assert np.all(hist.q[:, 0, 0] > hist.q[:, 0, 1])
+
+
 def test_crossing_between_stages_halts_with_step():
     # head-on peakon-antipeakon: at dt = 0.01 the stages hop across the
     # collision (the last gap before the flip is 1.6e-4), so only the
@@ -357,29 +382,29 @@ def test_one_gram_build_per_stage(monkeypatch):
 
 
 def test_simulate_sorts_the_positions_once(monkeypatch):
-    # every later step takes its order from the accepted state's tables
+    # the labels and their inverse, once per run; no step or stage sorts
     grid = StrandGrid(16, 2 * np.pi, 5e-3, 3 * 5e-3)
+    st = two_peakon_wave(grid)
     calls = []
-    real = peakon.sort_rows
-    monkeypatch.setattr(peakon, "sort_rows", lambda q: calls.append(1) or real(q))
-    peakon.simulate(two_peakon_wave(grid), K1, grid)
-    assert len(calls) == 1
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    peakon.simulate(peakon.PeakonState(st.q[:, ::-1], st.mw[:, ::-1], st.nw), K1, grid)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
 # the stage tables of the slaved solve, against the dense original-order oracles
 
 def shuffled_positions(rng, n_s, n_p):
-    """Rows of n_p positions 0.3-2 apart, each row in a random order."""
+    """Rows of n_p positions 0.3-2 apart, the peakons listed in one random
+    order that every row shares."""
     pts = np.cumsum(rng.uniform(0.3, 2.0, (n_s, n_p)), axis=1) - n_p
-    return np.stack([rng.permutation(row) for row in pts])
+    return pts.take(rng.permutation(n_p), axis=1)
 
 
-def sorted_oracle(mats, perm):
-    """(n_s, n_p, n_p) mats with rows and columns in the order of ``perm``."""
-    order = perm % mats.shape[-1]
-    return np.take_along_axis(np.take_along_axis(mats, order[:, :, None], 1),
-                              order[:, None, :], 2)
+def sorted_oracle(mats, labels):
+    """(n_s, n_p, n_p) mats with rows and columns in the order ``labels``."""
+    return mats[:, labels][:, :, labels]
 
 
 STAGE_SHAPES = [(n_s, n_p) for n_s in (1, 16) for n_p in (1, 2, 32)]
@@ -391,17 +416,18 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     k = HelmholtzKernel(alpha)
     grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
     q = shuffled_positions(np.random.default_rng(n_s * 100 + n_p), n_s, n_p)
-    sort = kernels.sort_rows(q)
-    tables, gram, grad, nw = peakon._slave(k, grid, sort, (q,))
-    assert tables is sort
-    assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), sort[0]))
-    oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), sort[0])
+    labels, ordered, back = peakon._relabeled(peakon.PeakonState(q, 0.0 * q, 0.0 * q))
+    tables, gram, grad, nw = peakon._slave(k, grid, labels, (ordered.q,))
+    assert tables is labels
+    assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), labels))
+    oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), labels)
     # G / alpha and grad_q's e / (2 alpha^2) each round twice
     ulps = np.abs(grad - oracle) / np.spacing(np.abs(oracle))
     assert ulps.max() <= (0.0 if alpha == 1.0 else 2.0)
     diagonal = np.diagonal(grad, axis1=1, axis2=2)
     assert np.array_equal(diagonal, np.zeros_like(diagonal)) and not np.signbit(diagonal).any()
     expected = kernels.chol_solve_batched(peakon._gram_all(k, q), -d_s(q, grid))
+    nw = nw.take(back, axis=1)
     assert np.max(np.abs(nw - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
 
 
@@ -411,7 +437,8 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
     rng = np.random.default_rng(7 + n_s * 100 + n_p)
     q = shuffled_positions(rng, n_s, n_p)
     mw, nw = rng.standard_normal((2, n_s, n_p))
-    aux = peakon._slave(K1, grid, kernels.sort_rows(q), (q,))[:-1] + (nw,)
+    labels, ordered, back = peakon._relabeled(peakon.PeakonState(q, mw, nw))
+    aux = peakon._slave(K1, grid, labels, (ordered.q,))[:-1] + (ordered.nw,)
     gram, grad = peakon._gram_all(K1, q), kernels.grad_q(K1, q[..., :, None], q[..., None, :])
     coupling = nw[:, :, None] * nw[:, None, :] + mw[:, :, None] * mw[:, None, :]
     dq_oracle = np.einsum("sab,sb->sa", gram, mw)
@@ -424,7 +451,7 @@ def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
 
     monkeypatch.setattr(peakon, "kernel_eval", refuse)
     monkeypatch.setattr(peakon, "grad_q", refuse)
-    dq, dm = peakon._rhs(grid, q, mw, aux)
+    dq, dm = (x.take(back, axis=1) for x in peakon._rhs(grid, ordered.q, ordered.mw, aux))
     assert np.all(np.abs(dq - dq_oracle) <= 1e-14 * dq_scale)
     assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
 
@@ -436,31 +463,30 @@ def bitwise_equal(a, b):
 @pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
 def test_an_ordered_run_skips_its_gathers_with_the_same_bytes(n_s, n_p, layout):
-    # the identity order (None) against the explicit permutation of the same
-    # ascending rows; an F-ordered stage must still sum as the gathered copy did
-    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
+    # simulate takes one C copy of the state in its order and no stage
+    # gathers: the peakons listed in any order, in either layout (an inline
+    # config's state is a transposed view), run with the bytes of the
+    # C-ordered ascending rows stepped with no relabelling at all
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 5e-3)
     rng = np.random.default_rng(11 + n_s * 100 + n_p)
-    q = layout(np.sort(shuffled_positions(rng, n_s, n_p), axis=1))
-    mw, nw = (layout(x) for x in rng.standard_normal((2, n_s, n_p)))
-    sort = kernels.sort_rows(q)
-    assert peakon._run_order(q) is None
-    fast, slow = peakon._slave(K1, grid, None, (q,)), peakon._slave(K1, grid, sort, (q,))
-    assert fast[0] is None
-    for name, a, b in zip(("gram", "grad", "ns"), fast[1:], slow[1:]):
-        assert bitwise_equal(a, b), name
-    for ns in (nw, fast[-1]):
-        for name, a, b in zip(("dq", "dm"), peakon._rhs(grid, q, mw, fast[:-1] + (ns,)),
-                              peakon._rhs(grid, q, mw, slow[:-1] + (ns,))):
-            assert bitwise_equal(a, b), name
+    q = np.sort(shuffled_positions(rng, n_s, n_p), axis=1)
+    mw = rng.uniform(0.5, 1.5, (n_s, n_p))
+    ref = integrate(lambda st: peakon.step(st, K1, grid), peakon.PeakonState(q, mw, 0.0 * q),
+                    grid, slave=partial(peakon._slave, K1, grid, np.arange(n_p)))
+    labels = rng.permutation(n_p)
+    got = peakon.simulate(peakon.PeakonState(*(layout(x[:, labels]) for x in (q, mw, 0.0 * q))),
+                          K1, grid)
+    for name in ("q", "mw", "nw"):
+        assert bitwise_equal(getattr(got, name), getattr(ref, name)[..., labels]), name
 
 
-def test_a_run_order_is_none_only_for_ascending_rows():
-    q = np.array([[0.0, 1.0, 2.0], [-1.0, 0.5, 3.0]])
-    assert peakon._run_order(q) is None
-    sort = peakon._run_order(q[:, ::-1])
-    assert sort is not None and np.array_equal(q[:, ::-1].take(sort[0]), q)
+def test_a_row_out_of_the_run_order_is_crossed():
+    q = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
     with pytest.raises(NearCollisionError, match="peakons 1 and 2 crossed at s-index 1"):
-        peakon._ordered_gaps(np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]), None, 1.0)
+        peakon._ordered_gaps(q, np.arange(3), 1.0)
+    # the labels of the run name the pair
+    with pytest.raises(NearCollisionError, match="peakons 0 and 2 crossed at s-index 1"):
+        peakon._ordered_gaps(q, np.array([1, 2, 0]), 1.0)
 
 
 def compatibility_oracle(hist, kernel, grid):
