@@ -29,7 +29,8 @@ Each slaved solve evaluates the kernel once: G and its gradient (a fixed
 sign pattern times G, since the rows are strictly ascending), so the solve
 and the right-hand side use no Python loop over peakons or pairs, no gather
 and no second exponential.  At n_s = 1 the right-hand side -d_s Q of the
-solve is all -0, so N is +0 with no solve.  The conditioning check first
+solve is all -0, so N is +0 with no solve, and the stage right-hand side
+skips the N-N force, which is +0 there.  The conditioning check first
 tries the closed-form bound cond_1(G) <= min(n_p, c) c, c = coth(g / 2 alpha)
 at the smallest gap g (kernels.cond_1_bound).  Up to about 2500 peakons
 that bound clears every stage at finite positions that passes the gap
@@ -167,10 +168,12 @@ def _rhs(grid, q, mw, aux):
     sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a."""
     _, gram, grad, nw = aux
     dq = np.einsum("sab,sb->sa", gram, mw)
-    force = nw * np.einsum("sab,sb->sa", grad, nw) + mw * np.einsum("sab,sb->sa", grad, mw)
+    m_force = mw * np.einsum("sab,sb->sa", grad, mw)
     if grid.n_s == 1:
-        return dq, -force  # -d_s N is all -0, and (-0) - f is -f bit for bit
-    return dq, -d_s(nw, grid) - force
+        # N is all +0 (_slave): the N-N force is +0, which only turns -0 into
+        # +0, and -d_s N is all -0, which (-0) - f leaves -f bit for bit
+        return dq, -(m_force + 0.0)
+    return dq, -d_s(nw, grid) - (nw * np.einsum("sab,sb->sa", grad, nw) + m_force)
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:

@@ -94,19 +94,14 @@ def symm_rigid_setup(cfg, grid):
         w0 = hat_so_n(n_so, u0 @ lag.a_t.T)
         q = np.eye(n_so)[None]
         return lag, clebsch.SymmRigidState(q, w0[None], np.zeros_like(w0)[None])
-    # strand: smooth rotation field Q(s) with smooth momentum.  scipy.linalg
-    # is imported here, its one use, so no other run pays for it
-    from scipy.linalg import expm
-    s = grid.s_nodes
-    amp = init["amplitude"]
-    two_pi = 2.0 * np.pi / grid.s_extent
-    q = np.empty((grid.n_s, n_so, n_so))
-    mw = np.empty_like(q)
-    for j in range(grid.n_s):
-        theta = amp * np.sin(two_pi * s[j]) * (1.0 + 0.1 * np.arange(dim))
-        q[j] = expm(hat_so_n(n_so, theta))
-        u = 0.2 + amp * np.cos(two_pi * s[j]) * (0.5 + 0.1 * np.arange(dim))
-        mw[j] = q[j] @ hat_so_n(n_so, u @ lag.a_t.T)
+    # strand: smooth rotation field Q(s) = exp(hat(theta(s))) with smooth
+    # momentum.  i hat(theta) is Hermitian, v diag(w) v^H, so Q = v e^(-iw) v^H
+    phase = 2.0 * np.pi / grid.s_extent * grid.s_nodes[:, None]
+    amp, k = init["amplitude"], 0.1 * np.arange(dim)
+    w, v = np.linalg.eigh(1j * hat_so_n(n_so, amp * np.sin(phase) * (1.0 + k)))
+    q = ((v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).real
+    u = 0.2 + amp * np.cos(phase) * (0.5 + k)
+    mw = q @ hat_so_n(n_so, u @ lag.a_t.T)
     return lag, clebsch.SymmRigidState(q, mw, np.zeros_like(mw))
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import adjoint_rep, classical_ep_trajectory, dense_c, matrix_basis
 
-from gstrands import clebsch, gstrand, liealg
+from gstrands import clebsch, config, gstrand, liealg, scenarios
 from gstrands.errors import DimensionMismatchError
 from gstrands.gstrand import QuadraticLagrangian, StrandField, StrandGrid, chiral_lagrangian
 from gstrands.liealg import hat_so_n, vee_so_n
@@ -413,6 +413,24 @@ def test_symm_rigid_momentum_relation_exact():
     # t-momentum relation holds by definition of U
     w_t = hat_so_n(3, vee_so_n(3, u) @ RIGID_LAG.a_t.T)
     assert np.max(np.abs(clebsch._skew(np.swapaxes(q, -1, -2) @ mw) - w_t)) < 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 3.0])
+@pytest.mark.parametrize("n_so", [2, 3, 4, 5, 6])
+def test_symm_rigid_strand_preset_q_is_the_exponential(n_so, amplitude):
+    # the preset's batched eigh exponential against expm, point by point
+    cfg = config.parse_config(f"scenario: symm_rigid_soN\nparams: {{n_so: {n_so}}}\n"
+                              f"initial: {{preset: strand, amplitude: {amplitude}}}\n")
+    grid = scenarios.make_grid(cfg)
+    q = scenarios.symm_rigid_setup(cfg, grid)[1].q
+    dim = n_so * (n_so - 1) // 2
+    phase = 2.0 * np.pi / grid.s_extent * grid.s_nodes
+    expected = [scipy.linalg.expm(hat_so_n(n_so, amplitude * np.sin(p) * (1.0 + 0.1 * np.arange(dim))))
+                for p in phase]
+    assert q.shape == (grid.n_s, n_so, n_so)
+    assert np.max(np.abs(q - expected)) <= 1e-13
+    assert np.max(np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(n_so))) <= 1e-13
+    assert np.max(np.abs(np.linalg.det(q) - 1.0)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

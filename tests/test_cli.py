@@ -364,6 +364,22 @@ grid:
     assert "error category: blow-up: strand field blew up at step 5 (t = 12)" in err
 
 
+def test_run_huge_symm_rigid_amplitude_is_a_blow_up(tmp_path, capsys):
+    # the strand preset's Q(s) is finite at any finite amplitude; its solve fails
+    cfg = write(tmp_path, "huge.yaml", f"""
+scenario: symm_rigid_soN
+label: huge
+output_dir: {tmp_path}
+initial:
+  preset: strand
+  amplitude: 1.0e+20
+""")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(re.findall(r"^error category: blow-up: ", err, re.M)) == 1
+    assert "Traceback" not in err
+
+
 # Inputs the schema used to accept that then died with a traceback, ran a
 # full solve before failing, stopped short of t_end or reported blow-up,
 # or that validate passed and run rejected; a non-string scenario must not

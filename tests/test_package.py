@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg would be the costliest import of `gstrands run` (about
-    # 0.1 s on a 2-vCPU VM, more than the rest of it); only the symm_rigid
-    # strand preset uses it, and imports it where it does
+    # 0.1 s on a 2-vCPU VM, more than the rest of it); the symm_rigid strand
+    # preset exponentiates its skew matrices with numpy's eigh instead
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for module in ("gstrands", "gstrands.cli"):
         code = f"import sys, {module}; print('scipy.linalg' in sys.modules)"
@@ -87,6 +87,35 @@ def test_validate_and_list_scenarios_load_no_solver():
                 f"with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert cli.main({argv!r}) == 0")
         assert not _loaded_after(code) & SOLVERS, argv
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only (the `test` extra)
+    found = []
+    for path in sorted((SRC / "gstrands").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_bundled_runs_and_studies_load_no_scipy(tmp_path):
+    # every bundled config as scripts/run_all_scenarios.py and
+    # scripts/run_convergence_studies.py run them, in one fresh interpreter
+    runs = [str(cfg) for cfg in sorted(BUNDLED.glob("*.yaml")) if "study" not in cfg.stem]
+    studies = [str(BUNDLED / f"{name}.yaml")
+               for name in ("chiral_study", "peakon_strand", "cdb_study", "verify_action")]
+    assert len(runs) == 7
+    code = (f"import contextlib, io, sys\nfrom gstrands import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({['run', *runs]!r}) == 0\n"
+            f"    assert cli.main({['study', *studies, '--levels', '3']!r}) == 0\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "GSTRANDS_OUTPUT_DIR": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_exported_name_resolves():

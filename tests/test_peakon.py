@@ -431,12 +431,23 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     assert np.max(np.abs(nw - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
 
 
+@pytest.mark.parametrize("n_p", [1, 2, 32])
+def test_the_classical_slave_n_is_positive_zero(n_p):
+    # _rhs at n_s = 1 drops the N-N force, which is exactly +0 only for this N
+    q = shuffled_positions(np.random.default_rng(n_p), 1, n_p)
+    labels, ordered, _ = peakon._relabeled(peakon.PeakonState(q, 0.0 * q, 0.0 * q))
+    nw = peakon._slave(K1, StrandGrid(1, 2 * np.pi, 1e-3, 1.0), labels, (ordered.q,))[-1]
+    assert nw.shape == q.shape and not nw.any() and not np.signbit(nw).any()
+
+
 @pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
 def test_rhs_from_the_tables_matches_the_dense_coupling(monkeypatch, n_s, n_p):
     grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
     rng = np.random.default_rng(7 + n_s * 100 + n_p)
     q = shuffled_positions(rng, n_s, n_p)
     mw, nw = rng.standard_normal((2, n_s, n_p))
+    if n_s == 1:
+        nw = np.zeros_like(nw)  # the only N a run has at n_s = 1: _slave sets it
     labels, ordered, back = peakon._relabeled(peakon.PeakonState(q, mw, nw))
     aux = peakon._slave(K1, grid, labels, (ordered.q,))[:-1] + (ordered.nw,)
     gram, grad = peakon._gram_all(K1, q), kernels.grad_q(K1, q[..., :, None], q[..., None, :])
