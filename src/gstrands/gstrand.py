@@ -228,6 +228,15 @@ def _located(step_index, t, fn, *args):
         raise
 
 
+def _check_finite(state, names):
+    """BlowUpError at t = 0 naming the first of the fields ``names`` of
+    ``state`` with a non-finite entry and its s-index (axis 0)."""
+    for name in names:
+        bad = ~np.isfinite(getattr(state, name))
+        if bad.any():
+            raise BlowUpError(f"non-finite {name} at s-index {np.argwhere(bad)[0, 0]}", t=0.0)
+
+
 def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
     """Advance ``state`` (a dataclass of arrays) by ``step_fn(state)`` for
     grid.n_steps steps, storing t = 0 and every ``grid.store_every``-th step.
@@ -235,11 +244,14 @@ def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
     ``slave``, when given, is the family's slave of ``slaved_step``, which
     first completes the initial state; ``__match_args__`` names the stored fields.
     A LinAlgError inside step k is a BlowUpError, and a SolverError without
-    a location gets step k and t = (k + 1) dt; a failure of ``slave`` is
-    located at t = 0 with no step index."""
-    if slave is not None:
-        state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
+    a location gets step k and t = (k + 1) dt.  A failure of ``slave``, and
+    a non-finite initial field (the evolved ones checked before the slave,
+    every stored one after it), is located at t = 0 with no step index."""
     names = state.__match_args__
+    if slave is not None:
+        _check_finite(state, names[:-1])
+        state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
+    _check_finite(state, names)
     times = [0.0]
     stored = {name: [getattr(state, name).copy()] for name in names}
     for k in range(grid.n_steps):

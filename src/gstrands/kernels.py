@@ -3,12 +3,12 @@
 Every Gram solve is one application of an inverse, one refinement sweep
 against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
 sorted points has a tridiagonal inverse in closed form
-(helmholtz_1d_inverse), applied by elementwise products with no BLAS call,
-so repeated runs are bitwise identical.  The same closed form bounds the
-1-norm condition number of n_p points by min(n_p, c) c with
-c = coth(g / 2 alpha) at the smallest gap g (cond_1_bound), so a
-conditioning check needs the inverse only near a collision of more than
-about 2500 points.  Nothing in the package calls the fixed-order Cholesky
+(helmholtz_1d_inverse), which tridiag_solve_sorted takes from its caller and
+applies by elementwise products with no BLAS call, so repeated runs are
+bitwise identical.  The same closed form bounds the 1-norm condition number
+of n_p points by min(n_p, c) c with c = coth(g / 2 alpha) at the smallest
+gap g (cond_1_bound), so a conditioning check needs the inverse only near a
+collision of more than about 2500 points.  Nothing in the package calls the fixed-order Cholesky
 chol_solve_batched: perfbench/spans.py wraps it as
 peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
@@ -162,19 +162,14 @@ def tridiag_norm_1(diag, off):
     return col.max(axis=-1)
 
 
-def tridiag_solve_sorted(mats, k: HelmholtzKernel, gaps, rhs, inverse=None):
-    """Solve the (m, n, n) Gram systems mats @ x = rhs (rhs (m, n)) of the
-    kernel k at ascending points with adjacent gaps ``gaps``, everything in
-    that order: the tridiagonal inverse, one refinement sweep and the
-    SOLVE_RTOL residual check.  ``inverse`` is helmholtz_1d_inverse(k, gaps)
-    when the caller has it; otherwise the first sweep builds it, and an
-    all-zero rhs, which needs no sweep, builds none."""
+def tridiag_solve_sorted(mats, inverse, rhs):
+    """Solve the (m, n, n) Gram systems mats @ x = rhs (rhs (m, n)) at
+    ascending points with their tridiagonal inverse = (diag, off) of
+    helmholtz_1d_inverse, everything in that order: one application of the
+    inverse, one refinement sweep and the SOLVE_RTOL residual check."""
+    diag, off = inverse
 
     def apply_inv(b):
-        nonlocal inverse
-        if inverse is None:
-            inverse = helmholtz_1d_inverse(k, gaps)
-        diag, off = inverse
         y = diag * b
         y[:, 1:] += off * b[:, :-1]
         y[:, :-1] += off * b[:, 1:]

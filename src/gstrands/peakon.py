@@ -34,11 +34,11 @@ skips the N-N force, which is +0 there.  The conditioning check first
 tries the closed-form bound cond_1(G) <= min(n_p, c) c, c = coth(g / 2 alpha)
 at the smallest gap g (kernels.cond_1_bound).  Up to about 2500 peakons
 that bound clears every stage at finite positions that passes the gap
-check, and no exact per-s cond is computed.  Otherwise the exact per-s 1-norm cond comes from the
-tridiagonal closed-form inverse of G (kernels.helmholtz_1d_inverse), which
-the solve then reuses.  A cleared stage builds the inverse only if its
-solve has a nonzero right-hand side, so the classical mode (-d_s Q = 0)
-never builds it.
+check, and no exact per-s cond is computed.  Otherwise the exact per-s
+1-norm cond comes from the tridiagonal closed-form inverse of G
+(kernels.helmholtz_1d_inverse).  At n_s > 1 each slaved solve builds the
+inverse it applies (a second one on that exact path); the classical mode
+builds none.
 """
 
 from __future__ import annotations
@@ -131,10 +131,11 @@ def _check_conditioning(kernel, q, gaps, low, gram):
     the ascending positions q, whose smallest gap is ``low``.  At finite
     positions with kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2
     it passes with no exact cond; the factor 2 keeps the roundoff of the
-    exact value far from the limit.  Otherwise the exact cond per s-index,
-    from the tridiagonal inverse, which is returned for the solve to reuse."""
+    exact value far from the limit.  Otherwise (non-finite positions, or a
+    near-collision of more than about 2500 peakons) it builds the
+    tridiagonal inverse for the exact cond per s-index."""
     if np.isfinite(q).all() and cond_1_bound(kernel, low, q.shape[1]) <= 0.5 * COND_LIMIT:
-        return None
+        return
     diag, off = helmholtz_1d_inverse(kernel, gaps)
     # G is nonnegative and symmetric, so its 1-norm is its largest row sum
     cond = np.einsum("sab->sa", gram).max(axis=-1) * tridiag_norm_1(diag, off)
@@ -142,7 +143,6 @@ def _check_conditioning(kernel, q, gaps, low, gram):
         j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}")
-    return diag, off
 
 
 def _slave(kernel, grid, labels, y):
@@ -154,12 +154,12 @@ def _slave(kernel, grid, labels, y):
     q = y[0]
     gaps, low = _ordered_gaps(q, labels, kernel.alpha)
     gram = _gram_all(kernel, q)
-    inverse = _check_conditioning(kernel, q, gaps, low, gram)
+    _check_conditioning(kernel, q, gaps, low, gram)
     if grid.n_s == 1:
         # -d_s Q is all -0, and _refined_solve returns +0 for it with no solve
         ns = np.zeros(q.shape)
     else:
-        ns = tridiag_solve_sorted(gram, kernel, gaps, -d_s(q, grid), inverse)
+        ns = tridiag_solve_sorted(gram, helmholtz_1d_inverse(kernel, gaps), -d_s(q, grid))
     return labels, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns
 
 
@@ -207,12 +207,13 @@ def total_momentum(state) -> np.ndarray:
     return state.mw.sum(axis=-1)
 
 
-def field_snapshot(state: PeakonState, kernel, m_grid):
-    """nu and gamma sampled on m_grid, shape (n_s, len(m_grid))."""
+def field_snapshot(state, kernel, m_grid):
+    """nu and gamma sampled on m_grid, shape (n_s, len(m_grid)); for a
+    History, (n_t, n_s, len(m_grid)), one per stored slice."""
     m_grid = np.asarray(m_grid, dtype=float)
-    g = kernel_eval(kernel, m_grid[None, :, None], state.q[:, None, :])
-    nu = np.einsum("sma,sa->sm", g, state.mw)
-    gamma = -np.einsum("sma,sa->sm", g, state.nw)
+    g = kernel_eval(kernel, m_grid[:, None], state.q[..., None, :])
+    nu = np.einsum("...ma,...a->...m", g, state.mw)
+    gamma = -np.einsum("...ma,...a->...m", g, state.nw)
     return nu, gamma
 
 

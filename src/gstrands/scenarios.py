@@ -125,26 +125,18 @@ def linear_rep_setup(cfg, grid):
 def peakon_setup(cfg, grid):
     kernel = HelmholtzKernel(cfg.params["alpha"])
     init = cfg.initial
-    n_p = cfg.params["n_p"]
-    s = grid.s_nodes
-    two_pi = 2.0 * np.pi / grid.s_extent
     if init["preset"] == "inline":
         q0 = np.asarray(init["q0"], dtype=float).T
         m0 = np.asarray(init["m0"], dtype=float).T
     elif init["preset"] == "single_peakon":
         q0 = np.zeros((grid.n_s, 1))
         m0 = np.full((grid.n_s, 1), init["m_values"][0])
-        n_p = 1
     else:  # two_peakon_wave
-        gap, amp = init["gap"], init["amplitude"]
-        mv = init["m_values"]
-        centers = (np.arange(n_p) - (n_p - 1) / 2.0) * gap
-        q0 = np.empty((grid.n_s, n_p))
-        m0 = np.empty((grid.n_s, n_p))
-        for a in range(n_p):
-            phase = two_pi * s + a * np.pi / 2.0
-            q0[:, a] = centers[a] + amp * np.sin(phase)
-            m0[:, a] = mv[a] * (1.0 + 0.3 * np.cos(phase))
+        n_p = cfg.params["n_p"]
+        a = np.arange(n_p)
+        phase = (2.0 * np.pi / grid.s_extent) * grid.s_nodes[:, None] + a * np.pi / 2.0
+        q0 = (a - (n_p - 1) / 2.0) * init["gap"] + init["amplitude"] * np.sin(phase)
+        m0 = np.asarray(init["m_values"], dtype=float) * (1.0 + 0.3 * np.cos(phase))
     return kernel, peakon.PeakonState(q0, m0, np.zeros_like(q0))
 
 
@@ -292,12 +284,12 @@ def peakon_snapshot_csv(hist, kernel, grid):
     lo = float(np.min(hist.q)) - 6.0 * kernel.alpha
     hi = float(np.max(hist.q)) + 6.0 * kernel.alpha
     m_grid = np.linspace(lo, hi, 121)
-    ends = [0, len(hist.times) - 1]
-    samples = [peakon.field_snapshot(peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k]),
-                                     kernel, m_grid) for k in ends]
-    nu, gam = (np.stack(field)[..., None] for field in zip(*samples))  # (2, n_s, 121, 1)
+    ends = gstrand.History(hist.times[[0, -1]], q=hist.q[[0, -1]], mw=hist.mw[[0, -1]],
+                           nw=hist.nw[[0, -1]])
+    # nu, gam: (2, n_s, 121, 1), the two end slices
+    nu, gam = (f[..., None] for f in peakon.field_snapshot(ends, kernel, m_grid))
     m = np.broadcast_to(m_grid[:, None], nu.shape)
-    return _field_rows(hist.times[ends], grid.ds, [m, nu, gam])
+    return _field_rows(ends.times, grid.ds, [m, nu, gam])
 
 
 def _drift(name, values):

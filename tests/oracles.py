@@ -54,6 +54,28 @@ def rigid_body_oracle(alg_so_n, a_t, w0_coords, dt, t_end):
     return times, ws, ws @ a_t_inv.T
 
 
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def cdb_so3_reduced_rhs(zeta):
+    """Right-hand side f(t, y), y = (m, w_t), of the so(3) coupled
+    double-bracket strand restricted to fields R(zeta s) y(t) that rotate
+    about e3 along s, written with cross products ([a, b] = a x b).  The
+    s-derivative of R(zeta s) x is R(zeta s)(zeta e3 x x); the centered
+    difference on a periodic grid maps it exactly to the same with
+    zeta_h = sin(zeta ds) / ds in place of zeta.  w_s is the part of d_s m
+    orthogonal to m over |m|^2."""
+    def rhs(t, y):
+        m, w_t = y[:3], y[3:]
+        dsm = zeta * np.cross(E3, m)
+        mm = m @ m
+        w_s = (dsm - m * (m @ dsm) / mm) / mm
+        s_t, s_s = np.cross(m, w_t), np.cross(m, w_s)
+        dw_t = -zeta * np.cross(E3, w_s) + np.cross(s_t, w_t) + np.cross(s_s, w_s)
+        return np.concatenate([np.cross(s_t, m), dw_t])
+    return rhs
+
+
 # ---------------------------------------------------------------------------
 # matrices of algebra elements and group reconstruction
 

@@ -4,7 +4,9 @@ import scipy.linalg
 from conftest import fit_order, rotation_field_z
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import adjoint_rep, classical_ep_trajectory, dense_c, matrix_basis
+from oracles import (adjoint_rep, cdb_so3_reduced_rhs, classical_ep_trajectory, dense_c,
+                     matrix_basis)
+from scipy.integrate import solve_ivp
 
 from gstrands import clebsch, config, gstrand, liealg, scenarios
 from gstrands.errors import DimensionMismatchError
@@ -221,6 +223,49 @@ def test_cdb_constraint_exact_after_slaving():
     hist = clebsch.cdb_simulate(SO3, st, grid)
     last = clebsch.CDBState(hist.m[-1], hist.w_t[-1], hist.w_s[-1])
     assert clebsch.cdb_constraint_residual(SO3, last, grid) < 1e-12
+
+
+CDB_Y0 = [1.0, 0.4, 0.0, 0.3, 0.2, 0.1]  # the cdb_so3 defaults m0, wt0
+
+
+def _cdb_rotating_run(grid):
+    """(hist, rot): a cdb_so3 run from the rotating preset on ``grid`` and
+    the rotations R(zeta s) of its gridpoints (one wind)."""
+    st = clebsch.cdb_rotating_state(SO3, grid, CDB_Y0[:3], CDB_Y0[3:])
+    return clebsch.cdb_simulate(SO3, st, grid), rotation_field_z(grid.s_nodes)
+
+
+def _reduced_trajectory(zeta, times):
+    sol = solve_ivp(cdb_so3_reduced_rhs(zeta), (0.0, times[-1]), CDB_Y0, method="DOP853",
+                    t_eval=times, rtol=1e-13, atol=1e-14)
+    return sol.y.T  # (n_t, 6)
+
+
+def test_cdb_so3_matches_the_reduced_ode_of_the_grid():
+    # the cdb_so3 grid at dt 0.02; RK4 against DOP853 measured 9.7e-11
+    grid = StrandGrid(64, 2 * np.pi, 0.02, 1.0)
+    hist, rot = _cdb_rotating_run(grid)
+    y = _reduced_trajectory(np.sin(grid.ds) / grid.ds, hist.times)
+    for field, ref in ((hist.m, y[:, :3]), (hist.w_t, y[:, 3:])):
+        assert np.max(np.abs(field - np.einsum("sab,tb->tsa", rot, ref))) <= 1e-9
+
+
+def test_cdb_so3_keeps_the_rotating_ansatz():
+    # max |f(t, s) - R(zeta s) f(t, 0)|, measured 1.6e-11
+    grid = StrandGrid(64, 2 * np.pi, 0.02, 1.0)
+    hist, rot = _cdb_rotating_run(grid)
+    for field in (hist.m, hist.w_t, hist.w_s):
+        assert np.max(np.abs(field - np.einsum("sab,tb->tsa", rot, field[:, 0]))) <= 1e-10
+
+
+def test_cdb_so3_converges_at_second_order_in_ds_to_the_continuum_ode():
+    # against zeta itself the grid's zeta_h is off by O(ds^2): orders 1.98, 1.99
+    errs = []
+    for n_s in (16, 32, 64):
+        hist, _ = _cdb_rotating_run(StrandGrid(n_s, 2 * np.pi, 5e-3, 0.5))
+        y = _reduced_trajectory(1.0, hist.times[-1:])[-1]
+        errs.append(np.max(np.abs(np.concatenate([hist.m[-1, 0], hist.w_t[-1, 0]]) - y)))
+    assert 1.9 <= fit_order(errs) <= 2.1
 
 
 def test_cdb_rotating_state_rejects_bad_axis():

@@ -380,6 +380,21 @@ initial:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, what", [
+    ("scenario: symm_rigid_soN\ninitial: {preset: strand, amplitude: 1.0e+308}\n",
+     "non-finite q at s-index 7"),
+    ("scenario: chiral_so3\ninitial: {amplitude: 1.7e+308}\n", "non-finite nu at s-index 22"),
+], ids=["symm_rigid_soN", "chiral_so3"])
+def test_run_non_finite_initial_state_is_a_blow_up_at_t_0(tmp_path, capsys, text, what):
+    # an initial field that overflows fails before any step, and an infinite
+    # position before the slave solve that would misread it
+    cfg = write(tmp_path, "inf.yaml", f"output_dir: {tmp_path / 'out'}\n" + text)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error category: blow-up: {what} at the initial state (t = 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Inputs the schema used to accept that then died with a traceback, ran a
 # full solve before failing, stopped short of t_end or reported blow-up,
 # or that validate passed and run rejected; a non-string scenario must not

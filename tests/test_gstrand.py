@@ -496,11 +496,9 @@ def test_every_slaved_state_states_the_protocol_through_its_base(family):
 
 
 def _counting_inverses(monkeypatch):
-    """Calls of helmholtz_1d_inverse from peakon (the exact conditioning
-    check) and from kernels (a solve that builds its own inverse)."""
-    calls = _counting(monkeypatch, peakon, "helmholtz_1d_inverse")
-    monkeypatch.setattr(kernels, "helmholtz_1d_inverse", peakon.helmholtz_1d_inverse)
-    return calls
+    """Calls of helmholtz_1d_inverse from peakon: the exact conditioning
+    check and the solve of every slaved stage at n_s > 1."""
+    return _counting(monkeypatch, peakon, "helmholtz_1d_inverse")
 
 
 def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
@@ -521,8 +519,8 @@ def test_classical_peakon_n_is_positive_zero_without_a_solve(monkeypatch):
 @pytest.mark.parametrize("n_s", [1, 8])
 def test_near_a_collision_each_solve_builds_one_inverse(monkeypatch, n_s):
     # a gap of 1e-6 alpha puts the bound for two points at 4e6, which clears
-    # every stage with no exact check: the solve of a nonzero rhs (n_s = 8)
-    # builds one inverse, and the classical mode (n_s = 1) solves nothing
+    # every stage with no exact check: each slaved solve at n_s = 8 builds
+    # the one inverse it applies, and the classical mode (n_s = 1) builds none
     grid = StrandGrid(n_s, 2 * np.pi, 1e-2, 0.1)
     x = 0.1 * np.sin(grid.s_nodes)[:, None]
     st = peakon.PeakonState(x + [[0.0, 1e-6]], np.ones((n_s, 2)), np.zeros((n_s, 2)))
@@ -532,12 +530,25 @@ def test_near_a_collision_each_solve_builds_one_inverse(monkeypatch, n_s):
     assert np.any(hist.nw != 0.0) == (n_s > 1)
 
 
+def test_an_s_constant_strand_builds_one_inverse_per_solve(monkeypatch):
+    # -d_s Q is all zero, so N is +0, yet each of the slaved solves at
+    # n_s = 8 builds its inverse: the solve takes the inverse it would apply
+    grid = StrandGrid(8, 2 * np.pi, 1e-2, 0.1)
+    st = peakon.PeakonState(np.tile([[-1.0, 1.0]], (8, 1)), np.ones((8, 2)), np.zeros((8, 2)))
+    solves = _counting(monkeypatch, peakon, "tridiag_solve_sorted")
+    inverses = _counting_inverses(monkeypatch)
+    hist = peakon.simulate(st, HelmholtzKernel(1.0), grid)
+    assert len(inverses) == len(solves) == 1 + 4 * grid.n_steps
+    assert np.array_equal(hist.nw, np.zeros_like(hist.nw)) and not np.signbit(hist.nw).any()
+
+
 def test_tridiag_solve_of_zero_rhs_is_positive_zero():
     k = HelmholtzKernel(1.0)
     q = np.array([[0.3, -1.0, 2.0], [0.0, 1.0, -2.0]])
     qs = np.sort(q, axis=1)
     gram = kernels.eval(k, qs[..., :, None], qs[..., None, :])
-    x = kernels.tridiag_solve_sorted(gram, k, np.diff(qs, axis=1), -np.zeros_like(q))
+    inverse = kernels.helmholtz_1d_inverse(k, np.diff(qs, axis=1))
+    x = kernels.tridiag_solve_sorted(gram, inverse, -np.zeros_like(q))
     assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()
 
     def never(b):

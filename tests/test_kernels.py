@@ -127,11 +127,8 @@ def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
     back = np.argsort(order, axis=-1)
     sorted_pts, sorted_rhs = (np.take_along_axis(a, order, -1) for a in (pts, rhs))
     sorted_mats = kernels.eval(k, sorted_pts[:, :, None], sorted_pts[:, None, :])
-    x = np.take_along_axis(kernels.tridiag_solve_sorted(sorted_mats, k, gaps, sorted_rhs), back, -1)
-    # an inverse handed in is the one the solve would build
-    given_inverse = kernels.tridiag_solve_sorted(sorted_mats, k, gaps, sorted_rhs,
-                                                 kernels.helmholtz_1d_inverse(k, gaps))
-    assert np.take_along_axis(given_inverse, back, -1).tobytes() == x.tobytes()
+    inverse = kernels.helmholtz_1d_inverse(k, gaps)
+    x = np.take_along_axis(kernels.tridiag_solve_sorted(sorted_mats, inverse, sorted_rhs), back, -1)
     for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
                    kernels.chol_solve_batched(mats, rhs)):
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -191,17 +188,17 @@ def test_cond_1_bound_edges():
 def test_nan_rhs_fails_the_gram_solve_residual_check(solver):
     q = np.array([[0.0, 1.0, 2.5]])  # the 3-peakon Gram, in sorted order
     mats = kernels.eval(K1, q[:, :, None], q[:, None, :])
-    gaps = np.diff(q, axis=1)
+    inverse = kernels.helmholtz_1d_inverse(K1, np.diff(q, axis=1))
     rhs = np.array([[1.0, np.nan, 0.5]])
     with pytest.raises(NearCollisionError, match="residual above tolerance"):
         if solver == "tridiag_solve_sorted":
-            kernels.tridiag_solve_sorted(mats, K1, gaps, rhs)
+            kernels.tridiag_solve_sorted(mats, inverse, rhs)
         else:
             kernels.chol_solve_batched(mats, rhs)
     # a finite rhs on the same system passes, and an all-zero one is +0
-    x = kernels.tridiag_solve_sorted(mats, K1, gaps, np.array([[1.0, -0.5, 0.5]]))
+    x = kernels.tridiag_solve_sorted(mats, inverse, np.array([[1.0, -0.5, 0.5]]))
     assert np.all(np.isfinite(x))
-    zero = kernels.tridiag_solve_sorted(mats, K1, gaps, -np.zeros((1, 3)))
+    zero = kernels.tridiag_solve_sorted(mats, inverse, -np.zeros((1, 3)))
     assert np.array_equal(zero, np.zeros((1, 3))) and not np.signbit(zero).any()
 
 

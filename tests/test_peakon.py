@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies
 from scipy.integrate import solve_ivp
 
 from gstrands import config, kernels, peakon, scenarios
-from gstrands.errors import NearCollisionError
+from gstrands.errors import BlowUpError, NearCollisionError
 from gstrands.gstrand import History, StrandGrid, centered_dt, d_s, integrate
 from gstrands.kernels import HelmholtzKernel
 
@@ -262,19 +262,23 @@ def test_ill_conditioned_close_pair_halts_at_its_s_index(n_s, j):
 def test_non_finite_stage_positions_fail_the_conditioning_check():
     grid = StrandGrid(8, 2 * np.pi, 1e-2, 0.1)
     q = np.tile([[-1.0, 1.0]], (8, 1))
-    # a NaN momentum puts NaN positions into stage 2 of step 0 at s-index 3
+    # a NaN momentum puts NaN positions into stage 2 of a step at s-index 3
     m = np.ones((8, 2))
     m[3, 0] = np.nan
     with pytest.raises(NearCollisionError) as exc:
-        peakon.simulate(peakon.PeakonState(q, m, np.zeros((8, 2))), K1, grid)
+        peakon.step(peakon.PeakonState(q, m, np.zeros((8, 2))), K1, grid)
     assert str(exc.value) == "per-s Gram conditioning nan exceeds 1e+12 at s-index 3"
-    assert (exc.value.step_index, exc.value.t) == (0, 0.01)
-    # +inf in one row: its gap is +inf, and its Gram diagonal inf - inf is NaN
+    # a run from that state halts at t = 0, before any stage, and so does
+    # one with +inf in a row, which is not a near-collision
+    with pytest.raises(BlowUpError) as exc:
+        peakon.simulate(peakon.PeakonState(q, m, np.zeros((8, 2))), K1, grid)
+    assert str(exc.value) == "non-finite mw at s-index 3"
+    assert (exc.value.step_index, exc.value.t) == (None, 0.0)
     q[6, 1] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NearCollisionError) as exc:
+    with pytest.raises(BlowUpError) as exc:
         peakon.simulate(peakon.PeakonState(q, np.ones((8, 2)), np.zeros((8, 2))), K1, grid)
-    assert str(exc.value) == "per-s Gram conditioning nan exceeds 1e+12 at s-index 6"
-    assert exc.value.category == "near-collision" and exc.value.t == 0.0
+    assert str(exc.value) == "non-finite q at s-index 6"
+    assert exc.value.category == "blow-up" and exc.value.t == 0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,6 +574,20 @@ def test_field_snapshot_values():
         bound = np.sum(np.abs(st.mw[j])) * kernels.eval(
             K1, 0.0, np.min(np.abs(m - st.q[j])))
         assert abs(nu[j, i]) <= bound + 1e-14
+
+
+@pytest.mark.parametrize("n_s, n_p", [(1, 2), (16, 2), (16, 32)])
+def test_field_snapshot_of_stacked_slices_is_the_per_slice_calls(n_s, n_p):
+    # the two end slices in one call, as the fields CSV takes them, bit for bit
+    rng = np.random.default_rng(n_s + n_p)
+    q = np.sort(rng.uniform(-3.0, 3.0, (2, n_s, n_p)), axis=-1)
+    mw, nw = rng.standard_normal((2, 2, n_s, n_p))
+    m_grid = np.linspace(-9.0, 9.0, 121)
+    nu, gam = peakon.field_snapshot(History(np.array([0.0, 1.0]), q=q, mw=mw, nw=nw), K1, m_grid)
+    assert nu.shape == gam.shape == (2, n_s, 121)
+    for k in range(2):
+        one = peakon.field_snapshot(peakon.PeakonState(q[k], mw[k], nw[k]), K1, m_grid)
+        assert nu[k].tobytes() == one[0].tobytes() and gam[k].tobytes() == one[1].tobytes()
 
 
 def test_field_snapshot_single_peakon_profile():
