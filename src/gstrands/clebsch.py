@@ -21,8 +21,7 @@ import numpy as np
 from .errors import BlowUpError, DimensionMismatchError
 from .gstrand import (History, QuadraticLagrangian, SlavedState, StrandGrid, centered_dt, d_s,
                       integrate, slaved_step)
-from .liealg import (_EPSILON, LieAlgebraSpec, _contract, _contraction_table, bracket, hat_so_n,
-                     vee_so_n)
+from .liealg import LieAlgebraSpec, _contract, _contraction_table, bracket, hat_so_n, vee_so_n
 from .liealg import ad_star  # noqa: F401  (re-exported: perfbench/spans.py wraps clebsch.ad_star)
 
 PINV_RCOND = 1e-10
@@ -30,7 +29,7 @@ PINV_RCOND = 1e-10
 
 @dataclass(frozen=True)
 class LinearRepSpec:
-    """Matrices rho[i] of the basis action on V, stacked along axis 0.
+    """Matrices rho[i] of the basis action on V = R^rep_dim, stacked along axis 0.
 
     ``act_table``, ``dual_table`` and ``diamond_table`` are the sparse forms
     of rho (liealg._contraction_table) that ``act``, ``act_dual`` and
@@ -43,7 +42,6 @@ class LinearRepSpec:
     ``diamond``), and only the leading axes broadcast."""
 
     alg: LieAlgebraSpec
-    rep_dim: int
     rho: np.ndarray
     act_table: tuple = field(init=False, repr=False)
     dual_table: tuple = field(init=False, repr=False)
@@ -51,9 +49,8 @@ class LinearRepSpec:
 
     def __post_init__(self):
         rho = np.ascontiguousarray(self.rho, dtype=float)
-        if rho.shape != (self.alg.dim, self.rep_dim, self.rep_dim):
-            raise DimensionMismatchError(
-                f"rho must have shape {(self.alg.dim, self.rep_dim, self.rep_dim)}")
+        if rho.shape != (self.alg.dim,) + rho.shape[-1:] * 2:
+            raise DimensionMismatchError(f"rho must have shape (dim, n, n), got {rho.shape}")
         if not np.all(np.isfinite(rho)):
             raise DimensionMismatchError("rho must be finite")
         object.__setattr__(self, "rho", rho)
@@ -71,6 +68,10 @@ class LinearRepSpec:
         object.__setattr__(self, "dual_table", _contraction_table(rho.transpose(2, 0, 1)))
         object.__setattr__(self, "diamond_table", _contraction_table(rho))
 
+    @property
+    def rep_dim(self) -> int:
+        return self.rho.shape[-1]
+
 
 def _hat_so3(v):
     return np.array([[0.0, -v[2], v[1]],
@@ -81,7 +82,7 @@ def _hat_so3(v):
 def defining_rep_so3(alg: LieAlgebraSpec) -> LinearRepSpec:
     """so(3) acting on R^3 by xi v = xi x v (equals its adjoint action):
     rho is the hat-map basis, in which c^k_ij is the Levi-Civita symbol."""
-    return LinearRepSpec(alg, 3, np.array([_hat_so3(v) for v in np.eye(3)]))
+    return LinearRepSpec(alg, np.array([_hat_so3(v) for v in np.eye(3)]))
 
 
 def _action_operands(rep: LinearRepSpec, xi, v):
@@ -183,25 +184,17 @@ def cdb_sigma(alg, state):
     return bracket(alg, state.m, state.w_t), bracket(alg, state.m, state.w_s)
 
 
-def _is_so3(alg):
-    """Whether alg has the Levi-Civita constants, so that
-    ``_solve_cdb_ws_so3`` applies."""
-    return alg.dim == 3 and all(map(np.array_equal, alg.constants, _EPSILON))
-
-
-def solve_cdb_ws(alg, m, dsm, so3=None):
+def solve_cdb_ws(alg, m, dsm):
     """Minimum-norm w_s with [[m, w_s], m] = d_s m at each gridpoint.
 
     The map w -> [[m, w], m] is -ad_m^2, symmetric positive semidefinite when
     the coordinate pairing is bi-invariant; the pseudoinverse picks the gauge
-    representative orthogonal to the centralizer of m.  On so(3) (the
-    Levi-Civita constants) that representative is closed form, see
-    ``_solve_cdb_ws_so3``.  ``so3`` is ``_is_so3(alg)``, decided here unless
-    the caller, which solves with one alg many times, has decided it.
+    representative orthogonal to the centralizer of m.  On so(3) that
+    representative is closed form, see ``_solve_cdb_ws_so3``; whether alg
+    has the Levi-Civita constants was decided when the spec was built
+    (``alg.levi_civita``), so every other spec goes through ``pinv``.
     """
-    if so3 is None:
-        so3 = _is_so3(alg)
-    if so3:
+    if alg.levi_civita:
         return _solve_cdb_ws_so3(m, dsm)
     # ad_m[..., k, j] = [m, e_j]^k
     ad_m = np.swapaxes(bracket(alg, m[..., None, :], np.eye(alg.dim)), -1, -2)
@@ -223,8 +216,8 @@ def _solve_cdb_ws_so3(m, dsm):
     return w
 
 
-def _cdb_slave(alg, grid, so3, y):
-    return (solve_cdb_ws(alg, y[0], d_s(y[0], grid), so3),)
+def _cdb_slave(alg, grid, y):
+    return (solve_cdb_ws(alg, y[0], d_s(y[0], grid)),)
 
 
 def _cdb_rhs(alg, grid, m, w_t, aux):
@@ -236,17 +229,16 @@ def _cdb_rhs(alg, grid, m, w_t, aux):
     return dm, dwt
 
 
-def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid, so3=None) -> CDBState:
+def cdb_step(alg: LieAlgebraSpec, state: CDBState, grid: StrandGrid) -> CDBState:
     """RK4 step of the coupled double-bracket strand flow.
 
     m is transported by sigma_t = [m, w_t] and the divergence equation
     drives w_t; w_s is slaved to the s-relation d_s m = [sigma_s, m] at
     every stage (the same closure the peakon module uses for its
     s-momenta), which keeps the monitored constraint exact at gridpoints.
-    ``so3`` is ``_is_so3(alg)``, decided once per step unless given.
+    The slave is ``solve_cdb_ws``, closed form when ``alg.levi_civita``.
     """
-    so3 = _is_so3(alg) if so3 is None else so3
-    return slaved_step(partial(_cdb_slave, alg, grid, so3), partial(_cdb_rhs, alg, grid), state,
+    return slaved_step(partial(_cdb_slave, alg, grid), partial(_cdb_rhs, alg, grid), state,
                        grid, "double-bracket strand")
 
 
@@ -257,9 +249,8 @@ def cdb_constraint_residual(alg, state, grid) -> float:
 
 
 def cdb_simulate(alg, state, grid) -> History:
-    so3 = _is_so3(alg)
-    return integrate(lambda st: cdb_step(alg, st, grid, so3), state, grid,
-                     slave=partial(_cdb_slave, alg, grid, so3))
+    return integrate(lambda st: cdb_step(alg, st, grid), state, grid,
+                     slave=partial(_cdb_slave, alg, grid))
 
 
 def cdb_div_sigma_residual(alg, hist: History, grid) -> float:
@@ -320,9 +311,10 @@ def _skew(mats):
     return 0.5 * (mats - np.swapaxes(mats, -1, -2))
 
 
-def symm_rigid_velocities(n_mat, lag, q, mw, dsq):
+def symm_rigid_velocities(lag, q, mw, dsq):
     """Stage solve: U from the t-momentum relation, V from the s-constraint,
     and the slaved Nw = Q^-T hat(A_s vee(V)) realizing the s-momentum relation."""
+    n_mat = q.shape[-1]
     try:
         v_raw = np.linalg.solve(q, dsq)
     except np.linalg.LinAlgError as exc:
@@ -337,7 +329,7 @@ def symm_rigid_velocities(n_mat, lag, q, mw, dsq):
 
 def _symm_slave(lag, grid, y):
     q, mw = y
-    return symm_rigid_velocities(q.shape[-1], lag, q, mw, d_s(q, grid))
+    return symm_rigid_velocities(lag, q, mw, d_s(q, grid))
 
 
 def _symm_rhs(grid, q, mw, aux):
@@ -363,8 +355,7 @@ def symm_rigid_strand_residual(lag, hist: History, grid) -> float:
     """Max-norm of d_t W_t + d_s W_s + [U, W_t] + [V, W_s] over interior slices,
     the so(N)-strand field equations implied by the symmetric representation."""
     n_mat = hist.q.shape[-1]
-    u_hat, v_hat, _ = symm_rigid_velocities(n_mat, lag, hist.q, hist.mw,
-                                            d_s(hist.q, grid, axis=1))
+    u_hat, v_hat, _ = symm_rigid_velocities(lag, hist.q, hist.mw, d_s(hist.q, grid, axis=1))
     w_t = hat_so_n(n_mat, vee_so_n(n_mat, u_hat) @ lag.a_t.T)
     w_s = hat_so_n(n_mat, vee_so_n(n_mat, v_hat) @ lag.a_s.T)
     u, v, wt, ws = u_hat[1:-1], v_hat[1:-1], w_t[1:-1], w_s[1:-1]

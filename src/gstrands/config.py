@@ -394,6 +394,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigValidationError("config must be a mapping", code="bad-type")
     top = _apply_schema("", _TOP_SCHEMA, {k: v for k, v in data.items() if k not in _SECTIONS})
+    if top["label"] in (".", "..") or any(c in (top["label"] or "") for c in "/\\\0"):
+        raise _invalid("label", f"label {top['label']!r} is not a file stem: it may not contain "
+                                "'/', '\\' or NUL, nor be '.' or '..'")
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigValidationError("missing required key 'scenario'",

@@ -37,6 +37,7 @@ class LieAlgebraSpec:
     order, kept as a sorted ``StructureConstants``; each (k, i, j) appears
     once, and (k, j, i) with the opposite value.  ``bracket`` and ``ad_star``
     contract with ``bracket_table`` and ``coad_table`` (see ``_Table``).
+    ``levi_civita`` marks the so(3) constants c^k_ij = epsilon_ijk, whatever the name.
     """
 
     dim: int
@@ -44,6 +45,7 @@ class LieAlgebraSpec:
     name: str = ""
     bracket_table: tuple = field(init=False, repr=False)
     coad_table: tuple = field(init=False, repr=False)
+    levi_civita: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         k, i, j, value = (np.asarray(a) for a in self.constants)
@@ -69,6 +71,8 @@ class LieAlgebraSpec:
                 and np.array_equal(value[partner], -value)):
             raise DimensionMismatchError("structure constants must be antisymmetric in (i, j)")
         object.__setattr__(self, "constants", StructureConstants(k, i, j, value))
+        object.__setattr__(self, "levi_civita", self.dim == 3 and all(
+            map(np.array_equal, self.constants, _EPSILON)))
         # bracket: row k lists (i, j, c_kij); coadjoint: row j lists (k, i, c_kij).
         # Both orders are the dense einsums' summation orders.
         object.__setattr__(self, "bracket_table", _table(k, i, j, value, self.dim))

@@ -76,6 +76,22 @@ def cdb_so3_reduced_rhs(zeta):
     return rhs
 
 
+def clebsch_so3_reduced_rhs(zeta):
+    """Right-hand side f(t, y), y = (v, m), of the chiral so(3) Clebsch
+    strand of verify_action (defining rep xi v = xi x v, A_t = I, A_s = -I)
+    restricted to fields R(zeta s) y(t) that rotate about e3 along s, in
+    cross products; zeta_h = sin(zeta ds) / ds gives the grid solution, as
+    in ``cdb_so3_reduced_rhs``.  The slaved n is the minimum-norm (orthogonal
+    to v) solution of d_s v = gamma x v with gamma = -v x n."""
+    def rhs(t, y):
+        v, m = y[:3], y[3:]
+        n = -zeta * np.cross(E3, v) / (v @ v)
+        xi, gamma = np.cross(v, m), -np.cross(v, n)
+        dm = -zeta * np.cross(E3, n) + np.cross(xi, m) + np.cross(gamma, n)
+        return np.concatenate([np.cross(xi, v), dm])
+    return rhs
+
+
 # ---------------------------------------------------------------------------
 # matrices of algebra elements and group reconstruction
 
@@ -238,8 +254,7 @@ def adjoint_rep(alg):
     """ad_xi as matrices on the algebra's own coordinates:
     rho[i][k, j] = c^k_ij = [e_i, e_j]^k."""
     basis = np.eye(alg.dim)
-    return clebsch.LinearRepSpec(alg, alg.dim,
-                                 liealg.bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
+    return clebsch.LinearRepSpec(alg, liealg.bracket(alg, basis[:, None], basis).transpose(0, 2, 1))
 
 
 def assemble(integrand, fields, dt, ds) -> float:

@@ -1,11 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import fit_order, rotation_field_z
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (adjoint_rep, cdb_so3_reduced_rhs, classical_ep_trajectory, dense_c,
-                     matrix_basis)
+from oracles import (adjoint_rep, cdb_so3_reduced_rhs, classical_ep_trajectory,
+                     clebsch_so3_reduced_rhs, dense_c, matrix_basis)
 from scipy.integrate import solve_ivp
 
 from gstrands import clebsch, config, gstrand, liealg, scenarios
@@ -62,7 +64,13 @@ def test_representation_property_enforced():
     rho = REP3.rho.copy()
     rho[0][0, 1] += 1e-3
     with pytest.raises(DimensionMismatchError):
-        clebsch.LinearRepSpec(SO3, 3, rho)
+        clebsch.LinearRepSpec(SO3, rho)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 2), (3, 2, 3), (2, 3, 3), (3, 3), (3,), ()])
+def test_rho_of_the_wrong_shape_is_refused(shape):
+    with pytest.raises(DimensionMismatchError, match=r"rho must have shape \(dim, n, n\)"):
+        clebsch.LinearRepSpec(SO3, np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -70,7 +78,7 @@ def test_non_finite_rho_is_refused(bad):
     rho = REP3.rho.copy()
     rho[1][2, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
-        clebsch.LinearRepSpec(SO3, 3, rho)
+        clebsch.LinearRepSpec(SO3, rho)
 
 
 def test_representation_check_keeps_a_nan_mismatch():
@@ -78,7 +86,7 @@ def test_representation_check_keeps_a_nan_mismatch():
     # in some rows, which must not read as a perfect representation
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DimensionMismatchError, match="not a representation"):
-            clebsch.LinearRepSpec(SO3, 3, 1e300 * REP3.rho)
+            clebsch.LinearRepSpec(SO3, 1e300 * REP3.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,55 @@ def test_linear_strand_curvature_on_orbit_residual():
 
     errs = [level(i) for i in range(3)]
     assert fit_order(errs) >= 1.9
+
+
+# verify_action's v0, m0 and one wind over its s_extent 6.4
+CLEBSCH_Y0, CLEBSCH_ZETA = [1.0, 0.0, 0.5, 0.2, 0.9, 0.1], 2 * np.pi / 6.4
+
+
+def _clebsch_rotating_run(grid):
+    """(hist, rot): verify_action's Clebsch strand on ``grid`` and the
+    rotations R(zeta s) of its gridpoints."""
+    rep, lag, st = scenarios._verify_chiral_clebsch_state(grid)
+    hist = clebsch.linear_strand_simulate(rep, lag, st, grid)
+    return hist, rotation_field_z(CLEBSCH_ZETA * grid.s_nodes)
+
+
+def _clebsch_reduced_trajectory(zeta, times):
+    sol = solve_ivp(clebsch_so3_reduced_rhs(zeta), (0.0, times[-1]), CLEBSCH_Y0,
+                    method="DOP853", t_eval=times, rtol=1e-13, atol=1e-14)
+    return sol.y.T  # (n_t, 6)
+
+
+def test_verify_action_clebsch_strand_matches_the_reduced_ode_of_the_grid():
+    # verify_action's grid at dt 0.02; RK4 against DOP853 measured 2.9e-8
+    # (1.8e-9 at dt 0.01).  n is compared through the slave of the ODE's v.
+    grid = StrandGrid(16, 6.4, 0.02, 2.0)
+    hist, rot = _clebsch_rotating_run(grid)
+    zeta_h = np.sin(CLEBSCH_ZETA * grid.ds) / grid.ds
+    y = _clebsch_reduced_trajectory(zeta_h, hist.times)
+    v, m = y[:, :3], y[:, 3:]
+    n = -zeta_h * np.cross(e3, v) / np.sum(v * v, axis=1)[:, None]
+    for field, ref in ((hist.v, v), (hist.m, m), (hist.n, n)):
+        assert np.max(np.abs(field - np.einsum("sab,tb->tsa", rot, ref))) <= 1e-7
+
+
+def test_verify_action_clebsch_strand_keeps_the_rotating_ansatz():
+    # max |f(t, s) - R(zeta s) f(t, 0)|, measured at most 9e-15
+    grid = StrandGrid(16, 6.4, 0.02, 2.0)
+    hist, rot = _clebsch_rotating_run(grid)
+    for field in (hist.v, hist.m, hist.n):
+        assert np.max(np.abs(field - np.einsum("sab,tb->tsa", rot, field[:, 0]))) <= 1e-13
+
+
+def test_verify_action_clebsch_strand_converges_at_second_order_in_ds():
+    # against the continuum zeta ODE: orders 1.98, 2.00 at n_s 16-64
+    errs = []
+    for n_s in (16, 32, 64):
+        hist, _ = _clebsch_rotating_run(StrandGrid(n_s, 6.4, 0.02, 2.0))
+        y = _clebsch_reduced_trajectory(CLEBSCH_ZETA, hist.times[-1:])[-1]
+        errs.append(np.max(np.abs(np.concatenate([hist.v[-1, 0], hist.m[-1, 0]]) - y)))
+    assert 1.9 <= fit_order(errs) <= 2.1
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +414,20 @@ def test_so3_cdb_ws_refuses_non_finite_input(m, dsm):
         clebsch.solve_cdb_ws(SO3, np.array(m), np.array(dsm))
 
 
+def decision_specs():
+    """The builtin so3 and se3, the so(3) constants under another name, and
+    doubled so(3) constants named "so3", which are not the Levi-Civita entries."""
+    k, i, j, value = SO3.constants
+    return {"so3": SO3, "se3": liealg.builtin("se3"),
+            "renamed-so3": liealg.LieAlgebraSpec(3, SO3.constants, name="not-so3"),
+            "doubled-so3": liealg.LieAlgebraSpec(3, (k, i, j, 2.0 * value), name="so3")}
+
+
 def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
     rng = np.random.default_rng(3)
     m, dsm = rng.standard_normal((2, 8, 3))
-    k, i, j, value = SO3.constants
-    renamed = liealg.LieAlgebraSpec(3, SO3.constants, name="not-so3")
-    # so(3) named "so3" but with doubled constants: not the Levi-Civita entries
-    doubled = liealg.LieAlgebraSpec(3, (k, i, j, 2.0 * value), name="so3")
-    se3 = liealg.builtin("se3")
+    specs = decision_specs()
+    renamed, doubled, se3 = specs["renamed-so3"], specs["doubled-so3"], specs["se3"]
     m6, dsm6 = rng.standard_normal((2, 8, 6))
     # the general path, bitwise as before: pinv for every other spec
     assert clebsch.solve_cdb_ws(se3, m6, dsm6).tobytes() == _pinv_cdb_ws(se3, m6, dsm6).tobytes()
@@ -382,21 +445,38 @@ def test_cdb_ws_closed_form_is_chosen_by_constants_not_name(monkeypatch):
         clebsch.solve_cdb_ws(se3, m6, dsm6)
 
 
-@pytest.mark.parametrize("spec", ["so3", "se3"])
+@pytest.mark.parametrize("spec", ["so3", "se3", "renamed-so3", "doubled-so3"])
 def test_cdb_run_decides_the_closed_form_once(monkeypatch, spec):
-    alg = liealg.builtin(spec)
+    # the spec decides when it is built (alg.levi_civita); a run compares no
+    # constants, and every slave solve of a Levi-Civita spec skips pinv
+    alg = decision_specs()[spec]
+    closed_form = spec in ("so3", "renamed-so3")
+    assert alg.levi_civita is closed_form
     grid = StrandGrid(16, 2 * np.pi, 1e-3, 5e-3)
     m0 = np.zeros((16, alg.dim))
     m0[:, :3] = np.stack([np.cos(grid.s_nodes), np.sin(grid.s_nodes), np.ones(16)], axis=1)
     state = clebsch.CDBState(m0, 0.5 * m0, np.zeros_like(m0))
-    decided, solves = [], []
-    real_is_so3, real_solve = clebsch._is_so3, clebsch.solve_cdb_ws
-    monkeypatch.setattr(clebsch, "_is_so3", lambda a: decided.append(1) or real_is_so3(a))
+    solves, pinvs = [], []
+    real_solve, real_pinv = clebsch.solve_cdb_ws, np.linalg.pinv
+
+    def no_compare(*args, **kwargs):
+        raise AssertionError("constants compared during the run")
+
+    monkeypatch.setattr(np, "array_equal", no_compare)
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: pinvs.append(1) or real_pinv(*a, **kw))
     monkeypatch.setattr(clebsch, "solve_cdb_ws",
-                        lambda a, m, dsm, so3=None: solves.append(so3) or real_solve(a, m, dsm, so3))
+                        lambda a, m, dsm: solves.append(a) or real_solve(a, m, dsm))
     clebsch.cdb_simulate(alg, state, grid)
-    assert len(decided) == 1
-    assert solves == [spec == "so3"] * (1 + 4 * grid.n_steps)
+    assert len(solves) == 1 + 4 * grid.n_steps
+    assert all(a is alg for a in solves)
+    assert len(pinvs) == (0 if closed_form else len(solves))
+
+
+def test_cdb_slave_solve_takes_no_so3_override():
+    # the closed form cannot be forced onto a spec without the Levi-Civita
+    # constants: on se3 it would be a wrong w_s, with no error
+    assert list(inspect.signature(clebsch.solve_cdb_ws).parameters) == ["alg", "m", "dsm"]
+    assert list(inspect.signature(clebsch.cdb_step).parameters) == ["alg", "state", "grid"]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +522,7 @@ def test_symm_rigid_simulate_slaves_initial_nw():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1)
     st = symm_strand_state(grid)
     hist = clebsch.symm_rigid_simulate(RIGID_LAG, st, grid)
-    _, _, nw0 = clebsch.symm_rigid_velocities(3, RIGID_LAG, st.q, st.mw, gstrand.d_s(st.q, grid))
+    _, _, nw0 = clebsch.symm_rigid_velocities(RIGID_LAG, st.q, st.mw, gstrand.d_s(st.q, grid))
     assert np.max(np.abs(nw0)) > 0.1
     assert np.array_equal(hist.nw[0], nw0)
 
@@ -451,7 +531,7 @@ def test_symm_rigid_momentum_relation_exact():
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.1, store_every=1)
     hist = clebsch.symm_rigid_simulate(RIGID_LAG, symm_strand_state(grid), grid)
     q, mw, nw = hist.q[-1], hist.mw[-1], hist.nw[-1]
-    u, v, _ = clebsch.symm_rigid_velocities(3, RIGID_LAG, q, mw, gstrand.d_s(q, grid))
+    u, v, _ = clebsch.symm_rigid_velocities(RIGID_LAG, q, mw, gstrand.d_s(q, grid))
     # s-momentum relation skew(Q^T N) = A_s V realized by the slaved N
     w_s = hat_so_n(3, vee_so_n(3, v) @ RIGID_LAG.a_s.T)
     assert np.max(np.abs(clebsch._skew(np.swapaxes(q, -1, -2) @ nw) - w_s)) < 1e-12
@@ -529,7 +609,7 @@ def test_rep_tables_match_dense_einsum(name, shapes):
 def test_rep_tables_non_integer_rep(shapes):
     rng = np.random.default_rng(8)
     s = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    rep = clebsch.LinearRepSpec(SO3, 3, s @ REP3.rho @ np.linalg.inv(s))
+    rep = clebsch.LinearRepSpec(SO3, s @ REP3.rho @ np.linalg.inv(s))
     xi, v, p = rep_inputs(rep, *shapes, seed=9)
     got = sparse_rep_ops(rep, xi, v, p)
     want = dense_rep_ops(rep.rho, xi, v, p)
@@ -542,8 +622,8 @@ def test_rep_tables_non_integer_rep(shapes):
 def rep_dim_cases():
     """Reps whose rep_dim differs from the algebra's dim."""
     gl2 = liealg.builtin("glN(2)")
-    return {"glN(2)-on-R2": clebsch.LinearRepSpec(gl2, 2, matrix_basis(gl2)),
-            "so3-trivial": clebsch.LinearRepSpec(SO3, 1, np.zeros((3, 1, 1)))}
+    return {"glN(2)-on-R2": clebsch.LinearRepSpec(gl2, matrix_basis(gl2)),
+            "so3-trivial": clebsch.LinearRepSpec(SO3, np.zeros((3, 1, 1)))}
 
 
 @pytest.mark.parametrize("shapes", REP_SHAPES, ids=["point", "batch", "batch2", "broadcast"])

@@ -62,6 +62,32 @@ def test_an_alpha_whose_green_function_overflows_is_a_validation_error(tmp_path,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "study"])
+@pytest.mark.parametrize("label", ["../esc/x", "sub/x", ".", "..", "a\\b", "a\0b"],
+                         ids=["parent", "subdir", "dot", "dotdot", "backslash", "nul"])
+def test_a_label_that_is_not_a_file_stem_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                                                command, label):
+    # the parent joined the label as a path: ../esc/x wrote envout/../esc/x.csv
+    # and .json, and a NUL ended in a traceback
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", "envout")
+    (tmp_path / "esc").mkdir()
+    path = write(tmp_path, "c.yaml", f"scenario: verify_action\nlabel: {json.dumps(label)}\n"
+                                     "grid: {t_end: 0.2}\n")
+    with pytest.raises(ConfigValidationError) as exc:
+        config.load_config(path)
+    assert (exc.value.code, exc.value.field) == ("out-of-range", "label")
+    assert cli.main([command, path] + (["--levels", "3"] if command == "study" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error category: validation: {exc.value}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml", "esc"]
+
+
+@pytest.mark.parametrize("label", ["run1", "a.b", "..x", ".hidden", "x.."])
+def test_a_file_stem_label_is_kept(label):
+    assert config.parse_config(f"scenario: verify_action\nlabel: '{label}'\n").label == label
+
+
 def test_a_small_alpha_pair_fifty_alpha_apart_runs(tmp_path, capsys):
     # the collision gap scales with alpha: 5e-9 is 50 alpha (cond_1 about 1), and
     # at speeds p / (2 alpha) = 5e9 a step of 1e-21 moves a peakon 5e-12

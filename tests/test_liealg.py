@@ -187,6 +187,22 @@ def test_constants_are_kept_sorted_whatever_the_input_order(name):
             assert np.array_equal(got, want), table
 
 
+def test_levi_civita_is_decided_by_the_constants():
+    # the so(3) constants in any order and under any name; not so(3) in
+    # another basis (soN(3)), scaled, or with a fourth, central coordinate
+    k, i, j, value = SO3.constants
+    shuffle = np.random.default_rng(5).permutation(k.size)
+    flags = {"so3": SO3.levi_civita,
+             "shuffled-renamed": liealg.LieAlgebraSpec(
+                 3, tuple(a[shuffle] for a in SO3.constants), name="x").levi_civita,
+             "soN(3)": liealg.builtin("soN(3)").levi_civita,
+             "doubled": liealg.LieAlgebraSpec(3, (k, i, j, 2.0 * value), name="so3").levi_civita,
+             "so3+R": liealg.LieAlgebraSpec(4, SO3.constants, name="so3").levi_civita,
+             "se3": SE3.levi_civita, "glN(2)": liealg.builtin("glN(2)").levi_civita}
+    assert flags == {"so3": True, "shuffled-renamed": True, "soN(3)": False, "doubled": False,
+                     "so3+R": False, "se3": False, "glN(2)": False}
+
+
 @pytest.mark.parametrize("n, bound_mib", [(24, 32), (32, 64)])
 def test_son_builds_without_a_dim_cubed_array(n, bound_mib):
     # a dense c would be dim^3 doubles: 160 MiB at n = 24, 931 MiB at n = 32

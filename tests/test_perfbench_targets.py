@@ -1,8 +1,11 @@
 """The benchmark's traced run wraps library functions where they are looked
-up at call time (perfbench/spans.py, TARGETS).  These tests keep those
-names resolvable and the functions reached through them, without importing
-or changing anything under perfbench/."""
+up at call time (perfbench/spans.py, TARGETS), and its set-up probe and size
+ladder call the library directly.  These tests keep those names resolvable,
+the functions reached through them and those calls working, without
+importing or changing anything under perfbench/."""
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +16,20 @@ from gstrands import config, gstrand, liealg, scenarios
 from gstrands.gstrand import StrandField, StrandGrid, chiral_lagrangian
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
 STEPS = 3
 
 
-def spans_targets():
-    """TARGETS of spans.py, read and executed in a fresh namespace (no
+def perfbench_module(name):
+    """The namespace of perfbench/<name>.py, read and executed afresh (no
     bytecode or other file is written)."""
-    namespace = {"__name__": "spans_under_test"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
-    return namespace["TARGETS"]
+    path = ROOT / "perfbench" / f"{name}.py"
+    namespace = {"__name__": f"{name}_under_test"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def spans_targets():
+    return perfbench_module("spans")["TARGETS"]
 
 
 def test_every_span_target_resolves_to_a_callable():
@@ -74,3 +81,15 @@ def test_every_scenarios_target_is_called_through_its_module_attribute(monkeypat
             if callable(table):  # the trajectory tables are built when written
                 table()
     assert names and [name for name in names if not calls[name]] == []
+
+
+def test_setup_probe_and_ladder_run_on_the_library_api():
+    # every workload's set-up builds these through setup_probe.build (a
+    # kernel with dim=1, say), and the ladder steps each family itself
+    configs = [f"config:{path}" for path in sorted((ROOT / "scripts" / "configs").glob("*.yaml"))]
+    perfbench_module("setup_probe")["build"](
+        configs + ["kernel:1.0", "algebra:so3", "algebra:se3", "algebra:soN(8)"])
+    metrics = perfbench_module("ladder")["measure"](0.0)
+    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert set(metrics) == {name for name in names if ".step_ms." in name}
+    assert all(math.isfinite(ms) and ms > 0.0 for ms in metrics.values())
