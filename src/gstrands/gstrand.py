@@ -252,16 +252,20 @@ def integrate(step_fn, state, grid: StrandGrid, slave=None) -> History:
         _check_finite(state, names[:-1])
         state = _located(None, 0.0, _slaved, slave, type(state), _evolved(state))
     _check_finite(state, names)
-    times = [0.0]
-    stored = {name: [getattr(state, name).copy()] for name in names}
+    n_stored = grid.n_steps // grid.store_every + 1
+    times = np.zeros(n_stored)
+    stored = {name: np.empty((n_stored, *getattr(state, name).shape)) for name in names}
+    for name in names:
+        stored[name][0] = getattr(state, name)
     for k in range(grid.n_steps):
         t = (k + 1) * grid.dt
         state = _located(k, t, step_fn, state)
         if (k + 1) % grid.store_every == 0:
-            times.append(t)
+            i = (k + 1) // grid.store_every
+            times[i] = t
             for name in names:
-                stored[name].append(getattr(state, name).copy())
-    return History(np.array(times), **{name: np.array(v) for name, v in stored.items()})
+                stored[name][i] = getattr(state, name)
+    return History(times, **stored)
 
 
 def _rhs(alg, lag, grid, m, gamma):

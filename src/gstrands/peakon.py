@@ -39,6 +39,14 @@ check, and no exact per-s cond is computed.  Otherwise the exact per-s
 (kernels.helmholtz_1d_inverse).  At n_s > 1 each slaved solve builds the
 inverse it applies (a second one on that exact path); the classical mode
 builds none.
+
+The history diagnostics (collective_hamiltonian, s_constraint_residual,
+cross_derivative_residual, compatibility_residual) build the Gram one block
+of stored slices at a time (_gram_blocks), at most _BLOCK = 2**16 entries
+but at least one slice.  They hold the O(n_t n_s n_p) history, a few arrays
+of its size (G M, G N, the per-slice outputs) and one block's Gram, never an
+(n_t, n_s, n_p, n_p) array, and their bytes are those of one Gram over the
+whole history.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_
 from .kernels import chol_solve_batched, grad_q  # noqa: F401
 
 COLLISION_GAP = 1e-8
+# Gram entries per block of stored slices in the history diagnostics
+# (_gram_blocks): 512 KB, whatever the number of stored slices
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -187,19 +198,47 @@ def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> Peako
                        "peakon state")
 
 
+def _stacked(x):
+    """x as stored slices (n_t, n_s, n_p): a state's (n_s, n_p) array is a
+    one-slice view."""
+    return x.reshape(-1, *x.shape[-2:])
+
+
+def _gram_blocks(kernel, q):
+    """(block, G) over the stored slices q (n_t, n_s, n_p): ``block`` slices
+    the leading axis and G is the Gram of q[block], so each slice's Gram is
+    built once.  A block holds at most _BLOCK entries of G but at least one
+    slice, and at n_s = 1 at least two (a last lone slice joins the block
+    before it): numpy's three-operand einsum sums a lone (t, s) row in
+    another order than a stack of rows, and that would move bytes."""
+    n_t, n_s, n_p = q.shape
+    lone = n_s == 1
+    size = max(_BLOCK // (n_s * n_p * n_p), 1 + lone)
+    stops = [*range(size, n_t - lone, size), n_t]
+    for start, stop in zip([0, *stops], stops):
+        yield slice(start, stop), _gram_all(kernel, q[start:stop])
+
+
 def s_constraint_residual(state, kernel, grid):
     """Max-norm of d_s Q_a + sum_b G(Q_a, Q_b) N_b; for a History, one value
     per stored slice."""
-    gram = _gram_all(kernel, state.q)
-    res = d_s(state.q, grid, axis=state.q.ndim - 2) + np.einsum("...ab,...b->...a", gram, state.nw)
+    q, nw = _stacked(state.q), _stacked(state.nw)
+    gn = np.empty(q.shape)
+    for block, gram in _gram_blocks(kernel, q):
+        gn[block] = np.einsum("...ab,...b->...a", gram, nw[block])
+    res = d_s(state.q, grid, axis=state.q.ndim - 2) + gn.reshape(state.q.shape)
     return np.max(np.abs(res), axis=(-2, -1))
 
 
 def collective_hamiltonian(state, kernel) -> np.ndarray:
     """Per-s energy density (N G N + M G M)/2; shape (n_t, n_s) for a History."""
-    gram = _gram_all(kernel, state.q)
-    return 0.5 * (np.einsum("...a,...ab,...b->...", state.nw, gram, state.nw)
-                  + np.einsum("...a,...ab,...b->...", state.mw, gram, state.mw))
+    q, mw, nw = (_stacked(x) for x in (state.q, state.mw, state.nw))
+    dens = np.empty(q.shape[:-1])
+    for block, gram in _gram_blocks(kernel, q):
+        m, n = mw[block], nw[block]
+        dens[block] = 0.5 * (np.einsum("...a,...ab,...b->...", n, gram, n)
+                             + np.einsum("...a,...ab,...b->...", m, gram, m))
+    return dens.reshape(state.q.shape[:-1])
 
 
 def total_momentum(state) -> np.ndarray:
@@ -223,8 +262,9 @@ def simulate(state: PeakonState, kernel, grid: StrandGrid) -> History:
     labels, ordered, back = _relabeled(state)
     hist = integrate(lambda st: step(st, kernel, grid), ordered, grid,
                      slave=partial(_slave, kernel, grid, labels))
-    return History(hist.times, **{name: getattr(hist, name).take(back, axis=-1)
-                                  for name in PeakonState.__match_args__})
+    for name in PeakonState.__match_args__:  # field by field, so one field at most is held twice
+        setattr(hist, name, getattr(hist, name).take(back, axis=-1))
+    return hist
 
 
 def cross_derivative_residual(hist: History, kernel, grid) -> float:
@@ -233,9 +273,10 @@ def cross_derivative_residual(hist: History, kernel, grid) -> float:
     Equality of the mixed partials of Q is the scalar form of the
     compatibility condition satisfied along canonical trajectories.
     """
-    gram = _gram_all(kernel, hist.q)
-    nu_at_q = np.einsum("tsab,tsb->tsa", gram, hist.mw)
-    gam_at_q = -np.einsum("tsab,tsb->tsa", gram, hist.nw)
+    nu_at_q, gam_at_q = np.empty(hist.q.shape), np.empty(hist.q.shape)
+    for block, gram in _gram_blocks(kernel, hist.q):
+        nu_at_q[block] = np.einsum("tsab,tsb->tsa", gram, hist.mw[block])
+        gam_at_q[block] = -np.einsum("tsab,tsb->tsa", gram, hist.nw[block])
     res = centered_dt(hist, gam_at_q) - d_s(nu_at_q[1:-1], grid, axis=1)
     return float(np.max(np.abs(res)))
 
@@ -255,20 +296,27 @@ def compatibility_residual(hist: History, kernel, grid) -> float:
 def _compatibility_sum(hist, kernel, grid):
     """The sum of compatibility_residual per interior slice, s-index and
     peakon, with both double sums factored into matrix-vector products:
-    O(n_s n_p^2) per slice."""
-    dtn = centered_dt(hist, hist.nw)
+    O(n_s n_p^2) per slice, over blocks of slices (_gram_blocks)."""
+    # d_t N + d_s M, which each block replaces by its sum
+    out = centered_dt(hist, hist.nw)
+    out += d_s(hist.mw[1:-1], grid, axis=1)
     q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
-    gram = _gram_all(kernel, q)
-    # dG/dQ_a (Q_a, Q_b) = sign(Q_b - Q_a) G_ab / alpha, from G with no second exponential
-    grad = np.sign(q[..., None, :] - q[..., :, None]) * gram / kernel.alpha
 
     def times(mat, v):
         return np.einsum("tsab,tsb->tsa", mat, v)
 
-    lead = times(gram, dtn + d_s(mw, grid, axis=1))
-    gm, gn = times(gram, mw), times(gram, nw)
-    # sum_bc (M_b N_c - N_b M_c) G_ab dG_ac = (G M)_a (dG N)_a - (G N)_a (dG M)_a
-    term1 = gm * times(grad, nw) - gn * times(grad, mw)
-    # sum_bc (M_b N_c - N_b M_c) G_bc dG_ba = sum_b dG_ba (M_b (G N)_b - N_b (G M)_b)
-    term2 = np.einsum("tsba,tsb->tsa", grad, mw * gn - nw * gm)
-    return lead + term1 - term2
+    for block, gram in _gram_blocks(kernel, q):
+        qb, m, n = q[block], mw[block], nw[block]
+        # dG/dQ_a (Q_a, Q_b) = sign(Q_b - Q_a) G_ab / alpha, from G with no
+        # second exponential; in place, one temporary the size of G
+        grad = np.subtract(qb[..., None, :], qb[..., :, None])
+        np.sign(grad, out=grad)
+        np.multiply(grad, gram, out=grad)
+        np.divide(grad, kernel.alpha, out=grad)
+        gm, gn = times(gram, m), times(gram, n)
+        # sum_bc (M_b N_c - N_b M_c) G_ab dG_ac = (G M)_a (dG N)_a - (G N)_a (dG M)_a
+        term1 = gm * times(grad, n) - gn * times(grad, m)
+        # sum_bc (M_b N_c - N_b M_c) G_bc dG_ba = sum_b dG_ba (M_b (G N)_b - N_b (G M)_b)
+        term2 = np.einsum("tsba,tsb->tsa", grad, m * gn - n * gm)
+        out[block] = times(gram, out[block]) + term1 - term2
+    return out

@@ -247,6 +247,41 @@ def solve_gram(g: GramSystem, rhs):
     return kernels.chol_solve_batched(g.matrix, np.asarray(rhs, dtype=float))
 
 
+class PeakonDiagnostics(NamedTuple):
+    hamiltonian: np.ndarray    # (n_t, n_s)
+    s_constraint: np.ndarray   # (n_t,)
+    cross_derivative: float
+    compatibility: np.ndarray  # (n_t - 2, n_s, n_p), the sum before its max-norm
+
+
+def whole_history_peakon_diagnostics(hist, kernel, grid) -> PeakonDiagnostics:
+    """The four peakon history diagnostics with one Gram over the whole
+    history, (n_t, n_s, n_p, n_p): the reference the blocked ones in peakon
+    must equal bit for bit."""
+    gram = peakon._gram_all(kernel, hist.q)
+    hamiltonian = 0.5 * (np.einsum("...a,...ab,...b->...", hist.nw, gram, hist.nw)
+                         + np.einsum("...a,...ab,...b->...", hist.mw, gram, hist.mw))
+    s_res = gstrand.d_s(hist.q, grid, axis=1) + np.einsum("...ab,...b->...a", gram, hist.nw)
+    nu_at_q = np.einsum("tsab,tsb->tsa", gram, hist.mw)
+    gam_at_q = -np.einsum("tsab,tsb->tsa", gram, hist.nw)
+    cross = gstrand.centered_dt(hist, gam_at_q) - gstrand.d_s(nu_at_q[1:-1], grid, axis=1)
+
+    dtn = gstrand.centered_dt(hist, hist.nw)
+    q, mw, nw = hist.q[1:-1], hist.mw[1:-1], hist.nw[1:-1]
+    gram = peakon._gram_all(kernel, q)
+    grad = np.sign(q[..., None, :] - q[..., :, None]) * gram / kernel.alpha
+
+    def times(mat, v):
+        return np.einsum("tsab,tsb->tsa", mat, v)
+
+    lead = times(gram, dtn + gstrand.d_s(mw, grid, axis=1))
+    gm, gn = times(gram, mw), times(gram, nw)
+    term1 = gm * times(grad, nw) - gn * times(grad, mw)
+    term2 = np.einsum("tsba,tsb->tsa", grad, mw * gn - nw * gm)
+    return PeakonDiagnostics(hamiltonian, np.max(np.abs(s_res), axis=(-2, -1)),
+                             float(np.max(np.abs(cross))), lead + term1 - term2)
+
+
 # ---------------------------------------------------------------------------
 # representations, discrete actions and Hamiltonians only the tests evaluate
 

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
+import oracles
 import pytest
 from conftest import S_CROSSING, fit_order
 from hypothesis import example, given, settings, strategies
 from scipy.integrate import solve_ivp
+from test_output_digests import CONFIGS, INLINE
 
 from gstrands import config, kernels, peakon, scenarios
-from gstrands.errors import BlowUpError, NearCollisionError
+from gstrands.errors import BlowUpError, DimensionMismatchError, NearCollisionError
 from gstrands.gstrand import History, StrandGrid, centered_dt, d_s, integrate
 from gstrands.kernels import HelmholtzKernel
 
@@ -524,17 +527,131 @@ def compatibility_oracle(hist, kernel, grid):
     return lead + term1 - term2, sum(sums(np.abs))
 
 
+def force_block(monkeypatch, q, slices):
+    """Make each block of the history diagnostics hold ``slices`` slices of
+    positions q (n_t, n_s, n_p); None keeps peakon._BLOCK."""
+    if slices is not None:
+        monkeypatch.setattr(peakon, "_BLOCK", slices * q[0].size * q.shape[-1])
+
+
 @pytest.mark.parametrize("n_p", [1, 2, 32])
-def test_factored_compatibility_sum_matches_the_double_sums(n_p):
+def test_factored_compatibility_sum_matches_the_double_sums(monkeypatch, n_p):
     grid = StrandGrid(16, 2 * np.pi, 1e-2, 1.0)
     rng = np.random.default_rng(n_p)
     q = np.stack([shuffled_positions(rng, 16, n_p) for _ in range(6)])
     mw, nw = rng.standard_normal((2, 6, 16, n_p))
     hist = History(np.arange(6) * 0.01, q=q, mw=mw, nw=nw)
     oracle, scale = compatibility_oracle(hist, K1, grid)
-    got = peakon._compatibility_sum(hist, K1, grid)
-    assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
-    assert peakon.compatibility_residual(hist, K1, grid) == np.max(np.abs(got))
+    for block in (None, 1, 2, 3):
+        with monkeypatch.context() as patch:
+            force_block(patch, q, block)
+            got = peakon._compatibility_sum(hist, K1, grid)
+            assert np.all(np.abs(got - oracle) <= 1e-13 * scale), block
+            assert peakon.compatibility_residual(hist, K1, grid) == np.max(np.abs(got))
+
+
+def _config_history(text):
+    cfg = config.parse_config(text)
+    grid = scenarios.make_grid(cfg)
+    kernel, state = scenarios.peakon_setup(cfg, grid)
+    return peakon.simulate(state, kernel, grid), kernel, grid
+
+
+def _many_peakon_history(n_p):
+    grid = StrandGrid(8, 2 * np.pi, 1e-2, 0.1)
+    rng = np.random.default_rng(n_p)
+    q = shuffled_positions(rng, 1, n_p) + 0.1 * np.sin(grid.s_nodes)[:, None]
+    mw = 0.5 + 0.1 * rng.standard_normal((8, n_p))
+    return peakon.simulate(peakon.PeakonState(q, mw, 0.0 * q), K1, grid), K1, grid
+
+
+def _classical_history():
+    state, kernel, grid = ch_classical(0.01, 0.2, (1.0, 0.8))
+    return peakon.simulate(state, kernel, grid), kernel, grid
+
+
+DIAGNOSTIC_HISTORIES = {
+    "peakon_strand": lambda: _config_history((CONFIGS / "peakon_strand.yaml").read_text()),
+    "five_peakon": lambda: _config_history(INLINE["five_peakon"]),
+    "single_peakon": lambda: _config_history(INLINE["single_peakon"]),
+    "32_peakons": lambda: _many_peakon_history(32),
+    # slices of one (t, s) row each: numpy's three-operand einsum sums a lone
+    # row in another order than a stack of rows
+    "n_s_1": _classical_history,
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(DIAGNOSTIC_HISTORIES))
+def test_blocked_history_diagnostics_equal_the_whole_history(monkeypatch, name, block):
+    hist, kernel, grid = DIAGNOSTIC_HISTORIES[name]()
+    n_t, n_s, _ = hist.q.shape
+    whole = oracles.whole_history_peakon_diagnostics(hist, kernel, grid)
+    force_block(monkeypatch, hist.q, block)
+    built = []
+    real = peakon.kernel_eval
+    monkeypatch.setattr(peakon, "kernel_eval",
+                        lambda k, m, m_prime: built.append(len(m)) or real(k, m, m_prime))
+    got = oracles.PeakonDiagnostics(
+        peakon.collective_hamiltonian(hist, kernel), peakon.s_constraint_residual(hist, kernel, grid),
+        peakon.cross_derivative_residual(hist, kernel, grid),
+        peakon._compatibility_sum(hist, kernel, grid))
+    for field, expected, value in zip(whole._fields, whole, got):
+        assert bitwise_equal(np.asarray(value), np.asarray(expected)), field
+    # each slice's Gram is built once per diagnostic (the interior ones only for
+    # the compatibility sum), at most the forced number of slices at a time;
+    # at n_s = 1 a block holds at least two slices, and a last lone one joins
+    # the block before it
+    assert sum(built) == 3 * n_t + n_t - 2
+    if block is not None:
+        low = 2 if n_s == 1 else 1
+        assert all(low <= size <= max(block, low) + (n_s == 1) for size in built), built
+
+
+def test_single_state_diagnostics_are_one_slice_of_the_history():
+    hist, kernel, grid = _many_peakon_history(32)
+    whole = oracles.whole_history_peakon_diagnostics(hist, kernel, grid)
+    for k in range(len(hist.times)):
+        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
+        assert bitwise_equal(peakon.collective_hamiltonian(st, kernel), whole.hamiltonian[k])
+        assert peakon.s_constraint_residual(st, kernel, grid) == whole.s_constraint[k]
+
+
+@pytest.mark.parametrize("residual", [peakon.cross_derivative_residual,
+                                      peakon.compatibility_residual])
+def test_one_slice_blocks_still_need_three_stored_slices(monkeypatch, residual):
+    # tests/test_gstrand.py checks the default blocks
+    hist, kernel, grid = _many_peakon_history(4)
+    two = History(hist.times[:2], q=hist.q[:2], mw=hist.mw[:2], nw=hist.nw[:2])
+    force_block(monkeypatch, two.q, 1)
+    with pytest.raises(DimensionMismatchError, match="^residuals need at least 3 stored slices$"):
+        residual(two, kernel, grid)
+
+
+def test_history_diagnostics_hold_one_block_of_the_gram():
+    # 41 slices of n_s = 16, n_p = 64: the whole-history Gram alone is 21.5 MB,
+    # one block's 512 KB (peakon._BLOCK entries, here one slice)
+    n_t, n_s, n_p = 41, 16, 64
+    rng = np.random.default_rng(41)
+    q = np.stack([shuffled_positions(rng, n_s, n_p) for _ in range(n_t)])
+    mw, nw = rng.standard_normal((2, n_t, n_s, n_p))
+    hist = History(np.arange(n_t) * 0.01, q=q, mw=mw, nw=nw)
+    grid = StrandGrid(n_s, 2 * np.pi, 0.01, 0.4)
+    # the block's Gram and the compatibility sum's gradient, and eight arrays
+    # the size of one field of the history (matrix-vector products, sums)
+    bound = 2 * 8 * peakon._BLOCK + 8 * q.nbytes
+    peaks = []
+    for diagnostic in (lambda: peakon.collective_hamiltonian(hist, K1),
+                       lambda: peakon.s_constraint_residual(hist, K1, grid),
+                       lambda: peakon.cross_derivative_residual(hist, K1, grid),
+                       lambda: peakon.compatibility_residual(hist, K1, grid)):
+        tracemalloc.start()
+        try:
+            diagnostic()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < bound < 8 * q.size * n_p
 
 
 # ---------------------------------------------------------------------------
