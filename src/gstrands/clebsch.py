@@ -279,9 +279,11 @@ def rotation_about_e3(angles):
 def cdb_rotating_state(alg: LieAlgebraSpec, grid: StrandGrid, m0, wt0, winds: int = 1) -> CDBState:
     """Compatible so(3) initial data: all fields rotate about e3 along s.
 
-    m0 must be orthogonal to e3 so sigma_s = zeta exactly, which makes every
-    s-constraint hold at t = 0; winds sets the integer number of turns over
-    the periodic s-interval.
+    m0 must be orthogonal to e3, so m turns in its own plane and a sigma_s
+    along e3 meets the s-constraint at t = 0; winds sets the integer number
+    of turns over the periodic s-interval.  w_s is returned as zero, as the
+    other presets return their multipliers: a run slaves it (cdb_simulate
+    at t = 0, cdb_step at every stage).
     """
     if alg.dim != 3:
         raise DimensionMismatchError("rotating preset is an so(3) construction")
@@ -289,12 +291,10 @@ def cdb_rotating_state(alg: LieAlgebraSpec, grid: StrandGrid, m0, wt0, winds: in
     wt0 = np.asarray(wt0, dtype=float)
     if abs(m0[2]) > 1e-12:
         raise DimensionMismatchError("m0 must be orthogonal to the rotation axis e3")
-    zeta = np.array([0.0, 0.0, 2.0 * np.pi * winds / grid.s_extent])
-    rot = rotation_about_e3(zeta[2] * grid.s_nodes)
+    rot = rotation_about_e3(2.0 * np.pi * winds / grid.s_extent * grid.s_nodes)
     m = np.einsum("sab,b->sa", rot, m0)
     w_t = np.einsum("sab,b->sa", rot, wt0)
-    w_s = np.cross(np.broadcast_to(zeta, m.shape), m) / float(m0 @ m0)
-    return CDBState(m, w_t, w_s)
+    return CDBState(m, w_t, np.zeros_like(m))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,12 @@ builds none.
 The history diagnostics (collective_hamiltonian, s_constraint_residual,
 cross_derivative_residual, compatibility_residual) build the Gram one block
 of stored slices at a time (_gram_blocks), at most _BLOCK = 2**16 entries
-but at least one slice.  They hold the O(n_t n_s n_p) history, a few arrays
-of its size (G M, G N, the per-slice outputs) and one block's Gram, never an
-(n_t, n_s, n_p, n_p) array, and their bytes are those of one Gram over the
-whole history.
+but at least one slice, and at n_s = 1 exactly one, so each row of the
+History sums as a single state does.  They hold the O(n_t n_s n_p) history,
+a few arrays of its size (G M, G N, the per-slice outputs) and one block's
+Gram, never an (n_t, n_s, n_p, n_p) array.  Their bytes are those of one
+Gram over the whole history, except the n_s = 1 Hamiltonian, whose bytes
+are those of its states.
 """
 
 from __future__ import annotations
@@ -208,15 +210,14 @@ def _gram_blocks(kernel, q):
     """(block, G) over the stored slices q (n_t, n_s, n_p): ``block`` slices
     the leading axis and G is the Gram of q[block], so each slice's Gram is
     built once.  A block holds at most _BLOCK entries of G but at least one
-    slice, and at n_s = 1 at least two (a last lone slice joins the block
-    before it): numpy's three-operand einsum sums a lone (t, s) row in
-    another order than a stack of rows, and that would move bytes."""
+    slice, and at n_s = 1 exactly one: numpy's three-operand einsum sums a
+    lone (t, s) row in another order than a stack of rows, so a History row
+    then sums as a single state does."""
     n_t, n_s, n_p = q.shape
-    lone = n_s == 1
-    size = max(_BLOCK // (n_s * n_p * n_p), 1 + lone)
-    stops = [*range(size, n_t - lone, size), n_t]
-    for start, stop in zip([0, *stops], stops):
-        yield slice(start, stop), _gram_all(kernel, q[start:stop])
+    size = 1 if n_s == 1 else max(_BLOCK // (n_s * n_p * n_p), 1)
+    for start in range(0, n_t, size):
+        block = slice(start, start + size)
+        yield block, _gram_all(kernel, q[block])
 
 
 def s_constraint_residual(state, kernel, grid):

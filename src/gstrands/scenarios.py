@@ -305,11 +305,8 @@ def _drift(name, values):
 def run_ch_classical(cfg, grid):
     kernel, state = ch_setup(cfg)
     hist = peakon.simulate(state, kernel, grid)
-    h_vals, p_vals = [], []
-    for k in range(len(hist.times)):
-        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
-        h_vals.append(float(peakon.collective_hamiltonian(st, kernel)[0]))
-        p_vals.append(float(peakon.total_momentum(st)[0]))
+    h_vals = peakon.collective_hamiltonian(hist, kernel)[:, 0]
+    p_vals = peakon.total_momentum(hist)[:, 0]
     diag = {
         "series": {"hamiltonian": _series(hist.times, h_vals),
                    "total_momentum": _series(hist.times, p_vals)},

@@ -331,6 +331,16 @@ def test_cdb_rotating_state_rejects_bad_axis():
         clebsch.cdb_rotating_state(SO3, grid, [1.0, 0.0, 0.5], [0.1, 0.0, 0.0])
 
 
+def test_cdb_rotating_state_at_zero_m0_is_finite_and_slaved():
+    # m0 = 0 passes the axis check; the preset's w_s is zero, not 0/0
+    grid = StrandGrid(16, 2 * np.pi, 1e-2, 0.02)
+    with np.errstate(all="raise"):
+        st = clebsch.cdb_rotating_state(SO3, grid, [0.0, 0.0, 0.0], [0.3, 0.2, 0.1])
+        assert all(np.isfinite(x).all() for x in (st.m, st.w_t, st.w_s))
+        hist = clebsch.cdb_simulate(SO3, st, grid)
+    assert np.array_equal(hist.w_s[0], np.zeros((16, 3)))
+
+
 @pytest.mark.parametrize("k_ds", [np.pi / 4, np.pi / 2], ids=["pi/4", "pi/2"])
 def test_cdb_grid_mode_grows_at_the_rate_of_the_centered_d_s_symbol(k_ds):
     # The Cauchy problem is of Laplace type: a grid mode cos(k s) of m_3 grows

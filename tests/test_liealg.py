@@ -371,10 +371,17 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+# points per block of the soN(8) bracket table: one block less a point, one
+# full block, and one point into a second block
+SON8_STEP = liealg._BLOCK // liealg.builtin("soN(8)").bracket_table.idx_a.size
+
+
 @pytest.mark.parametrize("fill", ["signed-zero", "inf"])
 @pytest.mark.parametrize("shapes", [((), ()), ((1,), (1,)), ((128,), (128,)),
-                                    ((39, 128), (39, 128)), ((5, 1), (1, 7))],
-                         ids=["point", "one", "strand", "history", "broadcast"])
+                                    ((39, 128), (39, 128)), ((5, 1), (1, 7)),
+                                    *(((SON8_STEP + k,),) * 2 for k in (-1, 0, 1))],
+                         ids=["point", "one", "strand", "history", "broadcast",
+                              "step-1", "step", "step+1"])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_blocked_contract_is_bitwise_the_column_loop(name, shapes, fill):
     rng = np.random.default_rng(len(name) + len(shapes[0]))

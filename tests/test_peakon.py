@@ -576,7 +576,7 @@ DIAGNOSTIC_HISTORIES = {
     "single_peakon": lambda: _config_history(INLINE["single_peakon"]),
     "32_peakons": lambda: _many_peakon_history(32),
     # slices of one (t, s) row each: numpy's three-operand einsum sums a lone
-    # row in another order than a stack of rows
+    # row in another order than a stack of rows, so each is a block alone
     "n_s_1": _classical_history,
 }
 
@@ -587,6 +587,11 @@ def test_blocked_history_diagnostics_equal_the_whole_history(monkeypatch, name, 
     hist, kernel, grid = DIAGNOSTIC_HISTORIES[name]()
     n_t, n_s, _ = hist.q.shape
     whole = oracles.whole_history_peakon_diagnostics(hist, kernel, grid)
+    if n_s == 1:
+        # a History row sums as its state does, not as the whole-history einsum
+        whole = whole._replace(hamiltonian=np.stack([
+            peakon.collective_hamiltonian(peakon.PeakonState(q, mw, nw), kernel)
+            for q, mw, nw in zip(hist.q, hist.mw, hist.nw)]))
     force_block(monkeypatch, hist.q, block)
     built = []
     real = peakon.kernel_eval
@@ -599,22 +604,27 @@ def test_blocked_history_diagnostics_equal_the_whole_history(monkeypatch, name, 
     for field, expected, value in zip(whole._fields, whole, got):
         assert bitwise_equal(np.asarray(value), np.asarray(expected)), field
     # each slice's Gram is built once per diagnostic (the interior ones only for
-    # the compatibility sum), at most the forced number of slices at a time;
-    # at n_s = 1 a block holds at least two slices, and a last lone one joins
-    # the block before it
+    # the compatibility sum), at most the forced number of slices at a time,
+    # and exactly one at n_s = 1
     assert sum(built) == 3 * n_t + n_t - 2
-    if block is not None:
-        low = 2 if n_s == 1 else 1
-        assert all(low <= size <= max(block, low) + (n_s == 1) for size in built), built
+    if n_s == 1:
+        assert set(built) == {1}, built
+    elif block is not None:
+        assert all(1 <= size <= block for size in built), built
 
 
 def test_single_state_diagnostics_are_one_slice_of_the_history():
-    hist, kernel, grid = _many_peakon_history(32)
-    whole = oracles.whole_history_peakon_diagnostics(hist, kernel, grid)
-    for k in range(len(hist.times)):
-        st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
-        assert bitwise_equal(peakon.collective_hamiltonian(st, kernel), whole.hamiltonian[k])
-        assert peakon.s_constraint_residual(st, kernel, grid) == whole.s_constraint[k]
+    for name in ("32_peakons", "n_s_1"):
+        hist, kernel, grid = DIAGNOSTIC_HISTORIES[name]()
+        hamiltonian = peakon.collective_hamiltonian(hist, kernel)
+        momentum = peakon.total_momentum(hist)
+        s_constraint = peakon.s_constraint_residual(hist, kernel, grid)
+        for k in range(len(hist.times)):
+            st = peakon.PeakonState(hist.q[k], hist.mw[k], hist.nw[k])
+            energy = peakon.collective_hamiltonian(st, kernel)
+            assert bitwise_equal(energy, hamiltonian[k]), (name, k)
+            assert bitwise_equal(peakon.total_momentum(st), momentum[k]), (name, k)
+            assert peakon.s_constraint_residual(st, kernel, grid) == s_constraint[k], (name, k)
 
 
 @pytest.mark.parametrize("residual", [peakon.cross_derivative_residual,
