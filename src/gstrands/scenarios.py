@@ -316,12 +316,6 @@ def run_ch_classical(cfg, grid):
 
 
 def run_verify_action(cfg, grid):
-    result = verify_suite(grid)
-    rows = [[k, float(v)] for k, v in sorted(result.items())]
-    return ["check", "value"], rows, {"series": {}, "summary": result}, {}
-
-
-def verify_suite(grid) -> dict:
     """Stationarity and consistency checks at one resolution.
 
     The trajectory is a chiral-Lagrangian linear-representation strand: its
@@ -333,7 +327,6 @@ def verify_suite(grid) -> dict:
     dt, ds = hist.dt_stored, grid.ds
     fields = linear_history_fields(rep, lag, hist)
     grads = verify.fd_gradient(verify.clebsch_linear_action(rep, lag), fields, dt, ds)
-    gnorm = verify.interior_max(grads, dt, ds)
 
     pfields = {
         "y": fields["v"],
@@ -350,21 +343,17 @@ def verify_suite(grid) -> dict:
     hp_res = verify.pontryagin_residual(hp, hp_fields, (0.01,))
 
     lag2 = verify.legendre_pair(verify.legendre_pair(lag))
-    leg_gap = float(max(np.max(np.abs(lag2.a_t - lag.a_t)), np.max(np.abs(lag2.a_s - lag.a_s))))
     sig_hist = gstrand.History(hist.times, nu=fields["xi"], gamma=fields["gam"])
-    lp_gap = verify.lp_ep_gap(rep.alg, lag, sig_hist)
-
-    return {
-        "clebsch_gradient_interior_max": gnorm,
-        "pontryagin_constraint": pres["constraint"],
-        "pontryagin_divergence": pres["divergence"],
-        "pontryagin_optimality": pres["optimality"],
-        "hp_line_constraint": hp_res["constraint"],
-        "hp_line_divergence": hp_res["divergence"],
-        "hp_line_optimality": hp_res["optimality"],
-        "legendre_involution_gap": leg_gap,
-        "lie_poisson_ep_gap": lp_gap,
+    result = {
+        "clebsch_gradient_interior_max": verify.interior_max(grads, dt, ds),
+        **{f"pontryagin_{k}": v for k, v in pres.items()},
+        **{f"hp_line_{k}": v for k, v in hp_res.items()},
+        "legendre_involution_gap": float(max(np.max(np.abs(lag2.a_t - lag.a_t)),
+                                             np.max(np.abs(lag2.a_s - lag.a_s)))),
+        "lie_poisson_ep_gap": verify.lp_ep_gap(rep.alg, lag, sig_hist),
     }
+    rows = [[k, float(v)] for k, v in sorted(result.items())]
+    return ["check", "value"], rows, {"series": {}, "summary": result}, {}
 
 
 def _verify_chiral_clebsch_state(grid):

@@ -141,64 +141,46 @@ def pontryagin_residual(e_loc, fields: dict, deltas) -> dict:
         de/db^alpha = 0,
 
     with centered grid derivatives and central finite differences of e
-    (step FD_SCALE * (1 + |value|)).  ``e_loc`` must be vectorized over node
-    arrays with shapes y: (..., n_y), p: (..., n_dir, n_y), b: (..., n_b);
-    the paper's e(x, y, p, b) may depend on the space-time point x, but no
-    energy here does, so none is passed.  ``deltas`` lists the grid spacing
-    per space-time axis; time, the first, is not periodic and every other
-    axis is.  Without ``b`` (or with an empty one) the optimality residual
-    is 0.
+    (step FD_SCALE * (1 + |value|)), both taken on the time-interior slices.
+    ``e_loc`` must be vectorized over node arrays with shapes y: (..., n_y),
+    p: (..., n_dir, n_y), b: (..., n_b); the paper's e(x, y, p, b) may depend
+    on the space-time point x, but no energy here does, so none is passed.
+    A missing or None ``b`` reaches ``e_loc`` as an empty (..., 0) array, so
+    the optimality residual is 0.  ``deltas`` lists the grid spacing per
+    space-time axis; time, the first, is not periodic and every other axis is.
     """
     y = np.asarray(fields["y"], dtype=float)
     p = np.asarray(fields["p"], dtype=float)
-    b = fields.get("b")
-    if b is not None:
-        b = np.asarray(b, dtype=float)
-    n_dir = len(deltas)
     shape, n_y = y.shape[:-1], y.shape[-1]
-    if p.shape != shape + (n_dir, n_y):
-        raise DimensionMismatchError(f"p must have shape {shape + (n_dir, n_y)}")
-
-    def de_wrt(arr, builder):
-        out = np.zeros_like(arr)
-        flat_comps = arr.reshape(arr.shape[: len(shape)] + (-1,))
-        for c in range(flat_comps.shape[-1]):
-            h = FD_SCALE * (1.0 + np.abs(flat_comps[..., c]))
-            fp = flat_comps.copy()
-            fm = flat_comps.copy()
-            fp[..., c] += h
-            fm[..., c] -= h
-            ep = e_loc(*builder(fp.reshape(arr.shape)))
-            em = e_loc(*builder(fm.reshape(arr.shape)))
-            out.reshape(out.shape[: len(shape)] + (-1,))[..., c] = (ep - em) / (2.0 * h)
-        return out
-
-    de_dp = de_wrt(p, lambda a: (y, a, b))
-    de_dy = de_wrt(y, lambda a: (a, p, b))
-
-    def centered(arr, axis, delta):
-        """Periodic along s; along time (axis 0) the end slices are NaN."""
-        out = _centered(arr, axis, delta, axis > 0)
-        if axis == 0:
-            out[0] = out[-1] = np.nan
-        return out
-
+    if p.shape != shape + (len(deltas), n_y):
+        raise DimensionMismatchError(f"p must have shape {shape + (len(deltas), n_y)}")
+    b = fields.get("b")
+    args = [y, p, np.zeros(shape + (0,)) if b is None else np.asarray(b, dtype=float)]
     interior = slice(1, -1)  # the time-interior slices
 
-    r1 = np.zeros(n_dir)
-    div_p = np.zeros(shape + (n_y,))
-    for mu, delta in enumerate(deltas):
-        dy = centered(y, mu, delta)
-        r1[mu] = np.max(np.abs((dy - de_dp[..., mu, :])[interior]))
-        div_p = div_p + centered(p[..., mu, :], mu, delta)
-    r1 = float(np.max(r1, initial=0.0))
-    r2 = float(np.max(np.abs((div_p + de_dy)[interior])))
-    if b is not None and b.size:
-        de_db = de_wrt(b, lambda a: (y, p, a))
-        r3 = float(np.max(np.abs(de_db[interior])))
-    else:
-        r3 = 0.0
-    return {"constraint": r1, "divergence": r2, "optimality": r3}
+    def de_wrt(k):
+        """de/d args[k], one component at a time, on the time-interior slices."""
+        flat = args[k].reshape(shape + (-1,))
+        out = np.empty(flat.shape)
+        for c in range(flat.shape[-1]):
+            h = FD_SCALE * (1.0 + np.abs(flat[..., c]))
+            fp = flat.copy()
+            fm = flat.copy()
+            fp[..., c] += h
+            fm[..., c] -= h
+            ep = e_loc(*args[:k], fp.reshape(args[k].shape), *args[k + 1:])
+            em = e_loc(*args[:k], fm.reshape(args[k].shape), *args[k + 1:])
+            out[..., c] = (ep - em) / (2.0 * h)
+        return out.reshape(args[k].shape)[interior]
+
+    de_dy, de_dp, de_db = map(de_wrt, range(3))
+    # np.max, unlike Python's max, keeps a NaN wherever it sits
+    r1 = np.max([np.max(np.abs(_centered(y, mu, delta, mu > 0)[interior] - de_dp[..., mu, :]))
+                 for mu, delta in enumerate(deltas)], initial=0.0)
+    div_p = sum(_centered(p[..., mu, :], mu, delta, mu > 0)[interior]
+                for mu, delta in enumerate(deltas))
+    return {"constraint": float(r1), "divergence": float(np.max(np.abs(div_p + de_dy))),
+            "optimality": float(np.max(np.abs(de_db), initial=0.0))}
 
 
 def hamilton_pontryagin_energy(lagrangian):

@@ -319,6 +319,40 @@ def clebsch_adjoint_action(alg):
     return integrand
 
 
+def symm_rigid_pontryagin_energy(lag, n_mat):
+    """e = <p_t, QU> + <p_s, QV> - (u.A_t u + v.A_s v)/2 of the symmetric
+    rigid-body strand on GL(n_mat), for verify.pontryagin_residual: y is Q
+    flattened, p = (Mw, Nw)/2 flattened (the 1/2 is so(n)'s 1/2 tr pairing,
+    which A_t u = vee(skew(Q^T Mw)) is written in) and b = (u, v) in so(n)
+    coordinates, U = hat(u) and V = hat(v)."""
+    dim = n_mat * (n_mat - 1) // 2
+
+    def e_loc(y, p, b):
+        q = y.reshape(y.shape[:-1] + (n_mat, n_mat))
+        u, v = b[..., :dim], b[..., dim:]
+        qu = (q @ liealg.hat_so_n(n_mat, u)).reshape(y.shape)
+        qv = (q @ liealg.hat_so_n(n_mat, v)).reshape(y.shape)
+        return (np.einsum("...a,...a->...", p[..., 0, :], qu)
+                + np.einsum("...a,...a->...", p[..., 1, :], qv)
+                - 0.5 * (np.einsum("...i,ij,...j->...", u, lag.a_t, u)
+                         + np.einsum("...i,ij,...j->...", v, lag.a_s, v)))
+
+    return e_loc
+
+
+def symm_rigid_pontryagin_fields(lag, hist, grid) -> dict:
+    """The (y, p, b) of ``symm_rigid_pontryagin_energy`` on a stored history,
+    with U and V as the solver recovers them (clebsch.symm_rigid_velocities)."""
+    n_mat = hist.q.shape[-1]
+    u_hat, v_hat, _ = clebsch.symm_rigid_velocities(lag, hist.q, hist.mw,
+                                                    gstrand.d_s(hist.q, grid, axis=1))
+    flat = hist.q.shape[:2] + (n_mat * n_mat,)
+    return {"y": hist.q.reshape(flat),
+            "p": 0.5 * np.stack([hist.mw.reshape(flat), hist.nw.reshape(flat)], axis=2),
+            "b": np.concatenate([liealg.vee_so_n(n_mat, u_hat),
+                                 liealg.vee_so_n(n_mat, v_hat)], axis=-1)}
+
+
 # ---------------------------------------------------------------------------
 # CSV: the per-float writer and the row generators the float-table writer
 # (output.write_csv) and its tables (scenarios._field_rows) replaced

@@ -11,8 +11,16 @@ fails here; such a change declares it and re-records the manifest with
 
 Named ops (e.g. ``inline:reversed_labels``) re-record only their entries and
 leave every other entry as it was; with none, every op is recorded afresh.
+
+The bytes also depend on the machine: numpy's SIMD loops (``exp``, einsum)
+and OpenBLAS's kernel for small products and solves.  So the manifest keeps
+one ``_environment`` entry, what ``environment()`` read where it was
+recorded; a failing op says whether that environment differs here, and a
+named-op record refuses to mix entries from two environments.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -20,6 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gstrands import cli
@@ -111,20 +120,69 @@ def digests(op, work):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+ENV_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+def _openblas_config():
+    """The loaded OpenBLAS's own config string (version, build options and the
+    core it runs), or numpy's build record of it when the wheel's library is
+    not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        get_config = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.restype = ctypes.c_char_p
+            return get_config().decode()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("openblas configuration", blas.get("name", "unknown"))
+
+
+def environment():
+    """What the output bytes depend on besides the code: the numpy version,
+    the CPU features numpy dispatches to, OpenBLAS's config string and the
+    environment variables that override either choice, when set."""
+    core = np._core if hasattr(np, "_core") else np.core  # numpy 2 renamed np.core
+    features = core._multiarray_umath.__cpu_features__
+    return {"numpy": np.__version__,
+            "numpy_cpu_features": " ".join(name for name, on in features.items() if on),
+            "openblas": _openblas_config(),
+            **{name: os.environ[name] for name in ENV_VARS if name in os.environ}}
+
+
+def environment_note(recorded):
+    """Each field of ``environment()`` that differs from ``recorded``, or that
+    none does."""
+    here = environment()
+    differ = [f"{name}: manifest {recorded.get(name)!r}, here {here.get(name)!r}"
+              for name in sorted(recorded.keys() | here.keys())
+              if recorded.get(name) != here.get(name)]
+    if differ:
+        return "the environment differs from the manifest's:\n  " + "\n  ".join(differ)
+    return "the environment matches the manifest's, so the output bytes changed"
+
+
 @pytest.mark.parametrize("op", OPS)
 def test_outputs_are_byte_identical_to_the_manifest(op, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / "out"))
-    assert digests(op, tmp_path) == json.loads(MANIFEST.read_text())[op], capsys.readouterr().err
+    manifest = json.loads(MANIFEST.read_text())
+    assert digests(op, tmp_path) == manifest[op], \
+        f"{environment_note(manifest['_environment'])}\n{capsys.readouterr().err}"
 
 
 def record(ops=None, manifest=MANIFEST):
     """Write the manifest from the working tree's outputs: the entries of
     ``ops`` into the existing manifest, every other entry unchanged, or with
-    ops None a fresh manifest of every op."""
+    ops None a fresh manifest of every op.  Either way the ``_environment``
+    entry is this one; named ops refuse to record under another."""
     unknown = sorted(set(ops or ()) - set(OPS))
     if unknown:
         raise SystemExit(f"unknown op(s): {', '.join(unknown)}; known: {', '.join(OPS)}")
     entries = json.loads(manifest.read_text()) if ops else {}
+    if ops and entries.get("_environment") != environment():
+        note = environment_note(entries.get("_environment", {}))
+        raise SystemExit(f"not recording {', '.join(ops)}: {note}\n"
+                         "record every op afresh, with no op named, to move the manifest here")
+    entries["_environment"] = environment()
     for op in ops or OPS:
         with tempfile.TemporaryDirectory() as work:
             os.environ["GSTRANDS_OUTPUT_DIR"] = os.path.join(work, "out")
@@ -135,18 +193,42 @@ def record(ops=None, manifest=MANIFEST):
 
 
 def test_recording_named_ops_keeps_every_other_entry(tmp_path, monkeypatch):
+    # the manifest as recorded here, so that the named record may run
+    before = {**json.loads(MANIFEST.read_text()), "_environment": environment()}
     manifest = tmp_path / "output_digests.json"
-    manifest.write_bytes(MANIFEST.read_bytes())
+    manifest.write_text(json.dumps(before))
     monkeypatch.setenv("GSTRANDS_OUTPUT_DIR", str(tmp_path / "unused"))
     monkeypatch.setattr(sys.modules[__name__], "digests", lambda op, work: {"f": op})
     record(["inline:linear_rep", "run:cdb_so3"], manifest)
-    before, after = json.loads(MANIFEST.read_text()), json.loads(manifest.read_text())
-    assert after == {**before, "inline:linear_rep": {"f": "inline:linear_rep"},
-                     "run:cdb_so3": {"f": "run:cdb_so3"}}
+    assert json.loads(manifest.read_text()) == {
+        **before, "inline:linear_rep": {"f": "inline:linear_rep"},
+        "run:cdb_so3": {"f": "run:cdb_so3"}}
     # the untouched entries keep their bytes: the manifest is written canonically
-    assert MANIFEST.read_text() == json.dumps(before, indent=2, sort_keys=True) + "\n"
+    committed = MANIFEST.read_text()
+    assert committed == json.dumps(json.loads(committed), indent=2, sort_keys=True) + "\n"
     with pytest.raises(SystemExit, match="unknown op"):
         record(["inline:nonesuch"], manifest)
+
+
+def test_a_named_record_refuses_another_environment(tmp_path, monkeypatch):
+    manifest = tmp_path / "output_digests.json"
+    entries = json.loads(MANIFEST.read_text())
+    entries["_environment"] = {**entries["_environment"], "numpy": "0.0.0"}
+    manifest.write_text(json.dumps(entries))
+    monkeypatch.setattr(sys.modules[__name__], "digests", lambda op, work: {"f": op})
+    with pytest.raises(SystemExit, match=r"(?s)not recording run:cdb_so3.*numpy: manifest '0.0.0'"):
+        record(["run:cdb_so3"], manifest)
+    assert json.loads(manifest.read_text()) == entries
+
+
+def test_the_environment_note_names_each_field_that_differs(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    recorded = environment()
+    assert "matches" in environment_note(recorded)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    note = environment_note(recorded)
+    assert "OPENBLAS_CORETYPE: manifest None, here 'Haswell'" in note
+    assert "numpy:" not in note
 
 
 if __name__ == "__main__":
