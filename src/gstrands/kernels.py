@@ -1,14 +1,23 @@
 """Green's function of (1 - alpha^2 d^2/dx^2) on the line and Gram solves.
 
 Every Gram solve is one application of an inverse, one refinement sweep
-against the dense matrix and a residual check at SOLVE_RTOL.  The kernel at
-sorted points has a tridiagonal inverse in closed form
+against a mat-vec x -> G x and a residual check at SOLVE_RTOL.  The kernel
+at sorted points has a tridiagonal inverse in closed form
 (helmholtz_1d_inverse), which tridiag_solve_sorted takes from its caller and
 applies by elementwise products with no BLAS call, so repeated runs are
 bitwise identical.  The same closed form bounds the 1-norm condition number
 of n_p points by min(n_p, c) c with c = coth(g / 2 alpha) at the smallest
 gap g (cond_1_bound), so a conditioning check needs the inverse only near a
-collision of more than about 2500 points.  Nothing in the package calls the fixed-order Cholesky
+collision of more than about 2500 points.
+
+The mat-vec is the dense einsum, or, with no n x n array, the prefix sums:
+at ascending points e^{-|x_a - x_b|/alpha} = e^{-t_a} e^{t_b} (a > b), so
+L_a = sum_{b<a} G_ab w_b and U_a = sum_{b>a} G_ab w_b are one exclusive
+cumsum each (exp_prefix, prefix_sums; Camassa, Holm & Hyman, Adv. Appl.
+Mech. 31 (1994)).  The exponents t are taken from the center of a span of
+at most REBASE_SPAN alpha, so no factor nears overflow or the subnormals,
+and a row of wider spread is cut into spans whose sums are carried from one
+to the next.  Nothing in the package calls the fixed-order Cholesky
 chol_solve_batched: perfbench/spans.py wraps it as
 peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +34,12 @@ from .errors import InvalidParameterError, NearCollisionError
 
 COND_LIMIT = 1e12
 SOLVE_RTOL = 1e-10
+# Largest spread, in kernel lengths, of one span of the prefix sums
+# (exp_prefix): their factors e^t and e^-t keep |t| <= 32, far from overflow
+# and from the subnormals, and each adds a relative error of at most about
+# |t| eps (7e-15) to a product, where the dense e^{-|x_a - x_b|/alpha} adds
+# |x_a - x_b| eps / alpha
+REBASE_SPAN = 64.0
 
 
 @dataclass(frozen=True)
@@ -94,21 +110,26 @@ def chol_solve_batched(mats, rhs):
             x[..., i] = acc / low[..., i, i]
         return x
 
-    return _refined_solve(mats, substitute, rhs)
+    return _refined_solve(_dense_times(mats), substitute, rhs)
 
 
-def _refined_solve(mats, apply_inv, rhs):
-    """x = apply_inv(rhs), one refinement sweep against the dense mats, and
-    a residual check at SOLVE_RTOL relative to max |rhs|, which a NaN
-    residual or rhs fails.  An all-zero rhs (the classical mode's -d_s Q) has
-    the exact solution +0, returned as is."""
+def _dense_times(mats):
+    """The mat-vec x -> mats @ x of a dense (..., n, n) stack."""
+    return partial(np.einsum, "...ij,...j->...i", mats)
+
+
+def _refined_solve(times, apply_inv, rhs):
+    """x = apply_inv(rhs), one refinement sweep against the mat-vec
+    times(x) = G x, and a residual check at SOLVE_RTOL relative to max |rhs|,
+    which a NaN residual or rhs fails.  An all-zero rhs (the classical
+    mode's -d_s Q) has the exact solution +0, returned as is."""
     scale = np.abs(rhs).max(initial=0.0)
     if scale == 0.0:
         return np.zeros(rhs.shape)
     x = apply_inv(rhs)
-    resid = rhs - np.einsum("...ij,...j->...i", mats, x)
+    resid = rhs - times(x)
     x = x + apply_inv(resid)
-    resid = rhs - np.einsum("...ij,...j->...i", mats, x)
+    resid = rhs - times(x)
     if not np.abs(resid).max(initial=0.0) <= SOLVE_RTOL * max(scale, 1e-300):
         raise NearCollisionError("Gram solve residual above tolerance; system near singular")
     return x
@@ -162,11 +183,12 @@ def tridiag_norm_1(diag, off):
     return col.max(axis=-1)
 
 
-def tridiag_solve_sorted(mats, inverse, rhs):
-    """Solve the (m, n, n) Gram systems mats @ x = rhs (rhs (m, n)) at
-    ascending points with their tridiagonal inverse = (diag, off) of
-    helmholtz_1d_inverse, everything in that order: one application of the
-    inverse, one refinement sweep and the SOLVE_RTOL residual check."""
+def tridiag_solve_sorted(gram, inverse, rhs):
+    """Solve the (m, n) Gram systems G x = rhs at ascending points with their
+    tridiagonal inverse = (diag, off) of helmholtz_1d_inverse, everything in
+    that order: one application of the inverse, one refinement sweep and the
+    SOLVE_RTOL residual check.  ``gram`` is the dense (m, n, n) stack, or the
+    mat-vec x -> G x of a matrix-free caller (prefix_sums)."""
     diag, off = inverse
 
     def apply_inv(b):
@@ -175,4 +197,97 @@ def tridiag_solve_sorted(mats, inverse, rhs):
         y[:, :-1] += off * b[:, 1:]
         return y
 
-    return _refined_solve(mats, apply_inv, np.asarray(rhs, dtype=float))
+    times = gram if callable(gram) else _dense_times(gram)
+    return _refined_solve(times, apply_inv, np.asarray(rhs, dtype=float))
+
+
+@dataclass(frozen=True)
+class PrefixFactors:
+    """The Gram of ascending rows q (..., n) in factored form (exp_prefix).
+    Each row is cut into n_spans spans of equal spread, at most
+    REBASE_SPAN alpha; a point in the span of center c has t = (q - c) /
+    alpha, so |t| <= REBASE_SPAN / 2, and G_ab = down_a up_b for a > b in
+    one span, up_a down_b for a < b."""
+
+    alpha: float
+    up: np.ndarray      # e^t / (2 alpha)
+    down: np.ndarray    # e^-t
+    decay: np.ndarray   # (..., n_spans - 1): e^{-(c_{j+1} - c_j) / alpha}
+    # with more than one span: (index, rindex, pad), the flat position of
+    # each point in the (rows * n_spans, pad) buffer whose row r * n_spans + j
+    # holds span j of row r, in ascending order (index) or descending order
+    # with the spans reversed (rindex)
+    layout: tuple | None
+
+
+def exp_prefix(k: HelmholtzKernel, q) -> PrefixFactors:
+    """The factors of the Gram G of the finite ascending rows q (..., n)
+    that prefix_sums applies.  Every row has n_spans = floor(S / (REBASE_SPAN
+    alpha)) + 1 spans, S the largest spread of a row: up to 64 alpha of
+    spread one span, centered midway between a row's first and last points."""
+    q = np.asarray(q, dtype=float)
+    first = q[..., :1]
+    spread = q[..., -1:] - first
+    n_spans = int(spread.max(initial=0.0) // (REBASE_SPAN * k.alpha)) + 1
+    if n_spans == 1:
+        t = (q - (first + 0.5 * spread)) / k.alpha
+        return PrefixFactors(k.alpha, np.exp(t) / (2.0 * k.alpha), np.exp(-t),
+                             np.empty(q.shape[:-1] + (0,)), None)
+    width = spread / n_spans
+    # a row of one repeated point has width 0: all of it in span 0
+    x = np.divide(q - first, width, out=np.zeros(q.shape), where=width > 0.0)
+    span = np.minimum(x.astype(np.intp), n_spans - 1)
+    t = (q - (first + (span + 0.5) * width)) / k.alpha
+    centers = first + (np.arange(n_spans) + 0.5) * width
+    decay = np.exp((centers[..., 1:] - centers[..., :-1]) / -k.alpha)
+    # segment ids r * n_spans + j ascend over the flattened rows
+    rows = np.arange(q.size // q.shape[-1]).reshape(q.shape[:-1] + (1,))
+    ids = (span + n_spans * rows).ravel()
+    starts = np.searchsorted(ids, np.arange(n_spans * rows.size + 1))
+    size = starts[1:] - starts[:-1]
+    pad = int(size.max())
+    pos = np.arange(ids.size) - starts[ids]
+    rids = ids + (n_spans - 1) - 2 * span.ravel()
+    layout = (ids * pad + pos, rids * pad + (size[ids] - 1 - pos), pad)
+    return PrefixFactors(k.alpha, np.exp(t) / (2.0 * k.alpha), np.exp(-t), decay, layout)
+
+
+def prefix_sums(f: PrefixFactors, w):
+    """(L, U) with L_a = sum_{b<a} G_ab w_b and U_a = sum_{b>a} G_ab w_b over
+    the last axis, from the factors f of exp_prefix, so G w = L + w / 2 alpha
+    + U and the gradient sum_b dG/dQ_a(Q_a, Q_b) w_b = (U - L) / alpha.
+    O(n) per row, with no loop over points: one exclusive cumsum per
+    direction, over each span at once, and with more than one span a loop
+    over the spans that carries each span's sum to the next."""
+    w = np.asarray(w, dtype=float)
+    if f.layout is None:
+        flip = np.s_[..., ::-1]
+        return _exclusive(f.up * w, f.down), _exclusive((f.down * w)[flip], f.up[flip])[flip]
+    index, rindex, pad = f.layout
+    decay = f.decay.reshape(-1, f.decay.shape[-1])
+    return (_spanned(f.up * w, f.down, index, pad, decay),
+            _spanned(f.down * w, f.up, rindex, pad, decay[:, ::-1]))
+
+
+def _exclusive(v, outer):
+    """outer_a sum_{b<a} v_b along the last axis."""
+    out = np.zeros(v.shape)
+    v[..., :-1].cumsum(axis=-1, out=out[..., 1:])
+    out *= outer
+    return out
+
+
+def _spanned(v, outer, index, pad, decay):
+    """outer_a (C_a + sum_{b<a} v_b) over the points b of a's segment in the
+    padded buffer (PrefixFactors.layout), with C_a the carry of the segments
+    before it in its row: segment j's sum, decayed by decay[:, j] to the
+    center of segment j + 1 and added to that segment's carry."""
+    n_spans = decay.shape[1] + 1
+    buf = np.zeros((decay.shape[0] * n_spans, pad))
+    buf.ravel()[index] = v.ravel()
+    sums = _exclusive(buf, 1.0)
+    carry = np.zeros((decay.shape[0], n_spans))
+    totals = (sums[:, -1] + buf[:, -1]).reshape(carry.shape)
+    for j in range(1, n_spans):
+        carry[:, j] = (carry[:, j - 1] + totals[:, j - 1]) * decay[:, j - 1]
+    return outer * (sums.ravel()[index] + carry.ravel()[index // pad]).reshape(v.shape)

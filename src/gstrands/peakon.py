@@ -25,10 +25,19 @@ as a negative gap even when no evaluated stage lands within the collision
 gap.  The error names the pair and the s-index; gstrand.integrate adds the
 step.
 
-Each slaved solve evaluates the kernel once: G and its gradient (a fixed
-sign pattern times G, since the rows are strictly ascending), so the solve
-and the right-hand side use no Python loop over peakons or pairs, no gather
-and no second exponential.  At n_s = 1 the right-hand side -d_s Q of the
+A stage has two sides, split at MATRIX_FREE_ENTRIES Gram entries n_s n_p^2.
+Below it the stage is dense: each slaved solve evaluates the kernel once, G
+and its gradient (a fixed sign pattern times G, since the rows are strictly
+ascending), and the solve and the right-hand side multiply by both.  From it
+on the stage is matrix-free: the slave keeps the prefix factors of
+kernels.exp_prefix in place of the two tables, and the solve's mat-vec, the
+right-hand side and the exact conditioning check take G w = L + w / 2 alpha
++ U, dG w = (U - L) / alpha and G 1 from kernels.prefix_sums, so a stage
+does O(n_s n_p) work and holds no n_p x n_p array.  The switch is the
+measured crossover of one step: at n_s = 16 between n_p = 22 and 24, at
+n_s = 1 between 96 and 128 (there a row of more than 64 alpha of spread
+needs several rebase spans).  Both sides use no Python loop over peakons or
+pairs and no gather.  At n_s = 1 the right-hand side -d_s Q of the
 solve is all -0, so N is +0 with no solve, and the stage right-hand side
 skips the N-N force, which is +0 there.  The conditioning check first
 tries the closed-form bound cond_1(G) <= min(n_p, c) c, c = coth(g / 2 alpha)
@@ -36,9 +45,9 @@ at the smallest gap g (kernels.cond_1_bound).  Up to about 2500 peakons
 that bound clears every stage at finite positions that passes the gap
 check, and no exact per-s cond is computed.  Otherwise the exact per-s
 1-norm cond comes from the tridiagonal closed-form inverse of G
-(kernels.helmholtz_1d_inverse).  At n_s > 1 each slaved solve builds the
-inverse it applies (a second one on that exact path); the classical mode
-builds none.
+(kernels.helmholtz_1d_inverse) and G's row sums.  At n_s > 1 each slaved
+solve builds the inverse it applies (a second one on that exact path); the
+classical mode builds none.
 
 The history diagnostics (collective_hamiltonian, s_constraint_residual,
 cross_derivative_residual, compatibility_residual) build the Gram one block
@@ -48,7 +57,8 @@ History sums as a single state does.  They hold the O(n_t n_s n_p) history,
 a few arrays of its size (G M, G N, the per-slice outputs) and one block's
 Gram, never an (n_t, n_s, n_p, n_p) array.  Their bytes are those of one
 Gram over the whole history, except the n_s = 1 Hamiltonian, whose bytes
-are those of its states.
+are those of its states.  They stay dense on either side of the switch,
+O(n_s n_p^2) per stored slice.
 """
 
 from __future__ import annotations
@@ -60,13 +70,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
-from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_eval,
-                      helmholtz_1d_inverse, tridiag_norm_1, tridiag_solve_sorted)
+from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_eval, exp_prefix,
+                      helmholtz_1d_inverse, prefix_sums, tridiag_norm_1, tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
 # and peakon.grad_q
 from .kernels import chol_solve_batched, grad_q  # noqa: F401
 
 COLLISION_GAP = 1e-8
+# Gram entries n_s n_p^2 from which a stage runs matrix-free (_slave): the
+# crossover of one step's time, n_p 22-24 at n_s = 16 and 96-128 at n_s = 1
+MATRIX_FREE_ENTRIES = 10000
 # Gram entries per block of stored slices in the history diagnostics
 # (_gram_blocks): 512 KB, whatever the number of stored slices
 _BLOCK = 1 << 16
@@ -141,21 +154,43 @@ def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
 
 def _check_conditioning(kernel, q, gaps, low, gram):
     """The per-s 1-norm conditioning check of the Gram matrices ``gram`` at
-    the ascending positions q, whose smallest gap is ``low``.  At finite
-    positions with kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2
-    it passes with no exact cond; the factor 2 keeps the roundoff of the
-    exact value far from the limit.  Otherwise (non-finite positions, or a
-    near-collision of more than about 2500 peakons) it builds the
-    tridiagonal inverse for the exact cond per s-index."""
+    the ascending positions q, whose smallest gap is ``low``; ``gram`` is
+    None on the matrix-free side.  At finite positions with
+    kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2 it passes with
+    no exact cond; the factor 2 keeps the roundoff of the exact value far
+    from the limit.  Otherwise (non-finite positions, or a near-collision
+    of more than about 2500 peakons) it takes the exact cond per s-index
+    (_cond_1)."""
     if np.isfinite(q).all() and cond_1_bound(kernel, low, q.shape[1]) <= 0.5 * COND_LIMIT:
         return
-    diag, off = helmholtz_1d_inverse(kernel, gaps)
-    # G is nonnegative and symmetric, so its 1-norm is its largest row sum
-    cond = np.einsum("sab->sa", gram).max(axis=-1) * tridiag_norm_1(diag, off)
+    cond = _cond_1(kernel, q, gaps, gram)
     if not cond.max() <= COND_LIMIT:
         j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}")
+
+
+def _cond_1(kernel, q, gaps, gram):
+    """Per-s 1-norm cond of the Gram at the ascending positions q: its
+    largest row sum (G is nonnegative and symmetric) times the 1-norm of the
+    tridiagonal inverse.  The row sums G 1 come from the dense ``gram``, or,
+    when it is None, from the prefix sums; a row with a non-finite position
+    has cond NaN on either side."""
+    diag, off = helmholtz_1d_inverse(kernel, gaps)
+    if gram is None:
+        finite = np.isfinite(q).all(axis=1, keepdims=True)
+        prefix = exp_prefix(kernel, np.where(finite, q, 0.0))
+        rows = np.where(finite, _prefix_times(prefix, np.ones(q.shape)), np.nan)
+    else:
+        rows = np.einsum("sab->sa", gram)
+    return rows.max(axis=-1) * tridiag_norm_1(diag, off)
+
+
+def _prefix_times(prefix, w):
+    """G w = L + w / 2 alpha + U from the prefix sums of the factors
+    ``prefix`` (kernels.prefix_sums)."""
+    low, up = prefix_sums(prefix, w)
+    return low + w / (2.0 * prefix.alpha) + up
 
 
 def _slave(kernel, grid, labels, y):
@@ -163,30 +198,49 @@ def _slave(kernel, grid, labels, y):
     gradient matrices dG = dG/dQ_a, and N solving G N = -d_s Q.  Before the
     solve come the gap check, which names a pair by its ``labels``, and the
     conditioning check (_check_conditioning).  The strict order makes
-    dG_ab = sign(b - a) G_ab / alpha."""
+    dG_ab = sign(b - a) G_ab / alpha.  From MATRIX_FREE_ENTRIES Gram entries
+    on, G is kernels.exp_prefix's factors and dG None: the solve and _rhs
+    apply both through the prefix sums."""
     q = y[0]
     gaps, low = _ordered_gaps(q, labels, kernel.alpha)
-    gram = _gram_all(kernel, q)
-    _check_conditioning(kernel, q, gaps, low, gram)
+    if q.size * q.shape[1] < MATRIX_FREE_ENTRIES:
+        gram = _gram_all(kernel, q)
+        _check_conditioning(kernel, q, gaps, low, gram)
+        grad, times = gram * _grad_factor(q.shape[1], kernel.alpha), gram
+    else:
+        _check_conditioning(kernel, q, gaps, low, None)
+        gram, grad = exp_prefix(kernel, q), None
+        times = partial(_prefix_times, gram)
     if grid.n_s == 1:
         # -d_s Q is all -0, and _refined_solve returns +0 for it with no solve
         ns = np.zeros(q.shape)
     else:
-        ns = tridiag_solve_sorted(gram, helmholtz_1d_inverse(kernel, gaps), -d_s(q, grid))
-    return labels, gram, gram * _grad_factor(q.shape[1], kernel.alpha), ns
+        ns = tridiag_solve_sorted(times, helmholtz_1d_inverse(kernel, gaps), -d_s(q, grid))
+    return labels, gram, grad, ns
 
 
 def _rhs(grid, q, mw, aux):
     """(dQ, dM) from the tables of _slave: dQ = G M and the force
     sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a."""
     _, gram, grad, nw = aux
-    dq = np.einsum("sab,sb->sa", gram, mw)
-    m_force = mw * np.einsum("sab,sb->sa", grad, mw)
+    if grad is None:
+        # matrix-free: gram holds the prefix factors, G M = L + M / 2 alpha + U
+        # and dG M = (U - L) / alpha
+        low, up = prefix_sums(gram, mw)
+        dq, dgm = low + mw / (2.0 * gram.alpha) + up, (up - low) / gram.alpha
+    else:
+        dq, dgm = np.einsum("sab,sb->sa", gram, mw), np.einsum("sab,sb->sa", grad, mw)
+    m_force = mw * dgm
     if grid.n_s == 1:
         # N is all +0 (_slave): the N-N force is +0, which only turns -0 into
         # +0, and -d_s N is all -0, which (-0) - f leaves -f bit for bit
         return dq, -(m_force + 0.0)
-    return dq, -d_s(nw, grid) - (nw * np.einsum("sab,sb->sa", grad, nw) + m_force)
+    if grad is None:
+        low, up = prefix_sums(gram, nw)
+        dgn = (up - low) / gram.alpha
+    else:
+        dgn = np.einsum("sab,sb->sa", grad, nw)
+    return dq, -d_s(nw, grid) - (nw * dgn + m_force)
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:

@@ -202,6 +202,52 @@ def test_nan_rhs_fails_the_gram_solve_residual_check(solver):
     assert np.array_equal(zero, np.zeros((1, 3))) and not np.signbit(zero).any()
 
 
+def _prefix_rows(layout, alpha):
+    """Ascending rows (..., n) of one kind, in units of alpha."""
+    rng = np.random.default_rng(len(layout))
+    if layout == "one span":
+        return alpha * np.cumsum(rng.uniform(0.3, 2.0, (5, 30)), axis=1)
+    if layout == "many spans":
+        return alpha * (np.cumsum(rng.uniform(0.3, 2.0, (4, 300)), axis=1) - 100.0)
+    if layout == "clustered":
+        # 100 points within alpha at each end of 600 alpha: the spans
+        # between them are empty, the end spans full
+        ends = np.sort(rng.uniform(0.0, 1.0, (3, 2, 100)), axis=-1) + [[0.0], [600.0]]
+        return alpha * ends.reshape(3, 200)
+    if layout == "one point":
+        return alpha * rng.uniform(-1.0, 1.0, (4, 1))
+    if layout == "a repeated point":
+        # a row of one point, as _cond_1 puts in place of a non-finite row,
+        # beside a row of many spans
+        return alpha * np.stack([np.zeros(80), np.cumsum(rng.uniform(1.0, 3.0, 80))])
+    return alpha * (np.cumsum(rng.uniform(0.3, 2.0, 200)) + 1e3)  # one row, no batch axis
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("layout", ["one span", "many spans", "clustered", "one point",
+                                    "a repeated point", "unbatched"])
+def test_prefix_sums_are_the_dense_triangles(layout, alpha):
+    k = kernels.HelmholtzKernel(alpha, 1)
+    q = _prefix_rows(layout, alpha)
+    w = np.random.default_rng(7).standard_normal(q.shape)
+    factors = kernels.exp_prefix(k, q)
+    n_spans = factors.decay.shape[-1] + 1
+    assert (n_spans == 1) == (layout in ("one span", "one point"))
+    lower, upper = kernels.prefix_sums(factors, w)
+    g = kernels.eval(k, q[..., :, None], q[..., None, :])
+    # each term's error is eps times: the |t| <= REBASE_SPAN / 2 of each of
+    # its two factors, the dense path's own exponent |q_a - q_b| / alpha, and
+    # the |a - b| partial sums that carry it, plus two roundings
+    n = q.shape[-1]
+    weight = g * np.finfo(float).eps * (
+        kernels.REBASE_SPAN + np.abs(q[..., :, None] - q[..., None, :]) / alpha
+        + np.abs(np.arange(n)[:, None] - np.arange(n)) + 2.0)
+    for got, part in ((lower, np.tril), (upper, np.triu)):
+        oracle = np.einsum("...ab,...b->...a", part(g, -1 if part is np.tril else 1), w)
+        bound = np.einsum("...ab,...b->...a", part(weight, -1 if part is np.tril else 1), np.abs(w))
+        assert got.shape == w.shape and np.all(np.abs(got - oracle) <= bound)
+
+
 def test_quadrature_identity_second_order():
     # sum_j G(x_i, x_j) ((1 - D^2) f)(x_j) h reproduces f at second order
     def err(h):

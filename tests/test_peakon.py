@@ -293,7 +293,8 @@ def test_non_finite_stage_positions_fail_the_conditioning_check():
 def test_the_check_raises_exactly_when_the_exact_cond_does(n_s, n_p, log_alpha, log_gaps):
     """Gaps from the collision gap to 100 (absolute) and alpha up to 1e10
     reach exact conds far past the limit: the check keeps the exact
-    check's outcome and message."""
+    check's outcome and message, with the dense Gram and, matrix-free
+    (None), with the row sums of the prefix sums."""
     kernel = HelmholtzKernel(10.0 ** log_alpha)
     gaps = np.maximum(10.0 ** np.array(log_gaps[:n_s * n_p]).reshape(n_s, n_p),
                       peakon.COLLISION_GAP)
@@ -301,12 +302,13 @@ def test_the_check_raises_exactly_when_the_exact_cond_does(n_s, n_p, log_alpha, 
     gram = kernels.eval(kernel, qs[:, :, None], qs[:, None, :])
     row_gaps = np.diff(qs, axis=1)
     expected = exact_conditioning_error(kernel, qs)
-    try:
-        peakon._check_conditioning(kernel, qs, row_gaps, row_gaps.min(initial=np.inf), gram)
-    except NearCollisionError as exc:
-        assert str(exc) == expected
-    else:
-        assert expected is None
+    for side in (gram, None):
+        try:
+            peakon._check_conditioning(kernel, qs, row_gaps, row_gaps.min(initial=np.inf), side)
+        except NearCollisionError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 def ch_classical(dt, t_end, p0, q0=(-2.5, 2.5)):
@@ -414,7 +416,18 @@ def sorted_oracle(mats, labels):
     return mats[:, labels][:, :, labels]
 
 
-STAGE_SHAPES = [(n_s, n_p) for n_s in (1, 16) for n_p in (1, 2, 32)]
+# (1, 128) and (16, 32) are past peakon.MATRIX_FREE_ENTRIES, the others below it
+STAGE_SHAPES = [(n_s, n_p) for n_s in (1, 16) for n_p in (1, 2, 32)] + [(1, 128)]
+
+
+def matrix_free(n_s, n_p):
+    """Whether a stage of n_s rows of n_p peakons runs matrix-free."""
+    return n_s * n_p * n_p >= peakon.MATRIX_FREE_ENTRIES
+
+
+def test_the_stage_shapes_sit_on_both_sides_of_the_switch():
+    for n_s in (1, 16):
+        assert {matrix_free(*shape) for shape in STAGE_SHAPES if shape[0] == n_s} == {False, True}
 
 
 @pytest.mark.parametrize("n_s, n_p", STAGE_SHAPES)
@@ -426,19 +439,33 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     labels, ordered, back = peakon._relabeled(peakon.PeakonState(q, 0.0 * q, 0.0 * q))
     tables, gram, grad, nw = peakon._slave(k, grid, labels, (ordered.q,))
     assert tables is labels
-    assert np.array_equal(gram, sorted_oracle(peakon._gram_all(k, q), labels))
-    oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), labels)
-    # G / alpha and grad_q's e / (2 alpha^2) each round twice
-    ulps = np.abs(grad - oracle) / np.spacing(np.abs(oracle))
-    assert ulps.max() <= (0.0 if alpha == 1.0 else 2.0)
-    diagonal = np.diagonal(grad, axis1=1, axis2=2)
-    assert np.array_equal(diagonal, np.zeros_like(diagonal)) and not np.signbit(diagonal).any()
+    dense = sorted_oracle(peakon._gram_all(k, q), labels)
+    if matrix_free(n_s, n_p):
+        # the prefix factors, none of them an (n_p, n_p) array, apply G column
+        # by column as the permuted dense matrix does, each entry to eps times
+        # the |t| <= REBASE_SPAN / 2 of each of its two factors plus the dense
+        # exponent |Q_a - Q_b| / alpha
+        assert grad is None and isinstance(gram, kernels.PrefixFactors)
+        assert max(x.size for x in (gram.up, gram.down, gram.decay)) == n_s * n_p
+        cols = np.stack([peakon._prefix_times(gram, np.broadcast_to(e, q.shape))
+                         for e in np.eye(n_p)], axis=-1)
+        exponent = np.abs(ordered.q[:, :, None] - ordered.q[:, None, :]) / alpha
+        bound = np.finfo(float).eps * (kernels.REBASE_SPAN + exponent)
+        assert np.all(np.abs(cols - dense) <= bound * dense)
+    else:
+        assert np.array_equal(gram, dense)
+        oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), labels)
+        # G / alpha and grad_q's e / (2 alpha^2) each round twice
+        ulps = np.abs(grad - oracle) / np.spacing(np.abs(oracle))
+        assert ulps.max() <= (0.0 if alpha == 1.0 else 2.0)
+        diagonal = np.diagonal(grad, axis1=1, axis2=2)
+        assert np.array_equal(diagonal, np.zeros_like(diagonal)) and not np.signbit(diagonal).any()
     expected = kernels.chol_solve_batched(peakon._gram_all(k, q), -d_s(q, grid))
     nw = nw.take(back, axis=1)
     assert np.max(np.abs(nw - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
 
 
-@pytest.mark.parametrize("n_p", [1, 2, 32])
+@pytest.mark.parametrize("n_p", [1, 2, 32, 128])
 def test_the_classical_slave_n_is_positive_zero(n_p):
     # _rhs at n_s = 1 drops the N-N force, which is exactly +0 only for this N
     q = shuffled_positions(np.random.default_rng(n_p), 1, n_p)
@@ -505,6 +532,182 @@ def test_a_row_out_of_the_run_order_is_crossed():
     # the labels of the run name the pair
     with pytest.raises(NearCollisionError, match="peakons 0 and 2 crossed at s-index 1"):
         peakon._ordered_gaps(q, np.array([1, 2, 0]), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free stage (peakon.MATRIX_FREE_ENTRIES and up)
+
+@pytest.mark.parametrize("n_s, n_p, n_spans", [(1, 1000, 32), (8, 400, 13)])
+def test_rows_of_many_rebase_spans_match_the_dense_gram(n_s, n_p, n_spans):
+    # peakons about 2 alpha apart: some 2000 (800) alpha of spread, which the
+    # prefix sums cut into 32 (13) rebase spans per row
+    alpha = 0.7
+    k = HelmholtzKernel(alpha)
+    grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
+    rng = np.random.default_rng(1000 + n_s)
+    q = alpha * (np.cumsum(rng.uniform(1.9, 2.1, (n_s, n_p)), axis=1) - n_p)
+    mw, nw = rng.standard_normal((2, n_s, n_p))
+    if n_s == 1:
+        nw = np.zeros_like(nw)  # the only N a run has at n_s = 1
+    labels = np.arange(n_p)
+    _, prefix, grad, ns = peakon._slave(k, grid, labels, (q,))
+    assert grad is None and prefix.decay.shape[-1] + 1 == n_spans
+    gram = peakon._gram_all(k, q)
+    expected = np.linalg.solve(gram, -d_s(q, grid)[..., None])[..., 0]
+    assert np.max(np.abs(ns - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
+    grad = kernels.grad_q(k, q[..., :, None], q[..., None, :])
+
+    def times(mat, v):
+        return np.einsum("sab,sb->sa", mat, v)
+
+    dq_oracle, dq_scale = times(gram, mw), times(gram, np.abs(mw))
+    dm_oracle = -d_s(nw, grid) - (nw * times(grad, nw) + mw * times(grad, mw))
+    grad = np.abs(grad)
+    dm_scale = np.abs(d_s(nw, grid)) + np.abs(nw) * times(grad, np.abs(nw)) \
+        + np.abs(mw) * times(grad, np.abs(mw))
+    dq, dm = peakon._rhs(grid, q, mw, (labels, prefix, None, nw))
+    assert np.all(np.abs(dq - dq_oracle) <= 1e-14 * dq_scale)
+    assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
+
+
+def _strand_on_a_lattice(n_s, n_p):
+    """Peakon a at 2a - n_p, moved 0.1 ((j mod 4) - 1.5) at s-index j, with
+    m = 1 + 0.5 a / n_p: the large-n_p inline config, 20 steps of 0.01."""
+    q = [[2.0 * a - n_p + 0.1 * ((j % 4) - 1.5) for j in range(n_s)] for a in range(n_p)]
+    m = [[1.0 + 0.5 * a / n_p] * n_s for a in range(n_p)]
+    cfg = config.parse_config(
+        f"scenario: peakon_strand\nparams: {{n_p: {n_p}}}\n"
+        f"grid: {{n_s: {n_s}, dt: 0.01, t_end: 0.2}}\n"
+        f"initial: {{preset: inline, q0: {q}, m0: {m}}}\n")
+    grid = scenarios.make_grid(cfg)
+    kernel, state = scenarios.peakon_setup(cfg, grid)
+    return state, kernel, grid
+
+
+WHOLE_RUNS = {
+    "strand_16x32": lambda: _strand_on_a_lattice(16, 32),
+    "strand_16x64": lambda: _strand_on_a_lattice(16, 64),
+    # 64 peakons 2 apart, 126 of spread: two rebase spans
+    "classical_64": lambda: ch_classical(0.05, 10.0,
+                                         [float(1.0 + 0.5 * np.sin(a)) for a in range(64)],
+                                         [2.0 * a - 64.0 for a in range(64)]),
+}
+
+
+def _on_both_sides(monkeypatch, run):
+    """{side: run()} with every stage dense, then every stage matrix-free,
+    and the number of stages that built prefix factors on each side."""
+    out, built = {}, {}
+    real = peakon.exp_prefix
+    for side, entries in (("dense", 1 << 62), ("matrix-free", 0)):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(peakon, "MATRIX_FREE_ENTRIES", entries)
+            patch.setattr(peakon, "exp_prefix", lambda *a: calls.append(1) or real(*a))
+            out[side] = run()
+        built[side] = len(calls)
+    return out, built
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_RUNS))
+def test_a_run_agrees_on_both_sides_of_the_switch(monkeypatch, name):
+    state, kernel, grid = WHOLE_RUNS[name]()
+    runs, built = _on_both_sides(monkeypatch, lambda: peakon.simulate(state, kernel, grid))
+    assert built == {"dense": 0, "matrix-free": 1 + 4 * grid.n_steps}
+    dense, free = runs["dense"], runs["matrix-free"]
+    # measured: at most 9.6e-15 (N of the 32-peakon strand)
+    for field in ("q", "mw", "nw"):
+        assert np.max(np.abs(getattr(free, field) - getattr(dense, field))) <= 5e-14, field
+    if grid.n_s == 1:
+        # the classical invariants drift no more than on the dense side, up to
+        # the 1e-14 to which the two runs agree (RK4's H drift is 1.1e-10)
+        drifts = {side: [np.max(np.abs(x - x[0])) / abs(x[0]) for x in
+                         (peakon.collective_hamiltonian(h, kernel)[:, 0],
+                          peakon.total_momentum(h)[:, 0])] for side, h in runs.items()}
+        assert drifts["dense"][0] > 1e-11
+        for free_drift, dense_drift in zip(drifts["matrix-free"], drifts["dense"]):
+            assert free_drift <= dense_drift + 1e-14
+
+
+def test_a_crossed_pair_is_named_on_both_sides(monkeypatch):
+    state, kernel, grid = _strand_on_a_lattice(16, 32)
+    q = state.q.copy()
+    q[5, [7, 8]] = q[5, [8, 7]]  # peakons 7 and 8 swap at s-index 5
+    crossed = peakon.PeakonState(q, state.mw, state.nw)
+
+    def halt():
+        with pytest.raises(NearCollisionError) as exc:
+            peakon.simulate(crossed, kernel, grid)
+        return str(exc.value), exc.value.category, exc.value.step_index
+
+    runs, _ = _on_both_sides(monkeypatch, halt)
+    assert runs["matrix-free"] == runs["dense"] == \
+        ("peakons 7 and 8 crossed at s-index 5", "near-collision", None)
+
+
+@pytest.mark.parametrize("bad", ["nan_momentum", "nan_position"])
+def test_a_non_finite_stage_fails_the_check_on_both_sides(monkeypatch, bad):
+    state, kernel, grid = _strand_on_a_lattice(16, 32)
+    q, mw = state.q.copy(), state.mw.copy()
+    if bad == "nan_momentum":
+        mw[3, 0] = np.nan  # NaN positions from stage 2 on, at s-index 3
+    else:
+        q[3, 5] = np.nan  # a NaN gap is not a near-collision
+    stepped = peakon.PeakonState(q, mw, state.nw)
+
+    def halt():
+        with pytest.raises(NearCollisionError) as exc:
+            peakon.step(stepped, kernel, grid)
+        return str(exc.value), exc.value.category
+
+    runs, _ = _on_both_sides(monkeypatch, halt)
+    assert runs["matrix-free"] == runs["dense"] == \
+        ("per-s Gram conditioning nan exceeds 1e+12 at s-index 3", "near-collision")
+
+
+def test_the_exact_cond_of_a_matrix_free_stage_is_the_dense_one(monkeypatch):
+    # 3000 peakons 0.5 alpha apart but for one gap of 1.1e-8 alpha: past the
+    # collision gap, yet cond_1_bound (5.5e11) fails, so the stage takes the
+    # exact cond, G 1 from the prefix sums over 24 rebase spans
+    alpha, n_p = 0.8, 3000
+    k = HelmholtzKernel(alpha)
+    gaps = np.full(n_p - 1, 0.5 * alpha)
+    gaps[1700] = 1.1e-8 * alpha
+    q = np.concatenate([[0.0], np.cumsum(gaps)])[None, :] - 700.0
+    assert kernels.cond_1_bound(k, gaps.min(), n_p) > 0.5 * kernels.COND_LIMIT
+    rows = np.concatenate([kernels.eval(k, q[0, a:a + 500, None], q[0, None, :]).sum(axis=-1)
+                           for a in range(0, n_p, 500)])
+    row_gaps = q[:, 1:] - q[:, :-1]
+    dense = rows.max() * kernels.tridiag_norm_1(*kernels.helmholtz_1d_inverse(k, row_gaps))[0]
+    cond = peakon._cond_1(k, q, row_gaps, None)
+    assert cond.shape == (1,) and abs(cond[0] / dense - 1.0) <= 1e-12
+    grid = StrandGrid(1, 1.0, 1e-3, 1e-3)
+    state = peakon.PeakonState(q, np.ones(q.shape), np.zeros(q.shape))
+    exact = []
+    real = peakon._cond_1
+    monkeypatch.setattr(peakon, "_cond_1", lambda *a: exact.append(a[3]) or real(*a))
+    peakon.step(state, k, grid)  # a cond of 4.6e8 passes
+    assert len(exact) == 5 and all(gram is None for gram in exact)
+    # under a limit the cond passes, the stage halts as the dense check does
+    monkeypatch.setattr(peakon, "COND_LIMIT", 1e8)
+    with pytest.raises(NearCollisionError) as exc:
+        peakon.step(state, k, grid)
+    assert str(exc.value) == f"per-s Gram conditioning {dense:.3e} exceeds 1e+08 at s-index 0"
+    assert exc.value.category == "near-collision"
+
+
+def test_a_matrix_free_step_holds_no_gram():
+    # one (n_s, n_p, n_p) array of n_s = 16 rows of 512 peakons is 32 MB; a
+    # matrix-free step holds a few (n_s, n_p) ones of 64 KB
+    state, kernel, grid = _strand_on_a_lattice(16, 512)
+    state = peakon.PeakonState(*(np.ascontiguousarray(x) for x in (state.q, state.mw, state.nw)))
+    tracemalloc.start()
+    try:
+        peakon.step(state, kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def compatibility_oracle(hist, kernel, grid):
