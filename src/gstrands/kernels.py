@@ -3,22 +3,22 @@
 Every Gram solve is one application of an inverse, one refinement sweep
 against a mat-vec x -> G x and a residual check at SOLVE_RTOL.  The kernel
 at sorted points has a tridiagonal inverse in closed form
-(helmholtz_1d_inverse), which tridiag_solve_sorted takes from its caller and
-applies by elementwise products with no BLAS call, so repeated runs are
-bitwise identical.  The same closed form bounds the 1-norm condition number
-of n_p points by min(n_p, c) c with c = coth(g / 2 alpha) at the smallest
-gap g (cond_1_bound), so a conditioning check needs the inverse only near a
-collision of more than about 2500 points.
+(helmholtz_1d_inverse), which tridiag_solve_sorted takes from its caller
+with the mat-vec and applies by elementwise products with no BLAS call, so
+repeated runs are bitwise identical.  The same closed form bounds the 1-norm
+condition number of n_p points by min(n_p, c) c with c = coth(g / 2 alpha)
+at the smallest gap g (cond_1_bound), so a conditioning check needs the
+inverse only near a collision of more than about 2500 points.
 
-The mat-vec is the dense einsum, or, with no n x n array, the prefix sums:
-at ascending points e^{-|x_a - x_b|/alpha} = e^{-t_a} e^{t_b} (a > b), so
-L_a = sum_{b<a} G_ab w_b and U_a = sum_{b>a} G_ab w_b are one exclusive
-cumsum each (exp_prefix, prefix_sums; Camassa, Holm & Hyman, Adv. Appl.
-Mech. 31 (1994)).  The exponents t are taken from the center of a span of
-at most REBASE_SPAN alpha, so no factor nears overflow or the subnormals,
-and a row of wider spread is cut into spans whose sums are carried from one
-to the next.  Nothing in the package calls the fixed-order Cholesky
-chol_solve_batched: perfbench/spans.py wraps it as
+PrefixFactors is the Gram with no n x n array: at ascending points
+e^{-|x_a - x_b|/alpha} = e^{-t_a} e^{t_b} (a > b), so L_a = sum_{b<a} G_ab
+w_b and U_a = sum_{b>a} G_ab w_b are one exclusive cumsum each (exp_prefix,
+prefix_sums; Camassa, Holm & Hyman, Adv. Appl. Mech. 31 (1994)), and G w,
+dG w and G 1 come from them.  The exponents t are taken from the center of
+a span of at most REBASE_SPAN alpha, so no factor nears overflow or the
+subnormals, and a row of wider spread is cut into spans whose sums are
+carried from one to the next.  Nothing in the package calls the fixed-order
+Cholesky chol_solve_batched: perfbench/spans.py wraps it as
 peakon.chol_solve_batched, and the tests use it as the dense reference.
 """
 
@@ -54,9 +54,9 @@ class HelmholtzKernel:
     dim: int = 1
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(0.5 / self.alpha)):
+        if not (0.0 < self.alpha < math.inf and math.isfinite(0.5 / self.alpha)):
             raise InvalidParameterError(
-                f"alpha must be positive with 1/(2 alpha) finite, got {self.alpha}")
+                f"alpha must be positive and finite with 1/(2 alpha) finite, got {self.alpha}")
         if self.dim != 1:
             raise InvalidParameterError(
                 f"unsupported kernel dimension {self.dim}; only dim=1 is provided")
@@ -110,12 +110,7 @@ def chol_solve_batched(mats, rhs):
             x[..., i] = acc / low[..., i, i]
         return x
 
-    return _refined_solve(_dense_times(mats), substitute, rhs)
-
-
-def _dense_times(mats):
-    """The mat-vec x -> mats @ x of a dense (..., n, n) stack."""
-    return partial(np.einsum, "...ij,...j->...i", mats)
+    return _refined_solve(partial(np.einsum, "...ij,...j->...i", mats), substitute, rhs)
 
 
 def _refined_solve(times, apply_inv, rhs):
@@ -183,12 +178,11 @@ def tridiag_norm_1(diag, off):
     return col.max(axis=-1)
 
 
-def tridiag_solve_sorted(gram, inverse, rhs):
-    """Solve the (m, n) Gram systems G x = rhs at ascending points with their
-    tridiagonal inverse = (diag, off) of helmholtz_1d_inverse, everything in
-    that order: one application of the inverse, one refinement sweep and the
-    SOLVE_RTOL residual check.  ``gram`` is the dense (m, n, n) stack, or the
-    mat-vec x -> G x of a matrix-free caller (prefix_sums)."""
+def tridiag_solve_sorted(times, inverse, rhs):
+    """Solve the (m, n) Gram systems G x = rhs at ascending points with the
+    mat-vec times(x) = G x and their tridiagonal inverse = (diag, off) of
+    helmholtz_1d_inverse, everything in that order: one application of the
+    inverse, one refinement sweep and the SOLVE_RTOL residual check."""
     diag, off = inverse
 
     def apply_inv(b):
@@ -197,7 +191,6 @@ def tridiag_solve_sorted(gram, inverse, rhs):
         y[:, :-1] += off * b[:, 1:]
         return y
 
-    times = gram if callable(gram) else _dense_times(gram)
     return _refined_solve(times, apply_inv, np.asarray(rhs, dtype=float))
 
 
@@ -207,7 +200,7 @@ class PrefixFactors:
     Each row is cut into n_spans spans of equal spread, at most
     REBASE_SPAN alpha; a point in the span of center c has t = (q - c) /
     alpha, so |t| <= REBASE_SPAN / 2, and G_ab = down_a up_b for a > b in
-    one span, up_a down_b for a < b."""
+    one span, up_a down_b for a < b.  Products: G w, dG w, both, G 1."""
 
     alpha: float
     up: np.ndarray      # e^t / (2 alpha)
@@ -218,6 +211,22 @@ class PrefixFactors:
     # holds span j of row r, in ascending order (index) or descending order
     # with the spans reversed (rindex)
     layout: tuple | None
+
+    def products(self, w):
+        """(G w, dG w) = (L + w / 2 alpha + U, (U - L) / alpha), one pass."""
+        low, up = prefix_sums(self, w)
+        return low + w / (2.0 * self.alpha) + up, (up - low) / self.alpha
+
+    def times(self, w):
+        low, up = prefix_sums(self, w)
+        return low + w / (2.0 * self.alpha) + up
+
+    def grad_times(self, w):
+        low, up = prefix_sums(self, w)
+        return (up - low) / self.alpha
+
+    def row_sums(self):
+        return self.times(np.ones(self.up.shape))
 
 
 def exp_prefix(k: HelmholtzKernel, q) -> PrefixFactors:

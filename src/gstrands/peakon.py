@@ -25,29 +25,15 @@ as a negative gap even when no evaluated stage lands within the collision
 gap.  The error names the pair and the s-index; gstrand.integrate adds the
 step.
 
-A stage has two sides, split at MATRIX_FREE_ENTRIES Gram entries n_s n_p^2.
-Below it the stage is dense: each slaved solve evaluates the kernel once, G
-and its gradient (a fixed sign pattern times G, since the rows are strictly
-ascending), and the solve and the right-hand side multiply by both.  From it
-on the stage is matrix-free: the slave keeps the prefix factors of
-kernels.exp_prefix in place of the two tables, and the solve's mat-vec, the
-right-hand side and the exact conditioning check take G w = L + w / 2 alpha
-+ U, dG w = (U - L) / alpha and G 1 from kernels.prefix_sums, so a stage
-does O(n_s n_p) work and holds no n_p x n_p array.  The switch is the
-measured crossover of one step: at n_s = 16 between n_p = 22 and 24, at
-n_s = 1 between 96 and 128 (there a row of more than 64 alpha of spread
-needs several rebase spans).  Both sides use no Python loop over peakons or
-pairs and no gather.  At n_s = 1 the right-hand side -d_s Q of the
-solve is all -0, so N is +0 with no solve, and the stage right-hand side
-skips the N-N force, which is +0 there.  The conditioning check first
-tries the closed-form bound cond_1(G) <= min(n_p, c) c, c = coth(g / 2 alpha)
-at the smallest gap g (kernels.cond_1_bound).  Up to about 2500 peakons
-that bound clears every stage at finite positions that passes the gap
-check, and no exact per-s cond is computed.  Otherwise the exact per-s
-1-norm cond comes from the tridiagonal closed-form inverse of G
-(kernels.helmholtz_1d_inverse) and G's row sums.  At n_s > 1 each slaved
-solve builds the inverse it applies (a second one on that exact path); the
-classical mode builds none.
+A stage's Gram is chosen once (_gram); the slaved solve, the right-hand side
+and the conditioning check use it through the same four products on either
+side.  At n_s = 1 the right-hand side -d_s Q of the solve is all -0, so N is
++0 with no solve, and the stage right-hand side skips the N-N force, which
+is +0 there.  A row with a non-finite position has no Gram: after the gap
+check it halts as a per-s conditioning of NaN.  The conditioning check
+(_check_conditioning) needs an exact cond only near a collision of more
+than about 2500 peakons.  At n_s > 1 each slaved solve builds the inverse it
+applies (a second one on that exact path); the classical mode builds none.
 
 The history diagnostics (collective_hamiltonian, s_constraint_residual,
 cross_derivative_residual, compatibility_residual) build the Gram one block
@@ -71,13 +57,13 @@ import numpy as np
 from .errors import DimensionMismatchError, NearCollisionError
 from .gstrand import History, SlavedState, StrandGrid, centered_dt, d_s, integrate, slaved_step
 from .kernels import (COND_LIMIT, HelmholtzKernel, cond_1_bound, eval as kernel_eval, exp_prefix,
-                      helmholtz_1d_inverse, prefix_sums, tridiag_norm_1, tridiag_solve_sorted)
+                      helmholtz_1d_inverse, tridiag_norm_1, tridiag_solve_sorted)
 # not called here: bound so perfbench/spans.py can still wrap peakon.chol_solve_batched
 # and peakon.grad_q
 from .kernels import chol_solve_batched, grad_q  # noqa: F401
 
 COLLISION_GAP = 1e-8
-# Gram entries n_s n_p^2 from which a stage runs matrix-free (_slave): the
+# Gram entries n_s n_p^2 from which a stage runs matrix-free (_gram): the
 # crossover of one step's time, n_p 22-24 at n_s = 16 and 96-128 at n_s = 1
 MATRIX_FREE_ENTRIES = 10000
 # Gram entries per block of stored slices in the history diagnostics
@@ -115,8 +101,14 @@ def _ordered_gaps(q, labels, alpha):
     is not NaN (inf when there is none).  A gap under COLLISION_GAP · alpha,
     relative to the kernel length alpha (negative when the pair crossed),
     raises NearCollisionError naming the pair by its ``labels`` and the
-    s-index; a NaN gap is not one."""
-    gaps = q[:, 1:] - q[:, :-1]
+    s-index; a NaN gap is not one.  Then the first row with a non-finite
+    position raises it as a per-s Gram conditioning of NaN."""
+    finite = np.isfinite(q).all()
+    if finite:
+        gaps = q[:, 1:] - q[:, :-1]
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap
+            gaps = q[:, 1:] - q[:, :-1]
     low = np.fmin.reduce(gaps, axis=None, initial=np.inf)
     collision_gap = COLLISION_GAP * alpha
     if low < collision_gap:
@@ -126,6 +118,10 @@ def _ordered_gaps(q, labels, alpha):
         gap = gaps[j, i]
         what = "crossed" if gap < 0.0 else f"within {gap:.3e} of collision"
         raise NearCollisionError(f"peakons {a} and {b} {what} at s-index {j}")
+    if not finite:
+        j = int(np.argmin(np.isfinite(q).all(axis=1)))
+        raise NearCollisionError(
+            f"per-s Gram conditioning nan exceeds {COND_LIMIT:.0e} at s-index {j}")
     return gaps, low
 
 
@@ -153,94 +149,87 @@ def solve_n_constraint(state: PeakonState, kernel: HelmholtzKernel,
 
 
 def _check_conditioning(kernel, q, gaps, low, gram):
-    """The per-s 1-norm conditioning check of the Gram matrices ``gram`` at
-    the ascending positions q, whose smallest gap is ``low``; ``gram`` is
-    None on the matrix-free side.  At finite positions with
-    kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2 it passes with
-    no exact cond; the factor 2 keeps the roundoff of the exact value far
-    from the limit.  Otherwise (non-finite positions, or a near-collision
-    of more than about 2500 peakons) it takes the exact cond per s-index
-    (_cond_1)."""
-    if np.isfinite(q).all() and cond_1_bound(kernel, low, q.shape[1]) <= 0.5 * COND_LIMIT:
+    """The per-s 1-norm conditioning check of the Gram ``gram`` (_gram) at
+    the finite ascending positions q, whose smallest gap is ``low``.  With
+    kernels.cond_1_bound(kernel, low, n_p) <= COND_LIMIT / 2, a bound that
+    clears every such stage of up to about 2500 peakons, it passes with no
+    exact cond; the factor 2 keeps the roundoff of the exact value far from
+    the limit.  Otherwise the exact per-s cond is the largest row sum of G
+    (it is nonnegative and symmetric) times the 1-norm of the tridiagonal
+    closed-form inverse (kernels.helmholtz_1d_inverse)."""
+    if cond_1_bound(kernel, low, q.shape[1]) <= 0.5 * COND_LIMIT:
         return
-    cond = _cond_1(kernel, q, gaps, gram)
+    cond = gram.row_sums().max(axis=-1) * tridiag_norm_1(*helmholtz_1d_inverse(kernel, gaps))
     if not cond.max() <= COND_LIMIT:
         j = int(np.argmin(cond <= COND_LIMIT))
         raise NearCollisionError(
             f"per-s Gram conditioning {cond[j]:.3e} exceeds {COND_LIMIT:.0e} at s-index {j}")
 
 
-def _cond_1(kernel, q, gaps, gram):
-    """Per-s 1-norm cond of the Gram at the ascending positions q: its
-    largest row sum (G is nonnegative and symmetric) times the 1-norm of the
-    tridiagonal inverse.  The row sums G 1 come from the dense ``gram``, or,
-    when it is None, from the prefix sums; a row with a non-finite position
-    has cond NaN on either side."""
-    diag, off = helmholtz_1d_inverse(kernel, gaps)
-    if gram is None:
-        finite = np.isfinite(q).all(axis=1, keepdims=True)
-        prefix = exp_prefix(kernel, np.where(finite, q, 0.0))
-        rows = np.where(finite, _prefix_times(prefix, np.ones(q.shape)), np.nan)
-    else:
-        rows = np.einsum("sab->sa", gram)
-    return rows.max(axis=-1) * tridiag_norm_1(diag, off)
+@dataclass(frozen=True)
+class _Table:
+    """The dense side of _gram: G (n_s, n_p, n_p) and dG = dG/dQ_a."""
+
+    gram: np.ndarray
+    grad: np.ndarray
+
+    def times(self, w):
+        return np.einsum("sab,sb->sa", self.gram, w)
+
+    def grad_times(self, w):
+        return np.einsum("sab,sb->sa", self.grad, w)
+
+    def products(self, w):
+        return self.times(w), self.grad_times(w)
+
+    def row_sums(self):
+        return np.einsum("sab->sa", self.gram)
 
 
-def _prefix_times(prefix, w):
-    """G w = L + w / 2 alpha + U from the prefix sums of the factors
-    ``prefix`` (kernels.prefix_sums)."""
-    low, up = prefix_sums(prefix, w)
-    return low + w / (2.0 * prefix.alpha) + up
+def _gram(kernel, q):
+    """The Gram of the finite ascending rows q (n_s, n_p) with times(w) = G w,
+    grad_times(w) = dG w, products(w) = (G w, dG w) and row_sums() = G 1.
+    Below MATRIX_FREE_ENTRIES Gram entries n_s n_p^2, the measured crossover
+    of one step (n_p 22-24 at n_s = 16, 96-128 at n_s = 1), a _Table: one
+    kernel evaluation and dG_ab = sign(b - a) G_ab / alpha (the rows are
+    strictly ascending), multiplied by einsum.  From it on, the factors of
+    kernels.exp_prefix, whose G w = L + w / 2 alpha + U and dG w = (U - L) /
+    alpha come from one kernels.prefix_sums: O(n_s n_p) work and no n_p x n_p
+    array.  Neither side loops over peakons or gathers."""
+    if q.size * q.shape[1] < MATRIX_FREE_ENTRIES:
+        gram = _gram_all(kernel, q)
+        return _Table(gram, gram * _grad_factor(q.shape[1], kernel.alpha))
+    return exp_prefix(kernel, q)
 
 
 def _slave(kernel, grid, labels, y):
-    """(labels, G, dG, N) of the ascending positions q = y[0]: the Gram and
-    gradient matrices dG = dG/dQ_a, and N solving G N = -d_s Q.  Before the
-    solve come the gap check, which names a pair by its ``labels``, and the
-    conditioning check (_check_conditioning).  The strict order makes
-    dG_ab = sign(b - a) G_ab / alpha.  From MATRIX_FREE_ENTRIES Gram entries
-    on, G is kernels.exp_prefix's factors and dG None: the solve and _rhs
-    apply both through the prefix sums."""
+    """(labels, G, N) of the ascending positions q = y[0]: the Gram G
+    (_gram) and N solving G N = -d_s Q.  Before the solve come the gap check
+    (_ordered_gaps), which names a pair by its ``labels`` and refuses a
+    non-finite row, and the conditioning check (_check_conditioning)."""
     q = y[0]
     gaps, low = _ordered_gaps(q, labels, kernel.alpha)
-    if q.size * q.shape[1] < MATRIX_FREE_ENTRIES:
-        gram = _gram_all(kernel, q)
-        _check_conditioning(kernel, q, gaps, low, gram)
-        grad, times = gram * _grad_factor(q.shape[1], kernel.alpha), gram
-    else:
-        _check_conditioning(kernel, q, gaps, low, None)
-        gram, grad = exp_prefix(kernel, q), None
-        times = partial(_prefix_times, gram)
+    gram = _gram(kernel, q)
+    _check_conditioning(kernel, q, gaps, low, gram)
     if grid.n_s == 1:
         # -d_s Q is all -0, and _refined_solve returns +0 for it with no solve
         ns = np.zeros(q.shape)
     else:
-        ns = tridiag_solve_sorted(times, helmholtz_1d_inverse(kernel, gaps), -d_s(q, grid))
-    return labels, gram, grad, ns
+        ns = tridiag_solve_sorted(gram.times, helmholtz_1d_inverse(kernel, gaps), -d_s(q, grid))
+    return labels, gram, ns
 
 
 def _rhs(grid, q, mw, aux):
-    """(dQ, dM) from the tables of _slave: dQ = G M and the force
+    """(dQ, dM) from the Gram of _slave: dQ = G M and the force
     sum_b (N_a N_b + M_a M_b) dG_ab = N_a (dG N)_a + M_a (dG M)_a."""
-    _, gram, grad, nw = aux
-    if grad is None:
-        # matrix-free: gram holds the prefix factors, G M = L + M / 2 alpha + U
-        # and dG M = (U - L) / alpha
-        low, up = prefix_sums(gram, mw)
-        dq, dgm = low + mw / (2.0 * gram.alpha) + up, (up - low) / gram.alpha
-    else:
-        dq, dgm = np.einsum("sab,sb->sa", gram, mw), np.einsum("sab,sb->sa", grad, mw)
+    _, gram, nw = aux
+    dq, dgm = gram.products(mw)
     m_force = mw * dgm
     if grid.n_s == 1:
         # N is all +0 (_slave): the N-N force is +0, which only turns -0 into
         # +0, and -d_s N is all -0, which (-0) - f leaves -f bit for bit
         return dq, -(m_force + 0.0)
-    if grad is None:
-        low, up = prefix_sums(gram, nw)
-        dgn = (up - low) / gram.alpha
-    else:
-        dgn = np.einsum("sab,sb->sa", grad, nw)
-    return dq, -d_s(nw, grid) - (nw * dgn + m_force)
+    return dq, -d_s(nw, grid) - (nw * gram.grad_times(nw) + m_force)
 
 
 def step(state: PeakonState, kernel: HelmholtzKernel, grid: StrandGrid) -> PeakonState:

@@ -232,6 +232,12 @@ def _cond_1(mats):
         return norm * inv_norm
 
 
+def dense_times(mats):
+    """The mat-vec x -> mats @ x of a dense (..., n, n) stack, as
+    kernels.tridiag_solve_sorted takes it."""
+    return lambda x: np.einsum("...ij,...j->...i", mats, x)
+
+
 def gram(k, points) -> GramSystem:
     """Kernel matrix G(points[a], points[b]) with a 1-norm conditioning estimate."""
     points = np.asarray(points, dtype=float)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import SLAVED_FAMILIES, fit_order, generic_chiral_field, slaved_family
-from oracles import ReconstructionRefused, reconstruct, to_matrix
+from oracles import ReconstructionRefused, dense_times, reconstruct, to_matrix
 
 from gstrands import clebsch, gstrand, kernels, liealg, peakon
 from gstrands.errors import BlowUpError, DimensionMismatchError, NearCollisionError
@@ -548,7 +548,7 @@ def test_tridiag_solve_of_zero_rhs_is_positive_zero():
     qs = np.sort(q, axis=1)
     gram = kernels.eval(k, qs[..., :, None], qs[..., None, :])
     inverse = kernels.helmholtz_1d_inverse(k, np.diff(qs, axis=1))
-    x = kernels.tridiag_solve_sorted(gram, inverse, -np.zeros_like(q))
+    x = kernels.tridiag_solve_sorted(dense_times(gram), inverse, -np.zeros_like(q))
     assert np.array_equal(x, np.zeros_like(q)) and not np.signbit(x).any()
 
     def never(b):

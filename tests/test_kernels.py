@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _cond_1, discrete_green_1d, gram, norm_1, solve_gram
+from oracles import _cond_1, dense_times, discrete_green_1d, gram, norm_1, solve_gram
 
 from gstrands import kernels
 from gstrands.errors import InvalidParameterError, NearCollisionError
@@ -128,7 +128,8 @@ def test_tridiagonal_solve_matches_dense_oracles(n, alpha):
     sorted_pts, sorted_rhs = (np.take_along_axis(a, order, -1) for a in (pts, rhs))
     sorted_mats = kernels.eval(k, sorted_pts[:, :, None], sorted_pts[:, None, :])
     inverse = kernels.helmholtz_1d_inverse(k, gaps)
-    x = np.take_along_axis(kernels.tridiag_solve_sorted(sorted_mats, inverse, sorted_rhs), back, -1)
+    x = np.take_along_axis(
+        kernels.tridiag_solve_sorted(dense_times(sorted_mats), inverse, sorted_rhs), back, -1)
     for oracle in (np.linalg.solve(mats, rhs[..., None])[..., 0],
                    kernels.chol_solve_batched(mats, rhs)):
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -192,13 +193,13 @@ def test_nan_rhs_fails_the_gram_solve_residual_check(solver):
     rhs = np.array([[1.0, np.nan, 0.5]])
     with pytest.raises(NearCollisionError, match="residual above tolerance"):
         if solver == "tridiag_solve_sorted":
-            kernels.tridiag_solve_sorted(mats, inverse, rhs)
+            kernels.tridiag_solve_sorted(dense_times(mats), inverse, rhs)
         else:
             kernels.chol_solve_batched(mats, rhs)
     # a finite rhs on the same system passes, and an all-zero one is +0
-    x = kernels.tridiag_solve_sorted(mats, inverse, np.array([[1.0, -0.5, 0.5]]))
+    x = kernels.tridiag_solve_sorted(dense_times(mats), inverse, np.array([[1.0, -0.5, 0.5]]))
     assert np.all(np.isfinite(x))
-    zero = kernels.tridiag_solve_sorted(mats, inverse, -np.zeros((1, 3)))
+    zero = kernels.tridiag_solve_sorted(dense_times(mats), inverse, -np.zeros((1, 3)))
     assert np.array_equal(zero, np.zeros((1, 3))) and not np.signbit(zero).any()
 
 
@@ -217,8 +218,7 @@ def _prefix_rows(layout, alpha):
     if layout == "one point":
         return alpha * rng.uniform(-1.0, 1.0, (4, 1))
     if layout == "a repeated point":
-        # a row of one point, as _cond_1 puts in place of a non-finite row,
-        # beside a row of many spans
+        # a row of one repeated point, of no spread, beside a row of many spans
         return alpha * np.stack([np.zeros(80), np.cumsum(rng.uniform(1.0, 3.0, 80))])
     return alpha * (np.cumsum(rng.uniform(0.3, 2.0, 200)) + 1e3)  # one row, no batch axis
 
@@ -276,3 +276,12 @@ def test_invalid_kernel_parameters():
     # a subnormal alpha: 1/(2 alpha) overflows, and the Gram would be inf and NaN
     with pytest.raises(InvalidParameterError, match="1/\\(2 alpha\\) finite"):
         kernels.HelmholtzKernel(1e-320, 1)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_a_non_finite_alpha_is_refused(alpha):
+    # 1/(2 inf) is finite, yet G would be 0 everywhere: without this check a
+    # classical pair 3 apart halts as "within 3.000e+00 of collision", its
+    # collision gap being 1e-8 inf
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        kernels.HelmholtzKernel(alpha)

@@ -293,22 +293,32 @@ def test_non_finite_stage_positions_fail_the_conditioning_check():
 def test_the_check_raises_exactly_when_the_exact_cond_does(n_s, n_p, log_alpha, log_gaps):
     """Gaps from the collision gap to 100 (absolute) and alpha up to 1e10
     reach exact conds far past the limit: the check keeps the exact
-    check's outcome and message, with the dense Gram and, matrix-free
-    (None), with the row sums of the prefix sums."""
+    check's outcome and message, with the dense Gram and, matrix-free,
+    with the row sums of the prefix sums."""
     kernel = HelmholtzKernel(10.0 ** log_alpha)
     gaps = np.maximum(10.0 ** np.array(log_gaps[:n_s * n_p]).reshape(n_s, n_p),
                       peakon.COLLISION_GAP)
     qs = np.cumsum(gaps, axis=1)
-    gram = kernels.eval(kernel, qs[:, :, None], qs[:, None, :])
     row_gaps = np.diff(qs, axis=1)
     expected = exact_conditioning_error(kernel, qs)
-    for side in (gram, None):
+    for side in grams_on_both_sides(kernel, qs):
         try:
             peakon._check_conditioning(kernel, qs, row_gaps, row_gaps.min(initial=np.inf), side)
         except NearCollisionError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
+
+
+def grams_on_both_sides(kernel, q):
+    """peakon._gram of the ascending rows q, dense and then matrix-free."""
+    sides = []
+    for entries in (1 << 62, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peakon, "MATRIX_FREE_ENTRIES", entries)
+            sides.append(peakon._gram(kernel, q))
+    assert [type(side) for side in sides] == [peakon._Table, kernels.PrefixFactors]
+    return sides
 
 
 def ch_classical(dt, t_end, p0, q0=(-2.5, 2.5)):
@@ -421,8 +431,9 @@ STAGE_SHAPES = [(n_s, n_p) for n_s in (1, 16) for n_p in (1, 2, 32)] + [(1, 128)
 
 
 def matrix_free(n_s, n_p):
-    """Whether a stage of n_s rows of n_p peakons runs matrix-free."""
-    return n_s * n_p * n_p >= peakon.MATRIX_FREE_ENTRIES
+    """Whether a stage of n_s rows of n_p peakons runs matrix-free (_gram)."""
+    q = np.broadcast_to(np.arange(float(n_p)), (n_s, n_p))
+    return isinstance(peakon._gram(K1, q), kernels.PrefixFactors)
 
 
 def test_the_stage_shapes_sit_on_both_sides_of_the_switch():
@@ -437,7 +448,7 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
     grid = StrandGrid(n_s, 2 * np.pi, 1e-3, 1.0)
     q = shuffled_positions(np.random.default_rng(n_s * 100 + n_p), n_s, n_p)
     labels, ordered, back = peakon._relabeled(peakon.PeakonState(q, 0.0 * q, 0.0 * q))
-    tables, gram, grad, nw = peakon._slave(k, grid, labels, (ordered.q,))
+    tables, gram, nw = peakon._slave(k, grid, labels, (ordered.q,))
     assert tables is labels
     dense = sorted_oracle(peakon._gram_all(k, q), labels)
     if matrix_free(n_s, n_p):
@@ -445,14 +456,16 @@ def test_stage_tables_are_the_permuted_dense_matrices(n_s, n_p, alpha):
         # by column as the permuted dense matrix does, each entry to eps times
         # the |t| <= REBASE_SPAN / 2 of each of its two factors plus the dense
         # exponent |Q_a - Q_b| / alpha
-        assert grad is None and isinstance(gram, kernels.PrefixFactors)
+        assert isinstance(gram, kernels.PrefixFactors)
         assert max(x.size for x in (gram.up, gram.down, gram.decay)) == n_s * n_p
-        cols = np.stack([peakon._prefix_times(gram, np.broadcast_to(e, q.shape))
+        cols = np.stack([gram.times(np.broadcast_to(e, q.shape))
                          for e in np.eye(n_p)], axis=-1)
         exponent = np.abs(ordered.q[:, :, None] - ordered.q[:, None, :]) / alpha
         bound = np.finfo(float).eps * (kernels.REBASE_SPAN + exponent)
         assert np.all(np.abs(cols - dense) <= bound * dense)
     else:
+        assert isinstance(gram, peakon._Table)
+        gram, grad = gram.gram, gram.grad
         assert np.array_equal(gram, dense)
         oracle = sorted_oracle(kernels.grad_q(k, q[..., :, None], q[..., None, :]), labels)
         # G / alpha and grad_q's e / (2 alpha^2) each round twice
@@ -550,8 +563,8 @@ def test_rows_of_many_rebase_spans_match_the_dense_gram(n_s, n_p, n_spans):
     if n_s == 1:
         nw = np.zeros_like(nw)  # the only N a run has at n_s = 1
     labels = np.arange(n_p)
-    _, prefix, grad, ns = peakon._slave(k, grid, labels, (q,))
-    assert grad is None and prefix.decay.shape[-1] + 1 == n_spans
+    _, prefix, ns = peakon._slave(k, grid, labels, (q,))
+    assert isinstance(prefix, kernels.PrefixFactors) and prefix.decay.shape[-1] + 1 == n_spans
     gram = peakon._gram_all(k, q)
     expected = np.linalg.solve(gram, -d_s(q, grid)[..., None])[..., 0]
     assert np.max(np.abs(ns - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
@@ -565,7 +578,7 @@ def test_rows_of_many_rebase_spans_match_the_dense_gram(n_s, n_p, n_spans):
     grad = np.abs(grad)
     dm_scale = np.abs(d_s(nw, grid)) + np.abs(nw) * times(grad, np.abs(nw)) \
         + np.abs(mw) * times(grad, np.abs(mw))
-    dq, dm = peakon._rhs(grid, q, mw, (labels, prefix, None, nw))
+    dq, dm = peakon._rhs(grid, q, mw, (labels, prefix, nw))
     assert np.all(np.abs(dq - dq_oracle) <= 1e-14 * dq_scale)
     assert np.all(np.abs(dm - dm_oracle) <= 1e-14 * dm_scale)
 
@@ -645,14 +658,26 @@ def test_a_crossed_pair_is_named_on_both_sides(monkeypatch):
         ("peakons 7 and 8 crossed at s-index 5", "near-collision", None)
 
 
-@pytest.mark.parametrize("bad", ["nan_momentum", "nan_position"])
+@pytest.mark.parametrize("bad", ["nan_momentum", "nan_position", "inf_at_a_row_end",
+                                 "minus_inf_at_a_row_start", "two_adjacent_inf",
+                                 "inf_and_a_crossed_pair"])
 def test_a_non_finite_stage_fails_the_check_on_both_sides(monkeypatch, bad):
+    # warnings are errors here: a non-finite row is refused before its Gram
+    # is built, and inf - inf is a NaN gap, so numpy warns of neither
     state, kernel, grid = _strand_on_a_lattice(16, 32)
     q, mw = state.q.copy(), state.mw.copy()
     if bad == "nan_momentum":
         mw[3, 0] = np.nan  # NaN positions from stage 2 on, at s-index 3
-    else:
+    elif bad == "nan_position":
         q[3, 5] = np.nan  # a NaN gap is not a near-collision
+    elif bad == "minus_inf_at_a_row_start":
+        q[3, 0] = -np.inf
+    elif bad == "two_adjacent_inf":
+        q[3, -2:] = np.inf
+    else:
+        q[3, -1] = np.inf
+        if bad == "inf_and_a_crossed_pair":
+            q[5, [7, 8]] = q[5, [8, 7]]  # the gap check comes first
     stepped = peakon.PeakonState(q, mw, state.nw)
 
     def halt():
@@ -661,8 +686,9 @@ def test_a_non_finite_stage_fails_the_check_on_both_sides(monkeypatch, bad):
         return str(exc.value), exc.value.category
 
     runs, _ = _on_both_sides(monkeypatch, halt)
-    assert runs["matrix-free"] == runs["dense"] == \
-        ("per-s Gram conditioning nan exceeds 1e+12 at s-index 3", "near-collision")
+    expected = "peakons 7 and 8 crossed at s-index 5" if bad == "inf_and_a_crossed_pair" \
+        else "per-s Gram conditioning nan exceeds 1e+12 at s-index 3"
+    assert runs["matrix-free"] == runs["dense"] == (expected, "near-collision")
 
 
 def test_the_exact_cond_of_a_matrix_free_stage_is_the_dense_one(monkeypatch):
@@ -679,15 +705,30 @@ def test_the_exact_cond_of_a_matrix_free_stage_is_the_dense_one(monkeypatch):
                            for a in range(0, n_p, 500)])
     row_gaps = q[:, 1:] - q[:, :-1]
     dense = rows.max() * kernels.tridiag_norm_1(*kernels.helmholtz_1d_inverse(k, row_gaps))[0]
-    cond = peakon._cond_1(k, q, row_gaps, None)
-    assert cond.shape == (1,) and abs(cond[0] / dense - 1.0) <= 1e-12
+    # the check's cond is the dense one to 1e-12: a limit 1e-12 above it
+    # passes, one 1e-12 below it halts at s-index 0 (of the one row)
+    gram = peakon._gram(k, q)
+    assert isinstance(gram, kernels.PrefixFactors)
+    for scale, halts in ((1.0 + 1e-12, False), (1.0 - 1e-12, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(peakon, "COND_LIMIT", scale * dense)
+            try:
+                peakon._check_conditioning(k, q, row_gaps, row_gaps.min(), gram)
+            except NearCollisionError as exc:
+                assert halts and str(exc).endswith("at s-index 0")
+            else:
+                assert not halts
     grid = StrandGrid(1, 1.0, 1e-3, 1e-3)
     state = peakon.PeakonState(q, np.ones(q.shape), np.zeros(q.shape))
-    exact = []
-    real = peakon._cond_1
-    monkeypatch.setattr(peakon, "_cond_1", lambda *a: exact.append(a[3]) or real(*a))
+    exact, built = [], []
+    real_rows, real_prefix = kernels.PrefixFactors.row_sums, peakon.exp_prefix
+    monkeypatch.setattr(kernels.PrefixFactors, "row_sums",
+                        lambda self: exact.append(self) or real_rows(self))
+    monkeypatch.setattr(peakon, "exp_prefix", lambda *a: built.append(1) or real_prefix(*a))
     peakon.step(state, k, grid)  # a cond of 4.6e8 passes
-    assert len(exact) == 5 and all(gram is None for gram in exact)
+    # five exact conds, each from the factors its stage's solve and
+    # right-hand side use: one factorization per slaved solve
+    assert len(exact) == len(built) == 5
     # under a limit the cond passes, the stage halts as the dense check does
     monkeypatch.setattr(peakon, "COND_LIMIT", 1e8)
     with pytest.raises(NearCollisionError) as exc:
