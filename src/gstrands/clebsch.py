@@ -31,11 +31,14 @@ PINV_RCOND = 1e-10
 class LinearRepSpec:
     """Matrices rho[i] of the basis action on V = R^rep_dim, stacked along axis 0.
 
-    ``act_table``, ``dual_table`` and ``diamond_table`` are the sparse forms
-    of rho (liealg._contraction_table) that ``act``, ``act_dual`` and
-    ``diamond`` contract with, in the dense einsums' summation orders.
-    ``liealg._contract`` works in a (coords, points) layout: one gather per
-    operand for all of a table's columns, then the columns summed in order,
+    rho must be real, finite and a representation (the constructor refuses
+    anything else).  ``act_table``, ``dual_table`` and ``diamond_table`` are
+    the sparse forms of rho (liealg._contraction_table) that ``act``,
+    ``act_dual`` and ``diamond`` contract with, in the dense einsums'
+    summation orders.  ``liealg._contract`` works in a (coords, points)
+    layout: the first operand's rows are scaled once per distinct (index,
+    value) pair of a table, each entry gathers its scaled row and the second
+    operand's row, and the columns are summed in order by one reduction,
     over blocks of at most ``liealg._BLOCK`` gathered entries so that the
     temporaries of a whole history stay cache-sized.  The output has the
     table's own size (rep_dim for ``act``/``act_dual``, dim for
@@ -48,6 +51,8 @@ class LinearRepSpec:
     diamond_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.rho):
+            raise DimensionMismatchError("rho must be real")
         rho = np.ascontiguousarray(self.rho, dtype=float)
         if rho.shape != (self.alg.dim,) + rho.shape[-1:] * 2:
             raise DimensionMismatchError(f"rho must have shape (dim, n, n), got {rho.shape}")

@@ -33,10 +33,11 @@ class StructureConstants(NamedTuple):
 class LieAlgebraSpec:
     """Structure constants of a finite-dimensional Lie algebra.
 
-    ``constants`` is a (k, i, j, value) tuple of the nonzero c^k_ij in any
-    order, kept as a sorted ``StructureConstants``; each (k, i, j) appears
-    once, and (k, j, i) with the opposite value.  ``bracket`` and ``ad_star``
-    contract with ``bracket_table`` and ``coad_table`` (see ``_Table``).
+    ``dim`` is a positive integer.  ``constants`` is a (k, i, j, value)
+    tuple of the nonzero real c^k_ij in any order, kept as a sorted
+    ``StructureConstants``; each (k, i, j) appears once, and (k, j, i) with
+    the opposite value.  ``bracket`` and ``ad_star`` contract with
+    ``bracket_table`` and ``coad_table`` (see ``_Table``).
     ``levi_civita`` marks the so(3) constants c^k_ij = epsilon_ijk, whatever the name.
     """
 
@@ -48,6 +49,8 @@ class LieAlgebraSpec:
     levi_civita: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise DimensionMismatchError(f"dim must be a positive integer, got {self.dim!r}")
         k, i, j, value = (np.asarray(a) for a in self.constants)
         if not (k.ndim == 1 and k.shape == i.shape == j.shape == value.shape):
             raise DimensionMismatchError("k, i, j and value must be 1-D arrays of one length")
@@ -56,6 +59,8 @@ class LieAlgebraSpec:
                 or np.any((index < 0) | (index >= self.dim))):
             raise DimensionMismatchError(f"structure constant indices must be integers "
                                          f"in 0..{self.dim - 1}")
+        if np.iscomplexobj(value):
+            raise DimensionMismatchError("structure constant values must be real")
         k, i, j, value = *index.astype(np.intp), value.astype(float)
         if not np.all(np.isfinite(value) & (value != 0.0)):
             raise DimensionMismatchError("structure constant entries must be finite and nonzero")
@@ -84,29 +89,38 @@ class LieAlgebraSpec:
 class _Table(NamedTuple):
     """Sparse form of out[..., o] = sum_ab t[o, a, b] x[..., a] y[..., b].
 
-    Row o lists the nonzero t[o, a, b] in (a, b) order, zero-padded (index 0)
-    to the widest row, at least one column.  Flat entry w * d + o is column w
-    of row o; ``val`` is a (width * d, 1) column that scales gathered rows.
+    Row o lists the nonzero t[o, a, b] in (a, b) order, zero-padded (index 0,
+    value 0) to the widest row, at least one column: entry [w, o] of the
+    (width, d) arrays is column w of row o.  It takes y row ``idx_b`` and x
+    row ``rows[pick]`` scaled by ``scale[pick]``, where ``rows`` and
+    ``scale`` (a column) list each distinct (x index, value) pair once, so
+    x rows are scaled once per pair: soN(8)'s 336 bracket entries use 56.
+    When no pair repeats, ``pick`` is None and ``rows`` and ``scale`` are
+    per entry, (width, d) and (width, d, 1).  There are never more pairs
+    than entries.
     """
 
-    idx_a: np.ndarray
+    rows: np.ndarray
+    scale: np.ndarray
+    pick: np.ndarray | None
     idx_b: np.ndarray
-    val: np.ndarray
-    width: int
-    d: int
 
 
 def _table(o, a, b, v, d) -> _Table:
     """The ``_Table`` of the entries t[o, a, b] = v, sorted by (o, a, b)."""
     counts = np.bincount(o, minlength=d)
     col = np.arange(o.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = max(int(counts.max(initial=0)), 1)
-    flat = col * d + o
-    idx_a = np.zeros(width * d, dtype=np.intp)
-    idx_b = np.zeros(width * d, dtype=np.intp)
-    val = np.zeros((width * d, 1))
-    idx_a[flat], idx_b[flat], val[flat, 0] = a, b, v
-    return _Table(idx_a, idx_b, val, width, d)
+    shape = (max(int(counts.max(initial=0)), 1), d)
+    idx_a = np.zeros(shape, dtype=np.intp)
+    idx_b = np.zeros(shape, dtype=np.intp)
+    val = np.zeros(shape)
+    idx_a[col, o], idx_b[col, o], val[col, o] = a, b, v
+    # the distinct (x index, value) pairs, each written index + 1j * value
+    _, first, pick = np.unique((idx_a + 1j * val).ravel(), return_index=True,
+                               return_inverse=True)
+    if first.size == pick.size:
+        return _Table(idx_a, val[..., None], None, idx_b)
+    return _Table(idx_a.ravel()[first], val.ravel()[first, None], pick.reshape(shape), idx_b)
 
 
 def _contraction_table(t) -> _Table:
@@ -121,20 +135,38 @@ def _contraction_table(t) -> _Table:
 _BLOCK = 1 << 16
 
 
-def _contract_block(table, xt, yt, buf):
-    """Contract (coords, points) operands into a (d, points) result: one
-    gather per operand for all columns, into buf[0] and buf[1], then the
-    columns summed in order.  The value multiplies before y, so a padded zero
-    stays zero for any finite x and y; seeding with 0.0 + the first column
-    turns -0.0 into +0.0, as adding to zeros did."""
-    idx_a, idx_b, val, width, d = table
-    terms = xt.take(idx_a, axis=0, out=buf[0], mode="clip")
-    terms *= val
-    terms *= yt.take(idx_b, axis=0, out=buf[1], mode="clip")
-    out = np.add(0.0, terms[:d])
-    for w in range(d, width * d, d):
-        out += terms[w:w + d]
+def _ordered_sum(terms):
+    """terms summed over axis 0 in order, from 0.0 + terms[0] (so -0.0
+    becomes +0.0).  add.reduce adds the rows of an outer axis in order, but
+    sums pairwise when the output has one element, so that one is added a
+    row at a time."""
+    if terms.size != terms.shape[0]:
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    out = np.add(0.0, terms[0])
+    for term in terms[1:]:
+        out += term
     return out
+
+
+def _contract_block(table, xt, yt, buf):
+    """Contract (coords, points) operands into a (d, points) result, with
+    buf a (2, width, d, points) scratch array.  The x rows of each pair are
+    gathered and scaled once, into buf[1] (there are no more pairs than
+    entries), then gathered per entry into buf[0]; y is gathered into buf[1]
+    and multiplies them, and the columns are summed in order by
+    ``_ordered_sum``.  Each term is (x * value) * y, the per-column loop's
+    product, so a padded zero stays zero for any finite x and y."""
+    rows, scale, pick, idx_b = table
+    if pick is None:
+        terms = xt.take(rows, axis=0, out=buf[0], mode="clip")
+        terms *= scale
+    else:
+        scaled = buf[1].reshape(idx_b.size, -1)[:rows.size]
+        xt.take(rows, axis=0, out=scaled, mode="clip")
+        scaled *= scale
+        terms = scaled.take(pick, axis=0, out=buf[0], mode="clip")
+    terms *= yt.take(idx_b, axis=0, out=buf[1], mode="clip")
+    return _ordered_sum(terms)
 
 
 def _contract(table, x, y):
@@ -152,21 +184,22 @@ def _contract(table, x, y):
     xt = x.reshape(-1, x.shape[-1]).T
     yt = y.reshape(-1, y.shape[-1]).T
     n = xt.shape[1]
-    size = table.idx_a.size
+    width, d = table.idx_b.shape
+    size = width * d
     step = max(_BLOCK // size, 1)
     # Both gathers share one allocation that every block reuses: two
     # block-sized temporaries freed together went back to the OS and were
     # page-faulted in again on the next call, which cost more than the work.
     if n <= step:
-        out = _contract_block(table, xt, yt, np.empty((2, size, n))).T.copy()
+        out = _contract_block(table, xt, yt, np.empty((2, width, d, n))).T.copy()
     else:
-        out = np.empty((n, table.d))
+        out = np.empty((n, d))
         buf = np.empty(2 * size * step)
         for s in range(0, n, step):
             m = min(step, n - s)
             out[s:s + m] = _contract_block(table, xt[:, s:s + m], yt[:, s:s + m],
-                                           buf[:2 * size * m].reshape(2, size, m)).T
-    return out.reshape(lead + (table.d,))
+                                           buf[:2 * size * m].reshape(2, width, d, m)).T
+    return out.reshape(lead + (d,))
 
 
 def _check_coords(spec, *elements):
@@ -198,13 +231,12 @@ def pair(spec: LieAlgebraSpec, mu, xi):
     mu = np.asarray(mu, dtype=float)
     xi = np.asarray(xi, dtype=float)
     _check_coords(spec, mu, xi)
-    # summed one coordinate at a time, in order, from 0.0 + the first (so
-    # -0.0 becomes +0.0); [()] makes a point's 0-d result a scalar
+    # the coordinates summed in index order by one reduction over the
+    # products in a (coords, points) layout; [()] makes a point's 0-d
+    # result a scalar
     terms = mu * xi
-    out = np.add(0.0, terms[..., 0])
-    for i in range(1, spec.dim):
-        out += terms[..., i]
-    return out[()]
+    lead = terms.shape[:-1]
+    return _ordered_sum(terms.reshape(-1, spec.dim).T.copy()).reshape(lead)[()]
 
 
 def so_n_index_pairs(n):

@@ -81,6 +81,12 @@ def test_non_finite_rho_is_refused(bad):
         clebsch.LinearRepSpec(SO3, rho)
 
 
+def test_complex_rho_is_refused():
+    # used to be cast to its real part with a ComplexWarning
+    with pytest.raises(DimensionMismatchError, match="rho must be real"):
+        clebsch.LinearRepSpec(SO3, REP3.rho + 0.5j)
+
+
 def test_representation_check_keeps_a_nan_mismatch():
     # finite entries whose commutators overflow: the mismatch is inf - inf = NaN
     # in some rows, which must not read as a perfect representation

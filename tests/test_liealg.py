@@ -167,9 +167,12 @@ def so3_constants_with(**changes):
     (so3_constants_with(value=[0.0, -0.0, -1.0, 1.0, 1.0, -1.0]), "nonzero"),
     (so3_constants_with(value=[np.nan, np.nan, -1.0, 1.0, 1.0, -1.0]), "finite"),
     (so3_constants_with(k=[0.0, 0.0, 1.0, 1.0, 2.0, 2.0]), "integers"),
+    # not cast to their real parts (eps + 0.5j would read as the so(3) constants)
+    (so3_constants_with(value=list(SO3.constants.value + 0.5j)), "values must be real"),
+    (so3_constants_with(value=list(SO3.constants.value + 0j)), "values must be real"),
 ], ids=["k-out-of-range", "j-negative", "listed-twice", "short-value", "short-i", "2d-value",
         "missing-partner", "partner-same-sign", "diagonal", "zero-value", "nan-value",
-        "float-index"])
+        "float-index", "complex-value", "complex-zero-imaginary-part"])
 def test_malformed_constants_are_refused(constants, message):
     with pytest.raises(DimensionMismatchError, match=message):
         liealg.LieAlgebraSpec(3, constants)
@@ -185,6 +188,14 @@ def test_constants_are_kept_sorted_whatever_the_input_order(name):
     for table in ("bracket_table", "coad_table"):
         for got, want in zip(getattr(again, table), getattr(spec, table)):
             assert np.array_equal(got, want), table
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 2.5, "3", None], ids=["negative", "zero", "float",
+                                                              "str", "none"])
+def test_a_dim_that_is_not_a_positive_integer_is_refused(dim):
+    none = np.array([], dtype=int)
+    with pytest.raises(DimensionMismatchError, match="dim must be a positive integer"):
+        liealg.LieAlgebraSpec(dim, (none, none, none, np.array([])))
 
 
 def test_levi_civita_is_decided_by_the_constants():
@@ -373,7 +384,7 @@ def bits(a):
 
 # points per block of the soN(8) bracket table: one block less a point, one
 # full block, and one point into a second block
-SON8_STEP = liealg._BLOCK // liealg.builtin("soN(8)").bracket_table.idx_a.size
+SON8_STEP = liealg._BLOCK // liealg.builtin("soN(8)").bracket_table.idx_b.size
 
 
 @pytest.mark.parametrize("fill", ["signed-zero", "inf"])
@@ -417,7 +428,74 @@ def test_history_spans_several_blocks():
     # the soN(8) history case above must take the blocked path
     spec = liealg.builtin("soN(8)")
     for table in (spec.bracket_table, spec.coad_table):
-        assert 39 * 128 * table.idx_a.size > 2 * liealg._BLOCK
+        assert 39 * 128 * table.idx_b.size > 2 * liealg._BLOCK
+
+
+def random_table(rng, shape, values):
+    """A (d, n_a, n_b) t, about 40 % nonzero, whose nonzero values are drawn
+    from ``values``, with t[o, 0, 0] = t[o, 0, 1] in every row.  None gives distinct normal values in every entry, so
+    no row is padded and no (a, value) pair repeats."""
+    if values is None:
+        return rng.standard_normal(shape)
+    t = np.where(rng.random(shape) < 0.4, rng.choice(values, size=shape), 0.0)
+    t[:, 0, :2] = values[0]            # every row repeats a pair
+    return t
+
+
+@pytest.mark.parametrize("fill", ["signed-zero", "inf"])
+@pytest.mark.parametrize("values", [(-2.0, -1.0, 0.5, 3.0), None], ids=["repeated", "distinct"])
+@pytest.mark.parametrize("shape", [(5, 7, 6), (1, 9, 4), (6, 2, 3)])
+def test_random_tables_contract_bitwise_as_the_column_loop(shape, values, fill):
+    rng = np.random.default_rng(sum(shape) + (values is None))
+    t = random_table(rng, shape, values)
+    table = liealg._contraction_table(t)
+    # repeated values share scaled rows; distinct ones keep one row an entry
+    assert (table.pick is None) == (values is None)
+    step = liealg._BLOCK // table.idx_b.size
+    for lead in [(), (1,), (64,), (2 * step + 1,), (3, 4)]:
+        x = seeded_operand(rng, lead, shape[1], fill)
+        y = seeded_operand(rng, lead, shape[2], "signed-zero")
+        with np.errstate(invalid="ignore"):
+            got = liealg._contract(table, x, y)
+            want = column_contract(column_table(t), x, y, shape[0])
+        assert got.shape == want.shape and got.flags.c_contiguous, lead
+        assert np.array_equal(bits(got), bits(want)), lead
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (1, 1)])
+def test_a_one_element_output_sums_its_columns_in_order(lead):
+    # d = 1 at one point: add.reduce would sum the 40 columns pairwise
+    rng = np.random.default_rng(8)
+    t = np.zeros((1, 40, 2))
+    t[0, :, 1] = rng.choice([-1.0, 1.0, 3.0], size=40)
+    x = rng.standard_normal(lead + (40,)) * 10.0 ** rng.integers(-8, 9, size=lead + (40,))
+    y = np.full(lead + (2,), 0.7)
+    table = liealg._contraction_table(t)
+    assert table.idx_b.shape == (40, 1)
+    got = liealg._contract(table, x, y)
+    want = column_contract(column_table(t), x, y, 1)
+    terms = (x * t[0, :, 1] * 0.7).reshape(-1)
+    assert np.add.reduce(terms, initial=0.0) != want.reshape(()), "the data must tell the sums apart"
+    assert got.shape == lead + (1,)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_tables_never_hold_more_scaled_rows_than_gathered_entries():
+    # the scaled rows share the y gather's buffer, so a block's temporaries
+    # stay the two gathers of _BLOCK entries each
+    rng = np.random.default_rng(12)
+    tables = [table for name in BUILTINS for table, _ in spec_tables(name).values()]
+    tables += [liealg._contraction_table(random_table(rng, (5, 7, 6), values))
+               for values in ((-1.0, 1.0), None)]
+    for table in tables:
+        assert table.rows.shape[0] == table.scale.shape[0]
+        assert table.rows.size <= table.idx_b.size
+        if table.pick is not None:
+            assert table.pick.shape == table.idx_b.shape
+            assert table.pick.max() < table.rows.size
+    son8 = liealg.builtin("soN(8)").bracket_table
+    assert (son8.rows.size, son8.idx_b.size) == (56, 336)
+    assert SO3.bracket_table.pick is None
 
 
 def test_contract_of_empty_batch():
